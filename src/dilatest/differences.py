@@ -24,13 +24,12 @@ from .dyadic import (
     Box,
     DyadicCube,
     GridFunction,
+    axis_reduce,
     expanded_cube,
+    level_block_reduce,
     level_cell_count,
     level_cube_count,
     level_first_index,
-    padded_cumsum,
-    range_sums_1d,
-    range_sums_2d,
     window_sums,
 )
 from .errors import OutOfDomain, ResolutionExceeded
@@ -215,17 +214,12 @@ def delta_cube_field(f: GridFunction, k: int, order: int):
     nodes, w_h = _h_nodes(side, f.spacing, f.dim)
     cellw = f.spacing**f.dim
 
-    def block(v):
-        if f.dim == 1:
-            return v.reshape(nc, c).sum(axis=1)
-        return v.reshape(nc, c, nc, c).sum(axis=(1, 3))
-
     num = 0.0
     valid = 0.0
     for h in nodes:
         g, mask = _binomial_field(f, order, h)
-        num = num + block(g * mask)
-        valid = valid + block(mask.astype(float))
+        num = num + level_block_reduce(g * mask, f, k)
+        valid = valid + level_block_reduce(mask.astype(float), f, k)
     total = len(nodes) * float(c**f.dim)
     with np.errstate(invalid="ignore", divide="ignore"):
         renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
@@ -243,20 +237,14 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
 
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
     j = np.arange(nc)
-    lo1, hi1 = (j - 2) * c, (j + 3) * c
-    n = f.resolution
-    if f.dim == 2:
-        lo = np.stack(np.meshgrid(lo1, lo1, indexing="ij"), axis=-1)
-        hi = np.stack(np.meshgrid(hi1, hi1, indexing="ij"), axis=-1)
+    lo, hi = (j - 2) * c, (j + 3) * c
 
     def expanded_sums(v):
-        tab = padded_cumsum(v)
-        if f.dim == 1:
-            return range_sums_1d(tab, lo1, hi1)
-        return range_sums_2d(tab, lo, hi)
+        for ax in range(f.dim):
+            v = axis_reduce(v, lo, hi, ax)
+        return v
 
-    in_cells_1 = np.minimum(hi1, n) - np.maximum(lo1, 0)
-    in_cells = in_cells_1 if f.dim == 1 else np.multiply.outer(in_cells_1, in_cells_1)
+    in_cells = expanded_sums(np.ones(f.samples.shape))
 
     num = 0.0
     valid = 0.0
@@ -264,7 +252,7 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
         g, mask = _binomial_field(f, order, h)
         num = num + expanded_sums(g * mask)
         valid = valid + expanded_sums(mask.astype(float))
-    total = len(nodes) * in_cells.astype(float)
+    total = len(nodes) * in_cells
     with np.errstate(invalid="ignore", divide="ignore"):
         renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
     values = w_h * cellw * num * renorm / (5.0 * a) ** (2 * f.dim)

@@ -30,10 +30,9 @@ from .weights import (
     WeightSequence,
     XClassParams,
     _eval,
+    _trace_verdict,
     xclass_check,
 )
-
-_GROWTH = 2.0 * (1.0 - 1e-9)
 
 
 def choose_i(lam) -> int:
@@ -180,8 +179,8 @@ def sobolev_sup_ratio(
     """Probe sup_x w(x/lambda)/w(x) over domain-doubling stages.
 
     Each stage doubles the box and deepens the zoom around the running
-    maxima; DIVERGENT means the probed supremum at least doubled across both
-    of the last two stages.
+    maxima; DIVERGENT is the FAIL branch of the scans' growth rule: the probed
+    supremum at least doubled across both of the last two stages.
     """
     if lam <= 1.0:
         raise ValueError("the comparison needs lambda > 1")
@@ -193,9 +192,7 @@ def sobolev_sup_ratio(
             omega, lam, halfwidth * 2.0**s, base_resolution, 4 * (s + 1), dim
         )
         trace.append(sup)
-    divergent = len(trace) >= 3 and all(
-        trace[i + 1] >= _GROWTH * trace[i] for i in (len(trace) - 3, len(trace) - 2)
-    )
+    divergent = _trace_verdict(trace) == FAIL
     return SobolevSupResult(value=trace[-1], divergent=divergent, trace=trace)
 
 

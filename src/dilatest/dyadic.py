@@ -8,9 +8,14 @@ Geometry conventions used throughout the package:
   and samples sit at cell centers ``-L + (j + 1/2) * dx``, so weight
   singularities on dyadic hyperplanes are never sampled,
 * all integrals are midpoint sums over cells; boxes pick up the cells whose
-  centers they contain, which is exact for boxes aligned with cell edges.
+  centers they contain, which is exact for boxes aligned with cell edges,
+* box reductions come in two kinds, each applied one axis at a time so the
+  dimension is a loop bound: exact per-tile reductions over aligned tiles by
+  reshape (``level_block_reduce``), and reductions over arbitrary index
+  ranges from prefix tables or ``reduceat`` (``axis_reduce``).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -176,15 +181,9 @@ class GridFunction:
 
     def coarsen(self, factor):
         """Block-mean downsample by an integer factor."""
-        n = self.resolution
-        if n % factor:
+        if self.resolution % factor:
             raise ValueError("factor must divide the resolution")
-        s = self.samples
-        if self.dim == 1:
-            out = s.reshape(n // factor, factor).mean(axis=1)
-        else:
-            out = s.reshape(n // factor, factor, n // factor, factor).mean(axis=(1, 3))
-        return GridFunction(self.dim, self.halfwidth, out)
+        return GridFunction(self.dim, self.halfwidth, _tile_reduce(self.samples, factor, "mean"))
 
     # -- interpolation ------------------------------------------------------
 
@@ -296,9 +295,7 @@ def cubes_covering(b: Box, k: int, spacing=None):
         m0 = math.floor(lo * scale + _TIE_EPS)
         m1 = math.ceil(hi * scale - _TIE_EPS)
         axes.append(range(m0, m1))
-    if b.dim == 1:
-        return [DyadicCube(k, (m,)) for m in axes[0]]
-    return [DyadicCube(k, (mx, my)) for mx in axes[0] for my in axes[1]]
+    return [DyadicCube(k, m) for m in itertools.product(*axes)]
 
 
 # -- aligned-level fast paths -------------------------------------------------
@@ -328,51 +325,90 @@ def level_first_index(f: GridFunction, k: int) -> int:
     return int(round(-f.halfwidth * 2.0**k))
 
 
+def _tile_reduce(values, cells, op):
+    """Exact reduction over aligned tiles of ``cells`` samples per axis, by reshape.
+
+    Kept apart from ``axis_reduce`` on purpose: prefix-table differences
+    round at the scale of the running total, not of the tile.
+    """
+    v = np.asarray(values, dtype=float)
+    tiles = v.reshape(sum(((n // cells, cells) for n in v.shape), ()))
+    red = {"sum": np.sum, "mean": np.mean, "max": np.max, "min": np.min}[op]
+    return red(tiles, axis=tuple(range(1, tiles.ndim, 2)))
+
+
 def level_block_reduce(values, f: GridFunction, k: int, op="sum"):
     """Reduce a sample array over the level-k cubes tiling the domain.
 
     Returns an array with one entry per cube per axis, ordered by index.
     """
-    c = level_cell_count(f, k)
-    nc = level_cube_count(f, k)
-    v = np.asarray(values, dtype=float)
-    red = {"sum": np.sum, "mean": np.mean, "max": np.max, "min": np.min}[op]
-    if f.dim == 1:
-        return red(v.reshape(nc, c), axis=1)
-    return red(v.reshape(nc, c, nc, c), axis=(1, 3))
+    level_cube_count(f, k)  # the cubes must tile the domain
+    return _tile_reduce(values, level_cell_count(f, k), op)
 
 
-# -- prefix-sum machinery ------------------------------------------------------
+# -- reductions over index ranges ------------------------------------------------
 
 
-def padded_cumsum(values):
-    """Per-axis cumulative sums with a leading zero (summed-area table)."""
-    v = np.asarray(values, dtype=float)
-    for ax in range(v.ndim):
-        v = np.concatenate(
-            [np.zeros_like(v.take([0], axis=ax)), np.cumsum(v, axis=ax)], axis=ax
-        )
-    return v
-
-def range_sums_1d(table, i0, i1):
-    """Sums over half-open ranges [i0, i1) from a padded cumsum (vectorized)."""
-    n = table.shape[0] - 1
-    i0 = np.clip(i0, 0, n)
-    i1 = np.clip(i1, 0, n)
-    return table[i1] - table[i0]
+def _along(vec, axis, ndim):
+    """A 1-D array shaped to broadcast along ``axis`` of an ndim-array."""
+    return np.reshape(vec, (-1,) + (1,) * (ndim - 1 - axis))
 
 
-def range_sums_2d(table, r0, r1):
-    """Sums over index boxes [r0, r1) x-per-axis from a 2-D padded cumsum.
+def _at(axis, index):
+    """Index tuple that applies ``index`` along ``axis`` and keeps the axes before it."""
+    return (slice(None),) * axis + (index,)
 
-    r0, r1: integer arrays of shape (..., 2).
+
+def axis_reduce(values, lo, hi, axis, op="sum"):
+    """Reduce over the index ranges [lo[i], hi[i]) along one axis.
+
+    Entry i of the output axis holds the reduction over range i; ranges are
+    clipped to the array. Sums are differences of a prefix table with a
+    leading zero, "mean" divides them by the clipped length, and "min"/"max"
+    use ``ufunc.reduceat``. Empty ranges give 0, nan, +inf and -inf.
     """
-    n = table.shape[0] - 1
-    a0 = np.clip(r0[..., 0], 0, n)
-    a1 = np.clip(r1[..., 0], 0, n)
-    b0 = np.clip(r0[..., 1], 0, n)
-    b1 = np.clip(r1[..., 1], 0, n)
-    return table[a1, b1] - table[a0, b1] - table[a1, b0] + table[a0, b0]
+    v = np.asarray(values, dtype=float)
+    n = v.shape[axis]
+    lo = np.minimum(np.maximum(lo, 0), n)
+    hi = np.minimum(np.maximum(hi, lo), n)
+    if op in ("sum", "mean"):
+        shape = list(v.shape)
+        shape[axis] = n + 1
+        table = np.zeros(shape)
+        np.cumsum(v, axis=axis, out=table[_at(axis, slice(1, None))])
+        out = table.take(hi, axis) - table.take(lo, axis)
+        if op == "sum":
+            return out
+        with np.errstate(invalid="ignore"):
+            return out / _along(hi - lo, axis, v.ndim)
+    ufunc, empty = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}[op]
+    # one spare slice keeps every start, hi = n included, a valid reduceat index;
+    # interleaved starts put range i at output 2i
+    padded = np.concatenate([v, v[_at(axis, slice(0, 1))]], axis)
+    starts = np.stack([lo, hi], axis=-1).ravel()
+    out = ufunc.reduceat(padded, starts, axis=axis)[_at(axis, slice(0, None, 2))]
+    return np.where(_along(hi > lo, axis, v.ndim), out, empty)
+
+
+def running_max(values, radius, axis):
+    """Max over the window [i - radius, i + radius] along one axis, clipped to the array.
+
+    Padding with -inf makes every window full length w = 2 radius + 1 without
+    changing its max. Doubling then gives the max over [i, i + p) for p the
+    largest power of two not above w, and two such spans cover each window.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.shape[axis]
+    width = 2 * radius + 1
+    shape = list(v.shape)
+    shape[axis] = n + 2 * radius
+    a = np.full(shape, -np.inf)
+    a[_at(axis, slice(radius, radius + n))] = v
+    span = 1
+    while 2 * span <= width:
+        a = np.maximum(a[_at(axis, slice(None, -span))], a[_at(axis, slice(span, None))])
+        span *= 2
+    return np.maximum(a[_at(axis, slice(0, n))], a[_at(axis, slice(width - span, width - span + n))])
 
 
 def window_sums(values, radius_cells: int):
@@ -381,26 +417,37 @@ def window_sums(values, radius_cells: int):
     Window at cell i covers (x_i - r*dx, x_i + r*dx): interior cells carry
     weight 1 and the two cells centered exactly on the window edge carry 1/2,
     so constants integrate exactly. Windows are clipped at the domain edge.
-    Works separably in 2-D.
+    Works separably, one axis at a time.
     """
-    v = np.asarray(values, dtype=float)
+    out = np.asarray(values, dtype=float)
     r = int(radius_cells)
     if r < 1:
         raise ValueError("window radius must be at least one cell")
-
-    def along(v1):
-        n = v1.shape[0]
-        s = np.concatenate(
-            [np.zeros_like(v1.take([0], axis=0)), np.cumsum(v1, axis=0)], axis=0
-        )
-        idx = np.arange(n)
-
-        def seg(a, b):
-            return s[np.clip(b, 0, n)] - s[np.clip(a, 0, n)]
-
-        return 0.5 * (seg(idx - r, idx + r + 1) + seg(idx - r + 1, idx + r))
-
-    out = along(v)
-    if v.ndim == 2:
-        out = along(out.T).T
+    for ax in range(out.ndim):
+        idx = np.arange(out.shape[ax])
+        # the closed window and its interior in one pass, then averaged
+        lo = np.concatenate([idx - r, idx - r + 1])
+        hi = np.concatenate([idx + r + 1, idx + r])
+        closed, interior = np.split(axis_reduce(out, lo, hi, ax), 2, axis=ax)
+        out = 0.5 * (closed + interior)
     return out
+
+
+# -- mixed norms over levels -----------------------------------------------------
+
+
+def lq_of_lp(layers, p, q, cellw=1.0):
+    """l_q over levels of the L_p norm of each layer (the B-kind aggregate).
+
+    Returns (value, per-level L_p norms).
+    """
+    terms = [float(np.sum(np.abs(v) ** p) * cellw) ** (1.0 / p) for v in layers]
+    return float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q), terms
+
+
+def lp_of_lq(layers, p, q, cellw=1.0):
+    """L_p norm of the pointwise l_q aggregate of the layers (the F kind)."""
+    agg = 0.0
+    for v in layers:
+        agg = agg + np.abs(v) ** q
+    return float(np.sum(agg ** (p / q)) * cellw) ** (1.0 / p)

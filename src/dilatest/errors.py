@@ -43,3 +43,7 @@ class PreconditionFailed(DilatestError):
 
 class ConfigError(DilatestError):
     """A run configuration failed validation."""
+
+
+class ImaginaryResidue(DilatestError):
+    """A band piece came back from the inverse FFT with a non-negligible imaginary part."""

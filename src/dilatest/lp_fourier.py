@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction
-from .errors import MissingLevels, NyquistExceeded
+from .dyadic import GridFunction, lp_of_lq, lq_of_lp
+from .errors import ImaginaryResidue, MissingLevels, NyquistExceeded
 from .weights import WeightSequence
 
 
@@ -114,13 +114,12 @@ def lp_pieces(f: GridFunction, ru: ResolutionOfUnity):
     for mult in ru.multipliers:
         z = np.fft.ifftn(spectrum * mult)
         resid = float(np.max(np.abs(z.imag)))
-        assert resid <= 1e-10 * scale, f"imaginary residue {resid:.3e} too large"
+        if resid > 1e-10 * scale:
+            raise ImaginaryResidue(
+                f"imaginary residue {resid:.3e} too large: the multiplier is not Hermitian"
+            )
         pieces.append(f.with_samples(z.real.copy()))
     return pieces
-
-
-def _lp(values, p, cellw):
-    return float(np.sum(np.abs(values) ** p) * cellw) ** (1.0 / p)
 
 
 def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity = None) -> float:
@@ -138,16 +137,11 @@ def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity =
     if t.k_max < k_top:
         raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {k_top}")
     pieces = lp_pieces(f, ru)
+    layers = [t.level(k).samples * pieces[k].samples for k in range(k_top + 1)]
     cellw = f.spacing**f.dim
     if sp.kind == "B":
-        acc = 0.0
-        for k in range(k_top + 1):
-            acc += _lp(t.level(k).samples * pieces[k].samples, sp.p, cellw) ** sp.q
-        return acc ** (1.0 / sp.q)
-    agg = 0.0
-    for k in range(k_top + 1):
-        agg = agg + (t.level(k).samples * np.abs(pieces[k].samples)) ** sp.q
-    return float(np.sum(agg ** (sp.p / sp.q)) * cellw) ** (1.0 / sp.p)
+        return lq_of_lp(layers, sp.p, sp.q, cellw)[0]
+    return lp_of_lq(layers, sp.p, sp.q, cellw)
 
 
 def classical_fourier_norm(f: GridFunction, s, p, q, kind="B", k_max=None, ru=None) -> float:
@@ -157,13 +151,8 @@ def classical_fourier_norm(f: GridFunction, s, p, q, kind="B", k_max=None, ru=No
         ru = build_phi(k_max, f.dim, f.halfwidth, f.resolution)
     k_top = k_max if k_max is not None else ru.k_max
     pieces = lp_pieces(f, ru)
+    layers = [2.0 ** (k * s) * pieces[k].samples for k in range(k_top + 1)]
     cellw = f.spacing**f.dim
     if kind == "B":
-        acc = 0.0
-        for k in range(k_top + 1):
-            acc += (2.0 ** (k * s) * _lp(pieces[k].samples, p, cellw)) ** q
-        return acc ** (1.0 / q)
-    agg = 0.0
-    for k in range(k_top + 1):
-        agg = agg + (2.0 ** (k * s) * np.abs(pieces[k].samples)) ** q
-    return float(np.sum(agg ** (p / q)) * cellw) ** (1.0 / p)
+        return lq_of_lp(layers, p, q, cellw)[0]
+    return lp_of_lq(layers, p, q, cellw)

@@ -5,50 +5,38 @@ side is a power-of-two multiple of the grid spacing and which contains the
 evaluation point; cubes are clipped at the domain edge and averaged over the
 intersection. This family tracks the full maximal function to within a fixed
 dimensional factor, which the frozen regression bounds absorb. Box averages
-come from a shared summed-area table, the per-point maxima from moving
-maximum filters, so the whole field costs O(N log N).
+come from per-axis prefix sums (``axis_reduce``) and the per-point maxima
+from a per-axis running maximum built by window doubling (``running_max``),
+so the whole field costs O(N^n log^2 N) on N^n cells.
 """
 
 import math
 
 import numpy as np
-from scipy import ndimage
 
-from .dyadic import GridFunction
+from .dyadic import GridFunction, axis_reduce, lp_of_lq, running_max
 from .errors import InvalidExponent, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
 
 
 def _clamped_box_means(values, half_cells):
     """Mean over the centered window of +-half_cells, clipped to the array."""
-    v = np.asarray(values, dtype=float)
-    n = v.shape[0]
-    idx = np.arange(n)
-    lo = np.clip(idx - half_cells, 0, n)
-    hi = np.clip(idx + half_cells + 1, 0, n)
-    if v.ndim == 1:
-        s = np.concatenate([[0.0], np.cumsum(v)])
-        return (s[hi] - s[lo]) / (hi - lo)
-    s = np.zeros((n + 1, n + 1))
-    s[1:, 1:] = np.cumsum(np.cumsum(v, axis=0), axis=1)
-    sums = s[np.ix_(hi, hi)] - s[np.ix_(lo, hi)] - s[np.ix_(hi, lo)] + s[np.ix_(lo, lo)]
-    counts = np.outer(hi - lo, hi - lo)
-    return sums / counts
+    out = np.asarray(values, dtype=float)
+    for ax in range(out.ndim):
+        idx = np.arange(out.shape[ax])
+        out = axis_reduce(out, idx - half_cells, idx + half_cells + 1, ax, "mean")
+    return out
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
     """Maximal field: per point, the largest cube average of |f| around it."""
     absf = np.abs(f.samples)
     out = absf.copy()  # the singleton cell is the j = 0 member of the family
-    n = f.resolution
-    for j in range(1, int(math.log2(n)) + 1):
+    for j in range(1, int(math.log2(f.resolution)) + 1):
         half = 2 ** (j - 1)
-        means = _clamped_box_means(absf, half)
-        size = 2**j + 1
-        if f.dim == 1:
-            local = ndimage.maximum_filter1d(means, size=size, mode="nearest")
-        else:
-            local = ndimage.maximum_filter(means, size=size, mode="nearest")
+        local = _clamped_box_means(absf, half)
+        for ax in range(f.dim):
+            local = running_max(local, half, ax)
         np.maximum(out, local, out=out)
     return f.with_samples(out)
 
@@ -61,13 +49,6 @@ def m_sigma(f: GridFunction, sigma) -> GridFunction:
     return f.with_samples(mf.samples ** (1.0 / sigma))
 
 
-def _lp_of_lq(stack, p, q, cellw):
-    agg = np.zeros_like(stack[0])
-    for arr in stack:
-        agg = agg + np.abs(arr) ** q
-    return float(np.sum(agg ** (p / q)) * cellw) ** (1.0 / p)
-
-
 def fs_inequality_ratio(fs, p, q, sigma) -> float:
     """Vector-valued maximal ratio: L_p(l_q) of M_sigma(f_k) over that of f_k."""
     if not fs:
@@ -75,8 +56,8 @@ def fs_inequality_ratio(fs, p, q, sigma) -> float:
     if not 0.0 < sigma < min(1.0, p, q):
         raise InvalidExponent("need 0 < sigma < min(1, p, q)")
     cellw = fs[0].spacing ** fs[0].dim
-    lhs = _lp_of_lq([m_sigma(f, sigma).samples for f in fs], p, q, cellw)
-    rhs = _lp_of_lq([f.samples for f in fs], p, q, cellw)
+    lhs = lp_of_lq([m_sigma(f, sigma).samples for f in fs], p, q, cellw)
+    rhs = lp_of_lq([f.samples for f in fs], p, q, cellw)
     if rhs == 0.0:
         return 0.0
     return lhs / rhs
@@ -102,18 +83,10 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta, depth=4) -> float
                 f"level-{k} weight failed the A_(p/theta) scan: trace {rep.trace}"
             )
     cellw = fs[0].spacing ** fs[0].dim
-    lhs = _lp_of_lq(
-        [t.level(k).samples * hl_maximal(f).samples for k, f in enumerate(fs)],
-        p,
-        q,
-        cellw,
+    lhs = lp_of_lq(
+        [t.level(k).samples * hl_maximal(f).samples for k, f in enumerate(fs)], p, q, cellw
     )
-    rhs = _lp_of_lq(
-        [t.level(k).samples * np.abs(f.samples) for k, f in enumerate(fs)],
-        p,
-        q,
-        cellw,
-    )
+    rhs = lp_of_lq([t.level(k).samples * f.samples for k, f in enumerate(fs)], p, q, cellw)
     if rhs == 0.0:
         return 0.0
     return lhs / rhs

@@ -9,6 +9,7 @@ where flagged terms carry more than 20% of the total mass are marked
 unreliable.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .differences import (
     delta_expanded_field,
     delta_window_field,
 )
-from .dyadic import GridFunction, level_block_reduce, window_sums
+from .dyadic import GridFunction, level_block_reduce, lp_of_lq, lq_of_lp, window_sums
 from .errors import InvalidExponent, ResolutionExceeded
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
 
@@ -98,11 +99,8 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p, details=False):
     value = total ** (1.0 / p)
     if not details:
         return value
-    if f.dim == 1:
-        interior = np.abs(f.axis_centers()) <= f.halfwidth - 1.0
-    else:
-        c = np.abs(f.axis_centers()) <= f.halfwidth - 1.0
-        interior = np.outer(c, c)
+    c = np.abs(f.axis_centers()) <= f.halfwidth - 1.0
+    interior = functools.reduce(np.logical_and.outer, [c] * f.dim)
     clipped = float(np.sum(dens[~interior]) * cellw)
     return value, {"boundary_mass": clipped / total if total > 0 else 0.0}
 
@@ -117,25 +115,20 @@ def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     cellw = f.spacing**f.dim
     zero = ltilde_norm(f, t.level(0), sp.p)
 
-    level_terms = []
+    layers = []
     flagged_mass = 0.0
     total_mass = 0.0
-    agg = 0.0
     for k in range(1, sp.k_max + 1):
         field, flagged = delta_window_field(f, k, sp.M)
         weighted = t.level(k).samples * field
-        if sp.kind == "B":
-            term = float(np.sum(weighted**sp.p) * cellw) ** (1.0 / sp.p)
-            level_terms.append(term)
-        else:
-            agg = agg + weighted**sp.q
+        layers.append(weighted)
         mass = weighted**sp.p * cellw
         flagged_mass += float(np.sum(mass[flagged]))
         total_mass += float(np.sum(mass))
     if sp.kind == "B":
-        main = float(np.sum(np.asarray(level_terms) ** sp.q)) ** (1.0 / sp.q)
+        main, level_terms = lq_of_lp(layers, sp.p, sp.q, cellw)
     else:
-        main = float(np.sum(agg ** (sp.p / sp.q)) * cellw) ** (1.0 / sp.p)
+        main, level_terms = lp_of_lq(layers, sp.p, sp.q, cellw), []
     value = main + zero
     if not details:
         return value
@@ -151,9 +144,9 @@ def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
 
 def _broadcast_cube_to_cells(per_cube, f: GridFunction, k):
     c = int(round(2.0 ** (-k) / f.spacing))
-    if f.dim == 1:
-        return np.repeat(per_cube, c)
-    return np.repeat(np.repeat(per_cube, c, axis=0), c, axis=1)
+    for ax in range(f.dim):
+        per_cube = np.repeat(per_cube, c, axis=ax)
+    return per_cube
 
 
 def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
@@ -178,28 +171,24 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
 
     flagged_mass = 0.0
     total_mass = 0.0
-    if sp.kind == "B":
-        acc = 0.0
-        for k in range(1, sp.k_max + 1):
-            tkm, _ = cube_weight_norms_level(t, k)
+    layers = []
+    for k in range(1, sp.k_max + 1):
+        tkm, _ = cube_weight_norms_level(t, k)
+        if sp.kind == "B":
             dc, flags, _ = delta_cube_field(f, k, sp.M)
-            contrib = (tkm * dc) ** p
-            acc += float(np.sum(contrib)) ** (q / p)
-            flagged_mass += float(np.sum(contrib[flags]))
-            total_mass += float(np.sum(contrib))
-        main = acc ** (1.0 / q)
-    else:
-        agg = 0.0
-        for k in range(1, sp.k_max + 1):
-            tkm, _ = cube_weight_norms_level(t, k)
+            per_cube = tkm * dc
+            layers.append(per_cube)
+        else:
             de, flags, _ = delta_expanded_field(f, k, sp.M)
             per_cube = 2.0 ** (k * n / p) * tkm * de
-            cells = _broadcast_cube_to_cells(per_cube, f, k)
-            agg = agg + cells**q
-            contrib = per_cube**p
-            flagged_mass += float(np.sum(contrib[flags]))
-            total_mass += float(np.sum(contrib))
-        main = float(np.sum(agg ** (p / q)) * cellw) ** (1.0 / p)
+            layers.append(_broadcast_cube_to_cells(per_cube, f, k))
+        contrib = per_cube**p
+        flagged_mass += float(np.sum(contrib[flags]))
+        total_mass += float(np.sum(contrib))
+    if sp.kind == "B":
+        main, _ = lq_of_lp(layers, p, q)
+    else:
+        main = lp_of_lq(layers, p, q, cellw)
     value = main + zero
     if not details:
         return value

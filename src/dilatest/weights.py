@@ -14,12 +14,13 @@ their one-third and two-thirds translates per axis, which tracks the supremum
 over all cubes to within a fixed dimensional factor.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, GridFunction
+from .dyadic import DyadicCube, GridFunction, axis_reduce
 from .errors import (
     InvalidExponent,
     MissingLevels,
@@ -208,60 +209,49 @@ def sigma1_of(theta, p):
 # -- cube families over one grid ------------------------------------------------
 
 
-def _family_axis_edges(f: GridFunction, k, shift_frac):
-    """Cell-index edges of the shifted level-k tiling along one axis.
+@functools.lru_cache(maxsize=None)
+def _family_axis(halfwidth, resolution, k, shift_frac):
+    """Nonempty cubes of the shifted level-k tiling along one axis.
 
-    Returns (edges, first_index, boundary) where edges[i]..edges[i+1] is the
-    cell range of cube first_index + i and boundary marks clipped cubes.
+    Returns (lo, hi, indices, boundary): cube indices[i] holds the cells
+    [lo[i], hi[i]) and boundary marks cubes clipped at the domain edge. The
+    arrays are cached per geometry, so they are read-only.
     """
     side = 2.0 ** (-k)
     off = shift_frac * side
-    L, dx, n = f.halfwidth, f.spacing, f.resolution
+    L, n = halfwidth, resolution
+    dx = 2.0 * L / n
     m0 = math.floor((-L - off) / side + 1e-12)
     m1 = math.ceil((L - off) / side - 1e-12)
     ms = np.arange(m0, m1)
     lows = (ms + shift_frac) * side
     edges = np.ceil((lows + L) / dx - 0.5 - 1e-9).astype(np.int64)
     edges = np.clip(np.append(edges, n), 0, n)
-    counts = np.diff(edges)
-    keep = counts > 0
+    keep = edges[1:] > edges[:-1]
     boundary = (lows < -L - 1e-12) | (lows + side > L + 1e-12)
-    return edges, ms, keep, boundary[: len(ms)]
-
-
-def _reduce_cubes(values, edges, op):
-    starts = edges[:-1]
-    if op == "sum":
-        table = np.concatenate([[0.0], np.cumsum(values)])
-        return table[edges[1:]] - table[starts]
-    ufunc = {"min": np.minimum, "max": np.maximum}[op]
-    safe = np.minimum(starts, len(values) - 1)
-    out = ufunc.reduceat(values, safe)
+    out = edges[:-1][keep], edges[1:][keep], ms[keep], boundary[keep]
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
 def family_cube_reduce(values, f: GridFunction, k, shift_frac, op="sum"):
     """Per-cube reduction over the (possibly shifted) level-k tiling.
 
-    Returns (reduced, counts, indices, boundary). Empty cubes are dropped.
-    In 2-D the reduction is applied separably along both axes.
+    Returns (reduced, counts, indices, boundary) with one entry per nonempty
+    cube, in C order of the cube grid; indices has one column per axis. The
+    reduction runs along one axis at a time.
     """
-    edges, ms, keep, boundary = _family_axis_edges(f, k, shift_frac)
-    v = np.asarray(values, dtype=float)
-    if f.dim == 1:
-        red = _reduce_cubes(v, edges, op)[keep]
-        counts = np.diff(edges)[keep]
-        return red, counts, ms[keep], boundary[keep]
-    red0 = np.stack([_reduce_cubes(col, edges, op) for col in v.T], axis=1)
-    red = np.stack([_reduce_cubes(row, edges, op) for row in red0], axis=0)
-    c1 = np.diff(edges)
-    counts = np.multiply.outer(c1, c1)
-    keep2 = np.outer(keep, keep)
-    bdy2 = np.outer(boundary, boundary) | np.outer(boundary, ~boundary) | np.outer(
-        ~boundary, boundary
-    )
-    idx = [(mi, mj) for mi in ms for mj in ms]
-    return red[keep2], counts[keep2], np.array(idx)[keep2.ravel()], bdy2[keep2]
+    lo, hi, ms, boundary = _family_axis(f.halfwidth, f.resolution, k, shift_frac)
+    red = np.asarray(values, dtype=float)
+    for ax in range(f.dim):
+        red = axis_reduce(red, lo, hi, ax, op)
+
+    def outer(ufunc, per_axis):
+        return functools.reduce(ufunc.outer, [per_axis] * f.dim).ravel()
+
+    cubes = np.indices((len(lo),) * f.dim).reshape(f.dim, -1).T
+    return red.ravel(), outer(np.multiply, hi - lo), ms[cubes], outer(np.logical_or, boundary)
 
 
 def scan_levels(f: GridFunction, depth):
@@ -320,8 +310,7 @@ def _scan_product(g: GridFunction, depth, factors):
             j = int(np.argmax(vals))
             if vals[j] > best:
                 best = float(vals[j])
-                m = idx[j] if np.ndim(idx[j]) else (idx[j],)
-                arg = (DyadicCube(k, tuple(int(x) for x in np.atleast_1d(m))), shift, bool(bdy[j]))
+                arg = (DyadicCube(k, tuple(int(x) for x in idx[j])), shift, bool(bdy[j]))
     return best, arg, (levels.start, levels.stop - 1)
 
 
@@ -564,9 +553,9 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
                 v2 = ms2[j] / mp[k] * 2.0 ** (-params.alpha2 * (j - k))
                 i1, i2 = int(np.argmax(v1)), int(np.argmax(v2))
                 if v1[i1] > best1.get(j, (-math.inf, None))[0]:
-                    best1[j] = (float(v1[i1]), (k, j, klev, shift, idx[i1]))
+                    best1[j] = (float(v1[i1]), (k, j, klev, shift, tuple(map(int, idx[i1]))))
                 if v2[i2] > best2.get(j, (-math.inf, None))[0]:
-                    best2[j] = (float(v2[i2]), (k, j, klev, shift, idx[i2]))
+                    best2[j] = (float(v2[i2]), (k, j, klev, shift, tuple(map(int, idx[i2]))))
 
     depths = sorted({max(1, j_max - 4), max(1, j_max - 2), j_max})
     trace = []

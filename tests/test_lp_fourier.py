@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dilatest.dyadic import GridFunction
-from dilatest.errors import MissingLevels, NyquistExceeded
+from dilatest.errors import DilatestError, ImaginaryResidue, MissingLevels, NyquistExceeded
 from dilatest.lp_fourier import (
     build_phi,
     classical_fourier_norm,
@@ -191,3 +191,12 @@ def test_pieces_2d_smoke():
     # the Gaussian is essentially band-limited at this resolution
     rel = np.linalg.norm(recon - f.samples) / np.linalg.norm(f.samples)
     assert rel < 1e-6
+
+
+def test_non_hermitian_multiplier_raises_a_typed_error():
+    f = GridFunction.from_callable(lambda x: np.exp(-(x**2)), 1, L, N)
+    ru = build_phi(3, 1, L, N)
+    ru.multipliers[1] = ru.multipliers[1] * (np.fft.fftfreq(N) > 0)  # one-sided band
+    with pytest.raises(ImaginaryResidue) as err:
+        lp_pieces(f, ru)
+    assert isinstance(err.value, DilatestError)
