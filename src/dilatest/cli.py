@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import fixtures, regression
 from .dilation import summarize_dilation, verify_theorem
 from .dyadic import GridFunction
-from .errors import ConfigError, DilatestError
+from .errors import ConfigError, DilatestError, InvalidExponent
 from .lp_fourier import build_phi, fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
 from .norms import SpaceParams, diff_norm, star_norm
@@ -42,14 +42,54 @@ EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2, "DIVERGENT": 1}
 
 
 def _number(value, where):
-    """Floats are accepted as numbers or the string 'inf'."""
+    """Floats are accepted as numbers or the string 'inf'; NaN is rejected."""
     if isinstance(value, str):
         if value.lower() in ("inf", "+inf", "infinity"):
             return math.inf
         raise ConfigError(f"{where}: expected a number or 'inf', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: {value!r} is out of the float range") from None
+
+
+def _integer(value, where, minimum=None):
+    """Integers are accepted as JSON integers or integral floats, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be at least {minimum}, got {value!r}")
+    return value
+
+
+def _section(data, key, default):
+    value = data.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
+    return value
+
+
+def _bounds(data):
+    """Optional overrides: 'fs' and 'weighted' are numbers, the rest [lo, hi]."""
+    out = {}
+    for key, value in _section(data, "bounds", {}).items():
+        where = f"bounds.{key}"
+        if key in ("fs", "weighted"):
+            out[key] = _number(value, where)
+        elif key in ("star_diff", "fourier_diff"):
+            if not isinstance(value, list) or len(value) != 2:
+                raise ConfigError(f"{where}: expected [lo, hi], got {value!r}")
+            lo, hi = (_number(v, where) for v in value)
+            if lo > hi:
+                raise ConfigError(f"{where}: lo = {lo} exceeds hi = {hi}")
+            out[key] = (lo, hi)
+        else:
+            raise ConfigError(f"{where}: unknown bound")
+    return out
 
 
 @dataclass
@@ -81,36 +121,40 @@ def parse_config(data: dict, command: str) -> RunConfig:
             f"config.command = {data['command']!r} does not match the "
             f"invoked subcommand {command!r}"
         )
-    grid = data.get("grid", {})
+    grid = _section(data, "grid", {})
     halfwidth = _number(grid.get("L", 8.0), "grid.L")
-    if halfwidth <= 0 or abs(math.log2(halfwidth) - round(math.log2(halfwidth))) > 1e-12:
+    if (
+        not 0 < halfwidth < math.inf
+        or abs(math.log2(halfwidth) - round(math.log2(halfwidth))) > 1e-12
+    ):
         raise ConfigError("grid.L must be a positive power of two (cube alignment)")
-    resolution = grid.get("N", 4096)
-    if not isinstance(resolution, int) or resolution < 32 or resolution & (resolution - 1):
+    resolution = _integer(grid.get("N", 4096), "grid.N")
+    if resolution < 32 or resolution & (resolution - 1):
         raise ConfigError("grid.N must be a power of two >= 32")
-    dim = grid.get("dim", 1)
+    dim = _integer(grid.get("dim", 1), "grid.dim")
     if dim not in (1, 2):
         raise ConfigError("grid.dim must be 1 or 2")
 
-    s = data.get("space", {})
-    k_cap = int(math.floor(math.log2(resolution / (2 * halfwidth)))) - 2
+    s = _section(data, "space", {})
+    k_cap = int(math.floor(math.log2(resolution) - 1 - math.log2(halfwidth))) - 2
     k_max = s.get("K_max", max(1, min(6, k_cap)))
+    alpha = s.get("alpha", [1.0, 1.0])
+    if not isinstance(alpha, list) or len(alpha) != 2:
+        raise ConfigError(f"space.alpha: expected two numbers, got {alpha!r}")
     try:
         space = SpaceParams(
             kind=s.get("kind", "B"),
             p=_number(s.get("p", 2.0), "space.p"),
             q=_number(s.get("q", 2.0), "space.q"),
-            M=int(s.get("M", 2)),
-            alpha=tuple(
-                _number(a, "space.alpha") for a in s.get("alpha", (1.0, 1.0))
-            ),
+            M=_integer(s.get("M", 2), "space.M", minimum=1),
+            alpha=tuple(_number(a, "space.alpha") for a in alpha),
             theta=_number(s.get("theta", 1.0), "space.theta"),
             sigma2=(
                 _number(s["sigma2"], "space.sigma2") if "sigma2" in s else None
             ),
-            k_max=int(k_max),
+            k_max=_integer(k_max, "space.K_max", minimum=1),
         )
-    except DilatestError as exc:
+    except InvalidExponent as exc:
         raise ConfigError(f"space: {exc}") from exc
     if space.k_max > k_cap:
         raise ConfigError(
@@ -118,9 +162,10 @@ def parse_config(data: dict, command: str) -> RunConfig:
             f"for grid (L={halfwidth}, N={resolution})"
         )
 
+    weights = _section(data, "weights", {"kind": "constant", "value": 1.0})
     try:
-        weights = spec_from_dict(data.get("weights", {"kind": "constant", "value": 1.0}))
-    except (KeyError, ValueError, TypeError) as exc:
+        weights = spec_from_dict(weights)
+    except (LookupError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"weights: {exc}") from exc
 
     fixture_name = data.get("fixture", "gaussian")
@@ -128,11 +173,12 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError(
             f"fixture: unknown {fixture_name!r}; choose from {fixtures.fixture_names()}"
         )
-    lam_list = [
-        _number(v, "lambda_list") for v in data.get("lambda_list", [2.0, 4.0, 8.0])
-    ]
-    if any(v < 1.0 for v in lam_list):
-        raise ConfigError("lambda_list: dilation factors must be >= 1")
+    lam_list = data.get("lambda_list", [2.0, 4.0, 8.0])
+    if not isinstance(lam_list, list) or not lam_list:
+        raise ConfigError(f"lambda_list: expected a non-empty list, got {lam_list!r}")
+    lam_list = [_number(v, "lambda_list") for v in lam_list]
+    if not all(1.0 <= v < math.inf for v in lam_list):
+        raise ConfigError("lambda_list: dilation factors must be finite and >= 1")
     norm = data.get("norm", "diff")
     if norm not in ("diff", "star"):
         raise ConfigError("norm must be 'diff' or 'star'")
@@ -146,13 +192,13 @@ def parse_config(data: dict, command: str) -> RunConfig:
         weights=weights,
         fixture=fixture_name,
         lambda_list=lam_list,
-        depth=int(data.get("depth", 6)),
+        depth=_integer(data.get("depth", 6), "depth"),
         norm=norm,
-        seed=int(data.get("seed", 0)),
-        families=int(data.get("families", 20)),
-        family_size=int(data.get("family_size", 6)),
+        seed=_integer(data.get("seed", 0), "seed", minimum=0),
+        families=_integer(data.get("families", 20), "families", minimum=1),
+        family_size=_integer(data.get("family_size", 6), "family_size", minimum=1),
         sigma=_number(data.get("sigma", 0.5), "sigma"),
-        bounds=data.get("bounds", {}),
+        bounds=_bounds(data),
         raw=data,
     )
 
@@ -282,8 +328,8 @@ def _run_maximal(cfg, threads=1):
         theta = sp.theta if sp.theta > 1.0 else 1.5
         wm_ratio = weighted_maximal_ratio(smooth, t, sp.p, sp.q, theta, depth=4)
         rows.append({"seed": seed, "fs_ratio": fs_ratio, "weighted_ratio": wm_ratio})
-    fs_bound = float(cfg.bounds.get("fs", regression.FS_RATIO_BOUND))
-    wm_bound = float(cfg.bounds.get("weighted", regression.WEIGHTED_RATIO_BOUND))
+    fs_bound = cfg.bounds.get("fs", regression.FS_RATIO_BOUND)
+    wm_bound = cfg.bounds.get("weighted", regression.WEIGHTED_RATIO_BOUND)
     fs_max = max(r["fs_ratio"] for r in rows)
     wm_max = max(r["weighted_ratio"] for r in rows)
     verdict = "PASS" if fs_max <= fs_bound and wm_max <= wm_bound else "FAIL"

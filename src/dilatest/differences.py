@@ -11,9 +11,15 @@ flavors appear in the norm definitions and are kept verbatim:
   normalization still using the expanded side 5*2**-k (taken literally).
 
 Displacement quadrature uses midpoint nodes at roughly the grid spacing,
-capped at 32 nodes per axis. (x, h) pairs whose evaluation points leave the
-sampled box are dropped and the remaining weight renormalized, so boundary
-windows stay unbiased; such windows are flagged.
+capped at 32 nodes per axis. Renormalization rule: (x, h) pairs whose
+evaluation points leave the sampled box are dropped and the sum over the
+remaining pairs is scaled by (all pairs) / (kept pairs), so boundary windows
+stay unbiased; entries that dropped pairs are flagged.
+
+The scalar ``delta_avg_*`` functionals take one box each and serve as
+oracles. The fields share one engine, ``_node_sums``, which reduces
+|Delta_h^M f| over every window or cube of a level, one h-node at a time;
+each field sets only its reduction, normalization and extra flag.
 """
 
 import math
@@ -59,14 +65,12 @@ def delta_m(f: GridFunction, order: int, h, x):
 
 
 def _h_nodes(halfwidth, spacing, dim):
-    """Midpoint displacement nodes on (-a, a)^n and their common weight."""
+    """Midpoint displacement nodes on (-a, a)^n, one row per node, and their weight."""
     per_axis = int(max(2, min(H_NODE_CAP, round(2.0 * halfwidth / spacing))))
     dh = 2.0 * halfwidth / per_axis
     axis = -halfwidth + (np.arange(per_axis) + 0.5) * dh
-    if dim == 1:
-        return axis, dh
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1), dh**2
+    grids = np.meshgrid(*[axis] * dim, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, dim), dh**dim
 
 
 def _binomial_field(f: GridFunction, order, h):
@@ -166,6 +170,27 @@ def delta_avg_expanded(f: GridFunction, k: int, m, order: int) -> float:
 # -- vectorized fields ---------------------------------------------------------
 
 
+def _node_sums(f: GridFunction, k: int, order: int, reduce):
+    """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
+
+    ``reduce`` maps a sample array to one entry per window or cube. Returns
+    (sums, lost, cells): sum_h w_h sum_x dx^n |Delta_h^M f(x)| per entry,
+    renormalized for the (x, h) pairs that left the box; a mask of entries
+    that lost pairs; and ``reduce`` of ones, the cell count of each entry.
+    """
+    cells = reduce(np.ones(f.samples.shape))
+    nodes, w_h = _h_nodes(2.0 ** (-k), f.spacing, f.dim)
+    num = valid = 0.0
+    for h in nodes:
+        g, mask = _binomial_field(f, order, h)
+        num = num + reduce(g * mask)
+        valid = valid + reduce(mask.astype(float))
+    total = len(nodes) * cells
+    with np.errstate(invalid="ignore", divide="ignore"):
+        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+    return w_h * f.spacing**f.dim * num * renorm, valid < total - 1e-9, cells
+
+
 def delta_window_field(f: GridFunction, k: int, order: int):
     """delta^M(x + 2**-k I^n) f at every grid center.
 
@@ -176,31 +201,9 @@ def delta_window_field(f: GridFunction, k: int, order: int):
     r = int(round(a / f.spacing))
     if r < 1 or abs(r * f.spacing - a) > 1e-9 * a:
         raise ResolutionExceeded(f"window level {k} below grid resolution")
-    nodes, w_h = _h_nodes(a, f.spacing, f.dim)
-    cellw = f.spacing**f.dim
-
-    num = 0.0
-    valid = 0.0
-    ones = np.ones(f.samples.shape)
-    total_one = window_sums(ones, r)
-    for h in nodes:
-        g, mask = _binomial_field(f, order, h)
-        num = num + window_sums(g * mask, r)
-        valid = valid + window_sums(mask.astype(float), r)
-    total = len(nodes) * total_one
-    with np.errstate(invalid="ignore", divide="ignore"):
-        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-    values = 2.0 ** (2 * k * f.dim) * w_h * cellw * num * renorm
-    interior = np.isclose(total_one, (2 * r) ** f.dim, rtol=1e-12)
-    flagged = (valid < total - 1e-9) | ~interior
-    return values, flagged
-
-
-def _level_geometry(f, k):
-    c = level_cell_count(f, k)
-    nc = level_cube_count(f, k)
-    m0 = level_first_index(f, k)
-    return c, nc, m0
+    sums, lost, cells = _node_sums(f, k, order, lambda v: window_sums(v, r))
+    clipped = ~np.isclose(cells, (2 * r) ** f.dim, rtol=1e-12)
+    return 2.0 ** (2 * k * f.dim) * sums, lost | clipped
 
 
 def delta_cube_field(f: GridFunction, k: int, order: int):
@@ -209,34 +212,15 @@ def delta_cube_field(f: GridFunction, k: int, order: int):
     Returns (values, flagged, first_index): values indexed by m - first_index
     along each axis.
     """
-    c, nc, m0 = _level_geometry(f, k)
-    side = 2.0 ** (-k)
-    nodes, w_h = _h_nodes(side, f.spacing, f.dim)
-    cellw = f.spacing**f.dim
-
-    num = 0.0
-    valid = 0.0
-    for h in nodes:
-        g, mask = _binomial_field(f, order, h)
-        num = num + level_block_reduce(g * mask, f, k)
-        valid = valid + level_block_reduce(mask.astype(float), f, k)
-    total = len(nodes) * float(c**f.dim)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-    values = w_h * cellw * num * renorm / side ** (2 * f.dim)
-    flagged = valid < total - 1e-9
-    return values, flagged, m0
+    sums, lost, _ = _node_sums(f, k, order, lambda v: level_block_reduce(v, f, k))
+    return sums / (2.0 ** (-k)) ** (2 * f.dim), lost, level_first_index(f, k)
 
 
 def delta_expanded_field(f: GridFunction, k: int, order: int):
     """delta^M(Q_{k, m~}) f for every level-k cube tiling the domain."""
-    c, nc, m0 = _level_geometry(f, k)
-    a = 2.0 ** (-k)
-    nodes, w_h = _h_nodes(a, f.spacing, f.dim)
-    cellw = f.spacing**f.dim
-
+    c = level_cell_count(f, k)
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
-    j = np.arange(nc)
+    j = np.arange(level_cube_count(f, k))
     lo, hi = (j - 2) * c, (j + 3) * c
 
     def expanded_sums(v):
@@ -244,17 +228,6 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
             v = axis_reduce(v, lo, hi, ax)
         return v
 
-    in_cells = expanded_sums(np.ones(f.samples.shape))
-
-    num = 0.0
-    valid = 0.0
-    for h in nodes:
-        g, mask = _binomial_field(f, order, h)
-        num = num + expanded_sums(g * mask)
-        valid = valid + expanded_sums(mask.astype(float))
-    total = len(nodes) * in_cells
-    with np.errstate(invalid="ignore", divide="ignore"):
-        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-    values = w_h * cellw * num * renorm / (5.0 * a) ** (2 * f.dim)
-    flagged = (valid < total - 1e-9) | (in_cells < (5 * c) ** f.dim)
-    return values, flagged, m0
+    sums, lost, cells = _node_sums(f, k, order, expanded_sums)
+    values = sums / (5.0 * 2.0 ** (-k)) ** (2 * f.dim)
+    return values, lost | (cells < (5 * c) ** f.dim), level_first_index(f, k)

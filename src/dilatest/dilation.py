@@ -271,7 +271,7 @@ def verify_theorem(
             norm_after=after,
             bound_rhs_shape=shape,
             observed_c=observed,
-            clipped_fraction=getattr(g, "clipped_fraction", 0.0),
+            clipped_fraction=g.clipped_fraction,
             sobolev=sob,
         )
 

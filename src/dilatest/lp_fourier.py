@@ -55,9 +55,6 @@ class ResolutionOfUnity:
     multipliers: list = field(default_factory=list)
     radial: np.ndarray = None
 
-    def piece_multiplier(self, k):
-        return self.multipliers[k]
-
 
 def nyquist_frequency(halfwidth, resolution):
     return math.pi * resolution / (2.0 * halfwidth)

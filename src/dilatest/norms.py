@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import (
-    delta_cube_field,
-    delta_expanded_field,
-    delta_window_field,
+from .differences import delta_cube_field, delta_expanded_field, delta_window_field
+from .dyadic import (
+    GridFunction, level_block_reduce, level_cell_count, lp_of_lq, lq_of_lp, window_sums,
 )
-from .dyadic import GridFunction, level_block_reduce, lp_of_lq, lq_of_lp, window_sums
 from .errors import InvalidExponent, ResolutionExceeded
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
 
@@ -75,12 +73,47 @@ class SpaceParams:
         return sigma1_of(self.theta, self.p)
 
 
-def _check_levels(f: GridFunction, sp: SpaceParams):
+def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
     if 2.0 ** (-sp.k_max) < 4.0 * f.spacing * (1 - 1e-12):
         raise ResolutionExceeded(
             f"k_max = {sp.k_max} needs window side >= 4 cells "
             f"(spacing {f.spacing:.3g})"
         )
+    if t.k_max < sp.k_max:
+        raise ResolutionExceeded(
+            f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}"
+        )
+
+
+def _aggregate_levels(sp: SpaceParams, zero, cellw, level, details):
+    """Zero-order term plus the B/F aggregate of levels 1..k_max.
+
+    ``level(k)`` returns (terms, flagged, layer): the level-k terms, whose
+    p-th powers are their boundary mass, the flags of those terms, and the
+    layer the aggregate reads, each entry of which has measure ``cellw``.
+    """
+    layers, flagged_mass, total_mass = [], 0.0, 0.0
+    for k in range(1, sp.k_max + 1):
+        terms, flagged, layer = level(k)
+        mass = terms**sp.p
+        flagged_mass += float(np.sum(mass[flagged]))
+        total_mass += float(np.sum(mass))
+        layers.append(layer)
+    if sp.kind == "B":
+        main, level_terms = lq_of_lp(layers, sp.p, sp.q, cellw)
+    else:
+        main, level_terms = lp_of_lq(layers, sp.p, sp.q, cellw), []
+    value = main + zero
+    if not details:
+        return value
+    frac = flagged_mass / total_mass if total_mass > 0 else 0.0
+    return value, {
+        "zero_order": zero,
+        "main": main,
+        "level_terms": level_terms,
+        "boundary_mass": frac,
+        "reliable": frac <= BOUNDARY_MASS_LIMIT,
+    }
 
 
 def ltilde_norm(f: GridFunction, t0: GridFunction, p, details=False):
@@ -107,46 +140,15 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p, details=False):
 
 def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
     """Moving-window difference norm (B or F kind) plus the zero-order term."""
-    _check_levels(f, sp)
-    if t.k_max < sp.k_max:
-        raise ResolutionExceeded(
-            f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}"
-        )
-    cellw = f.spacing**f.dim
-    zero = ltilde_norm(f, t.level(0), sp.p)
+    _check_levels(f, t, sp)
 
-    layers = []
-    flagged_mass = 0.0
-    total_mass = 0.0
-    for k in range(1, sp.k_max + 1):
+    def level(k):
         field, flagged = delta_window_field(f, k, sp.M)
         weighted = t.level(k).samples * field
-        layers.append(weighted)
-        mass = weighted**sp.p * cellw
-        flagged_mass += float(np.sum(mass[flagged]))
-        total_mass += float(np.sum(mass))
-    if sp.kind == "B":
-        main, level_terms = lq_of_lp(layers, sp.p, sp.q, cellw)
-    else:
-        main, level_terms = lp_of_lq(layers, sp.p, sp.q, cellw), []
-    value = main + zero
-    if not details:
-        return value
-    frac = flagged_mass / total_mass if total_mass > 0 else 0.0
-    return value, {
-        "zero_order": zero,
-        "main": main,
-        "level_terms": level_terms,
-        "boundary_mass": frac,
-        "reliable": frac <= BOUNDARY_MASS_LIMIT,
-    }
+        return weighted, flagged, weighted
 
-
-def _broadcast_cube_to_cells(per_cube, f: GridFunction, k):
-    c = int(round(2.0 ** (-k) / f.spacing))
-    for ax in range(f.dim):
-        per_cube = np.repeat(per_cube, c, axis=ax)
-    return per_cube
+    zero = ltilde_norm(f, t.level(0), sp.p)
+    return _aggregate_levels(sp, zero, f.spacing**f.dim, level, details)
 
 
 def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
@@ -157,45 +159,25 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     aggregates per cell through cube ownership. Both add the level-0 term
     built from cube L_1 norms.
     """
-    _check_levels(f, sp)
-    if t.k_max < sp.k_max:
-        raise ResolutionExceeded(
-            f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}"
-        )
-    n, p, q = f.dim, sp.p, sp.q
+    _check_levels(f, t, sp)
+    n, p = f.dim, sp.p
     cellw = f.spacing**n
 
     t0m, _ = cube_weight_norms_level(t, 0)
     l1m = level_block_reduce(np.abs(f.samples), f, 0, op="sum") * cellw
     zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
 
-    flagged_mass = 0.0
-    total_mass = 0.0
-    layers = []
-    for k in range(1, sp.k_max + 1):
+    def level(k):
         tkm, _ = cube_weight_norms_level(t, k)
         if sp.kind == "B":
             dc, flags, _ = delta_cube_field(f, k, sp.M)
             per_cube = tkm * dc
-            layers.append(per_cube)
-        else:
-            de, flags, _ = delta_expanded_field(f, k, sp.M)
-            per_cube = 2.0 ** (k * n / p) * tkm * de
-            layers.append(_broadcast_cube_to_cells(per_cube, f, k))
-        contrib = per_cube**p
-        flagged_mass += float(np.sum(contrib[flags]))
-        total_mass += float(np.sum(contrib))
-    if sp.kind == "B":
-        main, _ = lq_of_lp(layers, p, q)
-    else:
-        main = lp_of_lq(layers, p, q, cellw)
-    value = main + zero
-    if not details:
-        return value
-    frac = flagged_mass / total_mass if total_mass > 0 else 0.0
-    return value, {
-        "zero_order": zero,
-        "main": main,
-        "boundary_mass": frac,
-        "reliable": frac <= BOUNDARY_MASS_LIMIT,
-    }
+            return per_cube, flags, per_cube
+        de, flags, _ = delta_expanded_field(f, k, sp.M)
+        per_cube = 2.0 ** (k * n / p) * tkm * de
+        # every cell takes the value of the cube that owns it
+        per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
+        return per_cube, flags, per_cell
+
+    # B sums over cubes, each of measure one; F integrates over cells
+    return _aggregate_levels(sp, zero, cellw if sp.kind == "F" else 1.0, level, details)

@@ -1,8 +1,11 @@
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dilatest.cli import main, parse_config, render, run
+from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.errors import ConfigError
 
 
@@ -174,3 +177,96 @@ def test_render_formats_floats_stably():
     text = render(report, "json")
     assert text == render(run(cfg), "json")
     assert "wall_clock_s" not in text
+
+
+# -- the config boundary: malformed or non-integer fields exit 2, never 1
+
+
+def _set(cfg, path, value):
+    """Set the dotted ``path`` of cfg to ``value`` unless a parent is not an object."""
+    *outer, last = path.split(".")
+    node = cfg
+    for key in outer:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        node[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, path, value, field",
+    [
+        ("norm", "space.M", 2.5, "space.M"),
+        ("norm", "space.K_max", 2.7, "space.K_max"),
+        ("ap", "depth", "abc", "depth"),
+        ("maximal", "seed", "x", "seed"),
+        ("maximal", "seed", -1, "seed"),
+        ("maximal", "families", 0, "families"),
+        ("maximal", "families", -1, "families"),
+        ("maximal", "family_size", 0, "family_size"),
+        ("norm", "grid.dim", True, "grid.dim"),
+        ("norm", "grid.L", "inf", "grid.L"),
+        ("norm", "grid", [], "grid"),
+        ("norm", "space", [], "space"),
+        ("norm", "weights", "x", "weights"),
+        ("norm", "space.alpha", 0.5, "space.alpha"),
+        ("dilate", "lambda_list", [], "lambda_list"),
+        ("dilate", "lambda_list", ["inf"], "lambda_list"),
+        ("equiv", "bounds.star_diff", 3, "bounds.star_diff"),
+        ("equiv", "bounds.star_diff", [0.7, 0.4], "bounds.star_diff"),
+        ("maximal", "bounds.fs", "abc", "bounds.fs"),
+    ],
+)
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, path, value, field):
+    config = write_config(tmp_path, "c.json", _set(json.loads(json.dumps(BASE)), path, value))
+    assert main([command, "--config", config]) == 2
+    assert field in capsys.readouterr().err
+
+
+_PATHS = (
+    ["grid", "space", "weights", "bounds", "weights.base", "command", "fixture",
+     "lambda_list", "depth", "norm", "seed", "families", "family_size", "sigma"]
+    + [f"grid.{key}" for key in ("L", "N", "dim")]
+    + [f"space.{key}" for key in ("kind", "p", "q", "M", "alpha", "theta", "sigma2", "K_max")]
+    + [f"weights.{key}" for key in ("kind", "s", "center", "delta", "factors")]
+    + [f"bounds.{key}" for key in ("fs", "weighted", "star_diff", "fourier_diff")]
+)
+_WORDS = ["inf", "abc", "B", "F", "constant", "power", "geometric", "shifted_power",
+          "product", "admissible_seq", "gaussian", "diff", "star", "norm", "value"]
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4096),
+    st.integers(),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 4.0, 8.0]),
+    st.floats(),
+    st.sampled_from(_WORDS),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with one to three of its fields overwritten at random."""
+    cfg = json.loads(json.dumps(BASE))
+    edits = draw(st.dictionaries(st.sampled_from(_PATHS), _values, min_size=1, max_size=3))
+    for path, value in edits.items():
+        _set(cfg, path, value)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_configs(), command=st.sampled_from(COMMANDS))
+def test_parse_config_returns_config_or_config_error(config, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alpha outside (0, M) only warns
+        try:
+            cfg = parse_config(config, command)
+        except ConfigError:
+            return
+    assert isinstance(cfg, RunConfig)

@@ -185,3 +185,51 @@ def test_window_vs_expanded_cube_bounded_ratio():
         keep = (~flags) & (cubes > 1e-12)
         ratio = win_avg[keep] / cubes[keep]
         assert np.all(ratio < 100.0) and np.all(ratio > 0.01)
+
+
+# -- every field against its scalar oracle, boundary entries included
+
+
+def _oracle_grid(dim):
+    if dim == 1:
+        return grid(lambda x: np.exp(-((x - 0.3) ** 2)) * np.cos(2 * x), n=256, L=4.0)
+    return grid(
+        lambda p: np.exp(-(p[..., 0] ** 2) - 0.5 * p[..., 1] ** 2) * np.sin(p[..., 0] + 0.7),
+        n=64,
+        L=4.0,
+        dim=2,
+    )
+
+
+def _probe_entries(n, dim):
+    """Corner, edge-adjacent, edge-middle and interior indices of an n^dim array."""
+    picks = [(0,) * dim, (1,) * dim, (n - 1,) * dim, (n // 2,) * dim]
+    if dim == 2:
+        picks += [(0, n // 2), (n - 1, 1), (n // 2, n - 2)]
+    return picks
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fields_match_scalar_oracles_everywhere(dim, k, order):
+    f = _oracle_grid(dim)
+    c = f.axis_centers()
+    side = 2.0**-k
+    window, wflag = delta_window_field(f, k, order)
+    cube, cflag, m0 = delta_cube_field(f, k, order)
+    expanded, eflag, e0 = delta_expanded_field(f, k, order)
+    assert e0 == m0
+    seen_flags = set()
+    for idx in _probe_entries(f.resolution, dim):
+        want = delta_avg_window(f, tuple(c[i] for i in idx), k, order)
+        assert window[idx] == pytest.approx(want, rel=1e-12)
+        seen_flags.add(bool(wflag[idx]))
+    for idx in _probe_entries(cube.shape[0], dim):
+        m = tuple(m0 + j for j in idx)
+        box = Box(tuple(mi * side for mi in m), tuple((mi + 1) * side for mi in m))
+        assert cube[idx] == pytest.approx(delta_avg_cube(f, box, order), rel=1e-12)
+        want = delta_avg_expanded(f, k, m if dim == 2 else m[0], order)
+        assert expanded[idx] == pytest.approx(want, rel=1e-12)
+        seen_flags.update((bool(cflag[idx]), bool(eflag[idx])))
+    assert seen_flags == {True, False}
