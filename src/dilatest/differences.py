@@ -19,9 +19,18 @@ stay unbiased; entries that dropped pairs are flagged.
 The scalar ``delta_avg_*`` functionals take one box each and serve as
 oracles. The fields share one engine, ``_node_sums``, which reduces
 |Delta_h^M f| over every window or cube of a level, one h-node at a time;
-each field sets only its reduction, normalization and extra flag.
+each field sets only its reduction, normalization and extra flag. Nodes and
+grid are tensor products, so each stencil term f(x + mult*h) is a clamped
+linear shift along one axis after another (``GridFunction.axis_stencil``),
+with interp's float steps: the fields equal the point-by-point interpolation
+bit for bit, on any node spacing. Each node's field is reduced on its own,
+because reducing the sum over nodes would move the round-off of the prefix
+sums; the kept-pair counts are integers, a product of per-axis counts, and
+are reduced once.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -64,26 +73,18 @@ def delta_m(f: GridFunction, order: int, h, x):
     return out
 
 
-def _h_nodes(halfwidth, spacing, dim):
-    """Midpoint displacement nodes on (-a, a)^n, one row per node, and their weight."""
+def _h_axis(halfwidth, spacing):
+    """Midpoint displacement nodes on (-a, a) for one axis, and their spacing."""
     per_axis = int(max(2, min(H_NODE_CAP, round(2.0 * halfwidth / spacing))))
     dh = 2.0 * halfwidth / per_axis
-    axis = -halfwidth + (np.arange(per_axis) + 0.5) * dh
+    return -halfwidth + (np.arange(per_axis) + 0.5) * dh, dh
+
+
+def _h_nodes(halfwidth, spacing, dim):
+    """Tensor-product nodes on (-a, a)^n, one row per node, and their weight."""
+    axis, dh = _h_axis(halfwidth, spacing)
     grids = np.meshgrid(*[axis] * dim, indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, dim), dh**dim
-
-
-def _binomial_field(f: GridFunction, order, h):
-    """|order-M difference| at every grid center, with a validity mask."""
-    pts = f.points()
-    acc = 0.0
-    valid = np.ones(f.samples.shape, dtype=bool)
-    for coeff, mult in difference_coefficients(order):
-        shifted = pts + mult * h
-        vals, mask = f.interp_masked(shifted)
-        acc = acc + coeff * vals
-        valid &= mask
-    return np.abs(acc), valid
 
 
 def _axis_overlap_weights(f: GridFunction, lo, hi):
@@ -170,6 +171,20 @@ def delta_avg_expanded(f: GridFunction, k: int, m, order: int) -> float:
 # -- vectorized fields ---------------------------------------------------------
 
 
+def _shift_terms(parts, i0, w):
+    """The two terms of each array's linear shift along its leading axis, one at a time.
+
+    Yields every lower term (1 - w) v[i0], then every upper term w v[i0 + 1],
+    with interp's product order. Leading-axis gathers copy whole rows.
+    """
+    w = np.reshape(w, (-1,) + (1,) * (parts[0].ndim - 1))
+    for idx, weight in ((i0, 1.0 - w), (i0 + 1, w)):
+        for v in parts:
+            t = v.take(idx, 0)
+            t *= weight
+            yield t
+
+
 def _node_sums(f: GridFunction, k: int, order: int, reduce):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
@@ -177,18 +192,66 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
     (sums, lost, cells): sum_h w_h sum_x dx^n |Delta_h^M f(x)| per entry,
     renormalized for the (x, h) pairs that left the box; a mask of entries
     that lost pairs; and ``reduce`` of ones, the cell count of each entry.
+
+    Nodes and grid are tensor products and each stencil shift is the same
+    for every point, so f(x + mult*h) is a clamped linear shift along each
+    axis in turn. The lower and upper terms of every axis stay apart until
+    the last axis adds them in interp's order, so the values match
+    multilinear interpolation bit for bit. Nodes run in row-major order and
+    a node recomputes only the axes from the first whose component changed:
+    the axis-0 shifts for h_0 serve every h_1.
     """
+    axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
+    coeffs, mults = zip(*difference_coefficients(order))
+    dim = f.dim
+    # moved[a][j]: the interpolation terms of f shifted by mults[j] * h along
+    # axes 0..a-1, stored with axis a leading; inside[a]: the axis-a factor of
+    # the in-domain mask shared by every stencil point
+    moved = [[[f.samples]] * len(mults)] + [None] * (dim - 1)
+    inside = [None] * dim
+    count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
+    num = 0.0
+    last = (None,) * dim
+    for node in itertools.product(range(len(axis_nodes)), repeat=dim):
+        first = next(a for a in range(dim) if node[a] != last[a])
+        last = node
+        for a in range(first, dim):
+            i0, w, ok = f.axis_stencil(np.multiply(mults, axis_nodes[node[a]]))
+            inside[a] = np.logical_and.reduce(ok)
+            if a == 0:
+                count = count + inside[0]
+            if a + 1 < dim:
+                moved[a + 1] = None  # release the previous shifts first
+                # rotate the axes so that axis a + 1 leads
+                moved[a + 1] = [
+                    [
+                        np.ascontiguousarray(np.moveaxis(t, 0, -1))
+                        for t in _shift_terms(parts, i0[j], w[j])
+                    ]
+                    for j, parts in enumerate(moved[a])
+                ]
+                continue
+            # the last axis adds each stencil point's terms in interp's order
+            acc = 0.0
+            for j, (coeff, parts) in enumerate(zip(coeffs, moved[a])):
+                terms = _shift_terms(parts, i0[j], w[j])
+                v = next(terms)
+                for t in terms:
+                    v += t
+                v *= coeff
+                acc = acc + v
+        # back to the axis order, C-contiguous: cube sums depend on the layout
+        g = np.abs(np.moveaxis(acc, 0, -1), order="C")
+        g *= functools.reduce(np.logical_and.outer, inside)
+        # summed per node: a single reduce of the summed field moves the
+        # round-off of prefix-table sums; the integer counts are exact in any order
+        num = num + reduce(g)
     cells = reduce(np.ones(f.samples.shape))
-    nodes, w_h = _h_nodes(2.0 ** (-k), f.spacing, f.dim)
-    num = valid = 0.0
-    for h in nodes:
-        g, mask = _binomial_field(f, order, h)
-        num = num + reduce(g * mask)
-        valid = valid + reduce(mask.astype(float))
-    total = len(nodes) * cells
+    valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
+    total = len(axis_nodes) ** dim * cells
     with np.errstate(invalid="ignore", divide="ignore"):
         renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-    return w_h * f.spacing**f.dim * num * renorm, valid < total - 1e-9, cells
+    return dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells
 
 
 def delta_window_field(f: GridFunction, k: int, order: int):

@@ -187,17 +187,17 @@ class GridFunction:
 
     # -- interpolation ------------------------------------------------------
 
-    def _interp_clamped(self, pts):
+    def _clamped_weights(self, coords):
+        """Lower neighbor index and linear weight of each coordinate, clamped to the grid."""
         n, dx, L = self.resolution, self.spacing, self.halfwidth
-        if self.dim == 1:
-            u = (np.asarray(pts, dtype=float) + L) / dx - 0.5
-            i0 = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
-            w = np.clip(u - i0, 0.0, 1.0)
-            return (1.0 - w) * self.samples[i0] + w * self.samples[i0 + 1]
-        pts = np.asarray(pts, dtype=float)
-        u = (pts + L) / dx - 0.5
+        u = (np.asarray(coords, dtype=float) + L) / dx - 0.5
         i0 = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
-        w = np.clip(u - i0, 0.0, 1.0)
+        return i0, np.clip(u - i0, 0.0, 1.0)
+
+    def _interp_clamped(self, pts):
+        i0, w = self._clamped_weights(pts)
+        if self.dim == 1:
+            return (1.0 - w) * self.samples[i0] + w * self.samples[i0 + 1]
         ix, iy = i0[..., 0], i0[..., 1]
         wx, wy = w[..., 0], w[..., 1]
         s = self.samples
@@ -236,6 +236,19 @@ class GridFunction:
         """(values-with-zeros, in-domain mask); used by quadratures that drop points."""
         mask = self.in_domain(pts)
         return np.where(mask, self._interp_clamped(pts), 0.0), mask
+
+    def axis_stencil(self, shifts):
+        """Clamped linear interpolation at the centers of one axis moved by each shift.
+
+        Row r of each returned array belongs to ``shifts[r]``: the lower
+        neighbor index i0 and weight w of center x_j + shift, so that
+        ``(1 - w) * v[i0] + w * v[i0 + 1]`` interpolates samples v along the
+        axis with the float steps of ``interp``, and the in-domain test
+        |x_j + shift| <= L.
+        """
+        x = self.axis_centers() + np.reshape(shifts, (-1, 1))
+        i0, w = self._clamped_weights(x)
+        return i0, w, np.abs(x) <= self.halfwidth
 
     # -- index geometry ------------------------------------------------------
 

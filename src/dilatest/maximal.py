@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .dyadic import GridFunction, axis_reduce, lp_of_lq, running_max
-from .errors import InvalidExponent, PreconditionFailed
+from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
 
 
@@ -75,7 +75,7 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta, depth=4) -> float
     if not 1.0 < q < math.inf:
         raise InvalidExponent("need 1 < q < inf")
     if len(fs) > t.k_max + 1:
-        raise ValueError("weight sequence shorter than the function family")
+        raise MissingLevels("weight sequence shorter than the function family")
     for k in range(len(fs)):
         rep = ap_constant(t.level(k), p / theta, depth)
         if rep.verdict == FAIL:

@@ -270,3 +270,10 @@ def test_parse_config_returns_config_or_config_error(config, command):
         except ConfigError:
             return
     assert isinstance(cfg, RunConfig)
+
+
+def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys):
+    cfg = dict(BASE, families=1, family_size=8)  # four smooth functions, three levels
+    cfg["space"] = dict(BASE["space"], K_max=2, theta=1.5)
+    assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert "MissingLevels" in capsys.readouterr().err

@@ -1,9 +1,15 @@
+import functools
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatest.differences import (
+    _h_nodes,
     delta_avg_cube,
     delta_avg_expanded,
     delta_avg_window,
@@ -11,8 +17,17 @@ from dilatest.differences import (
     delta_expanded_field,
     delta_m,
     delta_window_field,
+    difference_coefficients,
 )
-from dilatest.dyadic import Box, GridFunction
+from dilatest.dyadic import (
+    Box,
+    GridFunction,
+    axis_reduce,
+    level_block_reduce,
+    level_cell_count,
+    level_cube_count,
+    window_sums,
+)
 from dilatest.errors import OutOfDomain
 
 
@@ -233,3 +248,162 @@ def test_fields_match_scalar_oracles_everywhere(dim, k, order):
         assert expanded[idx] == pytest.approx(want, rel=1e-12)
         seen_flags.update((bool(cflag[idx]), bool(eflag[idx])))
     assert seen_flags == {True, False}
+
+
+# -- the separable-shift kernel against the point-cloud gather it replaced
+
+
+def _tiles(f, k):
+    nc = 2 * f.halfwidth * 2.0**k
+    return abs(nc - round(nc)) < 1e-9
+
+
+def _reference_fields(f, k, orders):
+    """(values, flags) of every field and order, from the gather the kernel replaced.
+
+    Each node interpolates the whole point cloud with ``interp_masked`` once
+    per stencil multiple and sums reduce(|Delta_h^M f| * mask) and
+    reduce(mask); normalizations and flags follow the field definitions.
+    """
+    a, n = 2.0**-k, f.dim
+    r = int(round(a / f.spacing))
+    fields = {  # name: (reduction, normalization, extra flag from the cell counts)
+        "window": (
+            lambda v: window_sums(v, r),
+            2.0 ** (-2 * k * n),
+            lambda cells: ~np.isclose(cells, (2 * r) ** n, rtol=1e-12),
+        )
+    }
+    if _tiles(f, k):
+        c = level_cell_count(f, k)
+        j = np.arange(level_cube_count(f, k))
+
+        def expanded(v):
+            for ax in range(n):
+                v = axis_reduce(v, (j - 2) * c, (j + 3) * c, ax)
+            return v
+
+        fields["cube"] = (lambda v: level_block_reduce(v, f, k), a ** (2 * n), None)
+        fields["expanded"] = (expanded, (5 * a) ** (2 * n), lambda cells: cells < (5 * c) ** n)
+    nodes, w_h = _h_nodes(a, f.spacing, n)
+    pts = f.points()
+    sums = {(name, m): [0.0, 0.0] for name in fields for m in orders}
+    for h in nodes:
+        shifted = [f.interp_masked(pts + mult * h) for mult in range(max(orders) + 1)]
+        for m in orders:
+            acc, valid = 0.0, np.ones(f.samples.shape, dtype=bool)
+            for coeff, mult in difference_coefficients(m):
+                acc = acc + coeff * shifted[mult][0]
+                valid &= shifted[mult][1]
+            for name, (red, _, _) in fields.items():
+                s = sums[name, m]
+                s[0] = s[0] + red(np.abs(acc) * valid)
+                s[1] = s[1] + red(valid.astype(float))
+    out = {}
+    for (name, m), (num, valid) in sums.items():
+        red, norm, extra = fields[name]
+        cells = red(np.ones(f.samples.shape))
+        total = len(nodes) * cells
+        with np.errstate(invalid="ignore", divide="ignore"):
+            renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+        flags = valid < total - 1e-9
+        if extra is not None:
+            flags = flags | extra(cells)
+        out[name, m] = (w_h * f.spacing**n * num * renorm / norm, flags)
+    return out
+
+
+def _kernel_grid(dim, L, n):
+    if dim == 1:
+        return grid(lambda x: np.exp(-((x - 0.3) ** 2)) * np.cos(2 * x), n=n, L=L)
+    return grid(
+        lambda p: np.exp(-(p[..., 0] ** 2) - 0.5 * p[..., 1] ** 2) * np.sin(p[..., 0] + 0.7),
+        n=n,
+        L=L,
+        dim=2,
+    )
+
+
+def _kernel_cases():
+    """(dim, L, N) and k: every level on the 1-D configs grid and on 2-D N=64,
+    the finer levels on the 2-D ladder grid (N=128, whose coarse levels take
+    half a minute in the gather), and dx = 1/24 (L = 4/3 in 1-D, the same
+    lattice on L = 2/3 in 2-D), where the capped node step of k = 0 is off
+    the half-cell lattice and the cubes do not tile, so only the window exists.
+    """
+    cases = [((1, 8.0, 1024), k) for k in range(4)]
+    cases += [((2, 4.0, 64), k) for k in range(4)]
+    cases += [((2, 4.0, 128), k) for k in (2, 3)]
+    cases += [((1, 4.0 / 3.0, 64), k) for k in range(4)]
+    cases += [((2, 2.0 / 3.0, 32), k) for k in (0, 3)]
+    return [pytest.param(g, k, id=f"{g[0]}d-L{g[1]:.3g}-N{g[2]}-k{k}") for g, k in cases]
+
+
+@pytest.mark.parametrize("geometry, k", _kernel_cases())
+def test_shift_kernel_matches_gather(geometry, k):
+    # the shifts keep interp's float steps, so 2-D agrees exactly as well
+    f = _kernel_grid(*geometry)
+    field = {
+        "window": delta_window_field,
+        "cube": delta_cube_field,
+        "expanded": delta_expanded_field,
+    }
+    want = _reference_fields(f, k, (1, 2, 3))
+    assert {name for name, _ in want} == (set(field) if _tiles(f, k) else {"window"})
+    for (name, m), (values, flags) in want.items():
+        got = field[name](f, k, m)
+        np.testing.assert_array_equal(got[0], values)
+        np.testing.assert_array_equal(got[1], flags)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_fields(dim, k, order):
+    f = _oracle_grid(dim)
+    return f, delta_window_field(f, k, order)[0], delta_cube_field(f, k, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    k=st.integers(0, 2),
+    order=st.integers(1, 2),
+    data=st.data(),
+)
+def test_fields_match_scalar_oracles_at_random_entries(dim, k, order, data):
+    f, window, (cube, _, m0) = _oracle_fields(dim, k, order)
+    c = f.axis_centers()
+    i = tuple(data.draw(st.integers(0, n - 1)) for n in window.shape)
+    assert window[i] == pytest.approx(
+        delta_avg_window(f, tuple(c[j] for j in i), k, order), rel=1e-12
+    )
+    m = tuple(m0 + data.draw(st.integers(0, n - 1)) for n in cube.shape)
+    side = 2.0**-k
+    box = Box(tuple(mi * side for mi in m), tuple((mi + 1) * side for mi in m))
+    assert cube[tuple(mi - m0 for mi in m)] == pytest.approx(
+        delta_avg_cube(f, box, order), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("field", [delta_window_field, delta_cube_field, delta_expanded_field])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_call_leaves_no_garbage_and_no_growth(field, dim):
+    # buffers held by a reference cycle live until the cyclic collector runs:
+    # with it off they show as array memory that repeated calls pile up
+    f = _oracle_grid(dim)
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    field(f, 2, 2)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces([arrays])
+        for _ in range(10):
+            field(f, 2, 2)
+        after = tracemalloc.take_snapshot().filter_traces([arrays])
+        garbage = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert garbage == 0
+    growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert growth < f.samples.nbytes

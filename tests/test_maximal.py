@@ -5,7 +5,7 @@ import pytest
 
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
-from dilatest.errors import InvalidExponent, PreconditionFailed
+from dilatest.errors import InvalidExponent, MissingLevels, PreconditionFailed
 from dilatest.maximal import (
     fs_inequality_ratio,
     hl_maximal,
@@ -165,3 +165,10 @@ def test_weighted_ratio_precondition():
     fam = [fixtures.random_smooth(s, 1, L, 4096) for s in range(2)]
     with pytest.raises(PreconditionFailed):
         weighted_maximal_ratio(fam, t, 2.0, 2.0, 1.5)
+
+
+def test_weighted_ratio_needs_a_level_per_function():
+    t = WeightSequence.from_spec(Constant(1.0), 2.0, 1, 1, L, 256)
+    f = GridFunction.from_callable(lambda x: np.full_like(x, 2.0), 1, L, 256)
+    with pytest.raises(MissingLevels):
+        weighted_maximal_ratio([f, f, f], t, 2.0, 2.0, 1.5)
