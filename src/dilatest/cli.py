@@ -164,7 +164,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
 
     weights = _section(data, "weights", {"kind": "constant", "value": 1.0})
     try:
-        weights = spec_from_dict(weights)
+        weights = spec_from_dict(weights, dim)
     except (LookupError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"weights: {exc}") from exc
 

@@ -23,10 +23,11 @@ each field sets only its reduction, normalization and extra flag. Nodes and
 grid are tensor products, so each stencil term f(x + mult*h) is a clamped
 linear shift along one axis after another (``GridFunction.axis_stencil``),
 with interp's float steps: the fields equal the point-by-point interpolation
-bit for bit, on any node spacing. Each node's field is reduced on its own,
-because reducing the sum over nodes would move the round-off of the prefix
-sums; the kept-pair counts are integers, a product of per-axis counts, and
-are reduced once.
+bit for bit, on any node spacing. The stencil point f(x + 0*h) does not
+depend on h and is shifted once per call. Each node's field is reduced on
+its own, because reducing the sum over nodes would move the round-off of the
+prefix sums; the kept-pair counts are integers, a product of per-axis
+counts, and are reduced once.
 """
 
 import functools
@@ -185,6 +186,21 @@ def _shift_terms(parts, i0, w):
             yield t
 
 
+def _shift_axis(parts, i0, w, last):
+    """One stencil point's linear shift along the leading axis.
+
+    Before the last axis, returns the terms rotated so that the next axis
+    leads; on the last axis, their sum in interp's order.
+    """
+    terms = _shift_terms(parts, i0, w)
+    if not last:
+        return [np.ascontiguousarray(np.moveaxis(t, 0, -1)) for t in terms]
+    v = next(terms)
+    for t in terms:
+        v += t
+    return v
+
+
 def _node_sums(f: GridFunction, k: int, order: int, reduce):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
@@ -199,15 +215,23 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
     the last axis adds them in interp's order, so the values match
     multilinear interpolation bit for bit. Nodes run in row-major order and
     a node recomputes only the axes from the first whose component changed:
-    the axis-0 shifts for h_0 serve every h_1.
+    the axis-0 shifts for h_0 serve every h_1. The stencil point mult = 0,
+    f(x + 0*h), is the same at every node, so it runs through the shift
+    chain once per call; it is not ``f.samples``, because a shift by zero
+    still interpolates when the float centers do not land on the grid.
     """
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
+    # the last stencil point is mult = 0; the node loop shifts only the others
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
+    still = [f.samples]
+    for a in range(dim):
+        i0, w, _ = f.axis_stencil([0.0])
+        still = _shift_axis(still, i0[0], w[0], a + 1 == dim)
     # moved[a][j]: the interpolation terms of f shifted by mults[j] * h along
     # axes 0..a-1, stored with axis a leading; inside[a]: the axis-a factor of
     # the in-domain mask shared by every stencil point
-    moved = [[[f.samples]] * len(mults)] + [None] * (dim - 1)
+    moved = [[[f.samples]] * (len(mults) - 1)] + [None] * (dim - 1)
     inside = [None] * dim
     count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
     num = 0.0
@@ -222,24 +246,16 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
                 count = count + inside[0]
             if a + 1 < dim:
                 moved[a + 1] = None  # release the previous shifts first
-                # rotate the axes so that axis a + 1 leads
                 moved[a + 1] = [
-                    [
-                        np.ascontiguousarray(np.moveaxis(t, 0, -1))
-                        for t in _shift_terms(parts, i0[j], w[j])
-                    ]
-                    for j, parts in enumerate(moved[a])
+                    _shift_axis(parts, i0[j], w[j], False) for j, parts in enumerate(moved[a])
                 ]
                 continue
-            # the last axis adds each stencil point's terms in interp's order
             acc = 0.0
-            for j, (coeff, parts) in enumerate(zip(coeffs, moved[a])):
-                terms = _shift_terms(parts, i0[j], w[j])
-                v = next(terms)
-                for t in terms:
-                    v += t
-                v *= coeff
+            for j, parts in enumerate(moved[a]):
+                v = _shift_axis(parts, i0[j], w[j], True)
+                v *= coeffs[j]
                 acc = acc + v
+            acc = acc + still * coeffs[-1]
         # back to the axis order, C-contiguous: cube sums depend on the layout
         g = np.abs(np.moveaxis(acc, 0, -1), order="C")
         g *= functools.reduce(np.logical_and.outer, inside)

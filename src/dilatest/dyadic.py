@@ -431,18 +431,29 @@ def window_sums(values, radius_cells: int):
     weight 1 and the two cells centered exactly on the window edge carry 1/2,
     so constants integrate exactly. Windows are clipped at the domain edge.
     Works separably, one axis at a time.
+
+    Each axis builds its prefix table T (T[0] = 0, T[m] the sum of the first
+    m cells) inside a buffer P with r leading zeros and r trailing copies of
+    the total, so P[r + m] = T[clip(m, 0, n)]. Every clipped window is then
+    a plain slice: the closed window [i - r, i + r] is P[i + 2r + 1] - P[i],
+    its interior P[i + 2r] - P[i + 1]. The output stays C-ordered.
     """
     out = np.asarray(values, dtype=float)
     r = int(radius_cells)
     if r < 1:
         raise ValueError("window radius must be at least one cell")
     for ax in range(out.ndim):
-        idx = np.arange(out.shape[ax])
-        # the closed window and its interior in one pass, then averaged
-        lo = np.concatenate([idx - r, idx - r + 1])
-        hi = np.concatenate([idx + r + 1, idx + r])
-        closed, interior = np.split(axis_reduce(out, lo, hi, ax), 2, axis=ax)
-        out = 0.5 * (closed + interior)
+        n = out.shape[ax]
+        shape = list(out.shape)
+        shape[ax] = n + 2 * r + 1
+        table = np.empty(shape)
+        table[_at(ax, slice(0, r + 1))] = 0.0
+        np.cumsum(out, axis=ax, out=table[_at(ax, slice(r + 1, r + 1 + n))])
+        table[_at(ax, slice(r + 1 + n, None))] = table[_at(ax, slice(r + n, r + n + 1))]
+        # the closed window plus its interior, then halved
+        out = table[_at(ax, slice(2 * r + 1, 2 * r + 1 + n))] - table[_at(ax, slice(0, n))]
+        out += table[_at(ax, slice(2 * r, 2 * r + n))] - table[_at(ax, slice(1, 1 + n))]
+        out *= 0.5
     return out
 
 

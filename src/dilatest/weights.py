@@ -612,7 +612,12 @@ def spec_to_dict(spec):
     raise TypeError(f"unknown weight spec {spec!r}")
 
 
-def spec_from_dict(d):
+def spec_from_dict(d, dim=None):
+    """Weight spec from its dict form.
+
+    With ``dim`` given, a shifted-power center must be a number, a
+    one-element list, or exactly ``dim`` entries.
+    """
     kind = d.get("kind")
     if kind == "constant":
         return Constant(float(d["value"]))
@@ -621,13 +626,18 @@ def spec_from_dict(d):
     if kind == "shifted_power":
         center = d["center"]
         center = tuple(float(c) for c in np.atleast_1d(center))
+        if dim is not None and len(center) not in (1, dim):
+            raise ValueError(
+                f"shifted_power.center: expected a number or a list of length 1 or "
+                f"grid.dim = {dim}, got {d['center']!r}"
+            )
         return ShiftedPower(center if len(center) > 1 else center[0], float(d["delta"]))
     if kind == "geometric":
         return GeometricLevel(
-            float(d["s"]), spec_from_dict(d["base"]), bool(d.get("dilated", False))
+            float(d["s"]), spec_from_dict(d["base"], dim), bool(d.get("dilated", False))
         )
     if kind == "admissible_seq":
         return AdmissibleSeq(float(d["s"]), float(d.get("b", 0.0)), float(d.get("c", 0.0)))
     if kind == "product":
-        return ProductWeight(tuple(spec_from_dict(f) for f in d["factors"]))
+        return ProductWeight(tuple(spec_from_dict(f, dim) for f in d["factors"]))
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -223,6 +223,30 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, path, valu
     assert field in capsys.readouterr().err
 
 
+def _shifted_power_config(dim, center):
+    cfg = json.loads(json.dumps(BASE))
+    cfg["grid"]["dim"] = dim
+    cfg["weights"]["base"] = {"kind": "shifted_power", "center": center, "delta": -0.25}
+    return cfg
+
+
+@pytest.mark.parametrize("dim, center", [(1, [1.0, 99.0]), (2, [1, 2, 3])])
+def test_shifted_power_center_of_the_wrong_length_exits_2(tmp_path, capsys, dim, center):
+    # once read as its first entry (1-D) or a broadcast error with exit 1 (2-D)
+    config = write_config(tmp_path, "c.json", _shifted_power_config(dim, center))
+    assert main(["norm", "--config", config]) == 2
+    assert "shifted_power.center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dim, center, parsed",
+    [(1, 1.0, 1.0), (1, [1.0], 1.0), (2, 1.0, 1.0), (2, [1.0], 1.0), (2, [1.0, 2.0], (1.0, 2.0))],
+)
+def test_shifted_power_center_forms_that_parse(dim, center, parsed):
+    cfg = parse_config(_shifted_power_config(dim, center), "norm")
+    assert cfg.weights.base.center == parsed
+
+
 _PATHS = (
     ["grid", "space", "weights", "bounds", "weights.base", "command", "fixture",
      "lambda_list", "depth", "norm", "seed", "families", "family_size", "sigma"]

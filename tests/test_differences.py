@@ -407,3 +407,25 @@ def test_field_call_leaves_no_garbage_and_no_growth(field, dim):
     assert garbage == 0
     growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
     assert growth < f.samples.nbytes
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: delta_window_field(f, 2, 2),
+        lambda f: delta_cube_field(f, 2, 2),
+        lambda f: delta_expanded_field(f, 2, 3),
+        lambda f: window_sums(f.samples, 3),
+    ],
+    ids=["window", "cube", "expanded", "window_sums"],
+)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_calls_leave_their_input_unchanged(call, dim):
+    # the fields keep f(x + 0*h) and slice views of the samples across nodes;
+    # read-only samples turn any in-place write into an error
+    f = _oracle_grid(dim)
+    before = f.samples.copy()
+    f.samples.flags.writeable = False
+    call(f)
+    call(f)
+    assert np.array_equal(f.samples, before)

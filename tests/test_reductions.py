@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilatest.dyadic import GridFunction, axis_reduce, lp_of_lq, lq_of_lp, running_max
+from dilatest.dyadic import (
+    GridFunction,
+    axis_reduce,
+    lp_of_lq,
+    lq_of_lp,
+    running_max,
+    window_sums,
+)
 from dilatest.weights import family_cube_reduce, scan_levels
 
 BRUTE = {
@@ -52,6 +59,36 @@ def test_axis_reduce_matches_slicing(case):
         block = values.take(np.arange(a, max(a, b)), axis=axis)
         want = BRUTE[op](block, axis)
         np.testing.assert_allclose(got.take(i, axis=axis), want, rtol=1e-12, atol=1e-12)
+
+
+def _window_sums_by_ranges(values, r):
+    """Centered window sums as one concatenated lo/hi ``axis_reduce`` per axis, then split."""
+    out = np.asarray(values, dtype=float)
+    for ax in range(out.ndim):
+        idx = np.arange(out.shape[ax])
+        lo = np.concatenate([idx - r, idx - r + 1])
+        hi = np.concatenate([idx + r + 1, idx + r])
+        closed, interior = np.split(axis_reduce(out, lo, hi, ax), 2, axis=ax)
+        out = 0.5 * (closed + interior)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    n=st.integers(2, 64),
+    radius=st.data(),
+    seed=st.integers(0, 2**16),
+)
+def test_window_sums_match_range_reductions_bit_for_bit(dim, n, radius, seed):
+    # the prefix-table slices subtract the same operands as the clipped ranges
+    r = radius.draw(st.integers(1, 2 * n + 2), label="r")
+    rng = np.random.default_rng(seed)
+    shape = (n,) * dim
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    got = window_sums(values, r)
+    assert np.array_equal(got, _window_sums_by_ranges(values, r))
+    assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
