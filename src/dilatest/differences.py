@@ -46,6 +46,8 @@ from .dyadic import (
     level_cell_count,
     level_cube_count,
     level_first_index,
+    point_layout,
+    tensor_points,
     window_sums,
 )
 from .errors import OutOfDomain, ResolutionExceeded
@@ -84,8 +86,7 @@ def _h_axis(halfwidth, spacing):
 def _h_nodes(halfwidth, spacing, dim):
     """Tensor-product nodes on (-a, a)^n, one row per node, and their weight."""
     axis, dh = _h_axis(halfwidth, spacing)
-    grids = np.meshgrid(*[axis] * dim, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, dim), dh**dim
+    return tensor_points([axis] * dim).reshape(-1, dim), dh**dim
 
 
 def _axis_overlap_weights(f: GridFunction, lo, hi):
@@ -113,16 +114,9 @@ def _double_average(f, box: Box, h_halfwidth, order, normalization):
     if any(len(idx) == 0 for idx, _ in axes):
         raise OutOfDomain("box holds no grid cells")
     centers = f.axis_centers()
-    if f.dim == 1:
-        idx, w_x = axes[0]
-        pts = centers[idx]
-    else:
-        (ix, wx), (iy, wy) = axes
-        pts = np.stack(
-            [np.repeat(centers[ix], len(iy)), np.tile(centers[iy], len(ix))], axis=-1
-        )
-        w_x = np.outer(wx, wy).ravel()
-    w_x = w_x * f.spacing**f.dim
+    pts = tensor_points([centers[idx] for idx, _ in axes]).reshape(-1, f.dim)
+    pts = point_layout(pts, f.dim, public=True)
+    w_x = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel() * f.spacing**f.dim
 
     nodes, w_h = _h_nodes(h_halfwidth, f.spacing, f.dim)
     num = 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import GridFunction, level_block_reduce
+from .dyadic import GridFunction, level_block_reduce, tensor_points
 from .errors import ClippingExcessive, PreconditionFailed, ResolutionExceeded
 from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
@@ -60,11 +60,10 @@ class DilationSetup:
 
 
 def _boundary_density(f: GridFunction):
+    """Mean of |f| over the edge cells: the end faces of each axis, less earlier axes' cells."""
     s = np.abs(f.samples)
-    if f.dim == 1:
-        return 0.5 * (s[0] + s[-1])
-    frame = np.concatenate([s[0, :], s[-1, :], s[1:-1, 0], s[1:-1, -1]])
-    return float(frame.mean())
+    faces = [s[(slice(1, -1),) * a + (end,)].ravel() for a in range(f.dim) for end in (0, -1)]
+    return float(np.concatenate(faces).mean())
 
 
 def dilate(f: GridFunction, lam, clip_tol=0.01) -> GridFunction:
@@ -130,45 +129,39 @@ class SobolevSupResult:
         return "DIVERGENT" if self.divergent else f"{self.value:.6g}"
 
 
-def _ratio_values(omega, lam, pts, dim):
+# the sup probe per dimension: lattice cells and zoom points per axis
+_SUP_LATTICE = {1: 4096, 2: 256}
+_SUP_ZOOM = {1: 65, 2: 17}
+
+
+def _ratio_values(omega, lam, pts):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num = _eval(omega, 0, np.asarray(pts, dtype=float) / lam, dim)
-        den = _eval(omega, 0, np.asarray(pts, dtype=float), dim)
+        num = _eval(omega, 0, pts / lam)
+        den = _eval(omega, 0, pts)
         ratio = num / den
     ratio = np.where(np.isfinite(ratio) & (den > 0), ratio, -np.inf)
     return ratio
 
 
-def _stage_sup(omega, lam, halfwidth, resolution, zoom_rounds, dim):
-    dx = 2.0 * halfwidth / resolution
-    axis = -halfwidth + (np.arange(resolution) + 0.5) * dx
-    if dim == 1:
-        pts = axis
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([gx, gy], axis=-1)
-    vals = _ratio_values(omega, lam, pts, dim)
+def _stage_sup(omega, lam, lattice, dx, zoom, zoom_rounds):
+    """Largest ratio on a lattice (..., dim) of spacing dx, then around its four
+    largest values ``zoom_rounds`` tensor zooms of ``zoom`` points per axis over
+    center +- w, w = dx shrinking 8x a round and recentered on each maximum."""
+    vals = _ratio_values(omega, lam, lattice)
     flat = vals.reshape(-1)
     order = np.argsort(flat)[-4:]  # zoom around the few largest coarse maxima
     best = float(flat[order[-1]])
-    probes = pts.reshape(-1, dim) if dim == 2 else pts.reshape(-1, 1)
+    probes = lattice.reshape(-1, lattice.shape[-1])
     for seed_idx in order:
-        center = probes[seed_idx].astype(float)
+        center = probes[seed_idx]
         w = dx
         for _ in range(zoom_rounds):
-            if dim == 1:
-                local = center[0] + np.linspace(-w, w, 65)
-            else:
-                la = np.linspace(-w, w, 17)
-                ga, gb = np.meshgrid(center[0] + la, center[1] + la, indexing="ij")
-                local = np.stack([ga, gb], axis=-1)
-            lv = _ratio_values(omega, lam, local, dim)
+            la = np.linspace(-w, w, zoom)
+            local = tensor_points([c + la for c in center]).reshape(-1, len(center))
+            lv = _ratio_values(omega, lam, local)
             j = int(np.argmax(lv))
-            if dim == 1:
-                center = np.array([local[j]])
-            else:
-                center = local.reshape(-1, 2)[j]
-            best = max(best, float(lv.reshape(-1)[j]))
+            center = local[j]
+            best = max(best, float(lv[j]))
             w /= 8.0
     return best
 
@@ -185,13 +178,14 @@ def sobolev_sup_ratio(
     if lam <= 1.0:
         raise ValueError("the comparison needs lambda > 1")
     if base_resolution is None:
-        base_resolution = 4096 if dim == 1 else 256
+        base_resolution = _SUP_LATTICE[dim]
     trace = []
     for s in range(stages):
-        sup = _stage_sup(
-            omega, lam, halfwidth * 2.0**s, base_resolution, 4 * (s + 1), dim
-        )
-        trace.append(sup)
+        box = halfwidth * 2.0**s
+        dx = 2.0 * box / base_resolution
+        axis = -box + (np.arange(base_resolution) + 0.5) * dx
+        lattice = tensor_points([axis] * dim)
+        trace.append(_stage_sup(omega, lam, lattice, dx, _SUP_ZOOM[dim], 4 * (s + 1)))
     divergent = _trace_verdict(trace) == FAIL
     return SobolevSupResult(value=trace[-1], divergent=divergent, trace=trace)
 

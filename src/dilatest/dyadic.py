@@ -98,6 +98,26 @@ def expanded_cube(cube: DyadicCube) -> Box:
     )
 
 
+def tensor_points(axes):
+    """Points (axes[0][j_0], axes[1][j_1], ...) at [j_0, j_1, ...], shape (..., dim)."""
+    out = np.empty([len(c) for c in axes] + [len(axes)])
+    for a, coords in enumerate(axes):
+        out[..., a] = _along(coords, a, len(axes))
+    return out
+
+
+def point_layout(pts, dim, public=False):
+    """Points in the internal layout (..., dim), or with ``public`` in the public one.
+
+    The two differ only in 1-D, where evaluators, ``interp``, ``eval_weight``,
+    the fixtures and ``points()`` take or give shape (...,).
+    """
+    pts = np.asarray(pts, dtype=float)
+    if dim != 1:
+        return pts
+    return pts[..., 0] if public else pts[..., None]
+
+
 class GridFunction:
     """Real samples at the cell centers of a uniform grid over [-L, L]^n.
 
@@ -105,9 +125,10 @@ class GridFunction:
     ----------
     dim : 1 or 2
     halfwidth : L, half side of the sampled box
-    samples : array of shape (N,) or (N, N); N must be a power of two
-    evaluator : optional closed form, called with points of shape (..., ) for
-        dim 1 or (..., 2) for dim 2; used for exact resampling and dilation
+    samples : array of shape (N,) * dim; N must be a power of two
+    evaluator : optional closed form, used for exact resampling and dilation;
+        called with points in the public layout (see ``point_layout``):
+        shape (...,) in 1-D and (..., dim) above
     """
 
     def __init__(self, dim, halfwidth, samples, evaluator=None):
@@ -147,12 +168,9 @@ class GridFunction:
         return -self.halfwidth + (np.arange(n) + 0.5) * dx
 
     def points(self):
-        """All cell centers; shape (N,) for dim 1, (N, N, 2) for dim 2."""
-        c = self.axis_centers()
-        if self.dim == 1:
-            return c
-        gx, gy = np.meshgrid(c, c, indexing="ij")
-        return np.stack([gx, gy], axis=-1)
+        """All cell centers in the public layout: shape (N,) in 1-D, (N, N, 2) in 2-D."""
+        grid = tensor_points([self.axis_centers()] * self.dim)
+        return point_layout(grid, self.dim, public=True)
 
     @classmethod
     def from_callable(cls, fn, dim=1, halfwidth=8.0, resolution=1024):
@@ -195,24 +213,22 @@ class GridFunction:
         return i0, np.clip(u - i0, 0.0, 1.0)
 
     def _interp_clamped(self, pts):
-        i0, w = self._clamped_weights(pts)
-        if self.dim == 1:
-            return (1.0 - w) * self.samples[i0] + w * self.samples[i0 + 1]
-        ix, iy = i0[..., 0], i0[..., 1]
-        wx, wy = w[..., 0], w[..., 1]
-        s = self.samples
-        return (
-            s[ix, iy] * (1 - wx) * (1 - wy)
-            + s[ix + 1, iy] * wx * (1 - wy)
-            + s[ix, iy + 1] * (1 - wx) * wy
-            + s[ix + 1, iy + 1] * wx * wy
-        )
+        """n-linear interpolation, clamped: corners with the first axis fastest,
+        each adding s[corner] * f_0 * f_1 * ... with f_a = 1 - w_a or w_a."""
+        i0, w = self._clamped_weights(point_layout(pts, self.dim))
+        i0, w = np.moveaxis(i0, -1, 0), np.moveaxis(w, -1, 0)
+        factors = [(1 - wa, wa) for wa in w]
+        out = None
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            corner = corner[::-1]
+            term = self.samples[tuple(i + c for i, c in zip(i0, corner))]
+            for fa, c in zip(factors, corner):
+                term = term * fa[c]
+            out = term if out is None else out + term
+        return out
 
     def in_domain(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.dim == 1:
-            return np.abs(pts) <= self.halfwidth
-        return np.all(np.abs(pts) <= self.halfwidth, axis=-1)
+        return np.all(np.abs(point_layout(pts, self.dim)) <= self.halfwidth, axis=-1)
 
     def interp(self, pts, outside="raise"):
         """Multilinear interpolation at arbitrary points.

@@ -5,23 +5,22 @@ window clipping stay negligible. All fixtures carry closed-form evaluators,
 which keeps resampling and dilation exact.
 """
 
+import functools
+
 import numpy as np
 
-from .dyadic import GridFunction
+from .dyadic import GridFunction, point_layout
+
+# fixtures take points in the public layout (``point_layout``), the helpers (..., dim)
 
 
-def _radius2(pts, dim):
-    pts = np.asarray(pts, dtype=float)
-    if dim == 1:
-        return pts * pts
+def _radius2(pts):
     return np.sum(pts * pts, axis=-1)
 
 
-def _axis_apply(fn1d, pts, dim):
-    pts = np.asarray(pts, dtype=float)
-    if dim == 1:
-        return fn1d(pts)
-    return fn1d(pts[..., 0]) * fn1d(pts[..., 1])
+def _axis_apply(fn1d, pts):
+    """The tensor product of fn1d over the axes, multiplied in axis order."""
+    return functools.reduce(np.multiply, [fn1d(pts[..., a]) for a in range(pts.shape[-1])])
 
 
 def _smooth_edge(t):
@@ -34,7 +33,7 @@ def _smooth_edge(t):
 
 
 def gaussian(pts, dim=1, width=1.0, center=0.0):
-    r2 = _radius2(np.asarray(pts, dtype=float) - center, dim)
+    r2 = _radius2(point_layout(pts, dim) - center)
     return np.exp(-r2 / width**2)
 
 
@@ -49,13 +48,12 @@ def bump(pts, dim=1, radius=3.0):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
         return out
 
-    return _axis_apply(one, pts, dim)
+    return _axis_apply(one, point_layout(pts, dim))
+
 
 def sine_packet(pts, dim=1, freq=4.0, width=2.0):
-    pts = np.asarray(pts, dtype=float)
-    env = np.exp(-_radius2(pts, dim) / width**2)
-    if dim == 1:
-        return np.sin(freq * pts) * env
+    pts = point_layout(pts, dim)
+    env = np.exp(-_radius2(pts) / width**2)
     return np.sin(freq * pts[..., 0]) * env
 
 
@@ -65,11 +63,11 @@ def mollified_step(pts, dim=1, halfwidth=1.0, edge=0.5, center=0.0):
     def one(x):
         return _smooth_edge((halfwidth - np.abs(x - center)) / edge + 0.5)
 
-    return _axis_apply(lambda x: one(x), pts, dim)
+    return _axis_apply(one, point_layout(pts, dim))
 
 
 _FIXTURES = {
-    "zero": lambda pts, dim: np.zeros(np.shape(_radius2(pts, dim))),
+    "zero": lambda pts, dim: np.zeros(point_layout(pts, dim).shape[:-1]),
     "gaussian": lambda pts, dim: gaussian(pts, dim),
     "gaussian_wide": lambda pts, dim: 0.75 * gaussian(pts, dim, width=1.6, center=0.5),
     "bump": lambda pts, dim: bump(pts, dim),
@@ -111,8 +109,7 @@ def random_smooth(seed, dim=1, halfwidth=8.0, resolution=1024, terms=4) -> GridF
     def fn(pts):
         out = 0.0
         for a, c, w in zip(amps, centers, widths):
-            cc = c[0] if dim == 1 else c
-            out = out + a * gaussian(pts, dim, width=w, center=cc)
+            out = out + a * gaussian(pts, dim, width=w, center=c)
         return out
 
     return GridFunction.from_callable(fn, dim, halfwidth, resolution)

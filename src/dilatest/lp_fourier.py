@@ -7,6 +7,7 @@ space. The cutoff profile is exactly 1 on |xi| <= 1 and exactly 0 on
 inputs reconstruct to round-off.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,11 +78,7 @@ def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024, profile="exp") -> Re
         )
     dx = 2.0 * halfwidth / resolution
     omega = 2.0 * math.pi * np.fft.fftfreq(resolution, d=dx)
-    if dim == 1:
-        radial = np.abs(omega)
-    else:
-        wx, wy = np.meshgrid(omega, omega, indexing="ij")
-        radial = np.sqrt(wx * wx + wy * wy)
+    radial = np.sqrt(functools.reduce(np.add.outer, [omega * omega] * dim))
     psi = _transition(profile)
     mults = [psi(radial)]
     for k in range(1, k_max + 1):

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, GridFunction, axis_reduce
+from .dyadic import (
+    DyadicCube,
+    GridFunction,
+    axis_reduce,
+    cube_box,
+    level_block_reduce,
+    level_first_index,
+    point_layout,
+)
 from .errors import (
     InvalidExponent,
     MissingLevels,
@@ -33,6 +41,8 @@ PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 _GROWTH = 2.0 * (1.0 - 1e-9)  # robust against exact powers of two
 _PLATEAU = 0.10
 SHIFT_FRACTIONS = (0.0, 1.0 / 3.0, 2.0 / 3.0)
+_STAGE_FLOOR = 32  # coarsest resolution of an A_p / A_1 refinement stage
+_SUBSET_MIN_SIDE = {1: 8, 2: 4}  # smallest random cube side, in cells, by dimension
 
 
 # -- weight construction DSL ---------------------------------------------------
@@ -81,52 +91,49 @@ class ProductWeight:
     factors: tuple
 
 
-def _norm_center(center, dim):
-    if np.isscalar(center):
-        return (float(center),) * dim
-    return tuple(float(c) for c in center)
-
-
 def eval_weight(spec, k, pts, dim=1):
-    """Evaluate a weight spec at level k on points (shape (...,) or (..., 2)).
+    """Evaluate a weight spec at level k on points in the public layout.
 
     Raises NonPositiveValue if any value underflows to zero or is non-finite;
     grids are cell-centered so singular points are never hit by construction.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = _eval(spec, int(k), np.asarray(pts, dtype=float), dim)
+        vals = _eval(spec, int(k), point_layout(pts, dim))
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise NonPositiveValue(f"weight {spec!r} not strictly positive at level {k}")
     return vals
 
 
-def _radius(pts, dim, center):
-    if dim == 1:
-        return np.abs(pts - center[0])
+def _radius(pts, center):
     return np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=-1))
 
 
-def _eval(spec, k, pts, dim):
+def _eval(spec, k, pts):
+    """The weight at points of shape (..., dim)."""
     if isinstance(spec, Constant):
-        return np.full(np.shape(_radius(pts, dim, (0.0,) * dim)), float(spec.value))
+        return np.full(pts.shape[:-1], float(spec.value))
     if isinstance(spec, Power):
-        return _radius(pts, dim, (0.0,) * dim) ** spec.beta
+        return _radius(pts, 0.0) ** spec.beta
     if isinstance(spec, ShiftedPower):
-        return _radius(pts, dim, _norm_center(spec.center, dim)) ** spec.delta
+        if np.size(spec.center) not in (1, pts.shape[-1]):
+            raise ValueError(
+                f"shifted_power center {spec.center!r} does not fit {pts.shape[-1]}-D points"
+            )
+        return _radius(pts, spec.center) ** spec.delta
     if isinstance(spec, GeometricLevel):
         arg = pts * 2.0 ** (-k) if spec.dilated else pts
-        return 2.0 ** (k * spec.s) * _eval(spec.base, k, arg, dim)
+        return 2.0 ** (k * spec.s) * _eval(spec.base, k, arg)
     if isinstance(spec, AdmissibleSeq):
         scale = (
             2.0 ** (spec.s * k)
             * (1.0 + k) ** spec.b
             * (1.0 + math.log(1.0 + k)) ** spec.c
         )
-        return np.full(np.shape(_radius(pts, dim, (0.0,) * dim)), scale)
+        return np.full(pts.shape[:-1], scale)
     if isinstance(spec, ProductWeight):
         out = 1.0
         for fac in spec.factors:
-            out = out * _eval(fac, k, pts, dim)
+            out = out * _eval(fac, k, pts)
         return out
     raise TypeError(f"unknown weight spec {spec!r}")
 
@@ -314,11 +321,11 @@ def _scan_product(g: GridFunction, depth, factors):
     return best, arg, (levels.start, levels.stop - 1)
 
 
-def _resolution_trace(n, steps=3, factor=8, floor=32):
+def _resolution_trace(n, steps=3, factor=8):
     out = []
     for i in reversed(range(steps)):
         r = n // factor**i
-        if r >= floor and r not in out:
+        if r >= _STAGE_FLOOR and r not in out:
             out.append(r)
     return out
 
@@ -350,10 +357,14 @@ def a1_constant(gamma: GridFunction, depth=6, trace_steps=3, trace_factor=8) -> 
 
 
 def _run_refinements(gamma, p, depth, steps, factor, factors):
+    stages = _resolution_trace(gamma.resolution, steps, factor)
+    if not stages:
+        raise ResolutionExceeded(
+            f"the cube scan needs at least {_STAGE_FLOOR} cells per axis, "
+            f"the grid has {gamma.resolution}"
+        )
     trace = []
-    arg = None
-    levels = (0, 0)
-    for res in _resolution_trace(gamma.resolution, steps, factor):
+    for res in stages:
         g = gamma.resample(res)
         best, arg, levels = _scan_product(g, depth, factors)
         trace.append((res, best))
@@ -397,25 +408,15 @@ def ap_properties_check(gamma: GridFunction, p, lam, depth=5, seed=0) -> dict:
     # measure-ratio inequality over random (Q, E subset Q) pairs
     rng = np.random.default_rng(seed)
     worst = 0.0
-    n = gamma.resolution
+    n, dim = gamma.resolution, gamma.dim
+    min_side = _SUBSET_MIN_SIDE[dim]
     samples = np.abs(gamma.samples)
     for _ in range(200):
-        if gamma.dim == 1:
-            w = int(rng.integers(8, max(9, n // 4)))
-            i0 = int(rng.integers(0, n - w))
-            block = samples[i0 : i0 + w]
-            e_w = int(rng.integers(1, w))
-            e0 = int(rng.integers(0, w - e_w + 1))
-            sub = block[e0 : e0 + e_w]
-            frac = e_w / w
-        else:
-            w = int(rng.integers(4, max(5, n // 4)))
-            i0, j0 = rng.integers(0, n - w, size=2)
-            block = samples[i0 : i0 + w, j0 : j0 + w]
-            e_w = int(rng.integers(1, w))
-            e0, e1 = rng.integers(0, w - e_w + 1, size=2)
-            sub = block[e0 : e0 + e_w, e1 : e1 + e_w]
-            frac = (e_w / w) ** 2
+        w = int(rng.integers(min_side, max(min_side + 1, n // 4)))
+        block = samples[tuple(slice(i, i + w) for i in rng.integers(0, n - w, size=dim))]
+        e_w = int(rng.integers(1, w))
+        sub = block[tuple(slice(i, i + e_w) for i in rng.integers(0, w - e_w + 1, size=dim))]
+        frac = (e_w / w) ** dim
         ratio = frac ** (p - 1.0) * block.mean() / sub.mean()
         worst = max(worst, float(ratio))
 
@@ -449,8 +450,6 @@ def cube_weight_norm(t: WeightSequence, k, m) -> float:
     if 2.0 ** (-k) < g.spacing * (1 - 1e-12):
         raise ResolutionExceeded(f"level {k} below grid resolution")
     m = (m,) if np.isscalar(m) else tuple(m)
-    from .dyadic import cube_box
-
     box = cube_box(DyadicCube(int(k), tuple(int(x) for x in m))).intersect(g.domain)
     if box is None:
         raise ResolutionExceeded("cube lies outside the sampled box")
@@ -462,8 +461,6 @@ def cube_weight_norm(t: WeightSequence, k, m) -> float:
 
 def cube_weight_norms_level(t: WeightSequence, k):
     """All t_{k,m} over the level-k cubes tiling the grid, plus first index."""
-    from .dyadic import level_block_reduce, level_first_index
-
     g = t.level(k)
     sums = level_block_reduce(g.samples**t.p, g, k, op="sum") * g.spacing**g.dim
     return sums ** (1.0 / t.p), level_first_index(g, k)

@@ -181,6 +181,54 @@ def test_interp_identity_and_outside():
     assert mask.tolist() == [True, False] and vals[1] == 0.0
 
 
+def _reference_interp(f, pts):
+    """Linear (1-D) and bilinear (2-D) interpolation written out per dimension:
+    clamped lower index and weight per axis, the explicit corner sum, and the
+    box test per point."""
+    pts = np.asarray(pts, dtype=float)
+    n, dx, L = f.resolution, f.spacing, f.halfwidth
+    u = (pts + L) / dx - 0.5
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
+    w = np.clip(u - i0, 0.0, 1.0)
+    s = f.samples
+    if f.dim == 1:
+        return (1.0 - w) * s[i0] + w * s[i0 + 1], np.abs(pts) <= L
+    ix, iy = i0[..., 0], i0[..., 1]
+    wx, wy = w[..., 0], w[..., 1]
+    vals = (
+        s[ix, iy] * (1 - wx) * (1 - wy)
+        + s[ix + 1, iy] * wx * (1 - wy)
+        + s[ix, iy + 1] * (1 - wx) * wy
+        + s[ix + 1, iy + 1] * wx * wy
+    )
+    return vals, np.all(np.abs(pts) <= L, axis=-1)
+
+
+@pytest.mark.parametrize("dim, n, L", [(1, 256, 8.0), (1, 64, 3.0), (2, 64, 4.0), (2, 32, 3.0)])
+def test_interp_matches_the_linear_and_bilinear_formulas_bit_for_bit(dim, n, L):
+    rng = np.random.default_rng(7 + dim)
+    f = GridFunction(dim, L, rng.standard_normal((n,) * dim))
+    shape = (5, 37) if dim == 1 else (5, 37, 2)
+    inside = rng.uniform(-L, L, size=shape)
+    outside = rng.uniform(-1.5 * L, 1.5 * L, size=shape)  # about a third leave the box
+    lattice = f.points() + 0.25 * f.spacing
+    for pts in (inside, outside, lattice, f.points()):
+        want, mask = _reference_interp(f, pts)
+        assert np.array_equal(f.interp(pts, outside="clamp"), want)
+        assert np.array_equal(f.interp(pts, outside="zero"), np.where(mask, want, 0.0))
+        got, got_mask = f.interp_masked(pts)
+        assert np.array_equal(got, np.where(mask, want, 0.0))
+        assert np.array_equal(got_mask, mask) and np.array_equal(f.in_domain(pts), mask)
+        if mask.all():
+            assert np.array_equal(f.interp(pts), want)
+        else:
+            with pytest.raises(OutOfDomain):
+                f.interp(pts)
+    assert not _reference_interp(f, outside)[1].all()
+    point = inside[0, 0]  # a single point in the public layout
+    assert np.array_equal(f.interp(point), _reference_interp(f, point)[0])
+
+
 def test_grid_2d_average():
     f = grid(lambda p: p[..., 0] + 0 * p[..., 1], n=128, L=2.0, dim=2)
     assert box_average(f, Box((0.0, -1.0), (1.0, 1.0))) == pytest.approx(

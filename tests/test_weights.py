@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from dilatest.dyadic import GridFunction
-from dilatest.errors import InvalidExponent, MissingLevels, NonPositiveValue
+from dilatest.errors import (
+    InvalidExponent,
+    MissingLevels,
+    NonPositiveValue,
+    ResolutionExceeded,
+)
 from dilatest.weights import (
     FAIL,
     PASS,
@@ -62,6 +67,16 @@ def test_eval_weight_guards_positivity():
         eval_weight(ShiftedPower(1.0, -0.5), 0, 1.0)  # singular point
 
 
+def test_shifted_power_center_must_fit_the_dimension():
+    # one entry serves every axis; otherwise one entry per axis
+    got = eval_weight(ShiftedPower((1.0,), 1.0), 0, np.array([[4.0, 5.0]]), 2)
+    assert got == pytest.approx([5.0])
+    with pytest.raises(ValueError, match="does not fit 1-D"):
+        eval_weight(ShiftedPower((1.0, 2.0), 1.0), 0, np.array([0.0, 3.0]), 1)
+    with pytest.raises(ValueError, match="does not fit 2-D"):
+        eval_weight(ShiftedPower((1.0, 2.0, 3.0), 1.0), 0, np.zeros((4, 2)), 2)
+
+
 def test_spec_serialization_roundtrip():
     spec = GeometricLevel(
         0.5, ProductWeight((Power(0.3), ShiftedPower(1.0, -0.25))), dilated=True
@@ -112,6 +127,18 @@ def test_ap_invalid_exponent():
     g = weight_grid(Constant(1.0), 0, 1, L, 256)
     with pytest.raises(InvalidExponent):
         ap_constant(g, 1.0, depth=2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scans_below_the_stage_floor_raise_resolution_exceeded(dim):
+    # a refinement stage needs at least 32 cells per axis, so N = 16 has none
+    g = GridFunction(dim, 4.0, np.ones((16,) * dim))
+    with pytest.raises(ResolutionExceeded, match="32 cells"):
+        ap_constant(g, 2.0)
+    with pytest.raises(ResolutionExceeded, match="32 cells"):
+        a1_constant(g)
+    one_stage = GridFunction(dim, 4.0, np.ones((32,) * dim))
+    assert [res for res, _ in ap_constant(one_stage, 2.0).trace] == [32]
 
 
 def test_a1_constant_cases():
