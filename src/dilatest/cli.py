@@ -86,7 +86,7 @@ def _bounds(data):
             lo, hi = (_number(v, where) for v in value)
             if lo > hi:
                 raise ConfigError(f"{where}: lo = {lo} exceeds hi = {hi}")
-            out[key] = (lo, hi)
+            out[key] = [lo, hi]
         else:
             raise ConfigError(f"{where}: unknown bound")
     return out
@@ -150,7 +150,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
             alpha=tuple(_number(a, "space.alpha") for a in alpha),
             theta=_number(s.get("theta", 1.0), "space.theta"),
             sigma2=(
-                _number(s["sigma2"], "space.sigma2") if "sigma2" in s else None
+                _number(s["sigma2"], "space.sigma2") if s.get("sigma2") is not None else None
             ),
             k_max=_integer(k_max, "space.K_max", minimum=1),
         )
@@ -312,6 +312,7 @@ def _run_dilate(cfg, threads=1):
 def _run_maximal(cfg, threads=1):
     t = _weight_sequence(cfg)
     sp = cfg.space
+    theta = sp.theta if sp.theta > 1.0 else 1.5  # the maximal bound needs theta > 1
     rows = []
     for j in range(cfg.families):
         seed = cfg.seed + j
@@ -325,7 +326,6 @@ def _run_maximal(cfg, threads=1):
             )
             for i in range(max(2, cfg.family_size // 2))
         ]
-        theta = sp.theta if sp.theta > 1.0 else 1.5
         wm_ratio = weighted_maximal_ratio(smooth, t, sp.p, sp.q, theta, depth=4)
         rows.append({"seed": seed, "fs_ratio": fs_ratio, "weighted_ratio": wm_ratio})
     fs_bound = cfg.bounds.get("fs", regression.FS_RATIO_BOUND)
@@ -339,6 +339,7 @@ def _run_maximal(cfg, threads=1):
         "weighted_max": wm_max,
         "fs_bound": fs_bound,
         "weighted_bound": wm_bound,
+        "theta": theta,
     }
     return results, {"overall": verdict}
 
@@ -413,6 +414,10 @@ def run(cfg: RunConfig, threads=1) -> dict:
             "depth": cfg.depth,
             "norm": cfg.norm,
             "seed": cfg.seed,
+            "families": cfg.families,
+            "family_size": cfg.family_size,
+            "sigma": cfg.sigma,
+            "bounds": dict(cfg.bounds),
         },
         "results": results,
         "verdicts": verdicts,

@@ -12,6 +12,15 @@ A scan therefore reports a refinement trace and one of
 The scanned family is the dyadic cubes of the requested levels together with
 their one-third and two-thirds translates per axis, which tracks the supremum
 over all cubes to within a fixed dimensional factor.
+
+Every cube condition is a ratio of power means
+M_{Q,r}(w) = (mean_Q w**r)**(1/r), with M_{Q,inf} = max_Q w and
+M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
+
+* A_p:  [w]_{A_p} = sup_Q M_{Q,1}(w) / M_{Q,-p'/p}(w),
+* A_1:  [w]_{A_1} = sup_Q M_{Q,1}(w) / M_{Q,-inf}(w),
+* C1:   sup over k <= j of M_{Q,p}(t_k) / M_{Q,-sigma1}(t_j) * 2**(alpha1 (j-k)),
+* C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
 """
 
 import functools
@@ -261,14 +270,36 @@ def family_cube_reduce(values, f: GridFunction, k, shift_frac, op="sum"):
     return red.ravel(), outer(np.multiply, hi - lo), ms[cubes], outer(np.logical_or, boundary)
 
 
+def cube_power_means(samples, f: GridFunction, k, shift_frac, r):
+    """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the shifted level-k family.
+
+    Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
+    on the cube. Returns (means, indices, boundary) in the order of
+    ``family_cube_reduce``.
+    """
+    if r == 0 or math.isnan(r):
+        raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
+    if math.isinf(r):
+        op = "max" if r > 0 else "min"
+        means, _, idx, bdy = family_cube_reduce(samples, f, k, shift_frac, op=op)
+        return means, idx, bdy
+    sums, counts, idx, bdy = family_cube_reduce(samples**r, f, k, shift_frac)
+    with np.errstate(divide="ignore"):  # an underflowed mean at r < 0 gives inf
+        return (sums / counts) ** (1.0 / r), idx, bdy
+
+
 def scan_levels(f: GridFunction, depth):
     """Cube levels scanned: coarsest cube with side <= 2L down to the grid."""
     k_min = -int(math.floor(math.log2(f.halfwidth)))
     cap = int(math.floor(math.log2(f.resolution / (2.0 * f.halfwidth)) + 1e-9))
-    k_max = min(depth, cap)
-    if k_max < k_min:
+    if depth < k_min:
+        raise ResolutionExceeded(
+            f"depth = {depth} is below the coarsest cube level of this grid; "
+            f"depth must be at least {k_min}"
+        )
+    if cap < k_min:
         raise ResolutionExceeded("grid too coarse for any cube level")
-    return range(k_min, k_max + 1)
+    return range(k_min, min(depth, cap) + 1)
 
 
 def _trace_verdict(values):
@@ -299,26 +330,6 @@ class ApReport:
     trace: list
     verdict: str
     boundary_at_argmax: bool = False
-    exponent: float = float("nan")
-
-
-def _scan_product(g: GridFunction, depth, factors):
-    """Max over the cube family of a product of per-cube statistics.
-
-    ``factors`` maps precomputed sample arrays to per-cube values; it receives
-    (sums-or-reductions, counts) and returns the per-cube product.
-    """
-    best = -math.inf
-    arg = None
-    levels = scan_levels(g, depth)
-    for k in levels:
-        for shift in SHIFT_FRACTIONS:
-            vals, counts, idx, bdy = factors(g, k, shift)
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best = float(vals[j])
-                arg = (DyadicCube(k, tuple(int(x) for x in idx[j])), shift, bool(bdy[j]))
-    return best, arg, (levels.start, levels.stop - 1)
 
 
 def _resolution_trace(n, steps=3, factor=8):
@@ -330,33 +341,8 @@ def _resolution_trace(n, steps=3, factor=8):
     return out
 
 
-def ap_constant(gamma: GridFunction, p, depth=6, trace_steps=3, trace_factor=8) -> ApReport:
-    """Estimate the Muckenhoupt constant sup_Q M_Q(g) * M_{Q,p'/p}(g^-1)."""
-    if p <= 1.0:
-        raise InvalidExponent("the cube condition needs p > 1")
-    sigma = conjugate(p) / p  # = 1/(p-1)
-
-    def factors(g, k, shift):
-        s_g, counts, idx, bdy = family_cube_reduce(g.samples, g, k, shift)
-        s_inv, _, _, _ = family_cube_reduce(g.samples ** (-sigma), g, k, shift)
-        prod = (s_g / counts) * (s_inv / counts) ** (1.0 / sigma)
-        return prod, counts, idx, bdy
-
-    return _run_refinements(gamma, p, depth, trace_steps, trace_factor, factors)
-
-
-def a1_constant(gamma: GridFunction, depth=6, trace_steps=3, trace_factor=8) -> ApReport:
-    """Estimate sup_Q M_Q(g) / min_Q g, the discrete A_1 surrogate."""
-
-    def factors(g, k, shift):
-        s_g, counts, idx, bdy = family_cube_reduce(g.samples, g, k, shift)
-        mins, _, _, _ = family_cube_reduce(g.samples, g, k, shift, op="min")
-        return (s_g / counts) / mins, counts, idx, bdy
-
-    return _run_refinements(gamma, 1.0, depth, trace_steps, trace_factor, factors)
-
-
-def _run_refinements(gamma, p, depth, steps, factor, factors):
+def _mean_ratio_scan(gamma: GridFunction, r, depth, steps, factor) -> ApReport:
+    """sup_Q M_{Q,1}(w) / M_{Q,r}(w) over the cube family, at refining resolutions."""
     stages = _resolution_trace(gamma.resolution, steps, factor)
     if not stages:
         raise ResolutionExceeded(
@@ -366,7 +352,16 @@ def _run_refinements(gamma, p, depth, steps, factor, factors):
     trace = []
     for res in stages:
         g = gamma.resample(res)
-        best, arg, levels = _scan_product(g, depth, factors)
+        levels = scan_levels(g, depth)
+        best = -math.inf
+        for k in levels:
+            for shift in SHIFT_FRACTIONS:
+                mean, idx, bdy = cube_power_means(g.samples, g, k, shift, 1.0)
+                ratio = mean / cube_power_means(g.samples, g, k, shift, r)[0]
+                j = int(np.argmax(ratio))
+                if ratio[j] > best:
+                    best = float(ratio[j])
+                    arg = (DyadicCube(k, tuple(int(x) for x in idx[j])), shift, bool(bdy[j]))
         trace.append((res, best))
     values = [v for _, v in trace]
     cube, shift, bdy = arg
@@ -374,12 +369,23 @@ def _run_refinements(gamma, p, depth, steps, factor, factors):
         constant=values[-1],
         argmax_cube=cube,
         argmax_shift=shift,
-        levels_scanned=levels,
+        levels_scanned=(levels.start, levels.stop - 1),
         trace=trace,
         verdict=_trace_verdict(values),
         boundary_at_argmax=bdy,
-        exponent=p,
     )
+
+
+def ap_constant(gamma: GridFunction, p, depth=6, trace_steps=3, trace_factor=8) -> ApReport:
+    """Estimate the Muckenhoupt constant sup_Q M_{Q,1}(g) / M_{Q,-p'/p}(g)."""
+    if p <= 1.0:
+        raise InvalidExponent("the cube condition needs p > 1")
+    return _mean_ratio_scan(gamma, -conjugate(p) / p, depth, trace_steps, trace_factor)
+
+
+def a1_constant(gamma: GridFunction, depth=6, trace_steps=3, trace_factor=8) -> ApReport:
+    """Estimate sup_Q M_{Q,1}(g) / M_{Q,-inf}(g) = sup_Q mean_Q g / min_Q g."""
+    return _mean_ratio_scan(gamma, -math.inf, depth, trace_steps, trace_factor)
 
 
 def weight_pow(gamma: GridFunction, exponent) -> GridFunction:
@@ -493,60 +499,47 @@ class XClassReport:
     verdict: str
     argmax_c1: tuple
     argmax_c2: tuple
-    depth: int
     order_violation: bool
-
-
-def _lp_cube_mean(sums, counts, q):
-    if q == math.inf:
-        return sums  # already a max-reduction
-    return (sums / counts) ** (1.0 / q)
 
 
 def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
     """Measure the two inter-level cube inequalities of the weight class.
 
-    C1 bounds M_{Q,p}(t_k) * M_{Q,s1}(t_j^{-1}) / 2**(a1 (k-j)) over k <= j;
-    C2 bounds M_{Q,s2}(t_j) / (M_{Q,p}(t_k) * 2**(a2 (j-k))). The refinement
-    trace grows the level range j and the verdict follows the plateau/growth
-    heuristic. Returns (C1, C2, report).
+    Over k <= j and the cube family, C1 bounds
+    M_{Q,p}(t_k) / M_{Q,-s1}(t_j) * 2**(a1 (j-k)) and C2 bounds
+    M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). The refinement trace grows
+    the level range j and the verdict follows the plateau/growth heuristic.
+    Returns (C1, C2, report).
     """
+    if depth < 1:
+        raise MissingLevels(
+            f"depth = {depth} leaves no pair of levels for the class check; "
+            "depth must be at least 1"
+        )
+    if t.k_max < 1:
+        raise MissingLevels("need at least levels 0..1 for the class check")
     g = t.grid
     j_max = min(depth, t.k_max)
-    if j_max < 1:
-        raise MissingLevels("need at least levels 0..1 for the class check")
 
-    # per (cube-level, shift): cache per-cube statistics for every weight level
+    # per (cube level, shift): the three power means of every weight level
     stats = []
-    for klev in scan_levels(g, min(depth, j_max)):
+    for klev in scan_levels(g, j_max):
         for shift in SHIFT_FRACTIONS:
-            mp, ms1, ms2 = [], [], []
-            counts = None
-            for kw in range(j_max + 1):
-                s = t.level(kw).samples
-                sp, counts, idx, bdy = family_cube_reduce(s**t.p, g, klev, shift)
-                mp.append(_lp_cube_mean(sp, counts, t.p))
-                if params.sigma1 == math.inf:
-                    inv, _, _, _ = family_cube_reduce(1.0 / s, g, klev, shift, op="max")
-                    ms1.append(inv)
-                else:
-                    si, _, _, _ = family_cube_reduce(s ** (-params.sigma1), g, klev, shift)
-                    ms1.append(_lp_cube_mean(si, counts, params.sigma1))
-                if params.sigma2 == math.inf:
-                    mx, _, _, _ = family_cube_reduce(s, g, klev, shift, op="max")
-                    ms2.append(mx)
-                else:
-                    s2, _, _, _ = family_cube_reduce(s**params.sigma2, g, klev, shift)
-                    ms2.append(_lp_cube_mean(s2, counts, params.sigma2))
-            stats.append((klev, shift, mp, ms1, ms2, idx))
+            means = []
+            for r in (t.p, -params.sigma1, params.sigma2):
+                per_level = []
+                for kw in range(j_max + 1):
+                    m, idx, _ = cube_power_means(t.level(kw).samples, g, klev, shift, r)
+                    per_level.append(m)
+                means.append(per_level)
+            stats.append((klev, shift, *means, idx))
 
     best1 = {}
     best2 = {}
-    arg1 = arg2 = None
     for klev, shift, mp, ms1, ms2, idx in stats:
         for j in range(j_max + 1):
             for k in range(j + 1):
-                v1 = mp[k] * ms1[j] * 2.0 ** (-params.alpha1 * (k - j))
+                v1 = mp[k] / ms1[j] * 2.0 ** (-params.alpha1 * (k - j))
                 v2 = ms2[j] / mp[k] * 2.0 ** (-params.alpha2 * (j - k))
                 i1, i2 = int(np.argmax(v1)), int(np.argmax(v2))
                 if v1[i1] > best1.get(j, (-math.inf, None))[0]:
@@ -579,7 +572,6 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
         verdict=verdict,
         argmax_c1=arg1,
         argmax_c2=arg2,
-        depth=j_max,
         order_violation=params.order_violation,
     )
     return c1_final, c2_final, report

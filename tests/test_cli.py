@@ -301,3 +301,35 @@ def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys):
     cfg["space"] = dict(BASE["space"], K_max=2, theta=1.5)
     assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     assert "MissingLevels" in capsys.readouterr().err
+
+
+def test_echoed_config_reproduces_the_results(tmp_path):
+    # families, family_size, sigma and bounds change the result, so the
+    # artifact's config must carry them
+    cfg = dict(BASE, families=2, family_size=4, sigma=0.25,
+               bounds={"fs": 3.0, "star_diff": [0.1, 0.9]})
+    cfg["grid"] = {"L": 8.0, "N": 512, "dim": 1}
+    cfg["space"] = dict(BASE["space"], K_max=3)
+    report = run(parse_config(cfg, "maximal"))
+    assert len(report["results"]["rows"]) == 2
+    assert report["results"]["theta"] == 1.5  # theta = 1 falls back to 1.5
+    assert run(parse_config(report["config"], "maximal"))["results"] == report["results"]
+    artifact = json.loads(render(report, "json"))
+    again = json.loads(render(run(parse_config(artifact["config"], "maximal")), "json"))
+    assert again == artifact
+
+
+@pytest.mark.parametrize("command, depth", [("ap", -20), ("xclass", 0), ("dilate", 0)])
+def test_depth_below_its_minimum_exits_2_naming_depth(tmp_path, capsys, command, depth):
+    config = write_config(tmp_path, "c.json", dict(BASE, depth=depth))
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"depth = {depth}" in err and "at least" in err
+
+
+def test_ap_at_depth_zero_still_runs(tmp_path, capsys):
+    config = write_config(tmp_path, "c.json", dict(BASE, depth=0))
+    main(["ap", "--config", config])
+    out, err = capsys.readouterr()
+    assert "error" not in err
+    assert json.loads(out)["results"]["levels_scanned"] == [-3, 0]
