@@ -38,7 +38,7 @@ from .weights import (
 
 COMMANDS = ("norm", "ap", "xclass", "dilate", "maximal", "equiv")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2, "DIVERGENT": 1}
+EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
 
 
 def _number(value, where):
@@ -109,7 +109,6 @@ class RunConfig:
     family_size: int = 6
     sigma: float = 0.5
     bounds: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def parse_config(data: dict, command: str) -> RunConfig:
@@ -199,7 +198,6 @@ def parse_config(data: dict, command: str) -> RunConfig:
         family_size=_integer(data.get("family_size", 6), "family_size", minimum=1),
         sigma=_number(data.get("sigma", 0.5), "sigma"),
         bounds=_bounds(data),
-        raw=data,
     )
 
 
@@ -258,12 +256,7 @@ def _run_ap(cfg, threads=1):
 
 def _run_xclass(cfg, threads=1):
     t = _weight_sequence(cfg)
-    sp = cfg.space
-    params = XClassParams(
-        alpha1=sp.alpha[0], alpha2=sp.alpha[1], sigma1=sp.sigma1,
-        sigma2=sp.sigma2, p=sp.p,
-    )
-    c1, c2, rep = xclass_check(t, params, cfg.depth)
+    c1, c2, rep = xclass_check(t, XClassParams.from_space(cfg.space), cfg.depth)
     rows = [{"depth": d, "C1": a, "C2": b} for d, a, b in rep.trace]
     results = {
         "rows": rows,

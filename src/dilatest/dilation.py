@@ -49,16 +49,6 @@ def choose_i(lam) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class DilationSetup:
-    lam: float
-    i: int
-
-    @classmethod
-    def for_lambda(cls, lam):
-        return cls(float(lam), choose_i(lam))
-
-
 def _boundary_density(f: GridFunction):
     """Mean of |f| over the edge cells: the end faces of each axis, less earlier axes' cells."""
     s = np.abs(f.samples)
@@ -224,18 +214,13 @@ def verify_theorem(
     """Dilate f by every factor and compare the norm growth to the bound shape.
 
     Requires the weight sequence to pass the inter-level class check at the
-    space parameters (FAIL raises PreconditionFailed). Returns one report per
+    space parameters (FAIL raises PreconditionFailed) and f to have a nonzero
+    norm (a zero norm raises PreconditionFailed). Returns one report per
     lambda, in lambda_list order; entries are independent jobs and run on a
     thread pool when threads > 1. Use summarize_dilation for the
     lambda-independence verdict.
     """
-    params = XClassParams(
-        alpha1=sp.alpha[0],
-        alpha2=sp.alpha[1],
-        sigma1=sp.sigma1,
-        sigma2=sp.sigma2,
-        p=sp.p,
-    )
+    params = XClassParams.from_space(sp)
     _, _, xrep = xclass_check(t, params, depth if depth is not None else sp.k_max)
     if xrep.verdict == FAIL:
         raise PreconditionFailed(
@@ -243,15 +228,19 @@ def verify_theorem(
         )
     norm_fn = {"diff": diff_norm, "star": star_norm}[norm]
     base = norm_fn(f, t, sp)
+    if base == 0:
+        raise PreconditionFailed(
+            f"norm_before = 0: the {norm} norm of f vanishes, so the growth "
+            "ratios of its dilations are undefined"
+        )
     n_over_p = f.dim / sp.p
 
     def entry(lam):
-        setup = DilationSetup.for_lambda(lam)
         g = dilate(f, lam)
         after = norm_fn(g, t, sp)
         h_const = compute_H(t, lam, sp.k_max)
         shape = lam ** (sp.alpha[1] - n_over_p) * h_const
-        observed = after / (shape * base) if base > 0 else math.inf
+        observed = after / (shape * base)
         sob = None
         if with_sobolev and lam > 1.0 and t.spec is not None:
             sob = sobolev_sup_ratio(
@@ -259,7 +248,7 @@ def verify_theorem(
             )
         return DilationReport(
             lam=float(lam),
-            i=setup.i,
+            i=choose_i(lam),
             H=h_const,
             norm_before=base,
             norm_after=after,

@@ -74,6 +74,10 @@ class SpaceParams:
 
 
 def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
+    if t.p != sp.p:
+        raise InvalidExponent(
+            f"the weight sequence's p = {t.p} differs from the space's p = {sp.p}"
+        )
     if 2.0 ** (-sp.k_max) < 4.0 * f.spacing * (1 - 1e-12):
         raise ResolutionExceeded(
             f"k_max = {sp.k_max} needs window side >= 4 cells "

@@ -21,6 +21,10 @@ M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
 * A_1:  [w]_{A_1} = sup_Q M_{Q,1}(w) / M_{Q,-inf}(w),
 * C1:   sup over k <= j of M_{Q,p}(t_k) / M_{Q,-sigma1}(t_j) * 2**(alpha1 (j-k)),
 * C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
+
+The class check keeps C1 and C2 as running sups per fine level j, over k <= j
+and every scanned cube; its depth trace reads the sup over j <= d. No argmax
+cube is kept.
 """
 
 import functools
@@ -329,7 +333,6 @@ class ApReport:
     levels_scanned: tuple
     trace: list
     verdict: str
-    boundary_at_argmax: bool = False
 
 
 def _resolution_trace(n, steps=3, factor=8):
@@ -356,15 +359,15 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, steps, factor) -> ApReport:
         best = -math.inf
         for k in levels:
             for shift in SHIFT_FRACTIONS:
-                mean, idx, bdy = cube_power_means(g.samples, g, k, shift, 1.0)
+                mean, idx, _ = cube_power_means(g.samples, g, k, shift, 1.0)
                 ratio = mean / cube_power_means(g.samples, g, k, shift, r)[0]
                 j = int(np.argmax(ratio))
                 if ratio[j] > best:
                     best = float(ratio[j])
-                    arg = (DyadicCube(k, tuple(int(x) for x in idx[j])), shift, bool(bdy[j]))
+                    arg = (DyadicCube(k, tuple(int(x) for x in idx[j])), shift)
         trace.append((res, best))
     values = [v for _, v in trace]
-    cube, shift, bdy = arg
+    cube, shift = arg
     return ApReport(
         constant=values[-1],
         argmax_cube=cube,
@@ -372,7 +375,6 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, steps, factor) -> ApReport:
         levels_scanned=(levels.start, levels.stop - 1),
         trace=trace,
         verdict=_trace_verdict(values),
-        boundary_at_argmax=bdy,
     )
 
 
@@ -490,6 +492,11 @@ class XClassParams:
         # alpha2 < alpha1 contradicts the admissible-range remark; report, not raise
         self.order_violation = self.alpha2 < self.alpha1
 
+    @classmethod
+    def from_space(cls, sp):
+        """The class parameters of a space: its alpha pair, sigmas and p."""
+        return cls(sp.alpha[0], sp.alpha[1], sp.sigma1, sp.sigma2, sp.p)
+
 
 @dataclass
 class XClassReport:
@@ -497,8 +504,6 @@ class XClassReport:
     c2: float
     trace: list
     verdict: str
-    argmax_c1: tuple
-    argmax_c2: tuple
     order_violation: bool
 
 
@@ -507,9 +512,10 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
 
     Over k <= j and the cube family, C1 bounds
     M_{Q,p}(t_k) / M_{Q,-s1}(t_j) * 2**(a1 (j-k)) and C2 bounds
-    M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). The refinement trace grows
-    the level range j and the verdict follows the plateau/growth heuristic.
-    Returns (C1, C2, report).
+    M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). Each fine level j keeps
+    its running sup over k <= j and every scanned cube; the refinement trace
+    reads the sup over j <= d at growing depths d and the verdict follows the
+    plateau/growth heuristic. Returns (C1, C2, report).
     """
     if depth < 1:
         raise MissingLevels(
@@ -518,45 +524,34 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
         )
     if t.k_max < 1:
         raise MissingLevels("need at least levels 0..1 for the class check")
+    if params.p != t.p:
+        raise InvalidExponent(
+            f"the class check exponent p = {params.p} differs from the weight "
+            f"sequence's p = {t.p}"
+        )
     g = t.grid
     j_max = min(depth, t.k_max)
 
-    # per (cube level, shift): the three power means of every weight level
-    stats = []
+    c1 = [-math.inf] * (j_max + 1)
+    c2 = [-math.inf] * (j_max + 1)
     for klev in scan_levels(g, j_max):
         for shift in SHIFT_FRACTIONS:
-            means = []
-            for r in (t.p, -params.sigma1, params.sigma2):
-                per_level = []
-                for kw in range(j_max + 1):
-                    m, idx, _ = cube_power_means(t.level(kw).samples, g, klev, shift, r)
-                    per_level.append(m)
-                means.append(per_level)
-            stats.append((klev, shift, *means, idx))
-
-    best1 = {}
-    best2 = {}
-    for klev, shift, mp, ms1, ms2, idx in stats:
-        for j in range(j_max + 1):
-            for k in range(j + 1):
-                v1 = mp[k] / ms1[j] * 2.0 ** (-params.alpha1 * (k - j))
-                v2 = ms2[j] / mp[k] * 2.0 ** (-params.alpha2 * (j - k))
-                i1, i2 = int(np.argmax(v1)), int(np.argmax(v2))
-                if v1[i1] > best1.get(j, (-math.inf, None))[0]:
-                    best1[j] = (float(v1[i1]), (k, j, klev, shift, tuple(map(int, idx[i1]))))
-                if v2[i2] > best2.get(j, (-math.inf, None))[0]:
-                    best2[j] = (float(v2[i2]), (k, j, klev, shift, tuple(map(int, idx[i2]))))
+            mp, ms1, ms2 = (
+                [
+                    cube_power_means(t.level(kw).samples, g, klev, shift, r)[0]
+                    for kw in range(j_max + 1)
+                ]
+                for r in (t.p, -params.sigma1, params.sigma2)
+            )
+            for j in range(j_max + 1):
+                for k in range(j + 1):
+                    v1 = mp[k] / ms1[j] * 2.0 ** (-params.alpha1 * (k - j))
+                    v2 = ms2[j] / mp[k] * 2.0 ** (-params.alpha2 * (j - k))
+                    c1[j] = max(c1[j], float(v1.max()))
+                    c2[j] = max(c2[j], float(v2.max()))
 
     depths = sorted({max(1, j_max - 4), max(1, j_max - 2), j_max})
-    trace = []
-    for d in depths:
-        c1 = max(best1[j][0] for j in range(d + 1))
-        c2 = max(best2[j][0] for j in range(d + 1))
-        trace.append((d, c1, c2))
-    c1_final, c2_final = trace[-1][1], trace[-1][2]
-    arg1 = max((best1[j] for j in range(j_max + 1)), key=lambda x: x[0])[1]
-    arg2 = max((best2[j] for j in range(j_max + 1)), key=lambda x: x[0])[1]
-
+    trace = [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]
     v1 = _trace_verdict([c for _, c, _ in trace])
     v2 = _trace_verdict([c for _, _, c in trace])
     if FAIL in (v1, v2):
@@ -565,13 +560,12 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
         verdict = PASS
     else:
         verdict = INCONCLUSIVE
+    _, c1_final, c2_final = trace[-1]
     report = XClassReport(
         c1=c1_final,
         c2=c2_final,
         trace=trace,
         verdict=verdict,
-        argmax_c1=arg1,
-        argmax_c2=arg2,
         order_violation=params.order_violation,
     )
     return c1_final, c2_final, report

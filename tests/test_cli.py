@@ -333,3 +333,11 @@ def test_ap_at_depth_zero_still_runs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "error" not in err
     assert json.loads(out)["results"]["levels_scanned"] == [-3, 0]
+
+
+def test_dilate_zero_fixture_exits_2_naming_the_zero_norm(tmp_path, capsys):
+    config = {"grid": {"L": 8, "N": 1024}, "fixture": "zero", "space": {"K_max": 3}, "depth": 3}
+    path = write_config(tmp_path, "c.json", config)
+    assert main(["dilate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "PreconditionFailed" in err and "norm_before = 0" in err

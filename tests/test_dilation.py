@@ -3,7 +3,6 @@ import pytest
 
 from dilatest import fixtures
 from dilatest.dilation import (
-    DilationSetup,
     choose_i,
     compute_H,
     dilate,
@@ -30,7 +29,7 @@ def test_choose_i_examples():
     assert choose_i(3.0) == 2
     assert choose_i(2.0) == 2  # strict left inequality at exact powers
     assert choose_i(7.99) == 3
-    assert DilationSetup.for_lambda(5.0).i == 3
+    assert choose_i(5.0) == 3
 
 
 def test_dilate_identity():

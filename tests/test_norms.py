@@ -3,6 +3,7 @@ import pytest
 
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
+from dilatest.errors import InvalidExponent
 from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, WeightSequence
 
@@ -180,3 +181,11 @@ def test_star_norm_2d_smoke():
     sp = SpaceParams("F", 2.0, 2.0, 2, (0.5, 0.5), k_max=2)
     v = star_norm(f, t, sp)
     assert np.isfinite(v) and v > 0
+
+
+@pytest.mark.parametrize("norm", [diff_norm, star_norm])
+def test_weight_and_space_exponents_must_agree(norm):
+    f = fixtures.fixture("gaussian", 1, L, 512)
+    t = const_weights(p=3.0, n=512)
+    with pytest.raises(InvalidExponent, match=r"p = 3\.0.*p = 2\.0"):
+        norm(f, t, sp_of(p=2.0, k_max=3))

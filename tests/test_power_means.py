@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from dilatest.dyadic import Box, GridFunction, box_lp_average
-from dilatest.errors import InvalidExponent
+from dilatest.errors import EmptyIntersection, InvalidExponent
 from dilatest.weights import (
     SHIFT_FRACTIONS,
     Power,
     ShiftedPower,
+    WeightSequence,
+    XClassParams,
     a1_constant,
     ap_constant,
     conjugate,
     cube_power_means,
     scan_levels,
     weight_grid,
+    xclass_check,
 )
 
 
@@ -81,3 +84,61 @@ def test_ap_constant_falls_with_p_and_stays_below_a1(spec, dim, n):
         assert ap <= previous * (1 + 1e-12), (p, ap, previous)
         assert ap <= a1 * (1 + 1e-12), (p, ap, a1)
         previous = ap
+
+
+def _family_means(w: GridFunction, k, shift, r):
+    """M_{Q,r}(w) over every nonempty cube of the shifted level-k family, by cube position."""
+    side, L = 2.0**-k, w.halfwidth
+    m0 = math.floor(-L / side - shift) - 1
+    m1 = math.ceil(L / side - shift) + 1
+    out = {}
+    for m in np.ndindex(*(m1 - m0,) * w.dim):
+        lo = tuple((m0 + mi + shift) * side for mi in m)
+        try:
+            out[m] = _oracle(w, Box(lo, tuple(x + side for x in lo)), r)
+        except EmptyIntersection:
+            continue
+    return out
+
+
+def _xclass_oracle(t: WeightSequence, params: XClassParams, j_max):
+    """Per fine level j, the sups over k <= j and every cube of C1's and C2's ratios."""
+    c1, c2 = [0.0] * (j_max + 1), [0.0] * (j_max + 1)
+    for lev in scan_levels(t.grid, j_max):
+        for shift in SHIFT_FRACTIONS:
+            mp, ms1, ms2 = (
+                [_family_means(t.level(kw), lev, shift, r) for kw in range(j_max + 1)]
+                for r in (params.p, -params.sigma1, params.sigma2)
+            )
+            for j in range(j_max + 1):
+                for k in range(j + 1):
+                    gain1 = 2.0 ** (params.alpha1 * (j - k))
+                    gain2 = 2.0 ** (params.alpha2 * (k - j))
+                    for q in mp[k]:
+                        c1[j] = max(c1[j], mp[k][q] / ms1[j][q] * gain1)
+                        c2[j] = max(c2[j], ms2[j][q] / mp[k][q] * gain2)
+    return c1, c2
+
+
+@pytest.mark.parametrize(
+    "dim, halfwidth, n", [(1, 8.0, 128), (1, 3.0, 64), (2, 4.0, 16), (2, 3.0, 32)]
+)
+@pytest.mark.parametrize("sigma1, sigma2", [(0.7, 3.0), (math.inf, 3.0), (2.0, math.inf)])
+def test_xclass_check_matches_the_brute_force_oracle(dim, halfwidth, n, sigma1, sigma2):
+    # rough, level-dependent weights, so every (k, j) pairing and cube matters;
+    # L = 3 is not a power of two, so the families carry clipped edge cubes
+    rng = np.random.default_rng(5 + dim + n)
+    levels = [
+        GridFunction(dim, halfwidth, 2.0 ** (0.6 * k) * np.exp(0.7 * rng.normal(size=(n,) * dim)))
+        for k in range(4)
+    ]
+    p = 2.0
+    t = WeightSequence(levels, p)
+    params = XClassParams(alpha1=0.3, alpha2=0.9, sigma1=sigma1, sigma2=sigma2, p=p)
+    c1, c2, rep = xclass_check(t, params, depth=3)
+    o1, o2 = _xclass_oracle(t, params, 3)
+    assert [d for d, _, _ in rep.trace] == [1, 3]
+    for d, a, b in rep.trace:
+        assert a == pytest.approx(max(o1[: d + 1]), rel=1e-12), (d, "C1")
+        assert b == pytest.approx(max(o2[: d + 1]), rel=1e-12), (d, "C2")
+    assert (c1, c2) == rep.trace[-1][1:]

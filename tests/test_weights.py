@@ -235,6 +235,13 @@ def test_xclass_order_violation_must_fail():
     assert rep.verdict == FAIL
 
 
+def test_xclass_exponent_must_match_the_weight_sequence():
+    t = _geometric_sequence(0.5, k_max=3, p=2.0, n=256)
+    params = XClassParams(alpha1=0.5, alpha2=0.5, sigma1=2.0, sigma2=3.0, p=3.0)
+    with pytest.raises(InvalidExponent, match=r"p = 3\.0.*p = 2\.0"):
+        xclass_check(t, params, depth=3)
+
+
 def test_xclass_admissible_scalar_sequence():
     spec = AdmissibleSeq(1.0, 1.0, 0.5)
     t = WeightSequence.from_spec(spec, 2.0, 6, 1, L, 512)
