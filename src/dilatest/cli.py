@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import fixtures, regression
 from .dilation import summarize_dilation, verify_theorem
 from .dyadic import GridFunction
-from .errors import ConfigError, DilatestError, InvalidExponent
+from .errors import ConfigError, DilatestError, InvalidExponent, config_number
 from .lp_fourier import build_phi, fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
 from .norms import SpaceParams, diff_norm, star_norm
@@ -39,20 +39,6 @@ from .weights import (
 COMMANDS = ("norm", "ap", "xclass", "dilate", "maximal", "equiv")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
-
-
-def _number(value, where):
-    """Floats are accepted as numbers or the string 'inf'; NaN is rejected."""
-    if isinstance(value, str):
-        if value.lower() in ("inf", "+inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"{where}: expected a number or 'inf', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{where}: {value!r} is out of the float range") from None
 
 
 def _integer(value, where, minimum=None):
@@ -79,11 +65,11 @@ def _bounds(data):
     for key, value in _section(data, "bounds", {}).items():
         where = f"bounds.{key}"
         if key in ("fs", "weighted"):
-            out[key] = _number(value, where)
+            out[key] = config_number(value, where)
         elif key in ("star_diff", "fourier_diff"):
             if not isinstance(value, list) or len(value) != 2:
                 raise ConfigError(f"{where}: expected [lo, hi], got {value!r}")
-            lo, hi = (_number(v, where) for v in value)
+            lo, hi = (config_number(v, where) for v in value)
             if lo > hi:
                 raise ConfigError(f"{where}: lo = {lo} exceeds hi = {hi}")
             out[key] = [lo, hi]
@@ -121,7 +107,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
             f"invoked subcommand {command!r}"
         )
     grid = _section(data, "grid", {})
-    halfwidth = _number(grid.get("L", 8.0), "grid.L")
+    halfwidth = config_number(grid.get("L", 8.0), "grid.L")
     if (
         not 0 < halfwidth < math.inf
         or abs(math.log2(halfwidth) - round(math.log2(halfwidth))) > 1e-12
@@ -143,13 +129,15 @@ def parse_config(data: dict, command: str) -> RunConfig:
     try:
         space = SpaceParams(
             kind=s.get("kind", "B"),
-            p=_number(s.get("p", 2.0), "space.p"),
-            q=_number(s.get("q", 2.0), "space.q"),
+            p=config_number(s.get("p", 2.0), "space.p"),
+            q=config_number(s.get("q", 2.0), "space.q"),
             M=_integer(s.get("M", 2), "space.M", minimum=1),
-            alpha=tuple(_number(a, "space.alpha") for a in alpha),
-            theta=_number(s.get("theta", 1.0), "space.theta"),
+            alpha=tuple(config_number(a, "space.alpha") for a in alpha),
+            theta=config_number(s.get("theta", 1.0), "space.theta"),
             sigma2=(
-                _number(s["sigma2"], "space.sigma2") if s.get("sigma2") is not None else None
+                config_number(s["sigma2"], "space.sigma2")
+                if s.get("sigma2") is not None
+                else None
             ),
             k_max=_integer(k_max, "space.K_max", minimum=1),
         )
@@ -161,11 +149,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
             f"for grid (L={halfwidth}, N={resolution})"
         )
 
-    weights = _section(data, "weights", {"kind": "constant", "value": 1.0})
-    try:
-        weights = spec_from_dict(weights, dim)
-    except (LookupError, ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"weights: {exc}") from exc
+    weights = spec_from_dict(_section(data, "weights", {"kind": "constant", "value": 1.0}), dim)
 
     fixture_name = data.get("fixture", "gaussian")
     if fixture_name not in fixtures.fixture_names():
@@ -175,7 +159,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
     lam_list = data.get("lambda_list", [2.0, 4.0, 8.0])
     if not isinstance(lam_list, list) or not lam_list:
         raise ConfigError(f"lambda_list: expected a non-empty list, got {lam_list!r}")
-    lam_list = [_number(v, "lambda_list") for v in lam_list]
+    lam_list = [config_number(v, "lambda_list") for v in lam_list]
     if not all(1.0 <= v < math.inf for v in lam_list):
         raise ConfigError("lambda_list: dilation factors must be finite and >= 1")
     norm = data.get("norm", "diff")
@@ -196,7 +180,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
         seed=_integer(data.get("seed", 0), "seed", minimum=0),
         families=_integer(data.get("families", 20), "families", minimum=1),
         family_size=_integer(data.get("family_size", 6), "family_size", minimum=1),
-        sigma=_number(data.get("sigma", 0.5), "sigma"),
+        sigma=config_number(data.get("sigma", 0.5), "sigma"),
         bounds=_bounds(data),
     )
 

@@ -21,13 +21,13 @@ oracles. The fields share one engine, ``_node_sums``, which reduces
 |Delta_h^M f| over every window or cube of a level, one h-node at a time;
 each field sets only its reduction, normalization and extra flag. Nodes and
 grid are tensor products, so each stencil term f(x + mult*h) is a clamped
-linear shift along one axis after another (``GridFunction.axis_stencil``),
-with interp's float steps: the fields equal the point-by-point interpolation
-bit for bit, on any node spacing. The stencil point f(x + 0*h) does not
-depend on h and is shifted once per call. Each node's field is reduced on
-its own, because reducing the sum over nodes would move the round-off of the
-prefix sums; the kept-pair counts are integers, a product of per-axis
-counts, and are reduced once.
+linear shift along one axis after another (``GridFunction.axis_stencil``):
+interp's one rule, nested per-axis linear steps, so the fields equal the
+point-by-point interpolation bit for bit, on any node spacing. The stencil
+point f(x + 0*h) does not depend on h and is shifted once per call. Each
+node's field is reduced on its own, because reducing the sum over nodes
+would move the round-off of the prefix sums; the kept-pair counts are
+integers, a product of per-axis counts, and are reduced once.
 """
 
 import functools
@@ -69,10 +69,7 @@ def delta_m(f: GridFunction, order: int, h, x):
     h = np.asarray(h, dtype=float)
     out = 0.0
     for coeff, mult in difference_coefficients(order):
-        pts = x + mult * h
-        if not np.all(f.in_domain(pts)):
-            raise OutOfDomain("difference stencil leaves the sampled box")
-        out = out + coeff * f.interp(pts)
+        out = out + coeff * f.interp(x + mult * h)  # raises OutOfDomain off the box
     return out
 
 
@@ -166,33 +163,20 @@ def delta_avg_expanded(f: GridFunction, k: int, m, order: int) -> float:
 # -- vectorized fields ---------------------------------------------------------
 
 
-def _shift_terms(parts, i0, w):
-    """The two terms of each array's linear shift along its leading axis, one at a time.
-
-    Yields every lower term (1 - w) v[i0], then every upper term w v[i0 + 1],
-    with interp's product order. Leading-axis gathers copy whole rows.
-    """
-    w = np.reshape(w, (-1,) + (1,) * (parts[0].ndim - 1))
-    for idx, weight in ((i0, 1.0 - w), (i0 + 1, w)):
-        for v in parts:
-            t = v.take(idx, 0)
-            t *= weight
-            yield t
+def _shift(v, i0, w):
+    """interp's nested step along the leading axis: (1 - w) v[i0] + w v[i0 + 1] per row."""
+    w = np.reshape(w, (-1,) + (1,) * (v.ndim - 1))
+    out = v.take(i0, 0)
+    out *= 1.0 - w
+    hi = v.take(i0 + 1, 0)
+    hi *= w
+    out += hi
+    return out
 
 
-def _shift_axis(parts, i0, w, last):
-    """One stencil point's linear shift along the leading axis.
-
-    Before the last axis, returns the terms rotated so that the next axis
-    leads; on the last axis, their sum in interp's order.
-    """
-    terms = _shift_terms(parts, i0, w)
-    if not last:
-        return [np.ascontiguousarray(np.moveaxis(t, 0, -1)) for t in terms]
-    v = next(terms)
-    for t in terms:
-        v += t
-    return v
+def _lead_next(v):
+    """The array with its next axis leading, C-contiguous: gathers copy whole rows."""
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
 def _node_sums(f: GridFunction, k: int, order: int, reduce):
@@ -203,29 +187,24 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
     renormalized for the (x, h) pairs that left the box; a mask of entries
     that lost pairs; and ``reduce`` of ones, the cell count of each entry.
 
-    Nodes and grid are tensor products and each stencil shift is the same
-    for every point, so f(x + mult*h) is a clamped linear shift along each
-    axis in turn. The lower and upper terms of every axis stay apart until
-    the last axis adds them in interp's order, so the values match
-    multilinear interpolation bit for bit. Nodes run in row-major order and
-    a node recomputes only the axes from the first whose component changed:
-    the axis-0 shifts for h_0 serve every h_1. The stencil point mult = 0,
-    f(x + 0*h), is the same at every node, so it runs through the shift
-    chain once per call; it is not ``f.samples``, because a shift by zero
-    still interpolates when the float centers do not land on the grid.
+    Nodes run in row-major order and a node recomputes only the axes from
+    the first whose component changed: the axis-0 shifts for h_0 serve every
+    h_1. The stencil point mult = 0, shifted once per call, is not
+    ``f.samples``: a shift by zero still interpolates when the float centers
+    do not land on the grid.
     """
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
     # the last stencil point is mult = 0; the node loop shifts only the others
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
-    still = [f.samples]
+    i0, w, _ = f.axis_stencil([0.0])
+    still = f.samples
     for a in range(dim):
-        i0, w, _ = f.axis_stencil([0.0])
-        still = _shift_axis(still, i0[0], w[0], a + 1 == dim)
-    # moved[a][j]: the interpolation terms of f shifted by mults[j] * h along
-    # axes 0..a-1, stored with axis a leading; inside[a]: the axis-a factor of
-    # the in-domain mask shared by every stencil point
-    moved = [[[f.samples]] * (len(mults) - 1)] + [None] * (dim - 1)
+        still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
+    # moved[a][j]: f shifted by mults[j] * h along axes 0..a-1, stored with
+    # axis a leading; inside[a]: the axis-a factor of the in-domain mask
+    # shared by every stencil point
+    moved = [[f.samples] * (len(mults) - 1)] + [None] * (dim - 1)
     inside = [None] * dim
     count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
     num = 0.0
@@ -241,12 +220,12 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
             if a + 1 < dim:
                 moved[a + 1] = None  # release the previous shifts first
                 moved[a + 1] = [
-                    _shift_axis(parts, i0[j], w[j], False) for j, parts in enumerate(moved[a])
+                    _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
                 ]
                 continue
             acc = 0.0
-            for j, parts in enumerate(moved[a]):
-                v = _shift_axis(parts, i0[j], w[j], True)
+            for j, v in enumerate(moved[a]):
+                v = _shift(v, i0[j], w[j])
                 v *= coeffs[j]
                 acc = acc + v
             acc = acc + still * coeffs[-1]

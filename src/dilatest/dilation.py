@@ -26,7 +26,6 @@ from .errors import ClippingExcessive, PreconditionFailed, ResolutionExceeded
 from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
     FAIL,
-    GeometricLevel,
     WeightSequence,
     XClassParams,
     _eval,
@@ -161,9 +160,11 @@ def sobolev_sup_ratio(
 ) -> SobolevSupResult:
     """Probe sup_x w(x/lambda)/w(x) over domain-doubling stages.
 
-    Each stage doubles the box and deepens the zoom around the running
-    maxima; DIVERGENT is the FAIL branch of the scans' growth rule: the probed
-    supremum at least doubled across both of the last two stages.
+    w is the weight spec ``omega`` at level 0, which for a geometric spec is
+    exactly its base. Each stage doubles the box and deepens the zoom around
+    the running maxima; DIVERGENT is the FAIL branch of the scans' growth
+    rule: the probed supremum at least doubled across both of the last two
+    stages.
     """
     if lam <= 1.0:
         raise ValueError("the comparison needs lambda > 1")
@@ -193,12 +194,6 @@ class DilationReport:
     observed_c: float
     clipped_fraction: float = 0.0
     sobolev: SobolevSupResult = None
-
-
-def _comparison_weight(spec):
-    if isinstance(spec, GeometricLevel):
-        return spec.base
-    return spec
 
 
 def verify_theorem(
@@ -243,9 +238,7 @@ def verify_theorem(
         observed = after / (shape * base)
         sob = None
         if with_sobolev and lam > 1.0 and t.spec is not None:
-            sob = sobolev_sup_ratio(
-                _comparison_weight(t.spec), lam, f.halfwidth, dim=f.dim
-            )
+            sob = sobolev_sup_ratio(t.spec, lam, f.halfwidth, dim=f.dim)
         return DilationReport(
             lam=float(lam),
             i=choose_i(lam),

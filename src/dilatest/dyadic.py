@@ -9,6 +9,9 @@ Geometry conventions used throughout the package:
   singularities on dyadic hyperplanes are never sampled,
 * all integrals are midpoint sums over cells; boxes pick up the cells whose
   centers they contain, which is exact for boxes aligned with cell edges,
+* off-grid values follow one rule, nested per-axis linear steps (clamped):
+  ``interp`` on point clouds, ``axis_stencil`` for separable whole-grid
+  shifts, which therefore match ``interp`` bit for bit,
 * box reductions come in two kinds, each applied one axis at a time so the
   dimension is a loop bound: exact per-tile reductions over aligned tiles by
   reshape (``level_block_reduce``), and reductions over arbitrary index
@@ -40,10 +43,6 @@ class DyadicCube:
     @property
     def side(self):
         return 2.0 ** (-self.level)
-
-    @property
-    def corner(self):
-        return tuple(self.side * m for m in self.index)
 
 
 @dataclass(frozen=True)
@@ -213,19 +212,18 @@ class GridFunction:
         return i0, np.clip(u - i0, 0.0, 1.0)
 
     def _interp_clamped(self, pts):
-        """n-linear interpolation, clamped: corners with the first axis fastest,
-        each adding s[corner] * f_0 * f_1 * ... with f_a = 1 - w_a or w_a."""
+        """n-linear interpolation, clamped, as nested linear steps: the corner
+        values with the first axis fastest, then per axis a = 0, 1, ... each
+        (lower, upper) pair becomes lower * (1 - w_a) + upper * w_a."""
         i0, w = self._clamped_weights(point_layout(pts, self.dim))
         i0, w = np.moveaxis(i0, -1, 0), np.moveaxis(w, -1, 0)
-        factors = [(1 - wa, wa) for wa in w]
-        out = None
-        for corner in itertools.product((0, 1), repeat=self.dim):
-            corner = corner[::-1]
-            term = self.samples[tuple(i + c for i, c in zip(i0, corner))]
-            for fa, c in zip(factors, corner):
-                term = term * fa[c]
-            out = term if out is None else out + term
-        return out
+        vals = [
+            self.samples[tuple(i + c for i, c in zip(i0, corner[::-1]))]
+            for corner in itertools.product((0, 1), repeat=self.dim)
+        ]
+        for wa in w:
+            vals = [lo * (1 - wa) + hi * wa for lo, hi in zip(vals[::2], vals[1::2])]
+        return vals[0]
 
     def in_domain(self, pts):
         return np.all(np.abs(point_layout(pts, self.dim)) <= self.halfwidth, axis=-1)
@@ -259,7 +257,7 @@ class GridFunction:
         Row r of each returned array belongs to ``shifts[r]``: the lower
         neighbor index i0 and weight w of center x_j + shift, so that
         ``(1 - w) * v[i0] + w * v[i0 + 1]`` interpolates samples v along the
-        axis with the float steps of ``interp``, and the in-domain test
+        axis as one nested step of ``interp``, and the in-domain test
         |x_j + shift| <= L.
         """
         x = self.axis_centers() + np.reshape(shifts, (-1, 1))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config number reader."""
+
+import math
 
 
 class DilatestError(Exception):
@@ -47,3 +49,17 @@ class ConfigError(DilatestError):
 
 class ImaginaryResidue(DilatestError):
     """A band piece came back from the inverse FFT with a non-negligible imaginary part."""
+
+
+def config_number(value, where):
+    """A config float: a number or the string 'inf', else ConfigError naming ``where``."""
+    if isinstance(value, str):
+        if value.lower() in ("inf", "+inf", "infinity"):
+            return math.inf
+        raise ConfigError(f"{where}: expected a number or 'inf', got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: {value!r} is out of the float range") from None

@@ -52,7 +52,6 @@ class ResolutionOfUnity:
     halfwidth: float
     resolution: int
     k_max: int
-    profile: str = "exp"
     multipliers: list = field(default_factory=list)
     radial: np.ndarray = None
 
@@ -88,7 +87,6 @@ def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024, profile="exp") -> Re
         halfwidth=halfwidth,
         resolution=resolution,
         k_max=k_max,
-        profile=profile,
         multipliers=mults,
         radial=radial,
     )

@@ -127,8 +127,10 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p, details=False):
     the boundary fraction when details are requested).
     """
     r = int(round(1.0 / f.spacing))
-    if r < 1:
-        raise ResolutionExceeded("unit window needs spacing <= 1")
+    if r < 1 or abs(r * f.spacing - 1.0) > 1e-9:
+        raise ResolutionExceeded(
+            f"the unit window needs a whole number of cells, spacing {f.spacing:.3g}"
+        )
     cellw = f.spacing**f.dim
     win = window_sums(np.abs(f.samples), r) * cellw
     dens = t0.samples**p * win**p

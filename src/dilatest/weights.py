@@ -43,10 +43,12 @@ from .dyadic import (
     point_layout,
 )
 from .errors import (
+    ConfigError,
     InvalidExponent,
     MissingLevels,
     NonPositiveValue,
     ResolutionExceeded,
+    config_number,
 )
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
@@ -107,11 +109,14 @@ class ProductWeight:
 def eval_weight(spec, k, pts, dim=1):
     """Evaluate a weight spec at level k on points in the public layout.
 
-    Raises NonPositiveValue if any value underflows to zero or is non-finite;
+    Raises NonPositiveValue if any value underflows to zero, overflows, or is non-finite;
     grids are cell-centered so singular points are never hit by construction.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = _eval(spec, int(k), point_layout(pts, dim))
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = _eval(spec, int(k), point_layout(pts, dim))
+    except OverflowError:  # a level scalar 2**(k s) or (1+k)**b beyond the float range
+        raise NonPositiveValue(f"weight {spec!r} overflows at level {k}") from None
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise NonPositiveValue(f"weight {spec!r} not strictly positive at level {k}")
     return vals
@@ -595,32 +600,52 @@ def spec_to_dict(spec):
     raise TypeError(f"unknown weight spec {spec!r}")
 
 
-def spec_from_dict(d, dim=None):
-    """Weight spec from its dict form.
+def spec_from_dict(d, dim=None, where="weights"):
+    """Weight spec from its dict form, read as the CLI reads a config.
 
-    With ``dim`` given, a shifted-power center must be a number, a
-    one-element list, or exactly ``dim`` entries.
+    Numbers go through ``config_number``; ``dilated`` must be a boolean and
+    ``factors`` a non-empty list. With ``dim`` given, a shifted-power center
+    must be a number, a one-element list, or exactly ``dim`` entries. Raises
+    ConfigError naming the offending field, ``where`` being the path of d.
     """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
+
+    def entry(key, default=None):
+        if key not in d and default is None:
+            raise ConfigError(f"{where}.{key}: missing")
+        return d.get(key, default)
+
+    def number(key, default=None):
+        return config_number(entry(key, default), f"{where}.{key}")
+
     kind = d.get("kind")
     if kind == "constant":
-        return Constant(float(d["value"]))
+        return Constant(number("value"))
     if kind == "power":
-        return Power(float(d["beta"]))
+        return Power(number("beta"))
     if kind == "shifted_power":
-        center = d["center"]
-        center = tuple(float(c) for c in np.atleast_1d(center))
-        if dim is not None and len(center) not in (1, dim):
-            raise ValueError(
-                f"shifted_power.center: expected a number or a list of length 1 or "
-                f"grid.dim = {dim}, got {d['center']!r}"
-            )
-        return ShiftedPower(center if len(center) > 1 else center[0], float(d["delta"]))
+        center = entry("center")
+        center = center if isinstance(center, list) else [center]
+        center = tuple(config_number(c, f"{where}.center") for c in center)
+        if not center or (dim is not None and len(center) not in (1, dim)):
+            raise ConfigError(f"{where}.center: a shifted_power.center must be a number or a "
+                              f"list of length 1 or grid.dim = {dim}, got {d['center']!r}")
+        return ShiftedPower(center if len(center) > 1 else center[0], number("delta"))
     if kind == "geometric":
+        dilated = entry("dilated", False)
+        if not isinstance(dilated, bool):
+            raise ConfigError(f"{where}.dilated: expected true or false, got {dilated!r}")
         return GeometricLevel(
-            float(d["s"]), spec_from_dict(d["base"], dim), bool(d.get("dilated", False))
+            number("s"), spec_from_dict(entry("base"), dim, f"{where}.base"), dilated
         )
     if kind == "admissible_seq":
-        return AdmissibleSeq(float(d["s"]), float(d.get("b", 0.0)), float(d.get("c", 0.0)))
+        return AdmissibleSeq(number("s"), number("b", 0.0), number("c", 0.0))
     if kind == "product":
-        return ProductWeight(tuple(spec_from_dict(f, dim) for f in d["factors"]))
-    raise ValueError(f"unknown weight kind {kind!r}")
+        factors = entry("factors")
+        if not isinstance(factors, list) or not factors:
+            raise ConfigError(f"{where}.factors: expected a non-empty list, got {factors!r}")
+        return ProductWeight(
+            tuple(spec_from_dict(f, dim, f"{where}.factors[{i}]") for i, f in enumerate(factors))
+        )
+    raise ConfigError(f"{where}.kind: unknown weight kind {kind!r}")

@@ -341,3 +341,42 @@ def test_dilate_zero_fixture_exits_2_naming_the_zero_norm(tmp_path, capsys):
     assert main(["dilate", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "PreconditionFailed" in err and "norm_before = 0" in err
+
+
+_SMALL = {"grid": {"L": 8, "N": 256}, "space": {"K_max": 2}, "depth": 3}
+
+
+@pytest.mark.parametrize(
+    "weights, field",
+    [
+        # once read as dilated = true, beta = 1.0, beta = 0.5 and a ValueError traceback
+        ({"kind": "geometric", "s": 0.5, "base": {"kind": "power", "beta": 0.3},
+          "dilated": "false"}, "weights.dilated"),
+        ({"kind": "power", "beta": True}, "weights.beta"),
+        ({"kind": "power", "beta": "0.5"}, "weights.beta"),
+        ({"kind": "product", "factors": []}, "weights.factors"),
+        ({"kind": "product", "factors": [{"kind": "power", "beta": "x"}]},
+         "weights.factors[0].beta"),
+        ({"kind": "geometric", "s": 1.0, "base": {"kind": "constant"}}, "weights.base.value"),
+    ],
+)
+def test_malformed_weight_spec_exits_2_naming_its_field(tmp_path, capsys, weights, field):
+    config = write_config(tmp_path, "c.json", dict(_SMALL, weights=weights))
+    assert main(["xclass", "--config", config]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"kind": "admissible_seq", "s": 1e308},
+        {"kind": "admissible_seq", "s": 1.0, "b": 1e308},
+        {"kind": "geometric", "s": 1e308, "base": {"kind": "constant", "value": 1.0}},
+    ],
+)
+def test_overflowing_level_scalar_exits_2(tmp_path, capsys, weights):
+    # once an OverflowError traceback with exit 1, the FAIL code
+    config = write_config(tmp_path, "c.json", dict(_SMALL, weights=weights))
+    assert main(["xclass", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveValue" in err and "overflows at level 1" in err

@@ -181,10 +181,11 @@ def test_interp_identity_and_outside():
     assert mask.tolist() == [True, False] and vals[1] == 0.0
 
 
-def _reference_interp(f, pts):
+def _reference_interp(f, pts, corner_sum=False):
     """Linear (1-D) and bilinear (2-D) interpolation written out per dimension:
-    clamped lower index and weight per axis, the explicit corner sum, and the
-    box test per point."""
+    clamped lower index and weight per axis, then in 2-D the nested linear
+    steps, along x and then along y, or with ``corner_sum`` the explicit sum of
+    the four corner terms; and the box test per point."""
     pts = np.asarray(pts, dtype=float)
     n, dx, L = f.resolution, f.spacing, f.halfwidth
     u = (pts + L) / dx - 0.5
@@ -195,12 +196,17 @@ def _reference_interp(f, pts):
         return (1.0 - w) * s[i0] + w * s[i0 + 1], np.abs(pts) <= L
     ix, iy = i0[..., 0], i0[..., 1]
     wx, wy = w[..., 0], w[..., 1]
-    vals = (
-        s[ix, iy] * (1 - wx) * (1 - wy)
-        + s[ix + 1, iy] * wx * (1 - wy)
-        + s[ix, iy + 1] * (1 - wx) * wy
-        + s[ix + 1, iy + 1] * wx * wy
-    )
+    if corner_sum:
+        vals = (
+            s[ix, iy] * (1 - wx) * (1 - wy)
+            + s[ix + 1, iy] * wx * (1 - wy)
+            + s[ix, iy + 1] * (1 - wx) * wy
+            + s[ix + 1, iy + 1] * wx * wy
+        )
+    else:
+        below = s[ix, iy] * (1 - wx) + s[ix + 1, iy] * wx
+        above = s[ix, iy + 1] * (1 - wx) + s[ix + 1, iy + 1] * wx
+        vals = below * (1 - wy) + above * wy
     return vals, np.all(np.abs(pts) <= L, axis=-1)
 
 
@@ -224,6 +230,9 @@ def test_interp_matches_the_linear_and_bilinear_formulas_bit_for_bit(dim, n, L):
         else:
             with pytest.raises(OutOfDomain):
                 f.interp(pts)
+        # the corner-sum formula differs from the nested steps only in round-off
+        corners, _ = _reference_interp(f, pts, corner_sum=True)
+        assert np.max(np.abs(want - corners)) <= 1e-14 * np.max(np.abs(f.samples))
     assert not _reference_interp(f, outside)[1].all()
     point = inside[0, 0]  # a single point in the public layout
     assert np.array_equal(f.interp(point), _reference_interp(f, point)[0])

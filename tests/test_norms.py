@@ -3,7 +3,7 @@ import pytest
 
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
-from dilatest.errors import InvalidExponent
+from dilatest.errors import InvalidExponent, ResolutionExceeded
 from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, WeightSequence
 
@@ -38,6 +38,16 @@ def test_ltilde_constant_analytic():
     value, info = ltilde_norm(f, t0, 1.0, details=True)
     assert value == pytest.approx(4 * L - 1, rel=1e-12)
     assert info["boundary_mass"] == pytest.approx(3.0 / 31.0, rel=1e-9)
+
+
+def test_ltilde_rejects_a_unit_window_off_the_cell_edges():
+    # L = 3, N = 64: 1 / dx = 10.67 cells, once rounded to an 11-cell window of
+    # radius 1.03, so f = t0 = 1, p = 1 read 11.31 instead of 4L - 1 = 11
+    f = GridFunction(1, 3.0, np.ones(64))
+    with pytest.raises(ResolutionExceeded, match="unit window"):
+        ltilde_norm(f, f, 1.0)
+    g = GridFunction(1, 4.0, np.ones(64))  # 8 cells per unit: still exact
+    assert ltilde_norm(g, g, 1.0) == pytest.approx(4 * 4.0 - 1, rel=1e-12)
 
 
 def test_ltilde_weighted_gaussian_against_dense_oracle():
