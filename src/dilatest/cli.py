@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures, regression
 from .dilation import summarize_dilation, verify_theorem
-from .dyadic import GridFunction
+from .dyadic import GridFunction, finest_level
 from .errors import ConfigError, DilatestError, InvalidExponent, config_number
 from .lp_fourier import build_phi, fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
@@ -37,6 +37,7 @@ from .weights import (
 )
 
 COMMANDS = ("norm", "ap", "xclass", "dilate", "maximal", "equiv")
+WINDOW_COMMANDS = ("norm", "dilate", "equiv")  # the commands that build difference windows
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
 
@@ -121,8 +122,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError("grid.dim must be 1 or 2")
 
     s = _section(data, "space", {})
-    k_cap = int(math.floor(math.log2(resolution) - 1 - math.log2(halfwidth))) - 2
-    k_max = s.get("K_max", max(1, min(6, k_cap)))
+    window_cap = finest_level(halfwidth, resolution, min_cells=4)
+    k_max = s.get("K_max", max(1, min(6, window_cap)))
     alpha = s.get("alpha", [1.0, 1.0])
     if not isinstance(alpha, list) or len(alpha) != 2:
         raise ConfigError(f"space.alpha: expected two numbers, got {alpha!r}")
@@ -143,6 +144,9 @@ def parse_config(data: dict, command: str) -> RunConfig:
         )
     except InvalidExponent as exc:
         raise ConfigError(f"space: {exc}") from exc
+    # difference windows need 4 cells a side; the other commands read the
+    # K_max weight levels only, each as fine as the grid resolves
+    k_cap = window_cap if command in WINDOW_COMMANDS else finest_level(halfwidth, resolution)
     if space.k_max > k_cap:
         raise ConfigError(
             f"space.K_max = {space.k_max} exceeds the resolution cap {k_cap} "

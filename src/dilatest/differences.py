@@ -40,7 +40,7 @@ from .dyadic import (
     Box,
     DyadicCube,
     GridFunction,
-    axis_reduce,
+    box_reduce,
     expanded_cube,
     level_block_reduce,
     level_cell_count,
@@ -249,10 +249,7 @@ def delta_window_field(f: GridFunction, k: int, order: int):
     Returns (values, flagged) where flagged marks windows that were clipped at
     the domain edge or lost (x, h) pairs to the boundary.
     """
-    a = 2.0 ** (-k)
-    r = int(round(a / f.spacing))
-    if r < 1 or abs(r * f.spacing - a) > 1e-9 * a:
-        raise ResolutionExceeded(f"window level {k} below grid resolution")
+    r = level_cell_count(f, k)  # the window x + 2**-k (-1, 1)^n spans 2r cells per axis
     sums, lost, cells = _node_sums(f, k, order, lambda v: window_sums(v, r))
     clipped = ~np.isclose(cells, (2 * r) ** f.dim, rtol=1e-12)
     return 2.0 ** (2 * k * f.dim) * sums, lost | clipped
@@ -274,12 +271,6 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
     j = np.arange(level_cube_count(f, k))
     lo, hi = (j - 2) * c, (j + 3) * c
-
-    def expanded_sums(v):
-        for ax in range(f.dim):
-            v = axis_reduce(v, lo, hi, ax)
-        return v
-
-    sums, lost, cells = _node_sums(f, k, order, expanded_sums)
+    sums, lost, cells = _node_sums(f, k, order, lambda v: box_reduce(v, lo, hi))
     values = sums / (5.0 * 2.0 ** (-k)) ** (2 * f.dim)
     return values, lost | (cells < (5 * c) ** f.dim), level_first_index(f, k)

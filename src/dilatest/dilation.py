@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import GridFunction, level_block_reduce, tensor_points
-from .errors import ClippingExcessive, PreconditionFailed, ResolutionExceeded
+from .dyadic import GridFunction, level_block_reduce, level_cell_count, tensor_points
+from .errors import ClippingExcessive, PreconditionFailed
 from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
     FAIL,
@@ -55,15 +55,15 @@ def _boundary_density(f: GridFunction):
     return float(np.concatenate(faces).mean())
 
 
-def dilate(f: GridFunction, lam, clip_tol=0.01) -> GridFunction:
+def dilate(f: GridFunction, lam, clip_tol=0.01):
     """x -> f(lam * x) by multilinear interpolation; zero beyond the box.
 
     Points lam * x outside the box read values the grid never saw; they are
     set to zero, which is only valid when f has decayed by the box edge. The
     diagnostic extrapolates the boundary density of |f| over the zeroed
     region and raises ClippingExcessive when that witnessed mass exceeds
-    clip_tol of the dilated total; the fraction is stored on the result as
-    ``clipped_fraction``.
+    clip_tol of the dilated total. Returns (g, clipped_fraction): the dilated
+    function and that witnessed fraction.
     """
     if lam < 1.0:
         raise ValueError("dilation factor must be at least 1")
@@ -83,8 +83,7 @@ def dilate(f: GridFunction, lam, clip_tol=0.01) -> GridFunction:
             f"dilation by {lam} clips about {fraction:.2%} of the mass "
             "(the function has not decayed by the box edge)"
         )
-    g.clipped_fraction = fraction
-    return g
+    return g, fraction
 
 
 def compute_H(t: WeightSequence, lam, k_max) -> float:
@@ -93,8 +92,7 @@ def compute_H(t: WeightSequence, lam, k_max) -> float:
     if lam < 1.0:
         raise ValueError("dilation factor must be at least 1")
     g = t.grid
-    if 2.0 ** (-k_max) < g.spacing * (1 - 1e-12):
-        raise ResolutionExceeded(f"k_max = {k_max} below grid resolution")
+    level_cell_count(g, k_max)  # the level-k_max cubes must be whole cells
     pts = g.points()
     best = 0.0
     for ell in range(min(k_max, t.k_max) + 1):
@@ -231,7 +229,7 @@ def verify_theorem(
     n_over_p = f.dim / sp.p
 
     def entry(lam):
-        g = dilate(f, lam)
+        g, clipped = dilate(f, lam)
         after = norm_fn(g, t, sp)
         h_const = compute_H(t, lam, sp.k_max)
         shape = lam ** (sp.alpha[1] - n_over_p) * h_const
@@ -247,7 +245,7 @@ def verify_theorem(
             norm_after=after,
             bound_rhs_shape=shape,
             observed_c=observed,
-            clipped_fraction=g.clipped_fraction,
+            clipped_fraction=clipped,
             sobolev=sob,
         )
 

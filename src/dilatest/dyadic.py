@@ -12,10 +12,14 @@ Geometry conventions used throughout the package:
 * off-grid values follow one rule, nested per-axis linear steps (clamped):
   ``interp`` on point clouds, ``axis_stencil`` for separable whole-grid
   shifts, which therefore match ``interp`` bit for bit,
+* the levels a grid resolves follow one rule (``finest_level``), and a
+  level-k cube must span a whole number of cells (``level_cell_count``),
 * box reductions come in two kinds, each applied one axis at a time so the
   dimension is a loop bound: exact per-tile reductions over aligned tiles by
   reshape (``level_block_reduce``), and reductions over arbitrary index
-  ranges from prefix tables or ``reduceat`` (``axis_reduce``).
+  ranges from prefix tables or ``reduceat`` (``axis_reduce``, and
+  ``box_reduce`` for the same ranges along every axis),
+* the B and F aggregates over levels are one choice (``mixed_norm``).
 """
 
 import itertools
@@ -328,6 +332,12 @@ def cubes_covering(b: Box, k: int, spacing=None):
 # -- aligned-level fast paths -------------------------------------------------
 
 
+def finest_level(halfwidth, resolution, min_cells=1) -> int:
+    """Largest level k whose cube side 2**-k spans at least ``min_cells`` cells
+    of the ``resolution``-cell grid over [-halfwidth, halfwidth]."""
+    return math.floor(math.log2(resolution / (2.0 * halfwidth * min_cells)) + 1e-9)
+
+
 def level_cell_count(f: GridFunction, k: int) -> int:
     """Cells per axis inside one level-k cube; requires exact alignment."""
     c = 2.0 ** (-k) / f.spacing
@@ -417,6 +427,15 @@ def axis_reduce(values, lo, hi, axis, op="sum"):
     return np.where(_along(hi > lo, axis, v.ndim), out, empty)
 
 
+def box_reduce(values, lo, hi, op="sum"):
+    """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ...: ``axis_reduce``
+    with the same index ranges along every axis."""
+    out = np.asarray(values, dtype=float)
+    for ax in range(out.ndim):
+        out = axis_reduce(out, lo, hi, ax, op)
+    return out
+
+
 def running_max(values, radius, axis):
     """Max over the window [i - radius, i + radius] along one axis, clipped to the array.
 
@@ -489,3 +508,13 @@ def lp_of_lq(layers, p, q, cellw=1.0):
     for v in layers:
         agg = agg + np.abs(v) ** q
     return float(np.sum(agg ** (p / q)) * cellw) ** (1.0 / p)
+
+
+def mixed_norm(kind, layers, p, q, cellw=1.0):
+    """The kind-"B" aggregate ``lq_of_lp`` or the kind-"F" one ``lp_of_lq``.
+
+    Returns (value, per-level L_p norms); F has no per-level terms and gives [].
+    """
+    if kind == "B":
+        return lq_of_lp(layers, p, q, cellw)
+    return lp_of_lq(layers, p, q, cellw), []

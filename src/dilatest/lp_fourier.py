@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import GridFunction, lp_of_lq, lq_of_lp
+from .dyadic import GridFunction, mixed_norm
 from .errors import ImaginaryResidue, MissingLevels, NyquistExceeded
 from .weights import WeightSequence
 
@@ -130,10 +130,7 @@ def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity =
         raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {k_top}")
     pieces = lp_pieces(f, ru)
     layers = [t.level(k).samples * pieces[k].samples for k in range(k_top + 1)]
-    cellw = f.spacing**f.dim
-    if sp.kind == "B":
-        return lq_of_lp(layers, sp.p, sp.q, cellw)[0]
-    return lp_of_lq(layers, sp.p, sp.q, cellw)
+    return mixed_norm(sp.kind, layers, sp.p, sp.q, f.spacing**f.dim)[0]
 
 
 def classical_fourier_norm(f: GridFunction, s, p, q, kind="B", k_max=None, ru=None) -> float:
@@ -144,7 +141,4 @@ def classical_fourier_norm(f: GridFunction, s, p, q, kind="B", k_max=None, ru=No
     k_top = k_max if k_max is not None else ru.k_max
     pieces = lp_pieces(f, ru)
     layers = [2.0 ** (k * s) * pieces[k].samples for k in range(k_top + 1)]
-    cellw = f.spacing**f.dim
-    if kind == "B":
-        return lq_of_lp(layers, p, q, cellw)[0]
-    return lp_of_lq(layers, p, q, cellw)
+    return mixed_norm(kind, layers, p, q, f.spacing**f.dim)[0]

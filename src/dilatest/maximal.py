@@ -5,7 +5,7 @@ side is a power-of-two multiple of the grid spacing and which contains the
 evaluation point; cubes are clipped at the domain edge and averaged over the
 intersection. This family tracks the full maximal function to within a fixed
 dimensional factor, which the frozen regression bounds absorb. Box averages
-come from per-axis prefix sums (``axis_reduce``) and the per-point maxima
+come from per-axis prefix sums (``box_reduce``) and the per-point maxima
 from a per-axis running maximum built by window doubling (``running_max``),
 so the whole field costs O(N^n log^2 N) on N^n cells.
 """
@@ -14,27 +14,20 @@ import math
 
 import numpy as np
 
-from .dyadic import GridFunction, axis_reduce, lp_of_lq, running_max
+from .dyadic import GridFunction, box_reduce, lp_of_lq, running_max
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
-
-
-def _clamped_box_means(values, half_cells):
-    """Mean over the centered window of +-half_cells, clipped to the array."""
-    out = np.asarray(values, dtype=float)
-    for ax in range(out.ndim):
-        idx = np.arange(out.shape[ax])
-        out = axis_reduce(out, idx - half_cells, idx + half_cells + 1, ax, "mean")
-    return out
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
     """Maximal field: per point, the largest cube average of |f| around it."""
     absf = np.abs(f.samples)
     out = absf.copy()  # the singleton cell is the j = 0 member of the family
+    idx = np.arange(f.resolution)
     for j in range(1, int(math.log2(f.resolution)) + 1):
         half = 2 ** (j - 1)
-        local = _clamped_box_means(absf, half)
+        # means over the centered cubes of +-half cells, clipped to the grid
+        local = box_reduce(absf, idx - half, idx + half + 1, "mean")
         for ax in range(f.dim):
             local = running_max(local, half, ax)
         np.maximum(out, local, out=out)

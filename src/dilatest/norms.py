@@ -18,7 +18,7 @@ import numpy as np
 
 from .differences import delta_cube_field, delta_expanded_field, delta_window_field
 from .dyadic import (
-    GridFunction, level_block_reduce, level_cell_count, lp_of_lq, lq_of_lp, window_sums,
+    GridFunction, finest_level, level_block_reduce, level_cell_count, mixed_norm, window_sums,
 )
 from .errors import InvalidExponent, ResolutionExceeded
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
@@ -78,7 +78,7 @@ def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
         raise InvalidExponent(
             f"the weight sequence's p = {t.p} differs from the space's p = {sp.p}"
         )
-    if 2.0 ** (-sp.k_max) < 4.0 * f.spacing * (1 - 1e-12):
+    if sp.k_max > finest_level(f.halfwidth, f.resolution, min_cells=4):
         raise ResolutionExceeded(
             f"k_max = {sp.k_max} needs window side >= 4 cells "
             f"(spacing {f.spacing:.3g})"
@@ -103,10 +103,7 @@ def _aggregate_levels(sp: SpaceParams, zero, cellw, level, details):
         flagged_mass += float(np.sum(mass[flagged]))
         total_mass += float(np.sum(mass))
         layers.append(layer)
-    if sp.kind == "B":
-        main, level_terms = lq_of_lp(layers, sp.p, sp.q, cellw)
-    else:
-        main, level_terms = lp_of_lq(layers, sp.p, sp.q, cellw), []
+    main, level_terms = mixed_norm(sp.kind, layers, sp.p, sp.q, cellw)
     value = main + zero
     if not details:
         return value
@@ -175,15 +172,15 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
 
     def level(k):
         tkm, _ = cube_weight_norms_level(t, k)
-        if sp.kind == "B":
-            dc, flags, _ = delta_cube_field(f, k, sp.M)
-            per_cube = tkm * dc
-            return per_cube, flags, per_cube
-        de, flags, _ = delta_expanded_field(f, k, sp.M)
-        per_cube = 2.0 ** (k * n / p) * tkm * de
-        # every cell takes the value of the cube that owns it
-        per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
-        return per_cube, flags, per_cell
+        if sp.kind == "F":
+            de, flags, _ = delta_expanded_field(f, k, sp.M)
+            per_cube = 2.0 ** (k * n / p) * tkm * de
+            # every cell takes the value of the cube that owns it
+            per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
+            return per_cube, flags, per_cell
+        dc, flags, _ = delta_cube_field(f, k, sp.M)
+        per_cube = tkm * dc
+        return per_cube, flags, per_cube
 
     # B sums over cubes, each of measure one; F integrates over cells
     return _aggregate_levels(sp, zero, cellw if sp.kind == "F" else 1.0, level, details)

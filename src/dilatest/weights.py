@@ -36,8 +36,9 @@ import numpy as np
 from .dyadic import (
     DyadicCube,
     GridFunction,
-    axis_reduce,
+    box_reduce,
     cube_box,
+    finest_level,
     level_block_reduce,
     level_first_index,
     point_layout,
@@ -238,9 +239,8 @@ def sigma1_of(theta, p):
 def _family_axis(halfwidth, resolution, k, shift_frac):
     """Nonempty cubes of the shifted level-k tiling along one axis.
 
-    Returns (lo, hi, indices, boundary): cube indices[i] holds the cells
-    [lo[i], hi[i]) and boundary marks cubes clipped at the domain edge. The
-    arrays are cached per geometry, so they are read-only.
+    Returns (lo, hi, indices): cube indices[i] holds the cells [lo[i], hi[i]).
+    The arrays are cached per geometry, so they are read-only.
     """
     side = 2.0 ** (-k)
     off = shift_frac * side
@@ -253,8 +253,7 @@ def _family_axis(halfwidth, resolution, k, shift_frac):
     edges = np.ceil((lows + L) / dx - 0.5 - 1e-9).astype(np.int64)
     edges = np.clip(np.append(edges, n), 0, n)
     keep = edges[1:] > edges[:-1]
-    boundary = (lows < -L - 1e-12) | (lows + side > L + 1e-12)
-    out = edges[:-1][keep], edges[1:][keep], ms[keep], boundary[keep]
+    out = edges[:-1][keep], edges[1:][keep], ms[keep]
     for a in out:
         a.flags.writeable = False
     return out
@@ -263,44 +262,37 @@ def _family_axis(halfwidth, resolution, k, shift_frac):
 def family_cube_reduce(values, f: GridFunction, k, shift_frac, op="sum"):
     """Per-cube reduction over the (possibly shifted) level-k tiling.
 
-    Returns (reduced, counts, indices, boundary) with one entry per nonempty
-    cube, in C order of the cube grid; indices has one column per axis. The
-    reduction runs along one axis at a time.
+    Returns (reduced, counts, indices) with one entry per nonempty cube, in
+    C order of the cube grid; indices has one column per axis.
     """
-    lo, hi, ms, boundary = _family_axis(f.halfwidth, f.resolution, k, shift_frac)
-    red = np.asarray(values, dtype=float)
-    for ax in range(f.dim):
-        red = axis_reduce(red, lo, hi, ax, op)
-
-    def outer(ufunc, per_axis):
-        return functools.reduce(ufunc.outer, [per_axis] * f.dim).ravel()
-
+    lo, hi, ms = _family_axis(f.halfwidth, f.resolution, k, shift_frac)
+    red = box_reduce(values, lo, hi, op).ravel()
+    counts = functools.reduce(np.multiply.outer, [hi - lo] * f.dim).ravel()
     cubes = np.indices((len(lo),) * f.dim).reshape(f.dim, -1).T
-    return red.ravel(), outer(np.multiply, hi - lo), ms[cubes], outer(np.logical_or, boundary)
+    return red, counts, ms[cubes]
 
 
 def cube_power_means(samples, f: GridFunction, k, shift_frac, r):
     """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the shifted level-k family.
 
     Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
-    on the cube. Returns (means, indices, boundary) in the order of
-    ``family_cube_reduce``.
+    on the cube. Returns (means, indices) in the order of ``family_cube_reduce``.
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
     if math.isinf(r):
         op = "max" if r > 0 else "min"
-        means, _, idx, bdy = family_cube_reduce(samples, f, k, shift_frac, op=op)
-        return means, idx, bdy
-    sums, counts, idx, bdy = family_cube_reduce(samples**r, f, k, shift_frac)
+        means, _, idx = family_cube_reduce(samples, f, k, shift_frac, op=op)
+        return means, idx
+    sums, counts, idx = family_cube_reduce(samples**r, f, k, shift_frac)
     with np.errstate(divide="ignore"):  # an underflowed mean at r < 0 gives inf
-        return (sums / counts) ** (1.0 / r), idx, bdy
+        return (sums / counts) ** (1.0 / r), idx
 
 
 def scan_levels(f: GridFunction, depth):
     """Cube levels scanned: coarsest cube with side <= 2L down to the grid."""
     k_min = -int(math.floor(math.log2(f.halfwidth)))
-    cap = int(math.floor(math.log2(f.resolution / (2.0 * f.halfwidth)) + 1e-9))
+    cap = finest_level(f.halfwidth, f.resolution)
     if depth < k_min:
         raise ResolutionExceeded(
             f"depth = {depth} is below the coarsest cube level of this grid; "
@@ -364,7 +356,7 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, steps, factor) -> ApReport:
         best = -math.inf
         for k in levels:
             for shift in SHIFT_FRACTIONS:
-                mean, idx, _ = cube_power_means(g.samples, g, k, shift, 1.0)
+                mean, idx = cube_power_means(g.samples, g, k, shift, 1.0)
                 ratio = mean / cube_power_means(g.samples, g, k, shift, r)[0]
                 j = int(np.argmax(ratio))
                 if ratio[j] > best:

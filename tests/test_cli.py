@@ -2,11 +2,12 @@ import json
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
-from dilatest.errors import ConfigError
+from dilatest.errors import ConfigError, DilatestError
+from dilatest.weights import WeightSequence
 
 
 def write_config(tmp_path, name, data):
@@ -247,12 +248,14 @@ def test_shifted_power_center_forms_that_parse(dim, center, parsed):
     assert cfg.weights.base.center == parsed
 
 
+_SPEC_KEYS = ("kind", "value", "beta", "center", "delta", "s", "b", "c", "dilated", "factors")
 _PATHS = (
     ["grid", "space", "weights", "bounds", "weights.base", "command", "fixture",
      "lambda_list", "depth", "norm", "seed", "families", "family_size", "sigma"]
     + [f"grid.{key}" for key in ("L", "N", "dim")]
     + [f"space.{key}" for key in ("kind", "p", "q", "M", "alpha", "theta", "sigma2", "K_max")]
-    + [f"weights.{key}" for key in ("kind", "s", "center", "delta", "factors")]
+    + [f"weights.{key}" for key in _SPEC_KEYS]
+    + [f"weights.base.{key}" for key in _SPEC_KEYS]
     + [f"bounds.{key}" for key in ("fs", "weighted", "star_diff", "fourier_diff")]
 )
 _WORDS = ["inf", "abc", "B", "F", "constant", "power", "geometric", "shifted_power",
@@ -272,12 +275,26 @@ _values = st.recursive(
     | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3),
     max_leaves=6,
 )
+# whole weight specs: a known kind with a random subset of the spec fields
+_KINDS = ["constant", "power", "shifted_power", "geometric", "admissible_seq", "product"]
+_spec_fields = {key: _values for key in _SPEC_KEYS[1:]}
+_specs = st.recursive(
+    st.fixed_dictionaries({"kind": st.sampled_from(_KINDS)}, optional=_spec_fields),
+    lambda inner: st.fixed_dictionaries(
+        {"kind": st.sampled_from(_KINDS)},
+        optional=dict(_spec_fields, base=inner, factors=st.lists(inner, max_size=2)),
+    ),
+    max_leaves=4,
+)
 
 
 @st.composite
 def _configs(draw):
-    """A valid config with one to three of its fields overwritten at random."""
+    """A valid config, its weights maybe a random spec, with one to three of its
+    fields overwritten at random."""
     cfg = json.loads(json.dumps(BASE))
+    if draw(st.booleans()):
+        cfg["weights"] = draw(_specs)
     edits = draw(st.dictionaries(st.sampled_from(_PATHS), _values, min_size=1, max_size=3))
     for path, value in edits.items():
         _set(cfg, path, value)
@@ -286,6 +303,7 @@ def _configs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(config=_configs(), command=st.sampled_from(COMMANDS))
+@example(config=dict(BASE, weights={"kind": "product", "factors": []}), command="xclass")
 def test_parse_config_returns_config_or_config_error(config, command):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # alpha outside (0, M) only warns
@@ -294,6 +312,11 @@ def test_parse_config_returns_config_or_config_error(config, command):
         except ConfigError:
             return
     assert isinstance(cfg, RunConfig)
+    # a parsed weight spec builds its levels, or fails as a typed error
+    try:
+        WeightSequence.from_spec(cfg.weights, cfg.space.p, 1, cfg.dim, cfg.halfwidth, 32)
+    except DilatestError:
+        pass
 
 
 def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys):
@@ -380,3 +403,42 @@ def test_overflowing_level_scalar_exits_2(tmp_path, capsys, weights):
     assert main(["xclass", "--config", config]) == 2
     err = capsys.readouterr().err
     assert "NonPositiveValue" in err and "overflows at level 1" in err
+
+
+# ap, xclass and maximal on a grid too coarse for a 4-cell level-1 window
+_COARSE = {
+    "grid": {"L": 8, "N": 64},
+    "space": {"p": 2, "theta": 1.5},
+    "weights": {"kind": "geometric", "s": 0.5, "base": {"kind": "power", "beta": 0.3}},
+    "depth": 3,
+    "families": 1,
+    "family_size": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command, code, verdict", [("ap", 2, "INCONCLUSIVE"), ("xclass", 2, "INCONCLUSIVE"),
+                               ("maximal", 0, "PASS")],
+)
+def test_cube_commands_run_below_the_window_cap(tmp_path, capsys, command, code, verdict):
+    # none of them builds a K_max difference window; all once exited 2 on
+    # "space.K_max = 1 exceeds the resolution cap 0"
+    out = tmp_path / "r.json"
+    assert main([command, "--config", write_config(tmp_path, "c.json", _COARSE),
+                 "--out", str(out)]) == code
+    assert "error" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["verdicts"]["overall"] == verdict
+
+
+@pytest.mark.parametrize(
+    "command, k_max, cap",
+    [("norm", 1, 0), ("dilate", 1, 0), ("equiv", 1, 0), ("ap", 3, 2), ("xclass", 3, 2),
+     ("maximal", 3, 2)],
+)
+def test_k_max_above_the_command_cap_exits_2(tmp_path, capsys, command, k_max, cap):
+    # difference windows need 4 cells a side (K_max = 1 is the default here);
+    # the weight levels of the other commands need 1 cell
+    cfg = dict(_COARSE, space=dict(_COARSE["space"], K_max=k_max))
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: space.K_max = {k_max} exceeds the resolution cap {cap}" in err

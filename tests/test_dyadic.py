@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dilatest.dyadic import (
     cube_box,
     cubes_covering,
     expanded_cube,
+    finest_level,
     level_block_reduce,
     window_sums,
 )
@@ -104,6 +106,15 @@ def test_cubes_covering_examples():
 def test_cubes_covering_resolution_guard():
     with pytest.raises(ResolutionExceeded):
         cubes_covering(Box((0.0,), (1.0,)), 8, spacing=1 / 64)
+
+
+@pytest.mark.parametrize("halfwidth", [Fraction(1, 2), Fraction(4, 3), Fraction(3), Fraction(8)])
+@pytest.mark.parametrize("min_cells", [1, 4])
+def test_finest_level_matches_a_brute_force_search(halfwidth, min_cells):
+    for n in (2, 8, 32, 64, 256, 1024, 4096, 65536):
+        # the level-k side 2**-k spans N 2**-k / (2L) cells, in exact arithmetic
+        fits = [k for k in range(-20, 40) if Fraction(n) / (2 * halfwidth * 2**k) >= min_cells]
+        assert finest_level(float(halfwidth), n, min_cells) == max(fits), n
 
 
 def test_partition_measures():

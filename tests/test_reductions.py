@@ -125,7 +125,7 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
             if dim == 2:
                 blocks = [values[a:b, c:d] for a, b in cells for c, d in cells]
             for op in ("sum", "min", "max"):
-                red, counts, idx, _ = family_cube_reduce(values, f, k, shift, op)
+                red, counts, idx = family_cube_reduce(values, f, k, shift, op)
                 want = [getattr(np, op)(b) for b in blocks]
                 np.testing.assert_allclose(red, want, rtol=1e-12)
                 assert list(counts) == [b.size for b in blocks]
