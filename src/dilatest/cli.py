@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fixtures, regression
 from .dilation import summarize_dilation, verify_theorem
@@ -28,7 +28,6 @@ from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
     WeightSequence,
     XClassParams,
-    a1_constant,
     ap_constant,
     spec_from_dict,
     spec_to_dict,
@@ -81,21 +80,23 @@ def _bounds(data):
 
 @dataclass
 class RunConfig:
+    """A validated config; ``parse_config`` holds the defaults."""
+
     command: str
-    halfwidth: float = 8.0
-    resolution: int = 4096
-    dim: int = 1
-    space: SpaceParams = None
-    weights: object = None
-    fixture: str = "gaussian"
-    lambda_list: list = field(default_factory=lambda: [2.0, 4.0, 8.0])
-    depth: int = 6
-    norm: str = "diff"
-    seed: int = 0
-    families: int = 20
-    family_size: int = 6
-    sigma: float = 0.5
-    bounds: dict = field(default_factory=dict)
+    halfwidth: float
+    resolution: int
+    dim: int
+    space: SpaceParams
+    weights: object
+    fixture: str
+    lambda_list: list
+    depth: int
+    norm: str
+    seed: int
+    families: int
+    family_size: int
+    sigma: float
+    bounds: dict
 
 
 def parse_config(data: dict, command: str) -> RunConfig:
@@ -226,10 +227,7 @@ def _run_norm(cfg, threads=1):
 
 def _run_ap(cfg, threads=1):
     gamma = weight_grid(cfg.weights, 0, cfg.dim, cfg.halfwidth, cfg.resolution)
-    if cfg.space.p == 1.0:
-        rep = a1_constant(gamma, cfg.depth)
-    else:
-        rep = ap_constant(gamma, cfg.space.p, cfg.depth)
+    rep = ap_constant(gamma, cfg.space.p, cfg.depth)
     rows = [{"N": n, "constant": c, "verdict": rep.verdict} for n, c in rep.trace]
     results = {
         "rows": rows,
@@ -244,12 +242,12 @@ def _run_ap(cfg, threads=1):
 
 def _run_xclass(cfg, threads=1):
     t = _weight_sequence(cfg)
-    c1, c2, rep = xclass_check(t, XClassParams.from_space(cfg.space), cfg.depth)
+    rep = xclass_check(t, XClassParams.from_space(cfg.space), cfg.depth)
     rows = [{"depth": d, "C1": a, "C2": b} for d, a, b in rep.trace]
     results = {
         "rows": rows,
-        "C1": c1,
-        "C2": c2,
+        "C1": rep.c1,
+        "C2": rep.c2,
         "order_violation": rep.order_violation,
     }
     return results, {"overall": rep.verdict}
@@ -409,7 +407,6 @@ def run(cfg: RunConfig, threads=1) -> dict:
             "K_max": cfg.space.k_max,
             "depth": cfg.depth,
             "seed": cfg.seed,
-            "threads": threads,
         },
     }
     # wall clock goes to the console only: emitted artifacts must be

@@ -14,6 +14,10 @@ domain-doubling stages with a per-stage zoom budget that grows; a genuinely
 infinite supremum (a power-law blow-up anywhere in the doubled boxes) then
 shows up as >= 2x growth per stage and is reported as DIVERGENT, while
 finite suprema settle.
+
+The check's settings are fixed: a dilation may clip at most 1% of the
+witnessed mass, the probe runs three stages, and the lambda-independence
+verdict allows a max/median spread of observed_c up to 3.
 """
 
 import math
@@ -32,6 +36,9 @@ from .weights import (
     _trace_verdict,
     xclass_check,
 )
+
+_CLIP_TOL = 0.01  # largest witnessed share of mass that a dilation may clip
+_SPREAD_LIMIT = 3.0  # largest max/median of observed_c that still reads PASS
 
 
 def choose_i(lam) -> int:
@@ -55,14 +62,14 @@ def _boundary_density(f: GridFunction):
     return float(np.concatenate(faces).mean())
 
 
-def dilate(f: GridFunction, lam, clip_tol=0.01):
+def dilate(f: GridFunction, lam):
     """x -> f(lam * x) by multilinear interpolation; zero beyond the box.
 
     Points lam * x outside the box read values the grid never saw; they are
     set to zero, which is only valid when f has decayed by the box edge. The
     diagnostic extrapolates the boundary density of |f| over the zeroed
     region and raises ClippingExcessive when that witnessed mass exceeds
-    clip_tol of the dilated total. Returns (g, clipped_fraction): the dilated
+    1% of the dilated total. Returns (g, clipped_fraction): the dilated
     function and that witnessed fraction.
     """
     if lam < 1.0:
@@ -78,7 +85,7 @@ def dilate(f: GridFunction, lam, clip_tol=0.01):
     witnessed = _boundary_density(f) * zeroed
     retained = lam**-n * f.l1()
     fraction = witnessed / (retained + witnessed) if retained + witnessed > 0 else 0.0
-    if fraction > clip_tol:
+    if fraction > _CLIP_TOL:
         raise ClippingExcessive(
             f"dilation by {lam} clips about {fraction:.2%} of the mass "
             "(the function has not decayed by the box edge)"
@@ -116,9 +123,11 @@ class SobolevSupResult:
         return "DIVERGENT" if self.divergent else f"{self.value:.6g}"
 
 
-# the sup probe per dimension: lattice cells and zoom points per axis
+# the sup probe per dimension: lattice cells and zoom points per axis, and
+# its number of domain-doubling stages
 _SUP_LATTICE = {1: 4096, 2: 256}
 _SUP_ZOOM = {1: 65, 2: 17}
+_SUP_STAGES = 3
 
 
 def _ratio_values(omega, lam, pts):
@@ -153,10 +162,8 @@ def _stage_sup(omega, lam, lattice, dx, zoom, zoom_rounds):
     return best
 
 
-def sobolev_sup_ratio(
-    omega, lam, halfwidth, base_resolution=None, stages=3, dim=1
-) -> SobolevSupResult:
-    """Probe sup_x w(x/lambda)/w(x) over domain-doubling stages.
+def sobolev_sup_ratio(omega, lam, halfwidth, dim=1) -> SobolevSupResult:
+    """Probe sup_x w(x/lambda)/w(x) over three domain-doubling stages.
 
     w is the weight spec ``omega`` at level 0, which for a geometric spec is
     exactly its base. Each stage doubles the box and deepens the zoom around
@@ -166,13 +173,12 @@ def sobolev_sup_ratio(
     """
     if lam <= 1.0:
         raise ValueError("the comparison needs lambda > 1")
-    if base_resolution is None:
-        base_resolution = _SUP_LATTICE[dim]
+    cells = _SUP_LATTICE[dim]
     trace = []
-    for s in range(stages):
+    for s in range(_SUP_STAGES):
         box = halfwidth * 2.0**s
-        dx = 2.0 * box / base_resolution
-        axis = -box + (np.arange(base_resolution) + 0.5) * dx
+        dx = 2.0 * box / cells
+        axis = -box + (np.arange(cells) + 0.5) * dx
         lattice = tensor_points([axis] * dim)
         trace.append(_stage_sup(omega, lam, lattice, dx, _SUP_ZOOM[dim], 4 * (s + 1)))
     divergent = _trace_verdict(trace) == FAIL
@@ -201,7 +207,6 @@ def verify_theorem(
     lam_list,
     norm="diff",
     depth=None,
-    with_sobolev=True,
     threads=1,
 ):
     """Dilate f by every factor and compare the norm growth to the bound shape.
@@ -210,11 +215,12 @@ def verify_theorem(
     space parameters (FAIL raises PreconditionFailed) and f to have a nonzero
     norm (a zero norm raises PreconditionFailed). Returns one report per
     lambda, in lambda_list order; entries are independent jobs and run on a
-    thread pool when threads > 1. Use summarize_dilation for the
-    lambda-independence verdict.
+    thread pool when threads > 1. When the weights carry a closed form and
+    lambda > 1, a report also holds the probed sup_x w(x/lambda)/w(x). Use
+    summarize_dilation for the lambda-independence verdict.
     """
     params = XClassParams.from_space(sp)
-    _, _, xrep = xclass_check(t, params, depth if depth is not None else sp.k_max)
+    xrep = xclass_check(t, params, depth if depth is not None else sp.k_max)
     if xrep.verdict == FAIL:
         raise PreconditionFailed(
             f"weight sequence failed the class check: trace {xrep.trace}"
@@ -235,7 +241,7 @@ def verify_theorem(
         shape = lam ** (sp.alpha[1] - n_over_p) * h_const
         observed = after / (shape * base)
         sob = None
-        if with_sobolev and lam > 1.0 and t.spec is not None:
+        if lam > 1.0 and t.spec is not None:
             sob = sobolev_sup_ratio(t.spec, lam, f.halfwidth, dim=f.dim)
         return DilationReport(
             lam=float(lam),
@@ -257,8 +263,11 @@ def verify_theorem(
     return [entry(lam) for lam in lam_list]
 
 
-def summarize_dilation(reports, spread_limit=3.0):
-    """Lambda-independence verdict plus the measured log-log growth slope."""
+def summarize_dilation(reports):
+    """Lambda-independence verdict plus the measured log-log growth slope.
+
+    PASS when the largest observed_c is at most 3 times their median.
+    """
     cs = np.array([r.observed_c for r in reports], dtype=float)
     spread = float(np.max(cs) / np.median(cs))
     lams = np.array([r.lam for r in reports], dtype=float)
@@ -266,7 +275,7 @@ def summarize_dilation(reports, spread_limit=3.0):
     slope = float("nan")
     if len(reports) >= 2 and np.all(ratios > 0):
         slope = float(np.polyfit(np.log2(lams), np.log2(ratios), 1)[0])
-    verdict = "PASS" if spread <= spread_limit else "FAIL"
+    verdict = "PASS" if spread <= _SPREAD_LIMIT else "FAIL"
     return {
         "verdict": verdict,
         "spread": spread,

@@ -236,19 +236,17 @@ class GridFunction:
         """Multilinear interpolation at arbitrary points.
 
         ``outside`` picks the policy for points beyond [-L, L]^n: "raise"
-        (OutOfDomain), "zero", or "clamp" (nearest-edge value).
+        (OutOfDomain) or "clamp" (nearest-edge value); ``interp_masked``
+        sets them to zero.
         """
         vals = self._interp_clamped(pts)
         if outside == "clamp":
             return vals
-        mask = self.in_domain(pts)
-        if outside == "raise":
-            if not np.all(mask):
-                raise OutOfDomain("evaluation point outside the sampled box")
-            return vals
-        if outside == "zero":
-            return np.where(mask, vals, 0.0)
-        raise ValueError(f"unknown outside policy {outside!r}")
+        if outside != "raise":
+            raise ValueError(f"unknown outside policy {outside!r}")
+        if not np.all(self.in_domain(pts)):
+            raise OutOfDomain("evaluation point outside the sampled box")
+        return vals
 
     def interp_masked(self, pts):
         """(values-with-zeros, in-domain mask); used by quadratures that drop points."""

@@ -11,6 +11,8 @@ import numpy as np
 
 from .dyadic import GridFunction, point_layout
 
+_SMOOTH_TERMS = 4  # Gaussians in one random_smooth mixture
+
 # fixtures take points in the public layout (``point_layout``), the helpers (..., dim)
 
 
@@ -99,12 +101,12 @@ def fixture(name, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
     )
 
 
-def random_smooth(seed, dim=1, halfwidth=8.0, resolution=1024, terms=4) -> GridFunction:
-    """Seeded mixture of Gaussians, decaying well inside the box."""
+def random_smooth(seed, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
+    """Seeded mixture of four Gaussians, decaying well inside the box."""
     rng = np.random.default_rng(seed)
-    amps = rng.uniform(0.3, 1.0, size=terms)
-    centers = rng.uniform(-halfwidth / 4, halfwidth / 4, size=(terms, dim))
-    widths = rng.uniform(0.4, 1.5, size=terms)
+    amps = rng.uniform(0.3, 1.0, size=_SMOOTH_TERMS)
+    centers = rng.uniform(-halfwidth / 4, halfwidth / 4, size=(_SMOOTH_TERMS, dim))
+    widths = rng.uniform(0.4, 1.5, size=_SMOOTH_TERMS)
 
     def fn(pts):
         out = 0.0

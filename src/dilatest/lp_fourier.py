@@ -18,30 +18,19 @@ from .errors import ImaginaryResidue, MissingLevels, NyquistExceeded
 from .weights import WeightSequence
 
 
-def _transition(name):
+def _profile(r):
     """C-infinity decreasing profile: exactly 1 on r<=1, exactly 0 on r>=3/2."""
 
-    def e1(t):
+    def e(t):
         out = np.zeros_like(t)
         pos = t > 0
         out[pos] = np.exp(-1.0 / t[pos])
         return out
 
-    def e2(t):
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = np.exp(-1.0 / t[pos] ** 2)
-        return out
-
-    e = {"exp": e1, "exp2": e2}[name]
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        a = e(3.0 - 2.0 * r)
-        b = e(2.0 * r - 2.0)
-        return a / (a + b)
-
-    return profile
+    r = np.asarray(r, dtype=float)
+    a = e(3.0 - 2.0 * r)
+    b = e(2.0 * r - 2.0)
+    return a / (a + b)
 
 
 @dataclass
@@ -60,12 +49,7 @@ def nyquist_frequency(halfwidth, resolution):
     return math.pi * resolution / (2.0 * halfwidth)
 
 
-def default_k_max(halfwidth, resolution):
-    """Deepest band whose support sits fully below the grid Nyquist."""
-    return int(math.floor(math.log2(nyquist_frequency(halfwidth, resolution) / 3.0))) + 1
-
-
-def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024, profile="exp") -> ResolutionOfUnity:
+def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024) -> ResolutionOfUnity:
     """Evaluate the dyadic resolution of unity on the DFT lattice."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -78,10 +62,9 @@ def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024, profile="exp") -> Re
     dx = 2.0 * halfwidth / resolution
     omega = 2.0 * math.pi * np.fft.fftfreq(resolution, d=dx)
     radial = np.sqrt(functools.reduce(np.add.outer, [omega * omega] * dim))
-    psi = _transition(profile)
-    mults = [psi(radial)]
+    mults = [_profile(radial)]
     for k in range(1, k_max + 1):
-        mults.append(psi(radial * 2.0**-k) - psi(radial * 2.0 ** (1 - k)))
+        mults.append(_profile(radial * 2.0**-k) - _profile(radial * 2.0 ** (1 - k)))
     return ResolutionOfUnity(
         dim=dim,
         halfwidth=halfwidth,
@@ -131,14 +114,3 @@ def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity =
     pieces = lp_pieces(f, ru)
     layers = [t.level(k).samples * pieces[k].samples for k in range(k_top + 1)]
     return mixed_norm(sp.kind, layers, sp.p, sp.q, f.spacing**f.dim)[0]
-
-
-def classical_fourier_norm(f: GridFunction, s, p, q, kind="B", k_max=None, ru=None) -> float:
-    """Unweighted smoothness-s norm: level factors 2**(k s) hardcoded."""
-    if ru is None:
-        k_max = default_k_max(f.halfwidth, f.resolution) if k_max is None else k_max
-        ru = build_phi(k_max, f.dim, f.halfwidth, f.resolution)
-    k_top = k_max if k_max is not None else ru.k_max
-    pieces = lp_pieces(f, ru)
-    layers = [2.0 ** (k * s) * pieces[k].samples for k in range(k_top + 1)]
-    return mixed_norm(kind, layers, p, q, f.spacing**f.dim)[0]

@@ -9,7 +9,6 @@ where flagged terms carry more than 20% of the total mass are marked
 unreliable.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -117,11 +116,10 @@ def _aggregate_levels(sp: SpaceParams, zero, cellw, level, details):
     }
 
 
-def ltilde_norm(f: GridFunction, t0: GridFunction, p, details=False):
+def ltilde_norm(f: GridFunction, t0: GridFunction, p):
     """Zero-order term: L_p norm of the unit-window L_1 means against t0^p.
 
-    Windows within distance 1 of the boundary are clipped (and reported in
-    the boundary fraction when details are requested).
+    Windows within distance 1 of the boundary are clipped.
     """
     r = int(round(1.0 / f.spacing))
     if r < 1 or abs(r * f.spacing - 1.0) > 1e-9:
@@ -131,14 +129,7 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p, details=False):
     cellw = f.spacing**f.dim
     win = window_sums(np.abs(f.samples), r) * cellw
     dens = t0.samples**p * win**p
-    total = float(np.sum(dens) * cellw)
-    value = total ** (1.0 / p)
-    if not details:
-        return value
-    c = np.abs(f.axis_centers()) <= f.halfwidth - 1.0
-    interior = functools.reduce(np.logical_and.outer, [c] * f.dim)
-    clipped = float(np.sum(dens[~interior]) * cellw)
-    return value, {"boundary_mass": clipped / total if total > 0 else 0.0}
+    return float(np.sum(dens) * cellw) ** (1.0 / p)
 
 
 def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):

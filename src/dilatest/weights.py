@@ -17,8 +17,9 @@ Every cube condition is a ratio of power means
 M_{Q,r}(w) = (mean_Q w**r)**(1/r), with M_{Q,inf} = max_Q w and
 M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
 
-* A_p:  [w]_{A_p} = sup_Q M_{Q,1}(w) / M_{Q,-p'/p}(w),
-* A_1:  [w]_{A_1} = sup_Q M_{Q,1}(w) / M_{Q,-inf}(w),
+* A_p:  [w]_{A_p} = sup_Q M_{Q,1}(w) / M_{Q,-p'/p}(w) for p > 1, and at
+        p = 1 its limit r = -p'/p -> -inf, the A_1 ratio
+        sup_Q M_{Q,1}(w) / M_{Q,-inf}(w),
 * C1:   sup over k <= j of M_{Q,p}(t_k) / M_{Q,-sigma1}(t_j) * 2**(alpha1 (j-k)),
 * C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
 
@@ -57,8 +58,8 @@ PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 _GROWTH = 2.0 * (1.0 - 1e-9)  # robust against exact powers of two
 _PLATEAU = 0.10
 SHIFT_FRACTIONS = (0.0, 1.0 / 3.0, 2.0 / 3.0)
-_STAGE_FLOOR = 32  # coarsest resolution of an A_p / A_1 refinement stage
-_SUBSET_MIN_SIDE = {1: 8, 2: 4}  # smallest random cube side, in cells, by dimension
+_STAGE_FLOOR = 32  # coarsest resolution of an A_p refinement stage
+_STAGES = 3  # refinement stages of an A_p scan, the finest at the grid's resolution
 
 
 # -- weight construction DSL ---------------------------------------------------
@@ -277,6 +278,8 @@ def cube_power_means(samples, f: GridFunction, k, shift_frac, r):
 
     Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
     on the cube. Returns (means, indices) in the order of ``family_cube_reduce``.
+    Raises NonPositiveValue when a power sum of w**r leaves the float range; a
+    sum that underflows to 0 at r < 0 gives the mean inf.
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
@@ -284,7 +287,12 @@ def cube_power_means(samples, f: GridFunction, k, shift_frac, r):
         op = "max" if r > 0 else "min"
         means, _, idx = family_cube_reduce(samples, f, k, shift_frac, op=op)
         return means, idx
-    sums, counts, idx = family_cube_reduce(samples**r, f, k, shift_frac)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, counts, idx = family_cube_reduce(samples**r, f, k, shift_frac)
+    if not np.all(np.isfinite(sums)):
+        raise NonPositiveValue(
+            f"the cube sums of w**r at r = {r} overflow the float range at level {k}"
+        )
     with np.errstate(divide="ignore"):  # an underflowed mean at r < 0 gives inf
         return (sums / counts) ** (1.0 / r), idx
 
@@ -332,18 +340,18 @@ class ApReport:
     verdict: str
 
 
-def _resolution_trace(n, steps=3, factor=8):
+def _resolution_trace(n, factor):
     out = []
-    for i in reversed(range(steps)):
+    for i in reversed(range(_STAGES)):
         r = n // factor**i
         if r >= _STAGE_FLOOR and r not in out:
             out.append(r)
     return out
 
 
-def _mean_ratio_scan(gamma: GridFunction, r, depth, steps, factor) -> ApReport:
+def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
     """sup_Q M_{Q,1}(w) / M_{Q,r}(w) over the cube family, at refining resolutions."""
-    stages = _resolution_trace(gamma.resolution, steps, factor)
+    stages = _resolution_trace(gamma.resolution, factor)
     if not stages:
         raise ResolutionExceeded(
             f"the cube scan needs at least {_STAGE_FLOOR} cells per axis, "
@@ -375,75 +383,17 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, steps, factor) -> ApReport:
     )
 
 
-def ap_constant(gamma: GridFunction, p, depth=6, trace_steps=3, trace_factor=8) -> ApReport:
-    """Estimate the Muckenhoupt constant sup_Q M_{Q,1}(g) / M_{Q,-p'/p}(g)."""
-    if p <= 1.0:
-        raise InvalidExponent("the cube condition needs p > 1")
-    return _mean_ratio_scan(gamma, -conjugate(p) / p, depth, trace_steps, trace_factor)
+def ap_constant(gamma: GridFunction, p, depth=6, trace_factor=8) -> ApReport:
+    """Estimate the Muckenhoupt constant sup_Q M_{Q,1}(g) / M_{Q,-p'/p}(g).
 
-
-def a1_constant(gamma: GridFunction, depth=6, trace_steps=3, trace_factor=8) -> ApReport:
-    """Estimate sup_Q M_{Q,1}(g) / M_{Q,-inf}(g) = sup_Q mean_Q g / min_Q g."""
-    return _mean_ratio_scan(gamma, -math.inf, depth, trace_steps, trace_factor)
-
-
-def weight_pow(gamma: GridFunction, exponent) -> GridFunction:
-    ev = None
-    if gamma.evaluator is not None:
-        base = gamma.evaluator
-        ev = lambda pts: np.asarray(base(pts), dtype=float) ** exponent
-    return gamma.with_samples(gamma.samples**exponent, evaluator=ev)
-
-
-def ap_properties_check(gamma: GridFunction, p, lam, depth=5, seed=0) -> dict:
-    """Empirical checks of the standard A_p stability properties.
-
-    Covers: (monotone) membership at a larger exponent, (duality) the
-    conjugate weight g**(1-p'), (subset) the measure-ratio inequality over
-    random cube/subset pairs, and (dilation) g(lam * x). Returns the worst
-    observed ratios and scan verdicts.
+    p = 1 takes the limit r = -inf of -p'/p, the A_1 ratio sup_Q mean_Q g / min_Q g.
+    The scan runs at up to three resolutions, each ``trace_factor`` times finer
+    than the last and the finest the grid's own; stages below 32 cells are dropped.
     """
-    if p <= 1.0:
-        raise InvalidExponent("properties check needs p > 1")
-    base = ap_constant(gamma, p, depth)
-    bigger = ap_constant(gamma, p + 1.0, depth)
-    pc = conjugate(p)
-    dual = ap_constant(weight_pow(gamma, 1.0 - pc), pc, depth)
-
-    # measure-ratio inequality over random (Q, E subset Q) pairs
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    n, dim = gamma.resolution, gamma.dim
-    min_side = _SUBSET_MIN_SIDE[dim]
-    samples = np.abs(gamma.samples)
-    for _ in range(200):
-        w = int(rng.integers(min_side, max(min_side + 1, n // 4)))
-        block = samples[tuple(slice(i, i + w) for i in rng.integers(0, n - w, size=dim))]
-        e_w = int(rng.integers(1, w))
-        sub = block[tuple(slice(i, i + e_w) for i in rng.integers(0, w - e_w + 1, size=dim))]
-        frac = (e_w / w) ** dim
-        ratio = frac ** (p - 1.0) * block.mean() / sub.mean()
-        worst = max(worst, float(ratio))
-
-    if gamma.evaluator is not None:
-        dilated = GridFunction.from_callable(
-            lambda pts: np.asarray(gamma.evaluator(np.asarray(pts) * lam), dtype=float),
-            gamma.dim,
-            gamma.halfwidth,
-            gamma.resolution,
-        )
-    else:
-        dilated = gamma.with_samples(gamma.interp(gamma.points() * lam, outside="clamp"))
-    dil = ap_constant(dilated, p, depth)
-
-    return {
-        "base": base,
-        "monotone": bigger,
-        "duality": dual,
-        "subset_worst_ratio": worst,
-        "dilation": dil,
-        "lambda": lam,
-    }
+    if not p >= 1.0:
+        raise InvalidExponent(f"the cube condition needs p >= 1, got p = {p}")
+    r = -math.inf if p == 1.0 else -conjugate(p) / p
+    return _mean_ratio_scan(gamma, r, depth, trace_factor)
 
 
 # -- weight-sequence cube norms ---------------------------------------------------
@@ -512,7 +462,7 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
     M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). Each fine level j keeps
     its running sup over k <= j and every scanned cube; the refinement trace
     reads the sup over j <= d at growing depths d and the verdict follows the
-    plateau/growth heuristic. Returns (C1, C2, report).
+    plateau/growth heuristic. Returns the report, which holds C1 and C2.
     """
     if depth < 1:
         raise MissingLevels(
@@ -558,14 +508,13 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
     else:
         verdict = INCONCLUSIVE
     _, c1_final, c2_final = trace[-1]
-    report = XClassReport(
+    return XClassReport(
         c1=c1_final,
         c2=c2_final,
         trace=trace,
         verdict=verdict,
         order_violation=params.order_violation,
     )
-    return c1_final, c2_final, report
 
 
 # -- serialization (CLI config schema) ----------------------------------------------

@@ -109,8 +109,8 @@ def test_xclass_2d_exact_geometric():
         GeometricLevel(0.5, Constant(1.0)), 2.0, 3, 2, HW, 64
     )
     params = XClassParams(alpha1=0.5, alpha2=0.5, sigma1=2.0, sigma2=2.0, p=2.0)
-    c1, c2, rep = xclass_check(t, params, depth=3)
-    assert 0.99 <= c1 <= 1.01 and 0.99 <= c2 <= 1.01
+    rep = xclass_check(t, params, depth=3)
+    assert 0.99 <= rep.c1 <= 1.01 and 0.99 <= rep.c2 <= 1.01
     assert rep.verdict == "PASS"
 
 

@@ -14,7 +14,7 @@ from dilatest import fixtures, regression
 from dilatest.differences import delta_avg_cube, delta_avg_window, delta_m
 from dilatest.dilation import compute_H, sobolev_sup_ratio, summarize_dilation, verify_theorem
 from dilatest.dyadic import Box, GridFunction
-from dilatest.lp_fourier import build_phi, fourier_norm, lp_pieces, _transition
+from dilatest.lp_fourier import _profile, build_phi, fourier_norm, lp_pieces
 from dilatest.maximal import fs_inequality_ratio, weighted_maximal_ratio
 from dilatest.norms import SpaceParams, diff_norm, star_norm
 from dilatest.weights import (
@@ -44,7 +44,7 @@ def test_criterion_1_classical_dilation_scaling():
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (1.0, 1.0), k_max=6)
         reports = verify_theorem(
-            f, t, sp, [2.0, 4.0, 8.0, 16.0], norm="diff", with_sobolev=False
+            f, t, sp, [2.0, 4.0, 8.0, 16.0], norm="diff"
         )
         slopes[kind] = summarize_dilation(reports)["slope"]
     elapsed = time.monotonic() - started
@@ -92,8 +92,8 @@ def test_criterion_4_lambda_independence_of_c():
     t = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 2.0, 6, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), theta=1.0, k_max=6)
     params = XClassParams(sp.alpha[0], sp.alpha[1], sp.sigma1, sp.sigma2, sp.p)
-    _, _, xrep = xclass_check(t, params, 6)
-    reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0], with_sobolev=False)
+    xrep = xclass_check(t, params, 6)
+    reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0])
     spread = summarize_dilation(reports)["spread"]
     ok = xrep.verdict == "PASS" and spread <= 3.0
     _verdict(
@@ -121,19 +121,19 @@ def test_criterion_6_xclass_exactness():
     s = 0.7
     t = WeightSequence.from_spec(GeometricLevel(s, Constant(1.0)), 2.0, 6, 1, L, 512)
     good = XClassParams(alpha1=s, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    c1, c2, rep_good = xclass_check(t, good, depth=6)
+    rep_good = xclass_check(t, good, depth=6)
     bad = XClassParams(alpha1=s, alpha2=s - 1.0, sigma1=2.0, sigma2=2.0, p=2.0)
-    _, _, rep_bad = xclass_check(t, bad, depth=6)
+    rep_bad = xclass_check(t, bad, depth=6)
     ok = (
-        0.99 <= c1 <= 1.01
-        and 0.99 <= c2 <= 1.01
+        0.99 <= rep_good.c1 <= 1.01
+        and 0.99 <= rep_good.c2 <= 1.01
         and rep_good.verdict == "PASS"
         and rep_bad.verdict == "FAIL"
     )
     _verdict(
         6,
         ok,
-        f"alpha=s: C1={c1:.6f}, C2={c2:.6f} ({rep_good.verdict}); "
+        f"alpha=s: C1={rep_good.c1:.6f}, C2={rep_good.c2:.6f} ({rep_good.verdict}); "
         f"alpha2=s-1: {rep_bad.verdict}",
     )
 
@@ -171,12 +171,11 @@ def test_criterion_7_difference_identities():
 
 def test_criterion_8_littlewood_paley_telescoping():
     ru = build_phi(6, 1, L, N)
-    prof = _transition("exp")
     worst = 0.0
     partial = np.zeros_like(ru.multipliers[0])
     for k in range(7):
         partial = partial + ru.multipliers[k]
-        worst = max(worst, float(np.max(np.abs(partial - prof(ru.radial * 2.0**-k)))))
+        worst = max(worst, float(np.max(np.abs(partial - _profile(ru.radial * 2.0**-k)))))
 
     f = GridFunction.from_callable(
         lambda x: np.cos(math.pi * x / 4.0) + 0.3 * np.sin(math.pi * x / 2.0), 1, L, N

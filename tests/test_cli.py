@@ -442,3 +442,27 @@ def test_k_max_above_the_command_cap_exits_2(tmp_path, capsys, command, k_max, c
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert f"config error: space.K_max = {k_max} exceeds the resolution cap {cap}" in err
+
+
+def test_ap_with_an_overflowing_power_sum_exits_2_naming_r(tmp_path, capsys):
+    # at p = 1.001 the scan needs w**r at r = -1000; once the prefix tables
+    # turned the overflow into nan and the artifact read "constant": "-inf"
+    cfg = dict(_COARSE, grid={"L": 8, "N": 512}, space={"p": 1.001},
+               weights={"kind": "power", "beta": 0.3}, depth=4)
+    out = tmp_path / "r.json"
+    assert main(["ap", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveValue" in err and "w**r at r = -1000.0" in err and not out.exists()
+
+
+def test_maximal_at_theta_equal_to_p_runs_the_a1_scan(tmp_path, capsys):
+    # theta = p asks for levelwise A_1 weights; once exited 2 on "the cube
+    # condition needs p > 1"
+    cfg = dict(_COARSE, grid={"L": 8, "N": 512}, families=2, family_size=6,
+               space={"p": 2, "q": 2, "theta": 2, "alpha": [0.5, 0.5], "K_max": 3})
+    out = tmp_path / "r.json"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["maximal", "--config", path, "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["results"]["theta"] == 2.0 and report["verdicts"]["overall"] == "PASS"

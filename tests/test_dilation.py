@@ -127,7 +127,7 @@ def test_verify_theorem_identity_lambda():
     f = fixtures.fixture("gaussian", 1, L, N)
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
-    (rep,) = verify_theorem(f, t, sp, [1.0], with_sobolev=False)
+    (rep,) = verify_theorem(f, t, sp, [1.0])
     assert rep.H == pytest.approx(1.0, rel=1e-14)
     assert rep.observed_c == pytest.approx(1.0, rel=1e-12)
 
@@ -136,7 +136,7 @@ def test_verify_theorem_classical_slope():
     f = fixtures.fixture("gaussian", 1, L, N)
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
-    reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0], with_sobolev=False)
+    reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0])
     summary = summarize_dilation(reports)
     assert summary["verdict"] == "PASS"
     assert summary["slope"] == pytest.approx(0.5, abs=0.1)
@@ -146,7 +146,7 @@ def test_verify_theorem_power_weight_lambda_independence():
     f = fixtures.fixture("gaussian", 1, L, N)
     t = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 2.0, 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), theta=1.0, k_max=5)
-    reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0], with_sobolev=False)
+    reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0])
     assert summarize_dilation(reports)["spread"] <= 3.0
     # without the H correction the bound shape alone is not lambda-stable
     naive = [r.observed_c * r.H for r in reports]
@@ -160,7 +160,7 @@ def test_verify_theorem_precondition():
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 3, (2.5, 2.5), k_max=5)  # alpha above the rate
     with pytest.raises(PreconditionFailed):
-        verify_theorem(f, t, sp, [2.0], with_sobolev=False)
+        verify_theorem(f, t, sp, [2.0])
 
 
 def test_verify_theorem_report_carries_sobolev():

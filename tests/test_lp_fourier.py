@@ -5,24 +5,12 @@ import pytest
 
 from dilatest.dyadic import GridFunction
 from dilatest.errors import DilatestError, ImaginaryResidue, MissingLevels, NyquistExceeded
-from dilatest.lp_fourier import (
-    build_phi,
-    classical_fourier_norm,
-    default_k_max,
-    fourier_norm,
-    lp_pieces,
-    nyquist_frequency,
-)
+from dilatest.dyadic import mixed_norm
+from dilatest.lp_fourier import _profile, build_phi, fourier_norm, lp_pieces
 from dilatest.norms import SpaceParams
 from dilatest.weights import Constant, GeometricLevel, WeightSequence
 
 L, N = 8.0, 1024
-
-
-def test_default_k_max_fits_nyquist():
-    k = default_k_max(L, N)
-    assert 3 * 2 ** (k - 1) <= nyquist_frequency(L, N)
-    assert 3 * 2**k > nyquist_frequency(L, N)
 
 
 def test_profile_plateaus():
@@ -53,16 +41,13 @@ def test_telescoping_identity_everywhere():
     ru = build_phi(6, 1, L, N)
     psi = ru.multipliers[0]
     partial = np.zeros_like(psi)
-    from dilatest.lp_fourier import _transition
-
-    prof = _transition("exp")
     for k in range(7):
         partial = partial + ru.multipliers[k]
-        expected = prof(ru.radial * 2.0**-k)
+        expected = _profile(ru.radial * 2.0**-k)
         assert np.max(np.abs(partial - expected)) < 1e-12
     # at |xi| = 1 the telescoped sum is exactly 1 for every truncation
     j = int(np.argmin(np.abs(ru.radial - 1.0)))
-    assert prof(np.array([ru.radial[j] * 2.0**-6]))[0] == 1.0
+    assert _profile(np.array([ru.radial[j] * 2.0**-6]))[0] == 1.0
 
 
 def test_nyquist_guard():
@@ -144,6 +129,12 @@ def test_fourier_norm_monotone_in_smoothness():
     assert fourier_norm(f, t2, sp2) > fourier_norm(f, t1, sp)
 
 
+def _classical_fourier_norm(f, s, kind, ru):
+    """Unweighted smoothness-s norm, p = q = 2, with the level factors 2**(k s) written out."""
+    layers = [2.0 ** (k * s) * piece.samples for k, piece in enumerate(lp_pieces(f, ru))]
+    return mixed_norm(kind, layers, 2.0, 2.0, f.spacing**f.dim)[0]
+
+
 def test_generic_weight_path_matches_hardcoded_path():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)) * np.cos(x), 1, L, N)
     s = 0.5
@@ -152,7 +143,7 @@ def test_generic_weight_path_matches_hardcoded_path():
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (s, s), k_max=5)
         generic = fourier_norm(f, t, sp, ru)
-        hard = classical_fourier_norm(f, s, 2.0, 2.0, kind, k_max=5, ru=ru)
+        hard = _classical_fourier_norm(f, s, kind, ru)
         assert generic == pytest.approx(hard, rel=1e-12)
 
 
@@ -176,8 +167,19 @@ def test_two_admissible_profiles_agree_within_bounded_ratio():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)), 1, L, N)
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
-    a = fourier_norm(f, t, sp, build_phi(5, 1, L, N, profile="exp"))
-    b = fourier_norm(f, t, sp, build_phi(5, 1, L, N, profile="exp2"))
+    ru = build_phi(5, 1, L, N)
+    a = fourier_norm(f, t, sp, ru)
+
+    def steeper(r):
+        # the package's profile with exp(-1/t**2) in place of exp(-1/t)
+        up, down = np.zeros_like(r), np.zeros_like(r)
+        for out, u in ((up, 3.0 - 2.0 * r), (down, 2.0 * r - 2.0)):
+            out[u > 0] = np.exp(-1.0 / u[u > 0] ** 2)
+        return up / (up + down)
+
+    psi = [steeper(ru.radial * 2.0**-k) for k in range(6)]
+    ru.multipliers = [psi[0]] + [psi[k] - psi[k - 1] for k in range(1, 6)]
+    b = fourier_norm(f, t, sp, ru)
     assert 0.5 < a / b < 2.0
 
 

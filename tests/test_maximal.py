@@ -159,6 +159,14 @@ def test_weighted_ratio_power_weight():
     assert 1.0 <= r < 10.0
 
 
+def test_weighted_ratio_at_theta_equal_to_p_is_finite():
+    # p / theta = 1: the levelwise precondition is the A_1 scan
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 2.0, 3, 1, L, 512)
+    fam = [fixtures.random_smooth(s, 1, L, 512) for s in range(3)]
+    r = weighted_maximal_ratio(fam, t, 2.0, 2.0, 2.0)
+    assert math.isfinite(r) and r >= 1.0
+
+
 def test_weighted_ratio_precondition():
     # |x|^1.2 fails the scan at exponent p/theta = 4/3
     t = WeightSequence.from_spec(GeometricLevel(0.5, Power(1.2)), 2.0, 3, 1, L, 4096)

@@ -31,13 +31,10 @@ def test_ltilde_zero():
 
 
 def test_ltilde_constant_analytic():
-    # f = t0 = 1, p = 1: integral of |window cap domain| over the box is 4L-1,
-    # of which 2*(2L-2) comes from unclipped windows
+    # f = t0 = 1, p = 1: integral of |window cap domain| over the box is 4L-1
     f = GridFunction.from_callable(lambda x: np.ones_like(x), 1, L, N)
     t0 = const_weights(p=1.0).level(0)
-    value, info = ltilde_norm(f, t0, 1.0, details=True)
-    assert value == pytest.approx(4 * L - 1, rel=1e-12)
-    assert info["boundary_mass"] == pytest.approx(3.0 / 31.0, rel=1e-9)
+    assert ltilde_norm(f, t0, 1.0) == pytest.approx(4 * L - 1, rel=1e-12)
 
 
 def test_ltilde_rejects_a_unit_window_off_the_cell_edges():

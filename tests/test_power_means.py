@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from dilatest.dyadic import Box, GridFunction, box_lp_average
-from dilatest.errors import EmptyIntersection, InvalidExponent
+from dilatest.errors import EmptyIntersection, InvalidExponent, NonPositiveValue
 from dilatest.weights import (
     SHIFT_FRACTIONS,
     Power,
     ShiftedPower,
     WeightSequence,
     XClassParams,
-    a1_constant,
     ap_constant,
     conjugate,
     cube_power_means,
@@ -65,6 +64,23 @@ def test_cube_power_means_reject_r_zero():
 
 
 @pytest.mark.parametrize(
+    "value, r",
+    [(0.25, -1000.0), (10.0, 308.0)],  # w**r itself overflows; each w**r fits but a sum does not
+)
+def test_cube_power_means_raise_when_a_power_sum_leaves_the_float_range(value, r):
+    w = GridFunction(1, 4.0, np.full(64, value))
+    with pytest.raises(NonPositiveValue, match=f"r = {r}"):
+        cube_power_means(w.samples, w, 0, 0.0, r)
+
+
+def test_cube_power_means_of_an_underflowed_sum_are_inf():
+    # at r < 0 a huge weight's w**r underflows to 0, and the mean is inf
+    w = GridFunction(1, 4.0, np.full(64, 1e200))
+    means, _ = cube_power_means(w.samples, w, 0, 0.0, -2.0)
+    assert np.all(means == math.inf)
+
+
+@pytest.mark.parametrize(
     "spec, dim, n",
     [
         (Power(0.5), 1, 1024),
@@ -78,7 +94,7 @@ def test_ap_constant_falls_with_p_and_stays_below_a1(spec, dim, n):
     # M_{Q,r} grows with r, so M_{Q,1} / M_{Q,-1/(p-1)} falls as p grows and
     # never exceeds M_{Q,1} / M_{Q,-inf}
     g = weight_grid(spec, 0, dim, 4.0, n)
-    a1 = a1_constant(g, depth=5).constant
+    a1 = ap_constant(g, 1.0, depth=5).constant
     previous = math.inf
     for p in (1.05, 1.5, 2.0, 3.0):
         ap = ap_constant(g, p, depth=5).constant
@@ -136,10 +152,10 @@ def test_xclass_check_matches_the_brute_force_oracle(dim, halfwidth, n, sigma1, 
     p = 2.0
     t = WeightSequence(levels, p)
     params = XClassParams(alpha1=0.3, alpha2=0.9, sigma1=sigma1, sigma2=sigma2, p=p)
-    c1, c2, rep = xclass_check(t, params, depth=3)
+    rep = xclass_check(t, params, depth=3)
     o1, o2 = _xclass_oracle(t, params, 3)
     assert [d for d, _, _ in rep.trace] == [1, 3]
     for d, a, b in rep.trace:
         assert a == pytest.approx(max(o1[: d + 1]), rel=1e-12), (d, "C1")
         assert b == pytest.approx(max(o2[: d + 1]), rel=1e-12), (d, "C2")
-    assert (c1, c2) == rep.trace[-1][1:]
+    assert (rep.c1, rep.c2) == rep.trace[-1][1:]

@@ -13,6 +13,7 @@ from dilatest.errors import (
 from dilatest.weights import (
     FAIL,
     PASS,
+    SHIFT_FRACTIONS,
     AdmissibleSeq,
     Constant,
     GeometricLevel,
@@ -21,20 +22,35 @@ from dilatest.weights import (
     ShiftedPower,
     WeightSequence,
     XClassParams,
-    a1_constant,
     ap_constant,
-    ap_properties_check,
     conjugate,
+    cube_power_means,
     cube_weight_norm,
     eval_weight,
     sigma1_of,
     spec_from_dict,
     spec_to_dict,
     weight_grid,
+    scan_levels,
     xclass_check,
 )
 
 L, N = 8.0, 4096
+
+
+def _subset_worst_ratio(gamma: GridFunction, p, seed=0):
+    """Largest (|E|/|Q|)**(p-1) mean_Q w / mean_E w over 200 random 1-D cell ranges E in Q;
+    an A_p weight keeps it at most [w]_{A_p}."""
+    rng = np.random.default_rng(seed)
+    worst, n = 0.0, gamma.resolution
+    for _ in range(200):
+        w = int(rng.integers(8, n // 4))
+        i = int(rng.integers(0, n - w))
+        e = int(rng.integers(1, w))
+        j = i + int(rng.integers(0, w - e + 1))
+        ratio = gamma.samples[i : i + w].mean() / gamma.samples[j : j + e].mean()
+        worst = max(worst, (e / w) ** (p - 1.0) * ratio)
+    return worst
 
 
 def test_conjugate_and_sigma1():
@@ -125,8 +141,9 @@ def test_ap_monotone_in_depth():
 
 def test_ap_invalid_exponent():
     g = weight_grid(Constant(1.0), 0, 1, L, 256)
-    with pytest.raises(InvalidExponent):
-        ap_constant(g, 1.0, depth=2)
+    for p in (0.5, math.nan):
+        with pytest.raises(InvalidExponent):
+            ap_constant(g, p, depth=2)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -136,34 +153,66 @@ def test_scans_below_the_stage_floor_raise_resolution_exceeded(dim):
     with pytest.raises(ResolutionExceeded, match="32 cells"):
         ap_constant(g, 2.0)
     with pytest.raises(ResolutionExceeded, match="32 cells"):
-        a1_constant(g)
+        ap_constant(g, 1.0)
     one_stage = GridFunction(dim, 4.0, np.ones((32,) * dim))
     assert [res for res, _ in ap_constant(one_stage, 2.0).trace] == [32]
 
 
 def test_a1_constant_cases():
+    # p = 1 is the A_1 ratio sup_Q mean_Q w / min_Q w
     g = GridFunction.from_callable(lambda x: np.full_like(x, 2.5), 1, L, 512)
-    assert a1_constant(g, depth=4).constant == pytest.approx(1.0)
-    rep = a1_constant(weight_grid(Power(-0.5), 0, 1, L, N), depth=6)
+    assert ap_constant(g, 1.0, depth=4).constant == pytest.approx(1.0)
+    rep = ap_constant(weight_grid(Power(-0.5), 0, 1, L, N), 1.0, depth=6)
     assert rep.verdict == PASS
-    rep = a1_constant(weight_grid(Power(1.0), 0, 1, L, N), depth=6)
+    rep = ap_constant(weight_grid(Power(1.0), 0, 1, L, N), 1.0, depth=6)
     assert rep.verdict == FAIL
 
 
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 128)])
+def test_a1_constant_is_the_mean_over_min_scan(dim, n):
+    # the A_1 scan written out: per stage of at least 32 cells, the largest
+    # mean / min over the scanned cubes, compared bit for bit
+    g = weight_grid(ShiftedPower(0.5, -0.3), 0, dim, 4.0, n)
+    want = []
+    for gr in (g.resample(res) for res in (n // 64, n // 8, n) if res >= 32):
+        ratios = [
+            cube_power_means(gr.samples, gr, k, shift, 1.0)[0]
+            / cube_power_means(gr.samples, gr, k, shift, -math.inf)[0]
+            for k in scan_levels(gr, 4)
+            for shift in SHIFT_FRACTIONS
+        ]
+        want.append((gr.resolution, max(float(np.max(r)) for r in ratios)))
+    assert ap_constant(g, 1.0, depth=4).trace == want
+
+
 def test_ap_properties_check():
-    rep = ap_properties_check(
-        GridFunction.from_callable(lambda x: np.ones_like(x), 1, L, 512), 2.0, 4.0
-    )
-    assert rep["base"].constant == 1.0
-    assert rep["subset_worst_ratio"] <= 1.0 + 1e-12
+    ones = GridFunction.from_callable(lambda x: np.ones_like(x), 1, L, 512)
+    assert ap_constant(ones, 2.0, 5).constant == 1.0
+    assert _subset_worst_ratio(ones, 2.0) <= 1.0 + 1e-12
 
     g = weight_grid(Power(0.5), 0, 1, L, N)
-    rep = ap_properties_check(g, 2.0, 4.0, depth=5)
+    base = ap_constant(g, 2.0, 5)
     # dilating a homogeneous weight rescales it, so the cube products agree
-    assert rep["dilation"].constant == pytest.approx(rep["base"].constant, rel=1e-12)
-    # conjugate weight |x|^{-1/2} sits in the dual class with a finite plateau
-    assert rep["duality"].verdict == PASS
-    assert rep["monotone"].verdict == PASS
+    dilated = GridFunction.from_callable(lambda x: g.evaluator(4.0 * x), 1, L, N)
+    assert ap_constant(dilated, 2.0, 5).constant == pytest.approx(base.constant, rel=1e-12)
+    # A_p sits inside A_(p+1), with a constant no larger
+    bigger = ap_constant(g, 3.0, 5)
+    assert bigger.verdict == PASS and bigger.constant <= base.constant * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 128)])
+@pytest.mark.parametrize("beta", [0.5, -0.3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_ap_duality_is_an_exact_identity(dim, n, beta, p):
+    # per cube, the A_p' ratio of w**(1 - p') is the A_p ratio of w to the
+    # power p' - 1, so the sups agree at every stage (Grafakos, GTM 249, ch. 7)
+    g = weight_grid(Power(beta), 0, dim, L, n)
+    pc = conjugate(p)
+    sigma = g.with_samples(g.samples ** (1.0 - pc), lambda x: g.evaluator(x) ** (1.0 - pc))
+    base, dual = ap_constant(g, p, depth=4), ap_constant(sigma, pc, depth=4)
+    assert [res for res, _ in dual.trace] == [res for res, _ in base.trace]
+    for (_, d), (_, b) in zip(dual.trace, base.trace):
+        assert d == pytest.approx(b ** (pc - 1.0), rel=1e-12)
 
 
 def test_cube_weight_norm_examples():
@@ -189,8 +238,8 @@ def test_xclass_exact_geometric():
     s = 0.5
     t = _geometric_sequence(s)
     params = XClassParams(alpha1=s, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    c1, c2, rep = xclass_check(t, params, depth=6)
-    assert 0.99 <= c1 <= 1.01 and 0.99 <= c2 <= 1.01
+    rep = xclass_check(t, params, depth=6)
+    assert 0.99 <= rep.c1 <= 1.01 and 0.99 <= rep.c2 <= 1.01
     assert rep.verdict == PASS
 
 
@@ -200,18 +249,18 @@ def test_xclass_alpha1_above_growth_fails():
     s = 1.0
     t = _geometric_sequence(s)
     params = XClassParams(alpha1=s + 0.5, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    c1, _, rep = xclass_check(t, params, depth=6)
+    rep = xclass_check(t, params, depth=6)
     assert rep.verdict == FAIL
-    assert c1 == pytest.approx(2.0 ** (0.5 * 6), rel=1e-9)
+    assert rep.c1 == pytest.approx(2.0 ** (0.5 * 6), rel=1e-9)
 
 
 def test_xclass_alpha2_below_growth_fails():
     s = 1.0
     t = _geometric_sequence(s)
     params = XClassParams(alpha1=s, alpha2=s - 1.0, sigma1=2.0, sigma2=2.0, p=2.0)
-    _, c2, rep = xclass_check(t, params, depth=6)
+    rep = xclass_check(t, params, depth=6)
     assert rep.verdict == FAIL
-    assert c2 == pytest.approx(2.0**6, rel=1e-9)
+    assert rep.c2 == pytest.approx(2.0**6, rel=1e-9)
 
 
 def test_xclass_x_dependence_cancels_in_c2():
@@ -221,8 +270,8 @@ def test_xclass_x_dependence_cancels_in_c2():
     t_flat = _geometric_sequence(s)
     t_wx = _geometric_sequence(s, base=Power(0.3), n=1024)
     params = XClassParams(alpha1=s, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    _, c2_flat, _ = xclass_check(t_flat, params, depth=5)
-    _, c2_wx, _ = xclass_check(t_wx, params, depth=5)
+    c2_flat = xclass_check(t_flat, params, depth=5).c2
+    c2_wx = xclass_check(t_wx, params, depth=5).c2
     assert c2_wx == pytest.approx(c2_flat, rel=1e-9)
 
 
@@ -231,7 +280,7 @@ def test_xclass_order_violation_must_fail():
     t = _geometric_sequence(1.0)
     params = XClassParams(alpha1=1.5, alpha2=0.5, sigma1=2.0, sigma2=2.0, p=2.0)
     assert params.order_violation
-    _, _, rep = xclass_check(t, params, depth=6)
+    rep = xclass_check(t, params, depth=6)
     assert rep.verdict == FAIL
 
 
@@ -249,6 +298,6 @@ def test_xclass_admissible_scalar_sequence():
     params = XClassParams(
         alpha1=1.0 - eps, alpha2=1.0 + eps, sigma1=2.0, sigma2=2.0, p=2.0
     )
-    c1, c2, rep = xclass_check(t, params, depth=6)
+    rep = xclass_check(t, params, depth=6)
     assert rep.verdict == PASS
-    assert c1 <= 1.0 + 1e-9 and c2 < 10.0
+    assert rep.c1 <= 1.0 + 1e-9 and rep.c2 < 10.0
