@@ -194,7 +194,8 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
     do not land on the grid.
     """
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
-    # the last stencil point is mult = 0; the node loop shifts only the others
+    # the last stencil point is mult = 0; the node loop shifts and tests only
+    # the others, since every unshifted center lies in the box
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
     i0, w, _ = f.axis_stencil([0.0])
@@ -213,7 +214,7 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
         first = next(a for a in range(dim) if node[a] != last[a])
         last = node
         for a in range(first, dim):
-            i0, w, ok = f.axis_stencil(np.multiply(mults, axis_nodes[node[a]]))
+            i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], axis_nodes[node[a]]))
             inside[a] = np.logical_and.reduce(ok)
             if a == 0:
                 count = count + inside[0]

@@ -17,8 +17,13 @@ Geometry conventions used throughout the package:
 * box reductions come in two kinds, each applied one axis at a time so the
   dimension is a loop bound: exact per-tile reductions over aligned tiles by
   reshape (``level_block_reduce``), and reductions over arbitrary index
-  ranges from prefix tables or ``reduceat`` (``axis_reduce``, and
-  ``box_reduce`` for the same ranges along every axis),
+  ranges in two steps: build a table of the array once (``range_table``:
+  prefix sums, or the array for ``reduceat``), then reduce any set of ranges
+  from it (``table_reduce``). ``axis_reduce`` and ``box_reduce`` (the same
+  ranges along every axis) are the one path; a scan passes ``box_reduce``
+  one first-axis table for all of its families; centered windows are slices
+  of one table (``table_windows`` for the maximal field, and ``window_sums``
+  with a table padded to its one radius),
 * the B and F aggregates over levels are one choice (``mixed_norm``).
 """
 
@@ -394,42 +399,114 @@ def _at(axis, index):
     return (slice(None),) * axis + (index,)
 
 
-def axis_reduce(values, lo, hi, axis, op="sum"):
-    """Reduce over the index ranges [lo[i], hi[i]) along one axis.
+def prefix_table(values, axis):
+    """Prefix sums along one axis with a leading zero: entry m holds the sum of
+    the first m entries, so a range [lo, hi) sums to entry hi minus entry lo."""
+    v = np.asarray(values, dtype=float)
+    shape = list(v.shape)
+    shape[axis] += 1
+    table = np.empty(shape)
+    table[_at(axis, slice(0, 1))] = 0.0
+    np.cumsum(v, axis=axis, out=table[_at(axis, slice(1, None))])
+    return table
+
+
+def table_windows(table, axis, below, above):
+    """Sums over the ranges [i - below, i + above), clipped to the array, for
+    every index i, from its ``prefix_table`` T by slices.
+
+    Entry i is T[min(i + above, n)] - T[max(i - below, 0)]. Three runs of i
+    cover the axis: starts clipped to 0 (T[0] = 0 is left out, which changes
+    no bit), the unclipped middle, and ends clipped to n; for windows wider
+    than the array the middle run has both ends clipped instead.
+    """
+    n = table.shape[axis] - 1
+    shape = list(table.shape)
+    shape[axis] = n
+    out = np.empty(shape)
+    a, b = min(below, n), max(n - above, 0)  # start clipped below a, end clipped from b on
+    lo, hi = min(a, b), max(a, b)
+    total = table[_at(axis, slice(n, n + 1))]
+    out[_at(axis, slice(0, lo))] = table[_at(axis, slice(above, above + lo))]
+    if a <= b:
+        np.subtract(table[_at(axis, slice(above + a, above + b))],
+                    table[_at(axis, slice(a - below, b - below))], out=out[_at(axis, slice(a, b))])
+    else:
+        out[_at(axis, slice(b, a))] = total
+    np.subtract(total, table[_at(axis, slice(hi - below, n - below))],
+                out=out[_at(axis, slice(hi, n))])
+    return out
+
+
+@dataclass(frozen=True)
+class RangeTable:
+    """What range reductions of one array along ``axis`` read: built once by
+    ``range_table``, read by any number of ``table_reduce`` calls.
+
+    For "sum" and "mean" ``data`` is the ``prefix_table``; for "min" and "max"
+    it is the array with one spare slice, which keeps every start, the axis
+    length included, a valid ``ufunc.reduceat`` index.
+    """
+
+    axis: int
+    prefix: bool
+    data: np.ndarray
+
+
+def range_table(values, axis=0, op="sum"):
+    """The table from which ``table_reduce`` reduces any ranges of ``values``
+    along ``axis`` by ``op``; "sum" and "mean" share one, and so do "min" and "max"."""
+    v = np.asarray(values, dtype=float)
+    if op in ("sum", "mean"):
+        return RangeTable(axis, True, prefix_table(v, axis))
+    if op not in ("min", "max"):
+        raise ValueError(f"unknown reduction {op!r}")
+    return RangeTable(axis, False, np.concatenate([v, v[_at(axis, slice(0, 1))]], axis))
+
+
+def table_reduce(table: RangeTable, lo, hi, op="sum"):
+    """Reduce over the index ranges [lo[i], hi[i]) along the table's axis.
 
     Entry i of the output axis holds the reduction over range i; ranges are
-    clipped to the array. Sums are differences of a prefix table with a
-    leading zero, "mean" divides them by the clipped length, and "min"/"max"
-    use ``ufunc.reduceat``. Empty ranges give 0, nan, +inf and -inf.
+    clipped to the array. Sums are differences of prefix-table entries,
+    "mean" divides them by the clipped length, and "min"/"max" use
+    ``ufunc.reduceat``. Empty ranges give 0, nan, +inf and -inf.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.shape[axis]
+    axis, data = table.axis, table.data
+    if table.prefix != (op in ("sum", "mean")):
+        raise ValueError(f"this table cannot give the reduction {op!r}")
+    n = data.shape[axis] - 1
     lo = np.minimum(np.maximum(lo, 0), n)
     hi = np.minimum(np.maximum(hi, lo), n)
-    if op in ("sum", "mean"):
-        shape = list(v.shape)
-        shape[axis] = n + 1
-        table = np.zeros(shape)
-        np.cumsum(v, axis=axis, out=table[_at(axis, slice(1, None))])
-        out = table.take(hi, axis) - table.take(lo, axis)
+    if table.prefix:
+        out = data.take(hi, axis) - data.take(lo, axis)
         if op == "sum":
             return out
         with np.errstate(invalid="ignore"):
-            return out / _along(hi - lo, axis, v.ndim)
+            return out / _along(hi - lo, axis, data.ndim)
     ufunc, empty = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}[op]
-    # one spare slice keeps every start, hi = n included, a valid reduceat index;
     # interleaved starts put range i at output 2i
-    padded = np.concatenate([v, v[_at(axis, slice(0, 1))]], axis)
     starts = np.stack([lo, hi], axis=-1).ravel()
-    out = ufunc.reduceat(padded, starts, axis=axis)[_at(axis, slice(0, None, 2))]
-    return np.where(_along(hi > lo, axis, v.ndim), out, empty)
+    out = ufunc.reduceat(data, starts, axis=axis)[_at(axis, slice(0, None, 2))]
+    return np.where(_along(hi > lo, axis, data.ndim), out, empty)
+
+
+def axis_reduce(values, lo, hi, axis, op="sum"):
+    """Reduce over the index ranges [lo[i], hi[i]) along one axis: ``table_reduce``
+    of a table built for this call."""
+    return table_reduce(range_table(values, axis, op), lo, hi, op)
 
 
 def box_reduce(values, lo, hi, op="sum"):
-    """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ...: ``axis_reduce``
-    with the same index ranges along every axis."""
-    out = np.asarray(values, dtype=float)
-    for ax in range(out.ndim):
+    """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ...: the same
+    index ranges along every axis.
+
+    ``values`` is an array or its first-axis ``range_table``; a scan over many
+    box families builds that table once and passes it to each.
+    """
+    table = values if isinstance(values, RangeTable) else range_table(values, 0, op)
+    out = table_reduce(table, lo, hi, op)
+    for ax in range(1, out.ndim):
         out = axis_reduce(out, lo, hi, ax, op)
     return out
 

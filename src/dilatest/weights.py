@@ -11,7 +11,9 @@ A scan therefore reports a refinement trace and one of
 
 The scanned family is the dyadic cubes of the requested levels together with
 their one-third and two-thirds translates per axis, which tracks the supremum
-over all cubes to within a fixed dimensional factor.
+over all cubes to within a fixed dimensional factor. A translate whose cells
+repeat an earlier shift's at the same level is skipped: its ratios are the
+same numbers.
 
 Every cube condition is a ratio of power means
 M_{Q,r}(w) = (mean_Q w**r)**(1/r), with M_{Q,inf} = max_Q w and
@@ -22,6 +24,10 @@ M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
         sup_Q M_{Q,1}(w) / M_{Q,-inf}(w),
 * C1:   sup over k <= j of M_{Q,p}(t_k) / M_{Q,-sigma1}(t_j) * 2**(alpha1 (j-k)),
 * C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
+
+A scan builds the first-axis table of each weight array and exponent once
+(``power_table``) and reads it for every level and shift; the tables are
+locals of the one call.
 
 The class check keeps C1 and C2 as running sups per fine level j, over k <= j
 and every scanned cube; its depth trace reads the sup over j <= d. No argmax
@@ -37,12 +43,14 @@ import numpy as np
 from .dyadic import (
     DyadicCube,
     GridFunction,
+    RangeTable,
     box_reduce,
     cube_box,
     finest_level,
     level_block_reduce,
     level_first_index,
     point_layout,
+    range_table,
 )
 from .errors import (
     ConfigError,
@@ -263,8 +271,10 @@ def _family_axis(halfwidth, resolution, k, shift_frac):
 def family_cube_reduce(values, f: GridFunction, k, shift_frac, op="sum"):
     """Per-cube reduction over the (possibly shifted) level-k tiling.
 
-    Returns (reduced, counts, indices) with one entry per nonempty cube, in
-    C order of the cube grid; indices has one column per axis.
+    ``values`` is a sample array or its first-axis ``range_table``, which a
+    scan builds once and reads for every level and shift. Returns (reduced,
+    counts, indices) with one entry per nonempty cube, in C order of the cube
+    grid; indices has one column per axis.
     """
     lo, hi, ms = _family_axis(f.halfwidth, f.resolution, k, shift_frac)
     red = box_reduce(values, lo, hi, op).ravel()
@@ -273,22 +283,54 @@ def family_cube_reduce(values, f: GridFunction, k, shift_frac, op="sum"):
     return red, counts, ms[cubes]
 
 
+def _distinct_shifts(f: GridFunction, k):
+    """The shifts of ``SHIFT_FRACTIONS`` whose level-k cells differ from every
+    earlier shift's.
+
+    A repeat has the very cubes of an earlier family, so its means and ratios
+    are the same numbers; a scan that keeps only strict improvements loses
+    nothing by skipping it. At the finest level all three shifts give the
+    one-cell cubes, and one level up 1/3 and 2/3 coincide.
+    """
+    seen = []
+    for shift in SHIFT_FRACTIONS:
+        lo, hi, _ = _family_axis(f.halfwidth, f.resolution, k, shift)
+        if not any(np.array_equal(lo, a) and np.array_equal(hi, b) for a, b in seen):
+            seen.append((lo, hi))
+            yield shift
+
+
+def power_table(samples, r):
+    """The first-axis table of w**r that ``cube_power_means`` reads at exponent r.
+
+    r = 1 tables the samples themselves, and r = inf and r = -inf table them
+    for the max and the min. A scan builds one per weight array and exponent
+    and reads it for every level and shift.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isinf(r):
+            return range_table(samples, op="max" if r > 0 else "min")
+        return range_table(samples if r == 1.0 else samples**r)
+
+
 def cube_power_means(samples, f: GridFunction, k, shift_frac, r):
     """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the shifted level-k family.
 
-    Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
-    on the cube. Returns (means, indices) in the order of ``family_cube_reduce``.
-    Raises NonPositiveValue when a power sum of w**r leaves the float range; a
-    sum that underflows to 0 at r < 0 gives the mean inf.
+    ``samples`` is w or its ``power_table(w, r)``. Any r != 0 is allowed;
+    r = inf and r = -inf give the max and the min of w on the cube. Returns
+    (means, indices) in the order of ``family_cube_reduce``. Raises
+    NonPositiveValue when a power sum of w**r leaves the float range; a sum
+    that underflows to 0 at r < 0 gives the mean inf.
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
+    table = samples if isinstance(samples, RangeTable) else power_table(samples, r)
     if math.isinf(r):
         op = "max" if r > 0 else "min"
-        means, _, idx = family_cube_reduce(samples, f, k, shift_frac, op=op)
+        means, _, idx = family_cube_reduce(table, f, k, shift_frac, op=op)
         return means, idx
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, counts, idx = family_cube_reduce(samples**r, f, k, shift_frac)
+        sums, counts, idx = family_cube_reduce(table, f, k, shift_frac)
     if not np.all(np.isfinite(sums)):
         raise NonPositiveValue(
             f"the cube sums of w**r at r = {r} overflow the float range at level {k}"
@@ -361,11 +403,13 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
     for res in stages:
         g = gamma.resample(res)
         levels = scan_levels(g, depth)
+        # one table per exponent for the stage, read by every level and shift
+        tables = power_table(g.samples, 1.0), power_table(g.samples, r)
         best = -math.inf
         for k in levels:
-            for shift in SHIFT_FRACTIONS:
-                mean, idx = cube_power_means(g.samples, g, k, shift, 1.0)
-                ratio = mean / cube_power_means(g.samples, g, k, shift, r)[0]
+            for shift in _distinct_shifts(g, k):
+                mean, idx = cube_power_means(tables[0], g, k, shift, 1.0)
+                ratio = mean / cube_power_means(tables[1], g, k, shift, r)[0]
                 j = int(np.argmax(ratio))
                 if ratio[j] > best:
                     best = float(ratio[j])
@@ -479,16 +523,23 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
     g = t.grid
     j_max = min(depth, t.k_max)
 
+    exponents = (t.p, -params.sigma1, params.sigma2)
+    # one table per weight level and distinct exponent, read by every cube level and shift
+    tables = {
+        (kw, r): power_table(t.level(kw).samples, r)
+        for kw in range(j_max + 1)
+        for r in dict.fromkeys(exponents)
+    }
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
     for klev in scan_levels(g, j_max):
-        for shift in SHIFT_FRACTIONS:
+        for shift in _distinct_shifts(g, klev):
             mp, ms1, ms2 = (
                 [
-                    cube_power_means(t.level(kw).samples, g, klev, shift, r)[0]
+                    cube_power_means(tables[kw, r], g, klev, shift, r)[0]
                     for kw in range(j_max + 1)
                 ]
-                for r in (t.p, -params.sigma1, params.sigma2)
+                for r in exponents
             )
             for j in range(j_max + 1):
                 for k in range(j + 1):
