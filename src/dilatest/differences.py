@@ -47,6 +47,7 @@ from .dyadic import (
     level_cube_count,
     level_first_index,
     point_layout,
+    range_table,
     tensor_points,
     window_sums,
 )
@@ -272,6 +273,6 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
     j = np.arange(level_cube_count(f, k))
     lo, hi = (j - 2) * c, (j + 3) * c
-    sums, lost, cells = _node_sums(f, k, order, lambda v: box_reduce(v, lo, hi))
+    sums, lost, cells = _node_sums(f, k, order, lambda v: box_reduce(range_table(v), lo, hi))
     values = sums / (5.0 * 2.0 ** (-k)) ** (2 * f.dim)
     return values, lost | (cells < (5 * c) ** f.dim), level_first_index(f, k)

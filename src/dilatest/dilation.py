@@ -3,10 +3,8 @@ that dilation norms obey the lambda**(alpha2 - n/p) * H bound with a
 lambda-independent constant.
 
 H compares the cube L_p norms of the compressed weight t(x / lambda) against
-t itself over every nonnegative-level dyadic cube in the box. For weights
-given in closed form the compressed weight is evaluated exactly; sampled
-weights fall back to interpolation (the points x / lambda stay inside the
-box for lambda >= 1).
+t itself over every nonnegative-level dyadic cube in the box. The compressed
+weight is evaluated exactly from the weights' closed form, which H needs.
 
 The pointwise-supremum comparison ratio sup_x w(x / lambda) / w(x) is probed
 on a lattice plus an adaptive zoom around the running maxima, over three
@@ -34,6 +32,7 @@ from .weights import (
     XClassParams,
     _eval,
     _trace_verdict,
+    eval_weight,
     xclass_check,
 )
 
@@ -95,15 +94,18 @@ def dilate(f: GridFunction, lam):
 
 def compute_H(t: WeightSequence, lam, k_max) -> float:
     """sup over levels 0..k_max and in-box dyadic cubes of the cube-norm
-    ratio between the compressed weight and the weight itself."""
+    ratio between the compressed weight and the weight itself, which is
+    evaluated from the sequence's closed form (PreconditionFailed without one)."""
     if lam < 1.0:
         raise ValueError("dilation factor must be at least 1")
+    if t.spec is None:
+        raise PreconditionFailed("H needs the weights in closed form; this sequence has no spec")
     g = t.grid
     level_cell_count(g, k_max)  # the level-k_max cubes must be whole cells
     pts = g.points()
     best = 0.0
     for ell in range(min(k_max, t.k_max) + 1):
-        compressed = t.eval_level(ell, pts / lam)
+        compressed = eval_weight(t.spec, ell, pts / lam, g.dim)
         num = level_block_reduce(compressed**t.p, g, ell, op="sum")
         den = level_block_reduce(t.level(ell).samples ** t.p, g, ell, op="sum")
         ratio = (num / den) ** (1.0 / t.p)
@@ -215,8 +217,8 @@ def verify_theorem(
     space parameters (FAIL raises PreconditionFailed) and f to have a nonzero
     norm (a zero norm raises PreconditionFailed). Returns one report per
     lambda, in lambda_list order; entries are independent jobs and run on a
-    thread pool when threads > 1. When the weights carry a closed form and
-    lambda > 1, a report also holds the probed sup_x w(x/lambda)/w(x). Use
+    thread pool when threads > 1. For lambda > 1 a report also holds the
+    probed sup_x w(x/lambda)/w(x) of the weights' closed form. Use
     summarize_dilation for the lambda-independence verdict.
     """
     params = XClassParams.from_space(sp)
@@ -241,7 +243,7 @@ def verify_theorem(
         shape = lam ** (sp.alpha[1] - n_over_p) * h_const
         observed = after / (shape * base)
         sob = None
-        if lam > 1.0 and t.spec is not None:
+        if lam > 1.0:
             sob = sobolev_sup_ratio(t.spec, lam, f.halfwidth, dim=f.dim)
         return DilationReport(
             lam=float(lam),

@@ -16,14 +16,15 @@ Geometry conventions used throughout the package:
   level-k cube must span a whole number of cells (``level_cell_count``),
 * box reductions come in two kinds, each applied one axis at a time so the
   dimension is a loop bound: exact per-tile reductions over aligned tiles by
-  reshape (``level_block_reduce``), and reductions over arbitrary index
-  ranges in two steps: build a table of the array once (``range_table``:
-  prefix sums, or the array for ``reduceat``), then reduce any set of ranges
-  from it (``table_reduce``). ``axis_reduce`` and ``box_reduce`` (the same
-  ranges along every axis) are the one path; a scan passes ``box_reduce``
-  one first-axis table for all of its families; centered windows are slices
-  of one table (``table_windows`` for the maximal field, and ``window_sums``
-  with a table padded to its one radius),
+  reshape (``level_block_reduce``), and reductions over index ranges from a
+  table built once per array. ``prefix_table`` is the one prefix-sum table:
+  with ``pad`` leading zeros and ``pad`` trailing totals, every clipped
+  centered window is two slices of it (``table_windows``, read by
+  ``window_sums`` and the maximal field). Arbitrary ranges go through
+  ``range_table`` (the unpadded prefix table, or the array for ``reduceat``)
+  and ``table_reduce``; ``axis_reduce`` and ``box_reduce`` (the same ranges
+  along every axis, from a first-axis table that a scan builds once for all
+  of its cube families) are thin uses of the two,
 * the B and F aggregates over levels are one choice (``mixed_norm``).
 """
 
@@ -237,21 +238,12 @@ class GridFunction:
     def in_domain(self, pts):
         return np.all(np.abs(point_layout(pts, self.dim)) <= self.halfwidth, axis=-1)
 
-    def interp(self, pts, outside="raise"):
-        """Multilinear interpolation at arbitrary points.
-
-        ``outside`` picks the policy for points beyond [-L, L]^n: "raise"
-        (OutOfDomain) or "clamp" (nearest-edge value); ``interp_masked``
-        sets them to zero.
-        """
-        vals = self._interp_clamped(pts)
-        if outside == "clamp":
-            return vals
-        if outside != "raise":
-            raise ValueError(f"unknown outside policy {outside!r}")
+    def interp(self, pts):
+        """Multilinear interpolation at points inside [-L, L]^n; a point beyond
+        raises OutOfDomain (``interp_masked`` sets such points to zero instead)."""
         if not np.all(self.in_domain(pts)):
             raise OutOfDomain("evaluation point outside the sampled box")
-        return vals
+        return self._interp_clamped(pts)
 
     def interp_masked(self, pts):
         """(values-with-zeros, in-domain mask); used by quadratures that drop points."""
@@ -274,11 +266,15 @@ class GridFunction:
     # -- index geometry ------------------------------------------------------
 
     def index_range(self, lo, hi):
-        """Per-axis index range [i0, i1) of cells whose centers fall in [lo, hi)."""
+        """Per-axis index range [i0, i1) of the cells whose centers fall in [lo, hi),
+        clipped to the grid; array ends give one range per entry."""
         n, dx, L = self.resolution, self.spacing, self.halfwidth
-        i0 = int(math.ceil((lo + L) / dx - 0.5 - _TIE_EPS))
-        i1 = int(math.ceil((hi + L) / dx - 0.5 - _TIE_EPS))
-        return max(i0, 0), min(i1, n)
+        i0, i1 = (
+            np.clip(np.ceil((np.asarray(x, dtype=float) + L) / dx - 0.5 - _TIE_EPS), 0, n)
+            .astype(np.int64)
+            for x in (lo, hi)
+        )
+        return i0, i1
 
     def l1(self):
         return float(np.sum(np.abs(self.samples))) * self.spacing**self.dim
@@ -399,43 +395,28 @@ def _at(axis, index):
     return (slice(None),) * axis + (index,)
 
 
-def prefix_table(values, axis):
-    """Prefix sums along one axis with a leading zero: entry m holds the sum of
-    the first m entries, so a range [lo, hi) sums to entry hi minus entry lo."""
+def prefix_table(values, axis, pad):
+    """Prefix sums along one axis with ``pad`` + 1 leading zeros and ``pad``
+    trailing copies of the total: entry pad + m holds the sum of the first
+    clip(m, 0, n) entries, so a range [lo, hi) within pad of the axis sums to
+    entry pad + hi minus entry pad + lo, clipped to the array."""
     v = np.asarray(values, dtype=float)
+    n = v.shape[axis]
     shape = list(v.shape)
-    shape[axis] += 1
+    shape[axis] = n + 2 * pad + 1
     table = np.empty(shape)
-    table[_at(axis, slice(0, 1))] = 0.0
-    np.cumsum(v, axis=axis, out=table[_at(axis, slice(1, None))])
+    table[_at(axis, slice(0, pad + 1))] = 0.0
+    np.cumsum(v, axis=axis, out=table[_at(axis, slice(pad + 1, pad + 1 + n))])
+    table[_at(axis, slice(pad + 1 + n, None))] = table[_at(axis, slice(pad + n, pad + n + 1))]
     return table
 
 
-def table_windows(table, axis, below, above):
+def table_windows(table, axis, pad, below, above):
     """Sums over the ranges [i - below, i + above), clipped to the array, for
-    every index i, from its ``prefix_table`` T by slices.
-
-    Entry i is T[min(i + above, n)] - T[max(i - below, 0)]. Three runs of i
-    cover the axis: starts clipped to 0 (T[0] = 0 is left out, which changes
-    no bit), the unclipped middle, and ends clipped to n; for windows wider
-    than the array the middle run has both ends clipped instead.
-    """
-    n = table.shape[axis] - 1
-    shape = list(table.shape)
-    shape[axis] = n
-    out = np.empty(shape)
-    a, b = min(below, n), max(n - above, 0)  # start clipped below a, end clipped from b on
-    lo, hi = min(a, b), max(a, b)
-    total = table[_at(axis, slice(n, n + 1))]
-    out[_at(axis, slice(0, lo))] = table[_at(axis, slice(above, above + lo))]
-    if a <= b:
-        np.subtract(table[_at(axis, slice(above + a, above + b))],
-                    table[_at(axis, slice(a - below, b - below))], out=out[_at(axis, slice(a, b))])
-    else:
-        out[_at(axis, slice(b, a))] = total
-    np.subtract(total, table[_at(axis, slice(hi - below, n - below))],
-                out=out[_at(axis, slice(hi, n))])
-    return out
+    every index i, from its ``prefix_table`` with ``pad`` >= below, above: two slices."""
+    n = table.shape[axis] - 2 * pad - 1
+    return (table[_at(axis, slice(pad + above, pad + above + n))]
+            - table[_at(axis, slice(pad - below, pad - below + n))])
 
 
 @dataclass(frozen=True)
@@ -458,7 +439,7 @@ def range_table(values, axis=0, op="sum"):
     along ``axis`` by ``op``; "sum" and "mean" share one, and so do "min" and "max"."""
     v = np.asarray(values, dtype=float)
     if op in ("sum", "mean"):
-        return RangeTable(axis, True, prefix_table(v, axis))
+        return RangeTable(axis, True, prefix_table(v, axis, 0))
     if op not in ("min", "max"):
         raise ValueError(f"unknown reduction {op!r}")
     return RangeTable(axis, False, np.concatenate([v, v[_at(axis, slice(0, 1))]], axis))
@@ -497,14 +478,10 @@ def axis_reduce(values, lo, hi, axis, op="sum"):
     return table_reduce(range_table(values, axis, op), lo, hi, op)
 
 
-def box_reduce(values, lo, hi, op="sum"):
+def box_reduce(table: RangeTable, lo, hi, op="sum"):
     """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ...: the same
-    index ranges along every axis.
-
-    ``values`` is an array or its first-axis ``range_table``; a scan over many
-    box families builds that table once and passes it to each.
-    """
-    table = values if isinstance(values, RangeTable) else range_table(values, 0, op)
+    index ranges along every axis, from the first-axis ``range_table`` of the
+    values, which a scan over many box families builds once."""
     out = table_reduce(table, lo, hi, op)
     for ax in range(1, out.ndim):
         out = axis_reduce(out, lo, hi, ax, op)
@@ -538,29 +515,18 @@ def window_sums(values, radius_cells: int):
     Window at cell i covers (x_i - r*dx, x_i + r*dx): interior cells carry
     weight 1 and the two cells centered exactly on the window edge carry 1/2,
     so constants integrate exactly. Windows are clipped at the domain edge.
-    Works separably, one axis at a time.
-
-    Each axis builds its prefix table T (T[0] = 0, T[m] the sum of the first
-    m cells) inside a buffer P with r leading zeros and r trailing copies of
-    the total, so P[r + m] = T[clip(m, 0, n)]. Every clipped window is then
-    a plain slice: the closed window [i - r, i + r] is P[i + 2r + 1] - P[i],
-    its interior P[i + 2r] - P[i + 1]. The output stays C-ordered.
+    Works separably, one axis at a time: the closed window [i - r, i + r] plus
+    its interior [i - r + 1, i + r - 1], halved, both ``table_windows`` of one
+    ``prefix_table`` padded by r. The output stays C-ordered.
     """
     out = np.asarray(values, dtype=float)
     r = int(radius_cells)
     if r < 1:
         raise ValueError("window radius must be at least one cell")
     for ax in range(out.ndim):
-        n = out.shape[ax]
-        shape = list(out.shape)
-        shape[ax] = n + 2 * r + 1
-        table = np.empty(shape)
-        table[_at(ax, slice(0, r + 1))] = 0.0
-        np.cumsum(out, axis=ax, out=table[_at(ax, slice(r + 1, r + 1 + n))])
-        table[_at(ax, slice(r + 1 + n, None))] = table[_at(ax, slice(r + n, r + n + 1))]
-        # the closed window plus its interior, then halved
-        out = table[_at(ax, slice(2 * r + 1, 2 * r + 1 + n))] - table[_at(ax, slice(0, n))]
-        out += table[_at(ax, slice(2 * r, 2 * r + n))] - table[_at(ax, slice(1, 1 + n))]
+        table = prefix_table(out, ax, r)
+        out = table_windows(table, ax, r, r, r + 1)
+        out += table_windows(table, ax, r, r - 1, r)
         out *= 0.5
     return out
 

@@ -97,14 +97,12 @@ def lp_pieces(f: GridFunction, ru: ResolutionOfUnity):
     return pieces
 
 
-def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity = None) -> float:
+def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity) -> float:
     """Fourier-side weighted norm of the B or F kind.
 
     B aggregates weighted L_p norms of the band pieces in l_q over levels;
     F swaps the order and takes the L_p norm of the pointwise l_q aggregate.
     """
-    if ru is None:
-        ru = build_phi(sp.k_max, f.dim, f.halfwidth, f.resolution)
     _check_geometry(f, ru)
     k_top = sp.k_max
     if ru.k_max < k_top:

@@ -5,9 +5,10 @@ side is a power-of-two multiple of the grid spacing and which contains the
 evaluation point; cubes are clipped at the domain edge and averaged over the
 intersection. This family tracks the full maximal function to within a fixed
 dimensional factor, which the frozen regression bounds absorb. Box averages
-come from per-axis prefix sums: one axis-0 table per call, from which every
-radius reads its clipped windows as slices (``table_windows``), and
-``axis_reduce`` along the other axes. The per-point maxima come from a
+come from padded per-axis prefix tables (``prefix_table``), whose clipped
+windows are two slices (``table_windows``): one axis-0 table per call, padded
+for the widest radius and read by every radius, and one table per radius
+along each other axis. The per-point maxima come from a
 per-axis running maximum built by window doubling (``running_max``), so the
 whole field costs O(N^n log^2 N) on N^n cells.
 """
@@ -16,9 +17,7 @@ import math
 
 import numpy as np
 
-from .dyadic import (
-    GridFunction, axis_reduce, lp_of_lq, prefix_table, running_max, table_windows,
-)
+from .dyadic import GridFunction, lp_of_lq, prefix_table, running_max, table_windows
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
 
@@ -27,16 +26,19 @@ def hl_maximal(f: GridFunction) -> GridFunction:
     """Maximal field: per point, the largest cube average of |f| around it."""
     n = f.resolution
     out = np.abs(f.samples)  # the singleton cell is the j = 0 member of the family
-    table = prefix_table(out, 0)  # one axis-0 table for every radius
+    pad = n // 2 + 1  # the widest window, +-n/2 cells, reaches n/2 + 1 past an end
+    table = prefix_table(out, 0, pad)  # one axis-0 table for every radius
     idx = np.arange(n)
     for j in range(1, int(math.log2(n)) + 1):
         half = 2 ** (j - 1)
         # means over the centered cubes of +-half cells, clipped to the grid
         cells = np.minimum(idx + half + 1, n) - np.maximum(idx - half, 0)
-        local = table_windows(table, 0, half, half + 1)
-        local /= np.reshape(cells, (-1,) + (1,) * (f.dim - 1))
-        for ax in range(1, f.dim):
-            local = axis_reduce(local, idx - half, idx + half + 1, ax, "mean")
+        local = table_windows(table, 0, pad, half, half + 1)
+        for ax in range(f.dim):
+            if ax:  # the other axes table the partial means of this radius
+                local = table_windows(prefix_table(local, ax, half + 1), ax, half + 1,
+                                      half, half + 1)
+            local /= np.reshape(cells, (-1,) + (1,) * (f.dim - 1 - ax))
         for ax in range(f.dim):
             local = running_max(local, half, ax)
         np.maximum(out, local, out=out)

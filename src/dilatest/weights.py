@@ -11,8 +11,10 @@ A scan therefore reports a refinement trace and one of
 
 The scanned family is the dyadic cubes of the requested levels together with
 their one-third and two-thirds translates per axis, which tracks the supremum
-over all cubes to within a fixed dimensional factor. A translate whose cells
-repeat an earlier shift's at the same level is skipped: its ratios are the
+over all cubes to within a fixed dimensional factor. ``cube_families`` lists
+the distinct shifted families of one level once per grid geometry, their
+cube edges snapped to cells by ``GridFunction.index_range``; a translate
+whose cells repeat an earlier shift's is left out, since its ratios are the
 same numbers.
 
 Every cube condition is a ratio of power means
@@ -26,8 +28,8 @@ M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
 * C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
 
 A scan builds the first-axis table of each weight array and exponent once
-(``power_table``) and reads it for every level and shift; the tables are
-locals of the one call.
+(``power_table``) and reads it for every family of the list; the tables are
+locals of the one call. The class check reads each distinct exponent once.
 
 The class check keeps C1 and C2 as running sups per fine level j, over k <= j
 and every scanned cube; its depth trace reads the sup over j <= d. No argmax
@@ -37,6 +39,7 @@ cube is kept.
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,13 +217,6 @@ class WeightSequence:
             raise MissingLevels(f"level {k} not available (have 0..{self.k_max})")
         return self.levels[k]
 
-    def eval_level(self, k, pts):
-        """Level-k weight at arbitrary points: closed form if available."""
-        g = self.level(k)
-        if self.spec is not None:
-            return eval_weight(self.spec, k, pts, g.dim)
-        return g.interp(pts, outside="clamp")
-
 
 # -- conjugate exponents -------------------------------------------------------
 
@@ -244,60 +240,56 @@ def sigma1_of(theta, p):
 # -- cube families over one grid ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _family_axis(halfwidth, resolution, k, shift_frac):
-    """Nonempty cubes of the shifted level-k tiling along one axis.
+class CubeFamily(NamedTuple):
+    """The nonempty cubes of one shifted level-k tiling: along every axis, cube
+    ``indices[i]`` holds the cells [lo[i], hi[i]) (read-only arrays)."""
 
-    Returns (lo, hi, indices): cube indices[i] holds the cells [lo[i], hi[i]).
-    The arrays are cached per geometry, so they are read-only.
-    """
-    side = 2.0 ** (-k)
-    off = shift_frac * side
-    L, n = halfwidth, resolution
-    dx = 2.0 * L / n
-    m0 = math.floor((-L - off) / side + 1e-12)
-    m1 = math.ceil((L - off) / side - 1e-12)
-    ms = np.arange(m0, m1)
-    lows = (ms + shift_frac) * side
-    edges = np.ceil((lows + L) / dx - 0.5 - 1e-9).astype(np.int64)
-    edges = np.clip(np.append(edges, n), 0, n)
-    keep = edges[1:] > edges[:-1]
-    out = edges[:-1][keep], edges[1:][keep], ms[keep]
-    for a in out:
-        a.flags.writeable = False
-    return out
+    level: int
+    shift: float
+    lo: np.ndarray
+    hi: np.ndarray
+    indices: np.ndarray
 
 
-def family_cube_reduce(values, f: GridFunction, k, shift_frac, op="sum"):
-    """Per-cube reduction over the (possibly shifted) level-k tiling.
-
-    ``values`` is a sample array or its first-axis ``range_table``, which a
-    scan builds once and reads for every level and shift. Returns (reduced,
-    counts, indices) with one entry per nonempty cube, in C order of the cube
-    grid; indices has one column per axis.
-    """
-    lo, hi, ms = _family_axis(f.halfwidth, f.resolution, k, shift_frac)
-    red = box_reduce(values, lo, hi, op).ravel()
-    counts = functools.reduce(np.multiply.outer, [hi - lo] * f.dim).ravel()
-    cubes = np.indices((len(lo),) * f.dim).reshape(f.dim, -1).T
-    return red, counts, ms[cubes]
+_FAMILIES = {}  # (halfwidth, resolution, level) -> that level's distinct families
 
 
-def _distinct_shifts(f: GridFunction, k):
-    """The shifts of ``SHIFT_FRACTIONS`` whose level-k cells differ from every
-    earlier shift's.
+def cube_families(f: GridFunction, k):
+    """The distinct shifted level-k families of f's grid, one per shift of
+    ``SHIFT_FRACTIONS`` whose cells differ from every earlier shift's.
 
     A repeat has the very cubes of an earlier family, so its means and ratios
     are the same numbers; a scan that keeps only strict improvements loses
     nothing by skipping it. At the finest level all three shifts give the
-    one-cell cubes, and one level up 1/3 and 2/3 coincide.
+    one-cell cubes, and one level up 1/3 and 2/3 coincide. Cube edges snap to
+    cells by ``GridFunction.index_range``; the list is built once per geometry.
     """
-    seen = []
-    for shift in SHIFT_FRACTIONS:
-        lo, hi, _ = _family_axis(f.halfwidth, f.resolution, k, shift)
-        if not any(np.array_equal(lo, a) and np.array_equal(hi, b) for a, b in seen):
-            seen.append((lo, hi))
-            yield shift
+    key = f.halfwidth, f.resolution, k
+    if key not in _FAMILIES:
+        side, L = 2.0 ** (-k), f.halfwidth
+        families = []
+        for shift in SHIFT_FRACTIONS:
+            off = shift * side
+            m0 = math.floor((-L - off) / side + 1e-12)
+            m1 = math.ceil((L - off) / side - 1e-12)
+            ms = np.arange(m0, m1 + 1)
+            edges = (ms + shift) * side
+            lo, hi = f.index_range(edges[:-1], edges[1:])
+            keep = hi > lo
+            fam = CubeFamily(k, shift, lo[keep], hi[keep], ms[:-1][keep])
+            if not any(np.array_equal(fam.lo, g.lo) and np.array_equal(fam.hi, g.hi)
+                       for g in families):
+                for a in fam[2:]:
+                    a.flags.writeable = False
+                families.append(fam)
+        _FAMILIES[key] = tuple(families)
+    return _FAMILIES[key]
+
+
+def family_cube_reduce(table: RangeTable, fam: CubeFamily, op="sum"):
+    """Per-cube reduction of the values tabled by ``range_table`` over the
+    family's cubes, in the shape of the cube grid."""
+    return box_reduce(table, fam.lo, fam.hi, op)
 
 
 def power_table(samples, r):
@@ -313,30 +305,27 @@ def power_table(samples, r):
         return range_table(samples if r == 1.0 else samples**r)
 
 
-def cube_power_means(samples, f: GridFunction, k, shift_frac, r):
-    """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the shifted level-k family.
+def cube_power_means(table: RangeTable, fam: CubeFamily, r):
+    """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the family's cubes,
+    from ``power_table(w, r)``, in the shape of the cube grid.
 
-    ``samples`` is w or its ``power_table(w, r)``. Any r != 0 is allowed;
-    r = inf and r = -inf give the max and the min of w on the cube. Returns
-    (means, indices) in the order of ``family_cube_reduce``. Raises
-    NonPositiveValue when a power sum of w**r leaves the float range; a sum
-    that underflows to 0 at r < 0 gives the mean inf.
+    Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
+    on the cube. Raises NonPositiveValue when a power sum of w**r leaves the
+    float range; a sum that underflows to 0 at r < 0 gives the mean inf.
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
-    table = samples if isinstance(samples, RangeTable) else power_table(samples, r)
     if math.isinf(r):
-        op = "max" if r > 0 else "min"
-        means, _, idx = family_cube_reduce(table, f, k, shift_frac, op=op)
-        return means, idx
+        return family_cube_reduce(table, fam, op="max" if r > 0 else "min")
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, counts, idx = family_cube_reduce(table, f, k, shift_frac)
+        sums = family_cube_reduce(table, fam)
     if not np.all(np.isfinite(sums)):
         raise NonPositiveValue(
-            f"the cube sums of w**r at r = {r} overflow the float range at level {k}"
+            f"the cube sums of w**r at r = {r} overflow the float range at level {fam.level}"
         )
+    counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * sums.ndim)
     with np.errstate(divide="ignore"):  # an underflowed mean at r < 0 gives inf
-        return (sums / counts) ** (1.0 / r), idx
+        return (sums / counts) ** (1.0 / r)
 
 
 def scan_levels(f: GridFunction, depth):
@@ -407,20 +396,19 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
         tables = power_table(g.samples, 1.0), power_table(g.samples, r)
         best = -math.inf
         for k in levels:
-            for shift in _distinct_shifts(g, k):
-                mean, idx = cube_power_means(tables[0], g, k, shift, 1.0)
-                ratio = mean / cube_power_means(tables[1], g, k, shift, r)[0]
+            for fam in cube_families(g, k):
+                ratio = cube_power_means(tables[0], fam, 1.0) / cube_power_means(tables[1], fam, r)
                 j = int(np.argmax(ratio))
-                if ratio[j] > best:
-                    best = float(ratio[j])
-                    arg = (DyadicCube(k, tuple(int(x) for x in idx[j])), shift)
+                if ratio.flat[j] > best:
+                    best = float(ratio.flat[j])
+                    arg = fam, np.unravel_index(j, ratio.shape)
         trace.append((res, best))
     values = [v for _, v in trace]
-    cube, shift = arg
+    fam, at = arg
     return ApReport(
         constant=values[-1],
-        argmax_cube=cube,
-        argmax_shift=shift,
+        argmax_cube=DyadicCube(fam.level, tuple(int(fam.indices[i]) for i in at)),
+        argmax_shift=fam.shift,
         levels_scanned=(levels.start, levels.stop - 1),
         trace=trace,
         verdict=_trace_verdict(values),
@@ -523,24 +511,21 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
     g = t.grid
     j_max = min(depth, t.k_max)
 
-    exponents = (t.p, -params.sigma1, params.sigma2)
-    # one table per weight level and distinct exponent, read by every cube level and shift
+    exponents = t.p, -params.sigma1, params.sigma2
+    distinct = dict.fromkeys(exponents)  # sigma2 = p reads the p means once
+    # one table per weight level and distinct exponent, read by every cube family
     tables = {
-        (kw, r): power_table(t.level(kw).samples, r)
-        for kw in range(j_max + 1)
-        for r in dict.fromkeys(exponents)
+        (kw, r): power_table(t.level(kw).samples, r) for kw in range(j_max + 1) for r in distinct
     }
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
     for klev in scan_levels(g, j_max):
-        for shift in _distinct_shifts(g, klev):
-            mp, ms1, ms2 = (
-                [
-                    cube_power_means(tables[kw, r], g, klev, shift, r)[0]
-                    for kw in range(j_max + 1)
-                ]
-                for r in exponents
-            )
+        for fam in cube_families(g, klev):
+            means = {
+                r: [cube_power_means(tables[kw, r], fam, r) for kw in range(j_max + 1)]
+                for r in distinct
+            }
+            mp, ms1, ms2 = (means[r] for r in exponents)
             for j in range(j_max + 1):
                 for k in range(j + 1):
                     v1 = mp[k] / ms1[j] * 2.0 ** (-params.alpha1 * (k - j))

@@ -16,7 +16,7 @@ from dilatest.differences import (
     delta_window_field,
 )
 from dilatest.dilation import compute_H, dilate, sobolev_sup_ratio
-from dilatest.dyadic import GridFunction
+from dilatest.dyadic import GridFunction, range_table
 from dilatest.maximal import fs_inequality_ratio
 from dilatest.norms import SpaceParams, diff_norm
 from dilatest.weights import (
@@ -26,6 +26,7 @@ from dilatest.weights import (
     WeightSequence,
     XClassParams,
     ap_constant,
+    cube_families,
     family_cube_reduce,
     weight_grid,
     xclass_check,
@@ -44,11 +45,14 @@ def radial(p):
 
 def test_family_cube_reduce_partitions_mass():
     f = grid2(lambda p: np.exp(-radial(p) ** 2))
-    for shift in (0.0, 1.0 / 3.0):
-        sums, counts, idx = family_cube_reduce(f.samples, f, 1, shift)
+    families = cube_families(f, 1)[:2]
+    assert [fam.shift for fam in families] == [0.0, 1.0 / 3.0]
+    for fam in families:
+        sums = family_cube_reduce(range_table(f.samples), fam)
+        counts = np.multiply.outer(fam.hi - fam.lo, fam.hi - fam.lo)
         assert counts.sum() == N * N
         assert sums.sum() == pytest.approx(float(f.samples.sum()), rel=1e-12)
-        assert idx.shape[1] == 2
+        assert sums.shape == counts.shape
 
 
 def test_ap_constant_2d_power_weight():

@@ -23,7 +23,7 @@ import pytest
 from dilatest.differences import delta_cube_field, delta_expanded_field, delta_window_field
 from dilatest.dyadic import GridFunction
 from dilatest.maximal import hl_maximal
-from dilatest.weights import SHIFT_FRACTIONS, cube_power_means
+from dilatest.weights import cube_families, cube_power_means, power_table
 
 L, N, M = 4.0, 64, 2
 RTOL = 1e-13
@@ -58,12 +58,13 @@ def test_difference_fields_of_a_function_of_x1_match_the_1d_fields(field, factor
 
 def test_cube_power_means_of_a_weight_of_x1_match_the_1d_means():
     w1, w2 = _pair(lambda x: np.abs(x - 0.3) ** 0.4 + 0.1)
-    for k, shift, r in itertools.product(range(-2, 5), SHIFT_FRACTIONS, (1, -1, 2.5, inf, -inf)):
-        m1, i1 = cube_power_means(w1.samples, w1, k, shift, r)
-        m2, i2 = cube_power_means(w2.samples, w2, k, shift, r)
-        # C order of the cube grid: the x1 index leads
-        assert np.array_equal(i2[:: len(m1), 0], i1[:, 0])
-        np.testing.assert_allclose(m2, np.repeat(m1, len(m1)), rtol=RTOL, atol=0)
+    for k, r in itertools.product(range(-2, 5), (1, -1, 2.5, inf, -inf)):
+        for fam in cube_families(w1, k):  # one geometry, so the same families in 1-D and 2-D
+            m1 = cube_power_means(power_table(w1.samples, r), fam, r)
+            m2 = cube_power_means(power_table(w2.samples, r), fam, r)
+            # the cube grid's first axis is x1
+            np.testing.assert_allclose(m2, np.repeat(m1[:, None], len(m1), axis=1),
+                                       rtol=RTOL, atol=0)
 
 
 def test_maximal_field_of_a_function_of_x1_matches_the_1d_field():

@@ -78,14 +78,11 @@ def test_compute_h_power_weight_homogeneity():
             assert compute_H(t, lam, 5) == pytest.approx(lam**-beta, rel=1e-12)
 
 
-def test_compute_h_interpolation_fallback():
-    spec = GeometricLevel(1.0, Power(0.3))
-    exact = WeightSequence.from_spec(spec, 2.0, 4, 1, L, N)
+def test_compute_h_needs_the_weights_in_closed_form():
+    exact = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 2.0, 4, 1, L, N)
     stripped = WeightSequence([g.with_samples(g.samples) for g in exact.levels], 2.0)
-    lam = 2.0
-    assert compute_H(stripped, lam, 4) == pytest.approx(
-        compute_H(exact, lam, 4), rel=1e-2
-    )
+    with pytest.raises(PreconditionFailed, match="closed form"):
+        compute_H(stripped, 2.0, 4)
 
 
 def test_compute_h_dominated_by_pointwise_sup():

@@ -231,7 +231,7 @@ def test_interp_matches_the_linear_and_bilinear_formulas_bit_for_bit(dim, n, L):
     lattice = f.points() + 0.25 * f.spacing
     for pts in (inside, outside, lattice, f.points()):
         want, mask = _reference_interp(f, pts)
-        assert np.array_equal(f.interp(pts, outside="clamp"), want)
+        assert np.array_equal(f._interp_clamped(pts), want)
         got, got_mask = f.interp_masked(pts)
         assert np.array_equal(got, np.where(mask, want, 0.0))
         assert np.array_equal(got_mask, mask) and np.array_equal(f.in_domain(pts), mask)

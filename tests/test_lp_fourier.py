@@ -109,7 +109,7 @@ def test_fourier_norm_zero():
     f = GridFunction(1, L, np.zeros(N))
     t = WeightSequence.from_spec(Constant(1.0), 2.0, 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
-    assert fourier_norm(f, t, sp) == 0.0
+    assert fourier_norm(f, t, sp, build_phi(5, 1, L, N)) == 0.0
 
 
 def test_fourier_norm_band_limited_reduces_to_lp():
@@ -117,7 +117,7 @@ def test_fourier_norm_band_limited_reduces_to_lp():
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
-        assert fourier_norm(f, t, sp) == pytest.approx(f.lp(2.0), rel=1e-10)
+        assert fourier_norm(f, t, sp, build_phi(5, 1, L, N)) == pytest.approx(f.lp(2.0), rel=1e-10)
 
 
 def test_fourier_norm_monotone_in_smoothness():
@@ -126,7 +126,8 @@ def test_fourier_norm_monotone_in_smoothness():
     t1 = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
     t2 = WeightSequence.from_spec(GeometricLevel(2.0, Constant(1.0)), 2.0, 5, 1, L, N)
     sp2 = SpaceParams("B", 2.0, 2.0, 3, (2.0, 2.0), k_max=5)
-    assert fourier_norm(f, t2, sp2) > fourier_norm(f, t1, sp)
+    ru = build_phi(5, 1, L, N)
+    assert fourier_norm(f, t2, sp2, ru) > fourier_norm(f, t1, sp, ru)
 
 
 def _classical_fourier_norm(f, s, kind, ru):
@@ -152,7 +153,8 @@ def test_b_equals_f_when_p_equals_q():
     t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), 3.0, 4, 1, L, N)
     spb = SpaceParams("B", 3.0, 3.0, 2, (0.5, 0.5), k_max=4)
     spf = SpaceParams("F", 3.0, 3.0, 2, (0.5, 0.5), k_max=4)
-    assert fourier_norm(f, t, spb) == pytest.approx(fourier_norm(f, t, spf), rel=1e-12)
+    ru = build_phi(4, 1, L, N)
+    assert fourier_norm(f, t, spb, ru) == pytest.approx(fourier_norm(f, t, spf, ru), rel=1e-12)
 
 
 def test_missing_levels():
@@ -160,7 +162,7 @@ def test_missing_levels():
     t = WeightSequence.from_spec(Constant(1.0), 2.0, 2, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
     with pytest.raises(MissingLevels):
-        fourier_norm(f, t, sp)
+        fourier_norm(f, t, sp, build_phi(5, 1, L, N))
 
 
 def test_two_admissible_profiles_agree_within_bounded_ratio():

@@ -4,8 +4,9 @@ import pytest
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
 from dilatest.errors import InvalidExponent, ResolutionExceeded
+from dilatest.lp_fourier import build_phi, fourier_norm
 from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
-from dilatest.weights import Constant, GeometricLevel, WeightSequence
+from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
 
 L, N = 8.0, 2048
 
@@ -196,3 +197,27 @@ def test_weight_and_space_exponents_must_agree(norm):
     t = const_weights(p=3.0, n=512)
     with pytest.raises(InvalidExponent, match=r"p = 3\.0.*p = 2\.0"):
         norm(f, t, sp_of(p=2.0, k_max=3))
+
+
+# -- metamorphic: a power-of-two scale of f passes through every norm ------------------
+
+
+@pytest.mark.parametrize("dim, halfwidth, n, k_max", [(1, 8.0, 1024, 4), (2, 4.0, 128, 2)])
+@pytest.mark.parametrize("kind", ["B", "F"])
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.5, 3.0)])
+def test_scaling_f_by_a_power_of_two_scales_every_norm_by_it(dim, halfwidth, n, k_max, kind,
+                                                             p, q):
+    # multiplying by 2**m is exact, so at p = q = 2 every power and root is too
+    f = fixtures.fixture("sine_packet", dim, halfwidth, n)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), p, k_max, dim, halfwidth, n)
+    sp = SpaceParams(kind, p, q, 2, (0.5, 0.5), k_max=k_max)
+    ru = build_phi(k_max, dim, halfwidth, n)
+    norms = [diff_norm, star_norm, lambda g, t, sp: fourier_norm(g, t, sp, ru)]
+    for name, norm in zip(["diff", "star", "fourier"], norms):
+        base = norm(f, t, sp)
+        for m in (-3, 5):
+            scaled = norm(f.with_samples(2.0**m * f.samples), t, sp)
+            if p == q == 2.0:
+                assert scaled == 2.0**m * base, (name, m)
+            else:
+                assert scaled == pytest.approx(2.0**m * base, rel=1e-13, abs=0), (name, m)

@@ -15,7 +15,9 @@ from dilatest.weights import (
     XClassParams,
     ap_constant,
     conjugate,
+    cube_families,
     cube_power_means,
+    power_table,
     scan_levels,
     weight_grid,
     xclass_check,
@@ -41,15 +43,16 @@ def test_cube_power_means_match_the_scalar_oracle(dim, halfwidth, n):
     clipped = 0
     for k in scan_levels(w, 6):
         side = 2.0**-k
-        for shift in SHIFT_FRACTIONS:
+        for fam in cube_families(w, k):
             for r in exponents:
-                means, idx = cube_power_means(w.samples, w, k, shift, r)
-                assert means.shape == (len(idx),)
-                for mean, m in zip(means, idx):
-                    lo = tuple((int(mi) + shift) * side for mi in m)
+                means = cube_power_means(power_table(w.samples, r), fam, r)
+                assert means.shape == (len(fam.indices),) * dim
+                for m in np.ndindex(means.shape):
+                    mean, shift = means[m], fam.shift
+                    lo = tuple((int(fam.indices[mi]) + shift) * side for mi in m)
                     box = Box(lo, tuple(x + side for x in lo))
                     want = _oracle(w, box, r)
-                    assert mean == pytest.approx(want, rel=1e-12), (k, shift, r, tuple(m))
+                    assert mean == pytest.approx(want, rel=1e-12), (k, shift, r, m)
                     # a clipped cube's box leaves [-L, L] on some axis
                     clipped += min(box.lo) < -halfwidth or max(box.hi) > halfwidth
     if halfwidth == 3.0:
@@ -60,7 +63,7 @@ def test_cube_power_means_reject_r_zero():
     w = GridFunction(1, 4.0, np.ones(32))
     for r in (0.0, math.nan):
         with pytest.raises(InvalidExponent):
-            cube_power_means(w.samples, w, 0, 0.0, r)
+            cube_power_means(power_table(w.samples, 1.0), cube_families(w, 0)[0], r)
 
 
 @pytest.mark.parametrize(
@@ -69,14 +72,14 @@ def test_cube_power_means_reject_r_zero():
 )
 def test_cube_power_means_raise_when_a_power_sum_leaves_the_float_range(value, r):
     w = GridFunction(1, 4.0, np.full(64, value))
-    with pytest.raises(NonPositiveValue, match=f"r = {r}"):
-        cube_power_means(w.samples, w, 0, 0.0, r)
+    with pytest.raises(NonPositiveValue, match=f"r = {r} .* at level 0"):
+        cube_power_means(power_table(w.samples, r), cube_families(w, 0)[0], r)
 
 
 def test_cube_power_means_of_an_underflowed_sum_are_inf():
     # at r < 0 a huge weight's w**r underflows to 0, and the mean is inf
     w = GridFunction(1, 4.0, np.full(64, 1e200))
-    means, _ = cube_power_means(w.samples, w, 0, 0.0, -2.0)
+    means = cube_power_means(power_table(w.samples, -2.0), cube_families(w, 0)[0], -2.0)
     assert np.all(means == math.inf)
 
 

@@ -1,5 +1,6 @@
 """The shared reduction kernels against brute-force slicing."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,10 +16,11 @@ from dilatest.dyadic import (
     axis_reduce,
     lp_of_lq,
     lq_of_lp,
+    range_table,
     running_max,
     window_sums,
 )
-from dilatest.weights import family_cube_reduce, scan_levels
+from dilatest.weights import cube_families, family_cube_reduce, scan_levels
 
 BRUTE = {
     "sum": lambda block, axis: block.sum(axis=axis),
@@ -114,7 +116,8 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
     values = np.random.default_rng(dim).random((n,) * dim) + 0.1
     f = GridFunction(dim, halfwidth, values)
     for k in scan_levels(f, 6):
-        for shift in (0.0, 1.0 / 3.0, 2.0 / 3.0):
+        for fam in cube_families(f, k):
+            shift = fam.shift
             # the shifted tiling cut by cell centers, brute force
             side, dx = 2.0**-k, 2.0 * halfwidth / n
             centers = -halfwidth + (np.arange(n) + 0.5) * dx
@@ -125,11 +128,12 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
             if dim == 2:
                 blocks = [values[a:b, c:d] for a, b in cells for c, d in cells]
             for op in ("sum", "min", "max"):
-                red, counts, idx = family_cube_reduce(values, f, k, shift, op)
+                red = family_cube_reduce(range_table(values, 0, op), fam, op)
                 want = [getattr(np, op)(b) for b in blocks]
-                np.testing.assert_allclose(red, want, rtol=1e-12)
-                assert list(counts) == [b.size for b in blocks]
-                assert idx.shape == (len(blocks), dim)
+                np.testing.assert_allclose(red.ravel(), want, rtol=1e-12)
+                counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * dim)
+                assert list(counts.ravel()) == [b.size for b in blocks]
+                assert red.shape == (len(fam.indices),) * dim
 
 
 def test_mixed_norms_of_one_layer_are_its_lp_norm():

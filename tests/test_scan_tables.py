@@ -2,7 +2,8 @@
 
 The scans build one first-axis table per weight array and exponent and read
 it for every level and shift, skip a shift family that repeats an earlier
-one's cells, and ``hl_maximal`` reads one axis-0 table for every radius. The oracles here are the formulas before that: a fresh ``w**r`` and
+one's cells, and ``hl_maximal`` reads one padded axis-0 table for every
+radius. The oracles here are the formulas before that: a fresh ``w**r`` and
 a fresh prefix table per family, all three shifts scanned, and one box
 reduction per radius. Every sum adds the same numbers in the same order, so
 the comparisons are exact.
@@ -20,11 +21,13 @@ from dilatest.dyadic import GridFunction, box_reduce, range_table, running_max, 
 from dilatest.maximal import hl_maximal
 from dilatest.weights import (
     SHIFT_FRACTIONS,
+    CubeFamily,
     GeometricLevel,
     Power,
     WeightSequence,
     XClassParams,
     ap_constant,
+    cube_families,
     cube_power_means,
     power_table,
     scan_levels,
@@ -32,7 +35,6 @@ from dilatest.weights import (
     weight_grid,
     xclass_check,
 )
-from dilatest.weights import _distinct_shifts, _family_axis
 
 EXPONENTS = [1.0, -1.0, -3.0, 2.5, math.inf, -math.inf]
 GRIDS = [(1, 8.0, 1024), (2, 4.0, 64), (1, 4.0 / 3.0, 256), (2, 4.0 / 3.0, 32)]
@@ -63,9 +65,20 @@ def _fresh_box_reduce(values, lo, hi, op):
     return out
 
 
+def _family(w: GridFunction, k, shift):
+    """Every nonempty cube of the shifted level-k tiling, a repeat of an earlier
+    shift's cells or not, with its cells snapped by ``index_range``."""
+    side = 2.0**-k
+    ms = np.arange(math.floor(-w.halfwidth / side - shift) - 1,
+                   math.ceil(w.halfwidth / side - shift) + 1)
+    lo, hi = w.index_range((ms + shift) * side, (ms + 1 + shift) * side)
+    keep = hi > lo
+    return CubeFamily(k, shift, lo[keep], hi[keep], ms[keep])
+
+
 def _fresh_means(w: GridFunction, k, shift, r):
     """M_{Q,r}(w) over one shifted family from a fresh w**r, and the cube indices."""
-    lo, hi, ms = _family_axis(w.halfwidth, w.resolution, k, shift)
+    _, _, lo, hi, ms = _family(w, k, shift)
     cubes = ms[np.indices((len(lo),) * w.dim).reshape(w.dim, -1).T]
     if math.isinf(r):
         return _fresh_box_reduce(w.samples, lo, hi, "max" if r > 0 else "min").ravel(), cubes
@@ -85,13 +98,12 @@ def test_shared_power_tables_give_the_fresh_per_family_means_bit_for_bit(dim, ha
     for r in EXPONENTS:
         table = power_table(w.samples, r)
         for k in scan_levels(w, 8):
-            for shift in SHIFT_FRACTIONS:
-                means, idx = cube_power_means(table, w, k, shift, r)
-                want, cubes = _fresh_means(w, k, shift, r)
-                assert np.array_equal(means, want), (r, k, shift)
-                assert np.array_equal(idx, cubes)
-                # the samples and their table are one input
-                assert np.array_equal(cube_power_means(w.samples, w, k, shift, r)[0], want)
+            for fam in cube_families(w, k):
+                means = cube_power_means(table, fam, r)
+                want, cubes = _fresh_means(w, k, fam.shift, r)
+                assert np.array_equal(means.ravel(), want), (r, k, fam.shift)
+                assert np.array_equal(fam.indices[np.indices(means.shape).reshape(w.dim, -1).T],
+                                      cubes)
 
 
 @pytest.mark.parametrize("dim, halfwidth, n", GRIDS)
@@ -168,8 +180,7 @@ SCANS = [(2, 4.0, 256), (1, 8.0, 512)]
 
 
 def _skips_a_family(g: GridFunction, depth):
-    return any(len(list(_distinct_shifts(g, k))) < len(SHIFT_FRACTIONS)
-               for k in scan_levels(g, depth))
+    return any(len(cube_families(g, k)) < len(SHIFT_FRACTIONS) for k in scan_levels(g, depth))
 
 
 @pytest.mark.parametrize("dim, halfwidth, n", SCANS)

@@ -13,7 +13,6 @@ from dilatest.errors import (
 from dilatest.weights import (
     FAIL,
     PASS,
-    SHIFT_FRACTIONS,
     AdmissibleSeq,
     Constant,
     GeometricLevel,
@@ -24,9 +23,11 @@ from dilatest.weights import (
     XClassParams,
     ap_constant,
     conjugate,
+    cube_families,
     cube_power_means,
     cube_weight_norm,
     eval_weight,
+    power_table,
     sigma1_of,
     spec_from_dict,
     spec_to_dict,
@@ -176,10 +177,10 @@ def test_a1_constant_is_the_mean_over_min_scan(dim, n):
     want = []
     for gr in (g.resample(res) for res in (n // 64, n // 8, n) if res >= 32):
         ratios = [
-            cube_power_means(gr.samples, gr, k, shift, 1.0)[0]
-            / cube_power_means(gr.samples, gr, k, shift, -math.inf)[0]
+            cube_power_means(power_table(gr.samples, 1.0), fam, 1.0)
+            / cube_power_means(power_table(gr.samples, -math.inf), fam, -math.inf)
             for k in scan_levels(gr, 4)
-            for shift in SHIFT_FRACTIONS
+            for fam in cube_families(gr, k)
         ]
         want.append((gr.resolution, max(float(np.max(r)) for r in ratios)))
     assert ap_constant(g, 1.0, depth=4).trace == want
