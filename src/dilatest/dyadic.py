@@ -488,25 +488,23 @@ def box_reduce(table: RangeTable, lo, hi, op="sum"):
     return out
 
 
-def running_max(values, radius, axis):
-    """Max over the window [i - radius, i + radius] along one axis, clipped to the array.
+def three_point_max(values, step, axis, out=None):
+    """max(X[i - step], X[i], X[i + step]) along one axis, a neighbour past
+    either end left out. With ``out`` (not ``values`` itself) its entries join
+    the max and it is returned; otherwise the result is a fresh array.
 
-    Padding with -inf makes every window full length w = 2 radius + 1 without
-    changing its max. Doubling then gives the max over [i, i + p) for p the
-    largest power of two not above w, and two such spans cover each window.
+    Nested with steps 1, 1, 2, ..., 2^(j-2) it gives the max over the clipped
+    window [i - 2^(j-1), i + 2^(j-1)]: every offset in it is a sum of
+    same-sign steps, so each point on the way stays between i and the target.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.shape[axis]
-    width = 2 * radius + 1
-    shape = list(v.shape)
-    shape[axis] = n + 2 * radius
-    a = np.full(shape, -np.inf)
-    a[_at(axis, slice(radius, radius + n))] = v
-    span = 1
-    while 2 * span <= width:
-        a = np.maximum(a[_at(axis, slice(None, -span))], a[_at(axis, slice(span, None))])
-        span *= 2
-    return np.maximum(a[_at(axis, slice(0, n))], a[_at(axis, slice(width - span, width - span + n))])
+    if out is None:
+        out = values.copy()
+    else:
+        np.maximum(out, values, out=out)
+    ahead, behind = _at(axis, slice(step, None)), _at(axis, slice(None, -step))
+    np.maximum(out[ahead], values[behind], out=out[ahead])
+    np.maximum(out[behind], values[ahead], out=out[behind])
+    return out
 
 
 def window_sums(values, radius_cells: int):

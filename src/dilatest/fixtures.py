@@ -16,8 +16,10 @@ _SMOOTH_TERMS = 4  # Gaussians in one random_smooth mixture
 # fixtures take points in the public layout (``point_layout``), the helpers (..., dim)
 
 
-def _radius2(pts):
-    return np.sum(pts * pts, axis=-1)
+def _radius2(pts, center=0.0):
+    """|pts - center|^2, the squares added axis by axis in axis order."""
+    center = np.broadcast_to(center, pts.shape[-1:])
+    return functools.reduce(np.add, [np.square(pts[..., a] - c) for a, c in enumerate(center)])
 
 
 def _axis_apply(fn1d, pts):
@@ -26,17 +28,18 @@ def _axis_apply(fn1d, pts):
 
 
 def _smooth_edge(t):
-    # C-infinity transition: 0 for t <= 0, 1 for t >= 1
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
+    """C-infinity transition: exactly 0 for t <= 0 and 1 for t >= 1, the two
+    exponentials evaluated only inside the band 0 < t < 1."""
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    band = (t > 0.0) & (t < 1.0)
+    tb = t[band]
+    a = np.exp(-1.0 / np.maximum(tb, 1e-300))
+    out[band] = a / (a + np.exp(-1.0 / (1.0 - tb)))
+    return out
 
 
 def gaussian(pts, dim=1, width=1.0, center=0.0):
-    r2 = _radius2(point_layout(pts, dim) - center)
-    return np.exp(-r2 / width**2)
+    return np.exp(-_radius2(point_layout(pts, dim), center) / width**2)
 
 
 def bump(pts, dim=1, radius=3.0):

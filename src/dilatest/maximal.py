@@ -8,16 +8,18 @@ dimensional factor, which the frozen regression bounds absorb. Box averages
 come from padded per-axis prefix tables (``prefix_table``), whose clipped
 windows are two slices (``table_windows``): one axis-0 table per call, padded
 for the widest radius and read by every radius, and one table per radius
-along each other axis. The per-point maxima come from a
-per-axis running maximum built by window doubling (``running_max``), so the
-whole field costs O(N^n log^2 N) on N^n cells.
+along each other axis. The per-point maxima nest three-point maxima
+(``three_point_max``) from the widest radius down: with A_j the means at
+radius h_j = 2^(j-1), the field is |f| v D_1(A_1 v D_1(A_2 v D_2(A_3 v ...
+D_(h_(J-1))(A_J)))), each D applied along every axis, so every level costs
+O(N^n) and the whole field O(N^n log N) on N^n cells.
 """
 
 import math
 
 import numpy as np
 
-from .dyadic import GridFunction, lp_of_lq, prefix_table, running_max, table_windows
+from .dyadic import GridFunction, lp_of_lq, prefix_table, table_windows, three_point_max
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
 
@@ -25,11 +27,12 @@ from .weights import FAIL, WeightSequence, ap_constant
 def hl_maximal(f: GridFunction) -> GridFunction:
     """Maximal field: per point, the largest cube average of |f| around it."""
     n = f.resolution
-    out = np.abs(f.samples)  # the singleton cell is the j = 0 member of the family
+    absf = np.abs(f.samples)  # the singleton cell is the j = 0 member of the family
     pad = n // 2 + 1  # the widest window, +-n/2 cells, reaches n/2 + 1 past an end
-    table = prefix_table(out, 0, pad)  # one axis-0 table for every radius
+    table = prefix_table(absf, 0, pad)  # one axis-0 table for every radius
     idx = np.arange(n)
-    for j in range(1, int(math.log2(n)) + 1):
+    reach = None  # T of the module docstring: the nested max over the wider radii
+    for j in range(int(math.log2(n)), 0, -1):
         half = 2 ** (j - 1)
         # means over the centered cubes of +-half cells, clipped to the grid
         cells = np.minimum(idx + half + 1, n) - np.maximum(idx - half, 0)
@@ -39,10 +42,17 @@ def hl_maximal(f: GridFunction) -> GridFunction:
                 local = table_windows(prefix_table(local, ax, half + 1), ax, half + 1,
                                       half, half + 1)
             local /= np.reshape(cells, (-1,) + (1,) * (f.dim - 1 - ax))
-        for ax in range(f.dim):
-            local = running_max(local, half, ax)
-        np.maximum(out, local, out=out)
-    return f.with_samples(out)
+        if reach is not None:
+            local = _dilate(reach, half, local)
+        reach = local
+    return f.with_samples(_dilate(reach, 1, absf))  # a grid has n >= 2, so j = 1 ran
+
+
+def _dilate(values, step, out):
+    """``three_point_max`` of ``values`` along every axis, joined into ``out``."""
+    for ax in range(values.ndim - 1):
+        values = three_point_max(values, step, ax)
+    return three_point_max(values, step, values.ndim - 1, out)
 
 
 def m_sigma(f: GridFunction, sigma) -> GridFunction:

@@ -1,0 +1,77 @@
+"""The fixture helpers against the formulas they replaced, bit for bit.
+
+``_radius2`` adds the squares axis by axis and ``gaussian`` subtracts its
+center per axis, where the oracle sums over a trailing axis of a subtracted
+point array; ``_smooth_edge`` evaluates its exponentials only inside the band
+0 < t < 1, where the oracle clips t and evaluates them everywhere.
+"""
+
+import numpy as np
+import pytest
+
+from dilatest import fixtures
+from dilatest.fixtures import _radius2, _smooth_edge, gaussian
+
+EDGES = [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 2.0**-53, 0.5,
+         1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 7.0, np.inf]
+
+
+def _old_radius2(pts):
+    return np.sum(pts * pts, axis=-1)
+
+
+def _old_gaussian(pts, width, center):
+    return np.exp(-_old_radius2(pts - center) / width**2)
+
+
+def _old_smooth_edge(t):
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    return a / (a + b)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radius2_and_gaussian_match_the_trailing_axis_sum(dim):
+    rng = np.random.default_rng(dim)
+    pts = rng.choice([-1.0, 1.0], size=(7, 9, dim)) * 10.0 ** rng.uniform(-4, 2, (7, 9, dim))
+    pts[0, 0] = -0.0
+    assert _same_bits(_radius2(pts), _old_radius2(pts))
+    for center in (0.0, -1.25, rng.normal(size=dim)):
+        for width in (0.4, 1.0, 1.6):
+            want = _old_gaussian(pts, width, center)
+            public = pts[..., 0] if dim == 1 else pts
+            assert _same_bits(gaussian(public, dim, width, center), want)
+
+
+def test_smooth_edge_matches_the_clipped_formula():
+    rng = np.random.default_rng(0)
+    t = np.concatenate([EDGES, rng.uniform(-0.5, 1.5, 4000), rng.uniform(0.0, 2e-3, 200),
+                        1.0 - rng.uniform(0.0, 2e-3, 200)])
+    got = _smooth_edge(t)
+    assert _same_bits(got, _old_smooth_edge(t))
+    assert np.all(got[t <= 0.0] == 0.0) and not np.any(np.signbit(got))
+    assert np.all(got[t >= 1.0] == 1.0)
+    assert _same_bits(_smooth_edge(t.reshape(-1, 2)), _old_smooth_edge(t).reshape(-1, 2))
+
+
+def test_smooth_edge_raises_no_floating_point_warning():
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        _smooth_edge(np.array(EDGES))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
+def test_fixtures_through_the_helpers_match_the_old_formulas(dim, n):
+    f = fixtures.fixture("mollified_step", dim, 3.0, n)
+    pts = f.points() if dim == 2 else f.points()[..., None]
+    want = np.prod([_old_smooth_edge((1.0 - np.abs(pts[..., a])) / 0.5 + 0.5)
+                    for a in range(dim)], axis=0)
+    assert np.array_equal(f.samples, want)
+    g = fixtures.fixture("sine_packet", dim, 3.0, n)
+    assert _same_bits(g.samples, np.sin(4.0 * pts[..., 0]) * np.exp(-_old_radius2(pts) / 4.0))

@@ -30,6 +30,21 @@ def brute_force_maximal_at(f, i):
     return best
 
 
+def brute_force_maximal_2d_at(f, i0, i1):
+    """``brute_force_maximal_at`` on a 2-D grid: every centered square of side
+    2 half + 1 cells, clipped, whose center is within half cells of (i0, i1) per axis."""
+    s = np.abs(f.samples)
+    n = f.resolution
+    best = s[i0, i1]
+    for j in range(1, int(math.log2(n)) + 1):
+        half = 2 ** (j - 1)
+        for c0 in range(max(0, i0 - half), min(n, i0 + half + 1)):
+            for c1 in range(max(0, i1 - half), min(n, i1 + half + 1)):
+                block = s[max(0, c0 - half):c0 + half + 1, max(0, c1 - half):c1 + half + 1]
+                best = max(best, block.mean())
+    return best
+
+
 def test_maximal_constant():
     f = GridFunction.from_callable(lambda x: np.full_like(x, 2.0), 1, L, 256)
     assert np.allclose(hl_maximal(f).samples, 2.0, rtol=1e-14)
@@ -105,6 +120,15 @@ def test_maximal_2d_smoke():
     mf = hl_maximal(f)
     assert np.all(mf.samples >= np.abs(f.samples) - 1e-15)
     assert mf.samples.max() == pytest.approx(1.0, rel=1e-2)
+
+
+def test_maximal_2d_matches_brute_force_on_every_point():
+    # small integer samples, so many cube means tie with each other and with |f|
+    samples = np.random.default_rng(9).integers(-3, 4, size=(16, 16)).astype(float)
+    f = GridFunction(2, 2.0, samples)
+    mf = hl_maximal(f).samples
+    for i0, i1 in np.ndindex(mf.shape):
+        assert mf[i0, i1] == pytest.approx(brute_force_maximal_2d_at(f, i0, i1), rel=1e-12)
 
 
 def test_m_sigma():

@@ -1,6 +1,7 @@
 """The shared reduction kernels against brute-force slicing."""
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from dilatest.dyadic import (
     lp_of_lq,
     lq_of_lp,
     range_table,
-    running_max,
+    three_point_max,
     window_sums,
 )
 from dilatest.weights import cube_families, family_cube_reduce, scan_levels
@@ -93,22 +94,52 @@ def test_window_sums_match_range_reductions_bit_for_bit(dim, n, radius, seed):
     assert got.flags.c_contiguous
 
 
+def _step_lists(radius):
+    """Three-point steps whose nesting spans [-radius, radius]: greedy doubling
+    for every radius, and for a power of two the 1, 1, 2, ..., radius/2 that
+    ``hl_maximal`` nests."""
+    greedy, total = [], 0
+    while total < radius:
+        greedy.append(min(total + 1, radius - total))
+        total += greedy[-1]
+    lists = [greedy]
+    if radius >= 2 and radius & (radius - 1) == 0:
+        lists.append([1] + [2**i for i in range(int(math.log2(radius)))])
+    return lists
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
-def test_running_max_matches_clipped_windows(n):
+def test_nested_three_point_max_matches_clipped_windows(n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=(n, n + 2))
     for axis in (0, 1):
         length = values.shape[axis]
-        for radius in range(length + 1):  # every window size, up to wider than the axis
-            got = running_max(values, radius, axis)
-            for i in range(length):
-                window = values.take(np.arange(max(i - radius, 0), min(i + radius + 1, length)),
-                                     axis=axis)
-                np.testing.assert_array_equal(got.take(i, axis=axis), window.max(axis=axis))
+        for radius in range(length + 3):  # every window size, up to wider than the axis
+            for steps in _step_lists(radius):
+                got = functools.reduce(lambda v, step: three_point_max(v, step, axis), steps,
+                                       values)
+                for i in range(length):
+                    window = values.take(np.arange(max(i - radius, 0),
+                                                   min(i + radius + 1, length)), axis=axis)
+                    np.testing.assert_array_equal(got.take(i, axis=axis),
+                                                  window.max(axis=axis))
     flat = rng.normal(size=n)
-    for radius in range(n + 1):
+    for radius in range(n + 3):
         want = [flat[max(i - radius, 0): i + radius + 1].max() for i in range(n)]
-        np.testing.assert_array_equal(running_max(flat, radius, 0), want)
+        for steps in _step_lists(radius):
+            got = functools.reduce(lambda v, step: three_point_max(v, step, 0), steps, flat)
+            np.testing.assert_array_equal(got, want)
+
+
+def test_three_point_max_joins_into_out_and_leaves_values():
+    values = np.random.default_rng(5).normal(size=(6, 7))
+    kept = values.copy()
+    out = np.random.default_rng(6).normal(size=(6, 7))
+    want = np.maximum(out, three_point_max(values, 2, 1))
+    got = three_point_max(values, 2, 1, out)
+    assert got is out
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(values, kept)
 
 
 @pytest.mark.parametrize("dim,halfwidth,n", [(1, 8.0, 256), (1, 3.0, 256), (2, 3.0, 32)])

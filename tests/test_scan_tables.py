@@ -3,10 +3,11 @@
 The scans build one first-axis table per weight array and exponent and read
 it for every level and shift, skip a shift family that repeats an earlier
 one's cells, and ``hl_maximal`` reads one padded axis-0 table for every
-radius. The oracles here are the formulas before that: a fresh ``w**r`` and
-a fresh prefix table per family, all three shifts scanned, and one box
-reduction per radius. Every sum adds the same numbers in the same order, so
-the comparisons are exact.
+radius and nests three-point maxima from the widest radius down. The oracles
+here are the formulas before that: a fresh ``w**r`` and a fresh prefix table
+per family, all three shifts scanned, and one box reduction and one running
+maximum by window doubling per radius. Every sum adds the same numbers in the
+same order and every max selects one of them, so the comparisons are exact.
 """
 
 import functools
@@ -17,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dilatest.dyadic import GridFunction, box_reduce, range_table, running_max, table_reduce
+from dilatest.dyadic import GridFunction, box_reduce, range_table, table_reduce
 from dilatest.maximal import hl_maximal
 from dilatest.weights import (
     SHIFT_FRACTIONS,
@@ -106,6 +107,24 @@ def test_shared_power_tables_give_the_fresh_per_family_means_bit_for_bit(dim, ha
                                       cubes)
 
 
+def _running_max(values, radius, axis):
+    """Max over the window [i - radius, i + radius] along one axis, clipped to the
+    array: padded with -inf to full windows of w = 2 radius + 1, doubled to spans
+    of the largest power of two p <= w, and two such spans cover each window."""
+    n = values.shape[axis]
+    width = 2 * radius + 1
+    at = (slice(None),) * axis
+    shape = list(values.shape)
+    shape[axis] = n + 2 * radius
+    a = np.full(shape, -np.inf)
+    a[at + (slice(radius, radius + n),)] = values
+    span = 1
+    while 2 * span <= width:
+        a = np.maximum(a[at + (slice(None, -span),)], a[at + (slice(span, None),)])
+        span *= 2
+    return np.maximum(a[at + (slice(0, n),)], a[at + (slice(width - span, width - span + n),)])
+
+
 @pytest.mark.parametrize("dim, halfwidth, n", GRIDS)
 def test_hl_maximal_equals_one_box_mean_per_radius_bit_for_bit(dim, halfwidth, n):
     f = GridFunction(dim, halfwidth, np.random.default_rng(n).normal(size=(n,) * dim))
@@ -116,7 +135,7 @@ def test_hl_maximal_equals_one_box_mean_per_radius_bit_for_bit(dim, halfwidth, n
         half = 2 ** (j - 1)
         local = _fresh_box_reduce(absf, idx - half, idx + half + 1, "mean")
         for ax in range(dim):
-            local = running_max(local, half, ax)
+            local = _running_max(local, half, ax)
         want = np.maximum(want, local)
     assert np.array_equal(hl_maximal(f).samples, want)
 
