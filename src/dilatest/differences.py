@@ -23,8 +23,12 @@ each field sets only its reduction, normalization and extra flag. Nodes and
 grid are tensor products, so each stencil term f(x + mult*h) is a clamped
 linear shift along one axis after another (``GridFunction.axis_stencil``):
 interp's one rule, nested per-axis linear steps, so the fields equal the
-point-by-point interpolation bit for bit, on any node spacing. The stencil
-point f(x + 0*h) does not depend on h and is shifted once per call. Each
+point-by-point interpolation bit for bit, on any node spacing. Every axis
+has the same centers and node values, so the stencil rows of the inner
+axes are computed once per node value and field, not once per node (1-D has
+no inner axis and keeps no table). The stencil term of f(x + 0*h) does not
+depend on h and is shifted and scaled once per call. Pairs that leave the box
+are dropped by zeroing each axis's out-of-domain rows of |Delta_h^M f|. Each
 node's field is reduced on its own, because reducing the sum over nodes
 would move the round-off of the prefix sums; the kept-pair counts are
 integers, a product of per-axis counts, and are reduced once.
@@ -190,19 +194,34 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
 
     Nodes run in row-major order and a node recomputes only the axes from
     the first whose component changed: the axis-0 shifts for h_0 serve every
-    h_1. The stencil point mult = 0, shifted once per call, is not
-    ``f.samples``: a shift by zero still interpolates when the float centers
-    do not land on the grid.
+    h_1. Every axis has the same centers and node values, so the stencil
+    rows of a node value serve every axis. The inner axes revisit each value
+    and keep its rows in a table, filled on first use and read by axis 0 as
+    well; axis 0 sees each value once, so 1-D keeps no table. The stencil
+    point mult = 0, shifted once per call, is not ``f.samples``: a shift by
+    zero still interpolates when the float centers do not land on the grid.
+    Pairs that leave the box are dropped by zeroing each axis's out-of-domain
+    rows of |Delta_h^M f|.
     """
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
     # the last stencil point is mult = 0; the node loop shifts and tests only
     # the others, since every unshifted center lies in the box
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
+
+    def stencil(x):
+        """(i0, w) rows of the shifted stencil points for node value x, and
+        the in-domain test they share."""
+        i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], x))
+        return i0, w, np.logical_and.reduce(ok)
+
+    table = [None] * len(axis_nodes)  # stencil rows per node value, kept by the inner axes
+    # the mult = 0 term coeffs[-1] * f(x + 0*h), the same for every node
     i0, w, _ = f.axis_stencil([0.0])
     still = f.samples
     for a in range(dim):
         still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
+    still *= coeffs[-1]
     # moved[a][j]: f shifted by mults[j] * h along axes 0..a-1, stored with
     # axis a leading; inside[a]: the axis-a factor of the in-domain mask
     # shared by every stencil point
@@ -215,25 +234,30 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
         first = next(a for a in range(dim) if node[a] != last[a])
         last = node
         for a in range(first, dim):
-            i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], axis_nodes[node[a]]))
-            inside[a] = np.logical_and.reduce(ok)
+            rows = table[node[a]] or stencil(axis_nodes[node[a]])
+            i0, w, inside[a] = rows
             if a == 0:
                 count = count + inside[0]
+            else:
+                table[node[a]] = rows
             if a + 1 < dim:
                 moved[a + 1] = None  # release the previous shifts first
                 moved[a + 1] = [
                     _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
                 ]
                 continue
-            acc = 0.0
-            for j, v in enumerate(moved[a]):
-                v = _shift(v, i0[j], w[j])
+            # the first coefficient is 1, so the sum starts from its term
+            # unscaled: exact but for the sign of a zero, which abs drops
+            acc = _shift(moved[a][0], i0[0], w[0])
+            for j in range(1, len(moved[a])):
+                v = _shift(moved[a][j], i0[j], w[j])
                 v *= coeffs[j]
-                acc = acc + v
-            acc = acc + still * coeffs[-1]
+                acc += v
+            acc += still
         # back to the axis order, C-contiguous: cube sums depend on the layout
         g = np.abs(np.moveaxis(acc, 0, -1), order="C")
-        g *= functools.reduce(np.logical_and.outer, inside)
+        for a, keep in enumerate(inside):
+            g[(slice(None),) * a + (~keep,)] = 0.0
         # summed per node: a single reduce of the summed field moves the
         # round-off of prefix-table sums; the integer counts are exact in any order
         num = num + reduce(g)

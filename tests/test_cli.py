@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dilatest import fixtures
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.errors import ConfigError, DilatestError
 from dilatest.weights import WeightSequence
@@ -34,6 +35,26 @@ def test_norm_command_zero_fixture(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert all(row["value"] == 0.0 for row in report["results"]["rows"])
     assert report["verdicts"]["overall"] == "PASS"
+
+
+def test_norm_with_too_much_boundary_mass_is_inconclusive(tmp_path, monkeypatch, capsys):
+    # the unreliable setup of tests/test_norms.py: x**2 on a tight box puts
+    # over 20% of the difference mass in flagged windows
+    monkeypatch.setitem(fixtures._FIXTURES, "square", lambda pts, dim: pts**2)
+    cfg = {
+        "grid": {"L": 2.0, "N": 256, "dim": 1},
+        "space": {"kind": "B", "p": 2.0, "q": 2.0, "M": 1, "alpha": [0.5, 0.5], "K_max": 1},
+        "weights": {"kind": "constant", "value": 1.0},
+        "fixture": "square",
+    }
+    out = tmp_path / "r.json"
+    assert main(["norm", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["verdicts"] == {"overall": "INCONCLUSIVE", "unreliable": ["diff", "star"]}
+    diff, star, _ = report["results"]["rows"]
+    assert diff["boundary_mass"] > 0.2 and star["boundary_mass"] > 0.2
+    assert "verdict: INCONCLUSIVE" in capsys.readouterr().err
 
 
 def test_dilate_command_json_and_exit(tmp_path):

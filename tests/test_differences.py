@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -8,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilatest import differences
 from dilatest.differences import (
+    _h_axis,
     _h_nodes,
+    _lead_next,
+    _shift,
     delta_avg_cube,
     delta_avg_expanded,
     delta_avg_window,
@@ -354,6 +359,66 @@ def test_shift_kernel_matches_gather(geometry, k):
         got = field[name](f, k, m)
         np.testing.assert_array_equal(got[0], values)
         np.testing.assert_array_equal(got[1], flags)
+
+
+def _node_sums_per_node_stencils(f, k, order, reduce):
+    """The node loop before its stencil table: every node asks ``axis_stencil``
+    for each recomputed axis, sums the terms from 0.0 with every coefficient
+    multiplied, scales the mult = 0 term per node, and masks |Delta_h^M f| by
+    the outer product of the per-axis in-domain tests."""
+    axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
+    coeffs, mults = zip(*difference_coefficients(order))
+    dim = f.dim
+    i0, w, _ = f.axis_stencil([0.0])
+    still = f.samples
+    for a in range(dim):
+        still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
+    moved = [[f.samples] * (len(mults) - 1)] + [None] * (dim - 1)
+    inside = [None] * dim
+    count = 0
+    num = 0.0
+    last = (None,) * dim
+    for node in itertools.product(range(len(axis_nodes)), repeat=dim):
+        first = next(a for a in range(dim) if node[a] != last[a])
+        last = node
+        for a in range(first, dim):
+            i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], axis_nodes[node[a]]))
+            inside[a] = np.logical_and.reduce(ok)
+            if a == 0:
+                count = count + inside[0]
+            if a + 1 < dim:
+                moved[a + 1] = [
+                    _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
+                ]
+                continue
+            acc = 0.0
+            for j, v in enumerate(moved[a]):
+                v = _shift(v, i0[j], w[j])
+                v *= coeffs[j]
+                acc = acc + v
+            acc = acc + still * coeffs[-1]
+        g = np.abs(np.moveaxis(acc, 0, -1), order="C")
+        g *= functools.reduce(np.logical_and.outer, inside)
+        num = num + reduce(g)
+    cells = reduce(np.ones(f.samples.shape))
+    valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
+    total = len(axis_nodes) ** dim * cells
+    with np.errstate(invalid="ignore", divide="ignore"):
+        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+    return dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_node_loop_matches_per_node_stencils_on_the_ladder_grid(k, monkeypatch):
+    # the coarse levels of the 2-D ladder grid, which the gather above skips
+    f = _kernel_grid(2, 4.0, 128)
+    fields = (delta_window_field, delta_cube_field)
+    got = [field(f, k, 2) for field in fields]
+    monkeypatch.setattr(differences, "_node_sums", _node_sums_per_node_stencils)
+    for field, have in zip(fields, got):
+        want = field(f, k, 2)
+        np.testing.assert_array_equal(have[0], want[0])
+        np.testing.assert_array_equal(have[1], want[1])
 
 
 @functools.lru_cache(maxsize=None)
