@@ -119,8 +119,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
     if resolution < 32 or resolution & (resolution - 1):
         raise ConfigError("grid.N must be a power of two >= 32")
     dim = _integer(grid.get("dim", 1), "grid.dim")
-    if dim not in (1, 2):
-        raise ConfigError("grid.dim must be 1 or 2")
+    if dim not in (1, 2, 3):
+        raise ConfigError("grid.dim must be 1, 2 or 3 (the sup probe is too coarse above 3)")
 
     s = _section(data, "space", {})
     window_cap = finest_level(halfwidth, resolution, min_cells=4)
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DilatestError as exc:
+    except (DilatestError, MemoryError) as exc:  # a grid too large to allocate is invalid input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,12 @@ on a lattice plus an adaptive zoom around the running maxima, over three
 domain-doubling stages with a per-stage zoom budget that grows; a genuinely
 infinite supremum (a power-law blow-up anywhere in the doubled boxes) then
 shows up as >= 2x growth per stage and is reported as DIVERGENT, while
-finite suprema settle.
+finite suprema settle. In n dimensions the lattice has 2**(16 - 4n) cells
+and each zoom 2**max(4, 8 - 2n) + 1 points per axis (4096 and 65 in 1-D,
+256 and 17 in 2-D, 16 and 17 in 3-D). The zoom keeps at least 17 points
+because a coarser zoom cannot climb a blow-up: with 5 points per axis in 3-D
+the probe read no |x - c|**-0.25 divergence, and the trace even fell across
+the stages.
 
 The check's settings are fixed: a dilation may clip at most 1% of the
 witnessed mass, the probe runs three stages, and the lambda-independence
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import GridFunction, level_block_reduce, level_cell_count, tensor_points
-from .errors import ClippingExcessive, PreconditionFailed
+from .errors import ClippingExcessive, PreconditionFailed, ResolutionExceeded
 from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
     FAIL,
@@ -125,11 +130,7 @@ class SobolevSupResult:
         return "DIVERGENT" if self.divergent else f"{self.value:.6g}"
 
 
-# the sup probe per dimension: lattice cells and zoom points per axis, and
-# its number of domain-doubling stages
-_SUP_LATTICE = {1: 4096, 2: 256}
-_SUP_ZOOM = {1: 65, 2: 17}
-_SUP_STAGES = 3
+_SUP_STAGES = 3  # the sup probe's number of domain-doubling stages
 
 
 def _ratio_values(omega, lam, pts):
@@ -171,18 +172,23 @@ def sobolev_sup_ratio(omega, lam, halfwidth, dim=1) -> SobolevSupResult:
     exactly its base. Each stage doubles the box and deepens the zoom around
     the running maxima; DIVERGENT is the FAIL branch of the scans' growth
     rule: the probed supremum at least doubled across both of the last two
-    stages.
+    stages. The lattice has 2**(16 - 4 * dim) cells and each zoom
+    2**max(4, 8 - 2 * dim) + 1 points per axis (see the module docstring);
+    from dim = 4 on the lattice would have fewer than 16 cells per axis, and
+    the probe raises ResolutionExceeded.
     """
     if lam <= 1.0:
         raise ValueError("the comparison needs lambda > 1")
-    cells = _SUP_LATTICE[dim]
+    cells, zoom = 2 ** (16 - 4 * dim), 2 ** max(4, 8 - 2 * dim) + 1
+    if cells < 16:
+        raise ResolutionExceeded(f"the sup probe has under 16 lattice cells per axis in {dim}-D")
     trace = []
     for s in range(_SUP_STAGES):
         box = halfwidth * 2.0**s
         dx = 2.0 * box / cells
         axis = -box + (np.arange(cells) + 0.5) * dx
         lattice = tensor_points([axis] * dim)
-        trace.append(_stage_sup(omega, lam, lattice, dx, _SUP_ZOOM[dim], 4 * (s + 1)))
+        trace.append(_stage_sup(omega, lam, lattice, dx, zoom, 4 * (s + 1)))
     divergent = _trace_verdict(trace) == FAIL
     return SobolevSupResult(value=trace[-1], divergent=divergent, trace=trace)
 

@@ -132,7 +132,7 @@ class GridFunction:
 
     Parameters
     ----------
-    dim : 1 or 2
+    dim : n, any dimension >= 1
     halfwidth : L, half side of the sampled box
     samples : array of shape (N,) * dim; N must be a power of two
     evaluator : optional closed form, used for exact resampling and dilation;
@@ -141,8 +141,8 @@ class GridFunction:
     """
 
     def __init__(self, dim, halfwidth, samples, evaluator=None):
-        if dim not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
+        if dim <= 0:
+            raise ValueError("the dimension must be at least 1")
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != dim:
             raise ValueError(f"samples must be {dim}-dimensional")
@@ -177,7 +177,7 @@ class GridFunction:
         return -self.halfwidth + (np.arange(n) + 0.5) * dx
 
     def points(self):
-        """All cell centers in the public layout: shape (N,) in 1-D, (N, N, 2) in 2-D."""
+        """All cell centers in the public layout: shape (N,) in 1-D, (N,) * n + (n,) above."""
         grid = tensor_points([self.axis_centers()] * self.dim)
         return point_layout(grid, self.dim, public=True)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilatest import fixtures
+from dilatest import cli, fixtures
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.errors import ConfigError, DilatestError
 from dilatest.weights import WeightSequence
@@ -487,3 +487,43 @@ def test_maximal_at_theta_equal_to_p_runs_the_a1_scan(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert report["results"]["theta"] == 2.0 and report["verdicts"]["overall"] == "PASS"
+
+
+# -- dimension 3: the input gate, and every command through main
+
+_CUBE_3D = {
+    "grid": {"L": 2.0, "N": 32, "dim": 3},
+    "space": {"kind": "B", "p": 2.0, "q": 2.0, "M": 2, "alpha": [1.0, 1.0], "K_max": 1},
+    "weights": {"kind": "geometric", "s": 1.0, "base": {"kind": "constant", "value": 1.0}},
+    "families": 1,
+    "family_size": 2,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_on_a_3d_config(tmp_path, capsys, command):
+    # exit 0, 1 or 2 with a verdict or a typed error, never a traceback
+    # (before the sup probe's rule, 3-D dilate raised KeyError at its table)
+    code = main([command, "--config", write_config(tmp_path, "c.json", _CUBE_3D)])
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    verdict = {0: "PASS", 1: "FAIL", 2: "INCONCLUSIVE"}[code]
+    assert last == f"verdict: {verdict}" or (code == 2 and last.startswith("error: "))
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_grid_dim_outside_1_to_3_exits_2_naming_the_probe(tmp_path, capsys, dim):
+    cfg = dict(_CUBE_3D, grid=dict(_CUBE_3D["grid"], dim=dim))
+    assert main(["ap", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "grid.dim must be 1, 2 or 3" in err and "sup probe" in err
+
+
+def test_an_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate (2-D N = 1048576 asks for 8 TiB) once
+    # escaped main as a traceback with exit 1, the code of a computed FAIL
+    def too_large(cfg, threads):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "ap", too_large)
+    assert main(["ap", "--config", write_config(tmp_path, "c.json", BASE)]) == 2
+    assert "error: MemoryError: Unable to allocate 8.00 TiB" in capsys.readouterr().err

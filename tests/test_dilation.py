@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from dilatest import fixtures
+from dilatest import dilation, fixtures
 from dilatest.dilation import (
     choose_i,
     compute_H,
@@ -10,7 +12,7 @@ from dilatest.dilation import (
     summarize_dilation,
     verify_theorem,
 )
-from dilatest.errors import ClippingExcessive, PreconditionFailed
+from dilatest.errors import ClippingExcessive, PreconditionFailed, ResolutionExceeded
 from dilatest.dyadic import GridFunction
 from dilatest.norms import SpaceParams
 from dilatest.weights import (
@@ -118,6 +120,52 @@ def test_sobolev_sup_shifted_power_divergent():
     r = sobolev_sup_ratio(ShiftedPower(1.0, -0.25), 2.0, L)
     assert r.divergent
     assert r.trace[1] >= 2 * r.trace[0] and r.trace[2] >= 2 * r.trace[1]
+
+
+@pytest.mark.parametrize("dim, cells, zoom", [(1, 4096, 65), (2, 256, 17), (3, 16, 17)])
+def test_sup_probe_sizes_follow_one_rule(monkeypatch, dim, cells, zoom):
+    # 2**(16 - 4n) lattice cells and 2**max(4, 8 - 2n) + 1 zoom points per axis
+    seen = []
+
+    def stage(omega, lam, lattice, dx, points, rounds):
+        seen.append((lattice.shape, points, rounds))
+        return 1.0
+
+    monkeypatch.setattr(dilation, "_stage_sup", stage)
+    sobolev_sup_ratio(Constant(1.0), 2.0, L, dim=dim)
+    assert seen == [((cells,) * dim + (dim,), zoom, 4 * (s + 1)) for s in range(3)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sobolev_sup_in_every_dimension(dim):
+    # |x - c|**-0.25 blows up at x = lam * c, so every case diverges; |x|**-0.5
+    # has the finite sup lam**0.5 everywhere
+    for c, lam, halfwidth in itertools.product(
+        [(1.0, 0.0, 0.0), (0.7, -0.3, 1.1)], [2.0, 3.0], [4.0, 8.0]
+    ):
+        r = sobolev_sup_ratio(ShiftedPower(c[:dim], -0.25), lam, halfwidth, dim=dim)
+        assert r.divergent, (c, lam, halfwidth, r.trace)
+    r = sobolev_sup_ratio(Power(-0.5), 2.0, 4.0, dim=dim)
+    assert not r.divergent
+    assert r.value == pytest.approx(2.0**0.5, rel=1e-9)
+
+
+def test_sobolev_sup_above_3d_raises_a_typed_error():
+    with pytest.raises(ResolutionExceeded, match="16 lattice cells"):
+        sobolev_sup_ratio(Power(-0.5), 2.0, 4.0, dim=4)
+
+
+def test_verify_theorem_in_3d():
+    f = GridFunction.from_callable(lambda p: np.exp(-4.0 * np.sum(p**2, axis=-1)), 3, 2.0, 32)
+    sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=1)
+    t = WeightSequence.from_spec(
+        GeometricLevel(1.0, ShiftedPower((0.5, 0.0, 0.0), -0.25)), 2.0, 1, 3, 2.0, 32
+    )
+    reports = verify_theorem(f, t, sp, [2.0, 4.0])
+    for r in reports:
+        assert r.sobolev.divergent
+        assert r.bound_rhs_shape == pytest.approx(r.lam ** (1.0 - 3 / 2.0) * r.H, rel=1e-15)
+        assert np.isfinite(r.observed_c) and r.observed_c > 0
 
 
 def test_verify_theorem_identity_lambda():
