@@ -24,7 +24,7 @@ from .dyadic import GridFunction, finest_level
 from .errors import ConfigError, DilatestError, InvalidExponent, config_number
 from .lp_fourier import build_phi, fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
-from .norms import SpaceParams, diff_norm, star_norm
+from .norms import SpaceParams, diff_norm, star_norm, window_level_cap
 from .weights import (
     WeightSequence,
     XClassParams,
@@ -60,18 +60,26 @@ def _section(data, key, default):
 
 
 def _bounds(data):
-    """Optional overrides: 'fs' and 'weighted' are numbers, the rest [lo, hi]."""
+    """Optional overrides: 'fs' and 'weighted' are numbers, the rest [lo, hi].
+
+    Every bounded ratio is >= 0, so a bound <= 0, or a bracket whose hi is,
+    could only ever read FAIL and is rejected.
+    """
     out = {}
     for key, value in _section(data, "bounds", {}).items():
         where = f"bounds.{key}"
         if key in ("fs", "weighted"):
             out[key] = config_number(value, where)
+            if not out[key] > 0:
+                raise ConfigError(f"{where}: must be positive, got {out[key]}")
         elif key in ("star_diff", "fourier_diff"):
             if not isinstance(value, list) or len(value) != 2:
                 raise ConfigError(f"{where}: expected [lo, hi], got {value!r}")
             lo, hi = (config_number(v, where) for v in value)
             if lo > hi:
                 raise ConfigError(f"{where}: lo = {lo} exceeds hi = {hi}")
+            if not hi > 0:
+                raise ConfigError(f"{where}: hi must be positive, got {hi}")
             out[key] = [lo, hi]
         else:
             raise ConfigError(f"{where}: unknown bound")
@@ -123,18 +131,21 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError("grid.dim must be 1, 2 or 3 (the sup probe is too coarse above 3)")
 
     s = _section(data, "space", {})
-    window_cap = finest_level(halfwidth, resolution, min_cells=4)
+    window_cap = window_level_cap(halfwidth, resolution)
     k_max = s.get("K_max", max(1, min(6, window_cap)))
     alpha = s.get("alpha", [1.0, 1.0])
     if not isinstance(alpha, list) or len(alpha) != 2:
         raise ConfigError(f"space.alpha: expected two numbers, got {alpha!r}")
+    alpha = tuple(config_number(a, "space.alpha") for a in alpha)
+    if not all(math.isfinite(a) for a in alpha):
+        raise ConfigError(f"space.alpha: expected finite numbers, got {list(alpha)!r}")
     try:
         space = SpaceParams(
             kind=s.get("kind", "B"),
             p=config_number(s.get("p", 2.0), "space.p"),
             q=config_number(s.get("q", 2.0), "space.q"),
             M=_integer(s.get("M", 2), "space.M", minimum=1),
-            alpha=tuple(config_number(a, "space.alpha") for a in alpha),
+            alpha=alpha,
             theta=config_number(s.get("theta", 1.0), "space.theta"),
             sigma2=(
                 config_number(s["sigma2"], "space.sigma2")
@@ -310,7 +321,7 @@ def _run_maximal(cfg, threads=1):
             )
             for i in range(max(2, cfg.family_size // 2))
         ]
-        wm_ratio = weighted_maximal_ratio(smooth, t, sp.p, sp.q, theta, depth=4)
+        wm_ratio = weighted_maximal_ratio(smooth, t, sp.p, sp.q, theta)
         rows.append({"seed": seed, "fs_ratio": fs_ratio, "weighted_ratio": wm_ratio})
     fs_bound = cfg.bounds.get("fs", regression.FS_RATIO_BOUND)
     wm_bound = cfg.bounds.get("weighted", regression.WEIGHTED_RATIO_BOUND)

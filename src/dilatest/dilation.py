@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import GridFunction, level_block_reduce, level_cell_count, tensor_points
-from .errors import ClippingExcessive, PreconditionFailed, ResolutionExceeded
+from .errors import ClippingExcessive, InvalidExponent, PreconditionFailed, ResolutionExceeded
 from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
     FAIL,
@@ -111,8 +111,8 @@ def compute_H(t: WeightSequence, lam, k_max) -> float:
     best = 0.0
     for ell in range(min(k_max, t.k_max) + 1):
         compressed = eval_weight(t.spec, ell, pts / lam, g.dim)
-        num = level_block_reduce(compressed**t.p, g, ell, op="sum")
-        den = level_block_reduce(t.level(ell).samples ** t.p, g, ell, op="sum")
+        num = level_block_reduce(compressed**t.p, g, ell)
+        den = level_block_reduce(t.level(ell).samples ** t.p, g, ell)
         ratio = (num / den) ** (1.0 / t.p)
         best = max(best, float(np.max(ratio)))
     return best
@@ -125,9 +125,6 @@ class SobolevSupResult:
     value: float
     divergent: bool
     trace: list
-
-    def __str__(self):
-        return "DIVERGENT" if self.divergent else f"{self.value:.6g}"
 
 
 _SUP_STAGES = 3  # the sup probe's number of domain-doubling stages
@@ -246,7 +243,15 @@ def verify_theorem(
         g, clipped = dilate(f, lam)
         after = norm_fn(g, t, sp)
         h_const = compute_H(t, lam, sp.k_max)
-        shape = lam ** (sp.alpha[1] - n_over_p) * h_const
+        try:
+            shape = lam ** (sp.alpha[1] - n_over_p) * h_const
+        except OverflowError:
+            shape = math.inf
+        if not 0.0 < shape * base < math.inf:
+            raise InvalidExponent(
+                f"the bound shape lambda**(alpha2 - n/p) * H at lambda = {lam} and "
+                f"alpha2 = {sp.alpha[1]}, times norm_before, leaves the float range"
+            )
         observed = after / (shape * base)
         sob = None
         if lam > 1.0:

@@ -15,16 +15,17 @@ Geometry conventions used throughout the package:
 * the levels a grid resolves follow one rule (``finest_level``), and a
   level-k cube must span a whole number of cells (``level_cell_count``),
 * box reductions come in two kinds, each applied one axis at a time so the
-  dimension is a loop bound: exact per-tile reductions over aligned tiles by
-  reshape (``level_block_reduce``), and reductions over index ranges from a
-  table built once per array. ``prefix_table`` is the one prefix-sum table:
-  with ``pad`` leading zeros and ``pad`` trailing totals, every clipped
-  centered window is two slices of it (``table_windows``, read by
-  ``window_sums`` and the maximal field). Arbitrary ranges go through
-  ``range_table`` (the unpadded prefix table, or the array for ``reduceat``)
-  and ``table_reduce``; ``axis_reduce`` and ``box_reduce`` (the same ranges
-  along every axis, from a first-axis table that a scan builds once for all
-  of its cube families) are thin uses of the two,
+  dimension is a loop bound: exact sums over aligned tiles by reshape
+  (``level_block_reduce``; ``resample`` divides them into block means), and
+  reductions over index ranges from a table built once per array.
+  ``prefix_table`` is the one prefix-sum table: with ``pad`` leading zeros
+  and ``pad`` trailing totals, every clipped centered window is two slices
+  of it (``table_windows``, read by ``window_sums`` and the maximal field).
+  Arbitrary ranges go through a ``RangeTable``, which knows its reduction
+  ("sum" reads the unpadded prefix table, "min" and "max" the array for
+  ``reduceat``): ``range_table`` builds it and ``table_reduce`` reads it, and
+  ``box_reduce`` takes the same ranges along every axis from a first-axis
+  table that a scan builds once for all of its cube families,
 * the B and F aggregates over levels are one choice (``mixed_norm``).
 """
 
@@ -47,10 +48,6 @@ class DyadicCube:
     index: tuple
 
     @property
-    def dim(self):
-        return len(self.index)
-
-    @property
     def side(self):
         return 2.0 ** (-self.level)
 
@@ -69,19 +66,8 @@ class Box:
             raise ValueError("box must have positive measure on every axis")
 
     @property
-    def dim(self):
-        return len(self.lo)
-
-    @property
     def sides(self):
         return tuple(h - l for l, h in zip(self.lo, self.hi))
-
-    @property
-    def measure(self):
-        out = 1.0
-        for s in self.sides:
-            out *= s
-        return out
 
     def intersect(self, other):
         """Intersection with another box, or None if it has empty interior."""
@@ -203,14 +189,10 @@ class GridFunction:
                 self.evaluator, self.dim, self.halfwidth, resolution
             )
         if resolution < self.resolution and self.resolution % resolution == 0:
-            return self.coarsen(self.resolution // resolution)
+            # block means over the aligned tiles of the coarse cells
+            factor = self.resolution // resolution
+            return self.with_samples(_tile_reduce(self.samples, factor) / factor**self.dim)
         raise ValueError("cannot refine sampled data without a closed form")
-
-    def coarsen(self, factor):
-        """Block-mean downsample by an integer factor."""
-        if self.resolution % factor:
-            raise ValueError("factor must divide the resolution")
-        return GridFunction(self.dim, self.halfwidth, _tile_reduce(self.samples, factor, "mean"))
 
     # -- interpolation ------------------------------------------------------
 
@@ -278,11 +260,6 @@ class GridFunction:
 
     def l1(self):
         return float(np.sum(np.abs(self.samples))) * self.spacing**self.dim
-
-    def lp(self, p):
-        return float(np.sum(np.abs(self.samples) ** p) * self.spacing**self.dim) ** (
-            1.0 / p
-        )
 
 
 # -- box quadrature ----------------------------------------------------------
@@ -361,25 +338,24 @@ def level_first_index(f: GridFunction, k: int) -> int:
     return int(round(-f.halfwidth * 2.0**k))
 
 
-def _tile_reduce(values, cells, op):
-    """Exact reduction over aligned tiles of ``cells`` samples per axis, by reshape.
+def _tile_reduce(values, cells):
+    """Sums over the aligned tiles of ``cells`` samples per axis, by reshape.
 
-    Kept apart from ``axis_reduce`` on purpose: prefix-table differences
+    Kept apart from ``table_reduce`` on purpose: prefix-table differences
     round at the scale of the running total, not of the tile.
     """
     v = np.asarray(values, dtype=float)
     tiles = v.reshape(sum(((n // cells, cells) for n in v.shape), ()))
-    red = {"sum": np.sum, "mean": np.mean, "max": np.max, "min": np.min}[op]
-    return red(tiles, axis=tuple(range(1, tiles.ndim, 2)))
+    return np.sum(tiles, axis=tuple(range(1, tiles.ndim, 2)))
 
 
-def level_block_reduce(values, f: GridFunction, k: int, op="sum"):
-    """Reduce a sample array over the level-k cubes tiling the domain.
+def level_block_reduce(values, f: GridFunction, k: int):
+    """Sum a sample array over the level-k cubes tiling the domain.
 
     Returns an array with one entry per cube per axis, ordered by index.
     """
     level_cube_count(f, k)  # the cubes must tile the domain
-    return _tile_reduce(values, level_cell_count(f, k), op)
+    return _tile_reduce(values, level_cell_count(f, k))
 
 
 # -- reductions over index ranges ------------------------------------------------
@@ -421,70 +397,58 @@ def table_windows(table, axis, pad, below, above):
 
 @dataclass(frozen=True)
 class RangeTable:
-    """What range reductions of one array along ``axis`` read: built once by
-    ``range_table``, read by any number of ``table_reduce`` calls.
+    """What range reductions of one array along ``axis`` by ``op`` read: built
+    once by ``range_table``, read by any number of ``table_reduce`` calls.
 
-    For "sum" and "mean" ``data`` is the ``prefix_table``; for "min" and "max"
-    it is the array with one spare slice, which keeps every start, the axis
-    length included, a valid ``ufunc.reduceat`` index.
+    For "sum" ``data`` is the ``prefix_table``; for "min" and "max" it is the
+    array with one spare slice, which keeps every start, the axis length
+    included, a valid ``ufunc.reduceat`` index.
     """
 
     axis: int
-    prefix: bool
+    op: str
     data: np.ndarray
 
 
 def range_table(values, axis=0, op="sum"):
     """The table from which ``table_reduce`` reduces any ranges of ``values``
-    along ``axis`` by ``op``; "sum" and "mean" share one, and so do "min" and "max"."""
+    along ``axis`` by ``op``: "sum", "min" or "max"."""
     v = np.asarray(values, dtype=float)
-    if op in ("sum", "mean"):
-        return RangeTable(axis, True, prefix_table(v, axis, 0))
+    if op == "sum":
+        return RangeTable(axis, op, prefix_table(v, axis, 0))
     if op not in ("min", "max"):
         raise ValueError(f"unknown reduction {op!r}")
-    return RangeTable(axis, False, np.concatenate([v, v[_at(axis, slice(0, 1))]], axis))
+    return RangeTable(axis, op, np.concatenate([v, v[_at(axis, slice(0, 1))]], axis))
 
 
-def table_reduce(table: RangeTable, lo, hi, op="sum"):
-    """Reduce over the index ranges [lo[i], hi[i]) along the table's axis.
+def table_reduce(table: RangeTable, lo, hi):
+    """Reduce over the index ranges [lo[i], hi[i]) along the table's axis by its op.
 
     Entry i of the output axis holds the reduction over range i; ranges are
-    clipped to the array. Sums are differences of prefix-table entries,
-    "mean" divides them by the clipped length, and "min"/"max" use
-    ``ufunc.reduceat``. Empty ranges give 0, nan, +inf and -inf.
+    clipped to the array. Sums are differences of prefix-table entries, and
+    "min"/"max" use ``ufunc.reduceat``. Empty ranges give 0, +inf and -inf.
     """
     axis, data = table.axis, table.data
-    if table.prefix != (op in ("sum", "mean")):
-        raise ValueError(f"this table cannot give the reduction {op!r}")
     n = data.shape[axis] - 1
     lo = np.minimum(np.maximum(lo, 0), n)
     hi = np.minimum(np.maximum(hi, lo), n)
-    if table.prefix:
-        out = data.take(hi, axis) - data.take(lo, axis)
-        if op == "sum":
-            return out
-        with np.errstate(invalid="ignore"):
-            return out / _along(hi - lo, axis, data.ndim)
-    ufunc, empty = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}[op]
+    if table.op == "sum":
+        return data.take(hi, axis) - data.take(lo, axis)
+    ufunc, empty = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}[table.op]
     # interleaved starts put range i at output 2i
     starts = np.stack([lo, hi], axis=-1).ravel()
     out = ufunc.reduceat(data, starts, axis=axis)[_at(axis, slice(0, None, 2))]
     return np.where(_along(hi > lo, axis, data.ndim), out, empty)
 
 
-def axis_reduce(values, lo, hi, axis, op="sum"):
-    """Reduce over the index ranges [lo[i], hi[i]) along one axis: ``table_reduce``
-    of a table built for this call."""
-    return table_reduce(range_table(values, axis, op), lo, hi, op)
-
-
-def box_reduce(table: RangeTable, lo, hi, op="sum"):
-    """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ...: the same
-    index ranges along every axis, from the first-axis ``range_table`` of the
-    values, which a scan over many box families builds once."""
-    out = table_reduce(table, lo, hi, op)
+def box_reduce(table: RangeTable, lo, hi):
+    """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ... by the
+    table's op: the same index ranges along every axis, from the first-axis
+    ``range_table`` of the values, which a scan over many box families builds
+    once; each further axis tables the partial result."""
+    out = table_reduce(table, lo, hi)
     for ax in range(1, out.ndim):
-        out = axis_reduce(out, lo, hi, ax, op)
+        out = table_reduce(range_table(out, ax, table.op), lo, hi)
     return out
 
 
@@ -532,15 +496,6 @@ def window_sums(values, radius_cells: int):
 # -- mixed norms over levels -----------------------------------------------------
 
 
-def lq_of_lp(layers, p, q, cellw=1.0):
-    """l_q over levels of the L_p norm of each layer (the B-kind aggregate).
-
-    Returns (value, per-level L_p norms).
-    """
-    terms = [float(np.sum(np.abs(v) ** p) * cellw) ** (1.0 / p) for v in layers]
-    return float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q), terms
-
-
 def lp_of_lq(layers, p, q, cellw=1.0):
     """L_p norm of the pointwise l_q aggregate of the layers (the F kind)."""
     agg = 0.0
@@ -550,10 +505,12 @@ def lp_of_lq(layers, p, q, cellw=1.0):
 
 
 def mixed_norm(kind, layers, p, q, cellw=1.0):
-    """The kind-"B" aggregate ``lq_of_lp`` or the kind-"F" one ``lp_of_lq``.
+    """The kind-"B" aggregate, l_q over levels of the L_p norm of each layer,
+    or the kind-"F" one ``lp_of_lq``.
 
     Returns (value, per-level L_p norms); F has no per-level terms and gives [].
     """
     if kind == "B":
-        return lq_of_lp(layers, p, q, cellw)
+        terms = [float(np.sum(np.abs(v) ** p) * cellw) ** (1.0 / p) for v in layers]
+        return float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q), terms
     return lp_of_lq(layers, p, q, cellw), []

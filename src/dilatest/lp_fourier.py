@@ -9,7 +9,7 @@ inputs reconstruct to round-off.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class ResolutionOfUnity:
     halfwidth: float
     resolution: int
     k_max: int
-    multipliers: list = field(default_factory=list)
-    radial: np.ndarray = None
+    multipliers: list
+    radial: np.ndarray
 
 
 def nyquist_frequency(halfwidth, resolution):

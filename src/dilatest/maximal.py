@@ -23,6 +23,8 @@ from .dyadic import GridFunction, lp_of_lq, prefix_table, table_windows, three_p
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
 
+_AP_DEPTH = 4  # finest cube level of the A_(p/theta) scans of the weighted ratio
+
 
 def hl_maximal(f: GridFunction) -> GridFunction:
     """Maximal field: per point, the largest cube average of |f| around it."""
@@ -77,12 +79,12 @@ def fs_inequality_ratio(fs, p, q, sigma) -> float:
     return lhs / rhs
 
 
-def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta, depth=4) -> float:
+def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta) -> float:
     """Weighted vector-valued maximal ratio under a Muckenhoupt precondition.
 
     The levelwise weights must pass the finiteness scan at exponent p/theta
-    (their estimated constants bounded across levels); a FAIL verdict raises
-    PreconditionFailed.
+    down to cube level 4 (their estimated constants bounded across levels);
+    a FAIL verdict raises PreconditionFailed.
     """
     if not 1.0 < theta <= p < math.inf:
         raise InvalidExponent("need 1 < theta <= p < inf")
@@ -91,7 +93,7 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta, depth=4) -> float
     if len(fs) > t.k_max + 1:
         raise MissingLevels("weight sequence shorter than the function family")
     for k in range(len(fs)):
-        rep = ap_constant(t.level(k), p / theta, depth)
+        rep = ap_constant(t.level(k), p / theta, _AP_DEPTH)
         if rep.verdict == FAIL:
             raise PreconditionFailed(
                 f"level-{k} weight failed the A_(p/theta) scan: trace {rep.trace}"

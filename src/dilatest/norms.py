@@ -23,6 +23,7 @@ from .errors import InvalidExponent, ResolutionExceeded
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
 
 BOUNDARY_MASS_LIMIT = 0.20
+_WINDOW_CELLS = 4  # a difference window spans at least this many cells a side
 
 
 @dataclass
@@ -72,14 +73,20 @@ class SpaceParams:
         return sigma1_of(self.theta, self.p)
 
 
+def window_level_cap(halfwidth, resolution) -> int:
+    """The finest level a difference norm reaches on the grid: its windows
+    span at least ``_WINDOW_CELLS`` cells a side."""
+    return finest_level(halfwidth, resolution, min_cells=_WINDOW_CELLS)
+
+
 def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
     if t.p != sp.p:
         raise InvalidExponent(
             f"the weight sequence's p = {t.p} differs from the space's p = {sp.p}"
         )
-    if sp.k_max > finest_level(f.halfwidth, f.resolution, min_cells=4):
+    if sp.k_max > window_level_cap(f.halfwidth, f.resolution):
         raise ResolutionExceeded(
-            f"k_max = {sp.k_max} needs window side >= 4 cells "
+            f"k_max = {sp.k_max} needs window side >= {_WINDOW_CELLS} cells "
             f"(spacing {f.spacing:.3g})"
         )
     if t.k_max < sp.k_max:
@@ -158,7 +165,7 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     cellw = f.spacing**n
 
     t0m, _ = cube_weight_norms_level(t, 0)
-    l1m = level_block_reduce(np.abs(f.samples), f, 0, op="sum") * cellw
+    l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
     zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
 
     def level(k):

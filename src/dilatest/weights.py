@@ -28,7 +28,9 @@ M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
 * C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
 
 A scan builds the first-axis table of each weight array and exponent once
-(``power_table``) and reads it for every family of the list; the tables are
+(``power_table``): the sums of w**r, or at r = inf and r = -inf the max and
+the min of w, since a ``RangeTable`` carries its reduction. Every family of
+the list reads it by that reduction (``family_cube_reduce``); the tables are
 locals of the one call. The class check reads each distinct exponent once.
 
 The class check keeps C1 and C2 as running sups per fine level j, over k <= j
@@ -38,6 +40,7 @@ cube is kept.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -286,10 +289,10 @@ def cube_families(f: GridFunction, k):
     return _FAMILIES[key]
 
 
-def family_cube_reduce(table: RangeTable, fam: CubeFamily, op="sum"):
-    """Per-cube reduction of the values tabled by ``range_table`` over the
-    family's cubes, in the shape of the cube grid."""
-    return box_reduce(table, fam.lo, fam.hi, op)
+def family_cube_reduce(table: RangeTable, fam: CubeFamily):
+    """Per-cube reduction, by the table's op, of the values tabled by
+    ``range_table`` over the family's cubes, in the shape of the cube grid."""
+    return box_reduce(table, fam.lo, fam.hi)
 
 
 def power_table(samples, r):
@@ -315,10 +318,10 @@ def cube_power_means(table: RangeTable, fam: CubeFamily, r):
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
-    if math.isinf(r):
-        return family_cube_reduce(table, fam, op="max" if r > 0 else "min")
     with np.errstate(over="ignore", invalid="ignore"):
         sums = family_cube_reduce(table, fam)
+    if math.isinf(r):
+        return sums  # the max or the min
     if not np.all(np.isfinite(sums)):
         raise NonPositiveValue(
             f"the cube sums of w**r at r = {r} overflow the float range at level {fam.level}"
@@ -449,7 +452,7 @@ def cube_weight_norm(t: WeightSequence, k, m) -> float:
 def cube_weight_norms_level(t: WeightSequence, k):
     """All t_{k,m} over the level-k cubes tiling the grid, plus first index."""
     g = t.level(k)
-    sums = level_block_reduce(g.samples**t.p, g, k, op="sum") * g.spacing**g.dim
+    sums = level_block_reduce(g.samples**t.p, g, k) * g.spacing**g.dim
     return sums ** (1.0 / t.p), level_first_index(g, k)
 
 
@@ -484,6 +487,16 @@ class XClassReport:
     trace: list
     verdict: str
     order_violation: bool
+
+
+def _level_factor(exponent):
+    """2**exponent, an inter-level factor of the class check; InvalidExponent
+    when it overflows, as 2**(alpha1 (j - k)) does at alpha1 = 2000."""
+    if not exponent < sys.float_info.max_exp:  # nan too, from an infinite alpha
+        raise InvalidExponent(
+            f"the inter-level factor 2**({exponent}) of the class check overflows"
+        )
+    return 2.0**exponent
 
 
 def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
@@ -528,8 +541,8 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
             mp, ms1, ms2 = (means[r] for r in exponents)
             for j in range(j_max + 1):
                 for k in range(j + 1):
-                    v1 = mp[k] / ms1[j] * 2.0 ** (-params.alpha1 * (k - j))
-                    v2 = ms2[j] / mp[k] * 2.0 ** (-params.alpha2 * (j - k))
+                    v1 = mp[k] / ms1[j] * _level_factor(-params.alpha1 * (k - j))
+                    v2 = ms2[j] / mp[k] * _level_factor(-params.alpha2 * (j - k))
                     c1[j] = max(c1[j], float(v1.max()))
                     c2[j] = max(c2[j], float(v2.max()))
 

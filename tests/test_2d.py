@@ -128,8 +128,8 @@ def test_compute_h_2d_homogeneity():
 def test_dilate_2d_change_of_variables():
     f = grid2(lambda p: np.exp(-radial(p) ** 2))
     g, _ = dilate(f, 2.0)
-    # ||f(lam .)||_2 = lam^(-n/p) ||f||_2 with n = p = 2
-    assert g.lp(2.0) / f.lp(2.0) == pytest.approx(0.5, rel=1e-2)
+    # ||f(lam .)||_2 = lam^(-n/p) ||f||_2 with n = p = 2; both share one grid
+    assert np.linalg.norm(g.samples) / np.linalg.norm(f.samples) == pytest.approx(0.5, rel=1e-2)
 
 
 def test_sobolev_2d_power():

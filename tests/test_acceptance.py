@@ -231,7 +231,7 @@ def test_criterion_10_maximal_ratio_regressions():
             fam = fixtures.random_indicator_family(seed, 6, 1, L, n)
             fs_pair.append(fs_inequality_ratio(fam, 2.0, 2.0, 0.5))
             smooth = [fixtures.random_smooth(1000 + 10 * seed + i, 1, L, n) for i in range(4)]
-            wm_pair.append(weighted_maximal_ratio(smooth, t_by_n[n], 2.0, 2.0, 1.5, depth=4))
+            wm_pair.append(weighted_maximal_ratio(smooth, t_by_n[n], 2.0, 2.0, 1.5))
         fs_max = max(fs_max, fs_pair[0])
         wm_max = max(wm_max, wm_pair[0])
         fs_worst_change = max(fs_worst_change, abs(fs_pair[1] / fs_pair[0] - 1.0))

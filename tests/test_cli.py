@@ -236,6 +236,11 @@ def _set(cfg, path, value):
         ("dilate", "lambda_list", ["inf"], "lambda_list"),
         ("equiv", "bounds.star_diff", 3, "bounds.star_diff"),
         ("equiv", "bounds.star_diff", [0.7, 0.4], "bounds.star_diff"),
+        # every ratio is >= 0, so these bounds would decide FAIL before anything ran
+        ("equiv", "bounds.star_diff", [-1, -0.5], "bounds.star_diff"),
+        ("equiv", "bounds.fourier_diff", [-1, 0], "bounds.fourier_diff"),
+        ("maximal", "bounds.fs", -1, "bounds.fs"),
+        ("maximal", "bounds.weighted", 0, "bounds.weighted"),
         ("maximal", "bounds.fs", "abc", "bounds.fs"),
     ],
 )
@@ -338,6 +343,34 @@ def test_parse_config_returns_config_or_config_error(config, command):
         WeightSequence.from_spec(cfg.weights, cfg.space.p, 1, cfg.dim, cfg.halfwidth, 32)
     except DilatestError:
         pass
+
+
+# 1-D L=8, N=512, K_max=3, B with p = q = 2, geometric s = 0.5 over |x|^0.3
+_GEOMETRIC_POWER = {
+    "grid": {"L": 8, "N": 512},
+    "space": {"kind": "B", "p": 2, "q": 2, "K_max": 3},
+    "weights": {"kind": "geometric", "s": 0.5, "base": {"kind": "power", "beta": 0.3}},
+    "lambda_list": [2.0, 4.0],
+}
+
+
+@pytest.mark.parametrize(
+    "command, alpha, error",
+    [
+        # once an OverflowError traceback with exit 1, at 2**(alpha1 (j - k)) ...
+        ("xclass", [2000, 2000], "error: InvalidExponent: the inter-level factor 2**(2000.0)"),
+        # ... and at lambda**(alpha2 - n/p)
+        ("dilate", [0.5, 2000], "error: InvalidExponent: the bound shape"),
+        # once observed_c 0, spread "nan" and exit 1, a computed FAIL
+        ("dilate", ["inf", "inf"], "config error: space.alpha"),
+    ],
+)
+def test_alpha_beyond_the_float_range_exits_2(tmp_path, capsys, command, alpha, error):
+    cfg = dict(_GEOMETRIC_POWER, space=dict(_GEOMETRIC_POWER["space"], alpha=alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alpha outside (0, M) only warns
+        assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys):

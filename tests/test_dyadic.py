@@ -15,6 +15,7 @@ from dilatest.dyadic import (
     expanded_cube,
     finest_level,
     level_block_reduce,
+    level_cell_count,
     window_sums,
 )
 from dilatest.errors import EmptyIntersection, OutOfDomain, ResolutionExceeded
@@ -121,7 +122,7 @@ def test_partition_measures():
     f = grid(lambda x: x, n=256, L=4.0)
     for k in (-2, 0, 3):
         cubes = cubes_covering(f.domain, k)
-        total = sum(cube_box(c).measure for c in cubes)
+        total = sum(math.prod(cube_box(c).sides) for c in cubes)
         assert total == pytest.approx((2 * f.halfwidth) ** f.dim, rel=1e-12)
         # disjointness: count of cells covered matches the full grid
         counts = 0
@@ -168,7 +169,7 @@ def test_lp_average_monotone_in_p():
 def test_block_reduce_matches_box_average():
     f = grid(lambda x: np.cos(x), n=512)
     k = 2
-    means = level_block_reduce(np.abs(f.samples), f, k, op="mean")
+    means = level_block_reduce(np.abs(f.samples), f, k) / level_cell_count(f, k)
     cubes = cubes_covering(f.domain, k)
     direct = [box_average(f, cube_box(c)) for c in cubes]
     assert np.allclose(np.sort(means), np.sort(direct), rtol=1e-12)
@@ -253,3 +254,17 @@ def test_grid_2d_average():
     assert box_average(f, Box((0.0, -1.0), (1.0, 1.0))) == pytest.approx(
         0.5, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("dim, n, coarse", [(1, 64, 8), (2, 32, 4), (3, 16, 8)])
+def test_resample_of_sampled_data_takes_block_means_bit_for_bit(dim, n, coarse):
+    rng = np.random.default_rng(dim)
+    shape = (n,) * dim
+    f = GridFunction(dim, 3.0, rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape))
+    c = n // coarse
+    blocks = f.samples.reshape(sum(((coarse, c) for _ in range(dim)), ()))
+    g = f.resample(coarse)
+    assert (g.dim, g.halfwidth, g.evaluator) == (dim, 3.0, None)
+    assert np.array_equal(g.samples, blocks.mean(axis=tuple(range(1, 2 * dim, 2))))
+    with pytest.raises(ValueError):
+        f.resample(2 * n)

@@ -115,9 +115,10 @@ def test_fourier_norm_zero():
 def test_fourier_norm_band_limited_reduces_to_lp():
     f = GridFunction.from_callable(lambda x: np.cos(math.pi * x / 4.0), 1, L, N)
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    l2 = math.sqrt(np.sum(f.samples**2) * f.spacing)
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
-        assert fourier_norm(f, t, sp, build_phi(5, 1, L, N)) == pytest.approx(f.lp(2.0), rel=1e-10)
+        assert fourier_norm(f, t, sp, build_phi(5, 1, L, N)) == pytest.approx(l2, rel=1e-10)
 
 
 def test_fourier_norm_monotone_in_smoothness():

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from dilatest.dyadic import (
     GridFunction,
-    axis_reduce,
     lp_of_lq,
-    lq_of_lp,
+    mixed_norm,
     range_table,
+    table_reduce,
     three_point_max,
     window_sums,
 )
@@ -25,8 +25,6 @@ from dilatest.weights import cube_families, family_cube_reduce, scan_levels
 
 BRUTE = {
     "sum": lambda block, axis: block.sum(axis=axis),
-    "mean": lambda block, axis: block.mean(axis=axis) if block.shape[axis] else
-    np.full(np.delete(block.shape, axis), np.nan),
     "min": lambda block, axis: block.min(axis=axis, initial=np.inf),
     "max": lambda block, axis: block.max(axis=axis, initial=-np.inf),
 }
@@ -50,12 +48,12 @@ def reduce_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(reduce_cases())
-def test_axis_reduce_matches_slicing(case):
+def test_table_reduce_matches_slicing(case):
     values, ranges, axis, op = case
     n = values.shape[axis]
     lo = np.array([a for a, _ in ranges])
     hi = np.array([b for _, b in ranges])
-    got = axis_reduce(values, lo, hi, axis, op)
+    got = table_reduce(range_table(values, axis, op), lo, hi)
     assert got.shape[axis] == len(ranges)
     for i, (a, b) in enumerate(ranges):
         a, b = min(max(a, 0), n), min(max(b, 0), n)
@@ -65,13 +63,13 @@ def test_axis_reduce_matches_slicing(case):
 
 
 def _window_sums_by_ranges(values, r):
-    """Centered window sums as one concatenated lo/hi ``axis_reduce`` per axis, then split."""
+    """Centered window sums as one concatenated lo/hi ``table_reduce`` per axis, then split."""
     out = np.asarray(values, dtype=float)
     for ax in range(out.ndim):
         idx = np.arange(out.shape[ax])
         lo = np.concatenate([idx - r, idx - r + 1])
         hi = np.concatenate([idx + r + 1, idx + r])
-        closed, interior = np.split(axis_reduce(out, lo, hi, ax), 2, axis=ax)
+        closed, interior = np.split(table_reduce(range_table(out, ax), lo, hi), 2, axis=ax)
         out = 0.5 * (closed + interior)
     return out
 
@@ -159,7 +157,7 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
             if dim == 2:
                 blocks = [values[a:b, c:d] for a, b in cells for c, d in cells]
             for op in ("sum", "min", "max"):
-                red = family_cube_reduce(range_table(values, 0, op), fam, op)
+                red = family_cube_reduce(range_table(values, 0, op), fam)
                 want = [getattr(np, op)(b) for b in blocks]
                 np.testing.assert_allclose(red.ravel(), want, rtol=1e-12)
                 counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * dim)
@@ -170,7 +168,7 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
 def test_mixed_norms_of_one_layer_are_its_lp_norm():
     layer = np.random.default_rng(3).normal(size=64)
     lp = float(np.sum(np.abs(layer) ** 3) * 0.5) ** (1 / 3)
-    value, terms = lq_of_lp([layer], 3.0, 1.5, 0.5)
+    value, terms = mixed_norm("B", [layer], 3.0, 1.5, 0.5)
     assert value == pytest.approx(lp, rel=1e-12) and terms == [pytest.approx(lp, rel=1e-12)]
     assert lp_of_lq([layer], 3.0, 1.5, 0.5) == pytest.approx(lp, rel=1e-12)
 
@@ -180,7 +178,7 @@ def test_mixed_norms_of_constant_layers():
     a, b, p, q = 1.5, 0.5, 2.0, 3.0
     layers = [np.full(16, a), np.full(16, b)]
     want = 4.0 ** (1 / p) * (a**q + b**q) ** (1 / q)
-    assert lq_of_lp(layers, p, q, 0.25)[0] == pytest.approx(want, rel=1e-12)
+    assert mixed_norm("B", layers, p, q, 0.25)[0] == pytest.approx(want, rel=1e-12)
     assert lp_of_lq(layers, p, q, 0.25) == pytest.approx(want, rel=1e-12)
 
 
