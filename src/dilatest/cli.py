@@ -27,7 +27,6 @@ from .maximal import fs_inequality_ratio, weighted_maximal_ratio
 from .norms import SpaceParams, diff_norm, star_norm, window_level_cap
 from .weights import (
     WeightSequence,
-    XClassParams,
     ap_constant,
     spec_from_dict,
     spec_to_dict,
@@ -39,6 +38,7 @@ COMMANDS = ("norm", "ap", "xclass", "dilate", "maximal", "equiv")
 WINDOW_COMMANDS = ("norm", "dilate", "equiv")  # the commands that build difference windows
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
+_MAXIMAL_THETA = 1.5  # the maximal bound needs theta > 1; used when space.theta is not
 
 
 def _integer(value, where, minimum=None):
@@ -203,12 +203,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
 
 def _weight_sequence(cfg: RunConfig) -> WeightSequence:
     return WeightSequence.from_spec(
-        cfg.weights,
-        cfg.space.p,
-        cfg.space.k_max,
-        cfg.dim,
-        cfg.halfwidth,
-        cfg.resolution,
+        cfg.weights, cfg.space.k_max, cfg.dim, cfg.halfwidth, cfg.resolution
     )
 
 
@@ -258,7 +253,7 @@ def _run_ap(cfg, threads=1):
 
 def _run_xclass(cfg, threads=1):
     t = _weight_sequence(cfg)
-    rep = xclass_check(t, XClassParams.from_space(cfg.space), cfg.depth)
+    rep = xclass_check(t, cfg.space, cfg.depth)
     rows = [{"depth": d, "C1": a, "C2": b} for d, a, b in rep.trace]
     results = {
         "rows": rows,
@@ -307,7 +302,13 @@ def _run_dilate(cfg, threads=1):
 def _run_maximal(cfg, threads=1):
     t = _weight_sequence(cfg)
     sp = cfg.space
-    theta = sp.theta if sp.theta > 1.0 else 1.5  # the maximal bound needs theta > 1
+    theta = sp.theta if sp.theta > 1.0 else _MAXIMAL_THETA
+    if theta > sp.p:
+        raise ConfigError(
+            f"space.theta = {sp.theta} is not above 1, so the maximal bound substitutes "
+            f"theta = {_MAXIMAL_THETA}, which exceeds p = {sp.p}; "
+            "set space.theta in (1, p]"
+        )
     rows = []
     for j in range(cfg.families):
         seed = cfg.seed + j

@@ -34,7 +34,6 @@ from .norms import SpaceParams, diff_norm, star_norm
 from .weights import (
     FAIL,
     WeightSequence,
-    XClassParams,
     _eval,
     _trace_verdict,
     eval_weight,
@@ -46,17 +45,13 @@ _SPREAD_LIMIT = 3.0  # largest max/median of observed_c that still reads PASS
 
 
 def choose_i(lam) -> int:
-    """The unique integer with lam < 2**i <= 2*lam (strict on the left)."""
-    if lam < 1.0:
-        raise ValueError("dilation factor must be at least 1")
-    i = int(math.floor(math.log2(lam))) + 1
-    while not lam < 2.0**i:
-        i += 1
-    while not 2.0**i <= 2.0 * lam:
-        i -= 1
-    if not lam < 2.0**i <= 2.0 * lam:
-        raise ValueError(f"no dyadic bracket for lambda = {lam}")
-    return i
+    """The unique integer with lam < 2**i <= 2*lam (strict on the left).
+
+    It is lam's binary exponent: lam = m * 2**i with 1/2 <= m < 1 exactly.
+    """
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"dilation factor must be finite and at least 1, got {lam!r}")
+    return math.frexp(lam)[1]
 
 
 def _boundary_density(f: GridFunction):
@@ -97,8 +92,8 @@ def dilate(f: GridFunction, lam):
     return g, fraction
 
 
-def compute_H(t: WeightSequence, lam, k_max) -> float:
-    """sup over levels 0..k_max and in-box dyadic cubes of the cube-norm
+def compute_H(t: WeightSequence, lam, k_max, p) -> float:
+    """sup over levels 0..k_max and in-box dyadic cubes of the cube L_p-norm
     ratio between the compressed weight and the weight itself, which is
     evaluated from the sequence's closed form (PreconditionFailed without one)."""
     if lam < 1.0:
@@ -111,9 +106,9 @@ def compute_H(t: WeightSequence, lam, k_max) -> float:
     best = 0.0
     for ell in range(min(k_max, t.k_max) + 1):
         compressed = eval_weight(t.spec, ell, pts / lam, g.dim)
-        num = level_block_reduce(compressed**t.p, g, ell)
-        den = level_block_reduce(t.level(ell).samples ** t.p, g, ell)
-        ratio = (num / den) ** (1.0 / t.p)
+        num = level_block_reduce(compressed**p, g, ell)
+        den = level_block_reduce(t.level(ell).samples ** p, g, ell)
+        ratio = (num / den) ** (1.0 / p)
         best = max(best, float(np.max(ratio)))
     return best
 
@@ -224,8 +219,7 @@ def verify_theorem(
     probed sup_x w(x/lambda)/w(x) of the weights' closed form. Use
     summarize_dilation for the lambda-independence verdict.
     """
-    params = XClassParams.from_space(sp)
-    xrep = xclass_check(t, params, depth if depth is not None else sp.k_max)
+    xrep = xclass_check(t, sp, depth if depth is not None else sp.k_max)
     if xrep.verdict == FAIL:
         raise PreconditionFailed(
             f"weight sequence failed the class check: trace {xrep.trace}"
@@ -242,7 +236,7 @@ def verify_theorem(
     def entry(lam):
         g, clipped = dilate(f, lam)
         after = norm_fn(g, t, sp)
-        h_const = compute_H(t, lam, sp.k_max)
+        h_const = compute_H(t, lam, sp.k_max, sp.p)
         try:
             shape = lam ** (sp.alpha[1] - n_over_p) * h_const
         except OverflowError:

@@ -65,7 +65,7 @@ class SpaceParams:
             warnings.warn(
                 f"alpha = {self.alpha} violates 0 < alpha1 <= alpha2 < M = {self.M}; "
                 "difference norms are only equivalent inside that range",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
     @property
@@ -80,10 +80,6 @@ def window_level_cap(halfwidth, resolution) -> int:
 
 
 def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
-    if t.p != sp.p:
-        raise InvalidExponent(
-            f"the weight sequence's p = {t.p} differs from the space's p = {sp.p}"
-        )
     if sp.k_max > window_level_cap(f.halfwidth, f.resolution):
         raise ResolutionExceeded(
             f"k_max = {sp.k_max} needs window side >= {_WINDOW_CELLS} cells "
@@ -164,12 +160,12 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     n, p = f.dim, sp.p
     cellw = f.spacing**n
 
-    t0m, _ = cube_weight_norms_level(t, 0)
+    t0m, _ = cube_weight_norms_level(t, 0, p)
     l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
     zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
 
     def level(k):
-        tkm, _ = cube_weight_norms_level(t, k)
+        tkm, _ = cube_weight_norms_level(t, k, p)
         if sp.kind == "F":
             de, flags, _ = delta_expanded_field(f, k, sp.M)
             per_cube = 2.0 ** (k * n / p) * tkm * de

@@ -41,7 +41,7 @@ cube is kept.
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -179,9 +179,15 @@ def weight_grid(spec, k, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
 
 
 class WeightSequence:
-    """Levels t_0..t_K of positive grid weights with a common exponent p."""
+    """Levels t_0..t_K of positive grid weights on one grid, with the spec
+    they were built from when they have a closed form.
 
-    def __init__(self, levels, p, spec=None):
+    A weight sequence holds functions only; the exponents p, alpha and sigma
+    belong to the space (``norms.SpaceParams``), and every function that needs
+    one takes it from its caller.
+    """
+
+    def __init__(self, levels, spec=None):
         if not levels:
             raise ValueError("need at least one level")
         g0 = levels[0]
@@ -194,18 +200,15 @@ class WeightSequence:
                 raise ValueError("all levels must share one grid geometry")
             if np.any(g.samples <= 0.0) or not np.all(np.isfinite(g.samples)):
                 raise NonPositiveValue("weight levels must be strictly positive")
-        if p <= 0:
-            raise InvalidExponent("p must be positive")
         self.levels = list(levels)
-        self.p = float(p)
         self.spec = spec
 
     @classmethod
-    def from_spec(cls, spec, p, k_max, dim=1, halfwidth=8.0, resolution=1024):
+    def from_spec(cls, spec, k_max, dim=1, halfwidth=8.0, resolution=1024):
         levels = [
             weight_grid(spec, k, dim, halfwidth, resolution) for k in range(k_max + 1)
         ]
-        return cls(levels, p, spec=spec)
+        return cls(levels, spec=spec)
 
     @property
     def k_max(self):
@@ -434,7 +437,7 @@ def ap_constant(gamma: GridFunction, p, depth=6, trace_factor=8) -> ApReport:
 # -- weight-sequence cube norms ---------------------------------------------------
 
 
-def cube_weight_norm(t: WeightSequence, k, m) -> float:
+def cube_weight_norm(t: WeightSequence, k, m, p) -> float:
     """t_{k,m} = (int_{Q_{k,m}} t_k^p)^(1/p), measure factor included."""
     g = t.level(k)
     if 2.0 ** (-k) < g.spacing * (1 - 1e-12):
@@ -445,39 +448,18 @@ def cube_weight_norm(t: WeightSequence, k, m) -> float:
         raise ResolutionExceeded("cube lies outside the sampled box")
     sl = tuple(slice(*g.index_range(lo, hi)) for lo, hi in zip(box.lo, box.hi))
     return float(
-        np.sum(g.samples[sl] ** t.p) * g.spacing**g.dim
-    ) ** (1.0 / t.p)
+        np.sum(g.samples[sl] ** p) * g.spacing**g.dim
+    ) ** (1.0 / p)
 
 
-def cube_weight_norms_level(t: WeightSequence, k):
+def cube_weight_norms_level(t: WeightSequence, k, p):
     """All t_{k,m} over the level-k cubes tiling the grid, plus first index."""
     g = t.level(k)
-    sums = level_block_reduce(g.samples**t.p, g, k) * g.spacing**g.dim
-    return sums ** (1.0 / t.p), level_first_index(g, k)
+    sums = level_block_reduce(g.samples**p, g, k) * g.spacing**g.dim
+    return sums ** (1.0 / p), level_first_index(g, k)
 
 
 # -- the inter-level regularity class ----------------------------------------------
-
-
-@dataclass
-class XClassParams:
-    alpha1: float
-    alpha2: float
-    sigma1: float
-    sigma2: float
-    p: float
-    order_violation: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.p <= 0 or self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise InvalidExponent("p and both sigmas must be positive")
-        # alpha2 < alpha1 contradicts the admissible-range remark; report, not raise
-        self.order_violation = self.alpha2 < self.alpha1
-
-    @classmethod
-    def from_space(cls, sp):
-        """The class parameters of a space: its alpha pair, sigmas and p."""
-        return cls(sp.alpha[0], sp.alpha[1], sp.sigma1, sp.sigma2, sp.p)
 
 
 @dataclass
@@ -499,15 +481,18 @@ def _level_factor(exponent):
     return 2.0**exponent
 
 
-def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
+def xclass_check(t: WeightSequence, sp, depth=6):
     """Measure the two inter-level cube inequalities of the weight class.
 
-    Over k <= j and the cube family, C1 bounds
+    The class is the one the space ``sp`` (a ``norms.SpaceParams``) asks for:
+    its p, its alpha = (a1, a2), and its s1 = sigma1 and s2 = sigma2. Over
+    k <= j and the cube family, C1 bounds
     M_{Q,p}(t_k) / M_{Q,-s1}(t_j) * 2**(a1 (j-k)) and C2 bounds
     M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). Each fine level j keeps
     its running sup over k <= j and every scanned cube; the refinement trace
     reads the sup over j <= d at growing depths d and the verdict follows the
-    plateau/growth heuristic. Returns the report, which holds C1 and C2.
+    plateau/growth heuristic. Returns the report, which holds C1 and C2 and
+    flags a2 < a1, which contradicts the admissible range (reported, not raised).
     """
     if depth < 1:
         raise MissingLevels(
@@ -516,15 +501,11 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
         )
     if t.k_max < 1:
         raise MissingLevels("need at least levels 0..1 for the class check")
-    if params.p != t.p:
-        raise InvalidExponent(
-            f"the class check exponent p = {params.p} differs from the weight "
-            f"sequence's p = {t.p}"
-        )
     g = t.grid
     j_max = min(depth, t.k_max)
+    alpha1, alpha2 = sp.alpha
 
-    exponents = t.p, -params.sigma1, params.sigma2
+    exponents = sp.p, -sp.sigma1, sp.sigma2
     distinct = dict.fromkeys(exponents)  # sigma2 = p reads the p means once
     # one table per weight level and distinct exponent, read by every cube family
     tables = {
@@ -541,8 +522,8 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
             mp, ms1, ms2 = (means[r] for r in exponents)
             for j in range(j_max + 1):
                 for k in range(j + 1):
-                    v1 = mp[k] / ms1[j] * _level_factor(-params.alpha1 * (k - j))
-                    v2 = ms2[j] / mp[k] * _level_factor(-params.alpha2 * (j - k))
+                    v1 = mp[k] / ms1[j] * _level_factor(-alpha1 * (k - j))
+                    v2 = ms2[j] / mp[k] * _level_factor(-alpha2 * (j - k))
                     c1[j] = max(c1[j], float(v1.max()))
                     c2[j] = max(c2[j], float(v2.max()))
 
@@ -562,7 +543,7 @@ def xclass_check(t: WeightSequence, params: XClassParams, depth=6):
         c2=c2_final,
         trace=trace,
         verdict=verdict,
-        order_violation=params.order_violation,
+        order_violation=alpha2 < alpha1,
     )
 
 

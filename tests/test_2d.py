@@ -24,7 +24,6 @@ from dilatest.weights import (
     GeometricLevel,
     Power,
     WeightSequence,
-    XClassParams,
     ap_constant,
     cube_families,
     family_cube_reduce,
@@ -100,7 +99,7 @@ def test_expanded_field_matches_scalar_2d():
 def test_diff_norm_2d_b_equals_f():
     f = grid2(lambda p: np.exp(-radial(p) ** 2))
     t = WeightSequence.from_spec(
-        GeometricLevel(0.5, Constant(1.0)), 2.0, 2, 2, HW, N
+        GeometricLevel(0.5, Constant(1.0)), 2, 2, HW, N
     )
     spb = SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5), k_max=2)
     spf = SpaceParams("F", 2.0, 2.0, 2, (0.5, 0.5), k_max=2)
@@ -110,19 +109,18 @@ def test_diff_norm_2d_b_equals_f():
 
 def test_xclass_2d_exact_geometric():
     t = WeightSequence.from_spec(
-        GeometricLevel(0.5, Constant(1.0)), 2.0, 3, 2, HW, 64
+        GeometricLevel(0.5, Constant(1.0)), 3, 2, HW, 64
     )
-    params = XClassParams(alpha1=0.5, alpha2=0.5, sigma1=2.0, sigma2=2.0, p=2.0)
-    rep = xclass_check(t, params, depth=3)
+    rep = xclass_check(t, SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5)), depth=3)
     assert 0.99 <= rep.c1 <= 1.01 and 0.99 <= rep.c2 <= 1.01
     assert rep.verdict == "PASS"
 
 
 def test_compute_h_2d_homogeneity():
     beta = 0.4
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Power(beta)), 2.0, 3, 2, HW, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Power(beta)), 3, 2, HW, N)
     for lam in (2.0, 4.0):
-        assert compute_H(t, lam, 3) == pytest.approx(lam**-beta, rel=1e-12)
+        assert compute_H(t, lam, 3, 2.0) == pytest.approx(lam**-beta, rel=1e-12)
 
 
 def test_dilate_2d_change_of_variables():

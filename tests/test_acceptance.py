@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from dilatest import fixtures, regression
 from dilatest.differences import delta_avg_cube, delta_avg_window, delta_m
@@ -23,7 +24,6 @@ from dilatest.weights import (
     Power,
     ShiftedPower,
     WeightSequence,
-    XClassParams,
     ap_constant,
     xclass_check,
 )
@@ -39,7 +39,7 @@ def _verdict(num, ok, detail):
 def test_criterion_1_classical_dilation_scaling():
     started = time.monotonic()
     f = fixtures.fixture("gaussian", 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 6, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 6, 1, L, N)
     slopes = {}
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (1.0, 1.0), k_max=6)
@@ -61,10 +61,10 @@ def test_criterion_2_h_exact_under_homogeneity():
     worst = 0.0
     for beta in (-0.2, 0.3):
         t = WeightSequence.from_spec(
-            GeometricLevel(1.0, Power(beta)), 2.0, 6, 1, L, N
+            GeometricLevel(1.0, Power(beta)), 6, 1, L, N
         )
         for lam in (2.0, 4.0, 8.0):
-            h = compute_H(t, lam, 6)
+            h = compute_H(t, lam, 6, 2.0)
             worst = max(worst, abs(h / lam**-beta - 1.0))
     _verdict(2, worst <= 0.01, f"max |H/lambda^-beta - 1| = {worst:.2e} (tol 1%)")
 
@@ -75,8 +75,8 @@ def test_criterion_3_separation_of_the_two_bounds():
     spec = GeometricLevel(1.0, omega)
     hs = []
     for mult in (1, 2, 4):
-        t = WeightSequence.from_spec(spec, 2.0, 4, 1, L * mult, N * mult)
-        hs.append(compute_H(t, 2.0, 4))
+        t = WeightSequence.from_spec(spec, 4, 1, L * mult, N * mult)
+        hs.append(compute_H(t, 2.0, 4, 2.0))
     h_changes = [abs(hs[i + 1] / hs[i] - 1.0) for i in range(2)]
     ok = sob.divergent and max(h_changes) < 0.05
     _verdict(
@@ -89,10 +89,9 @@ def test_criterion_3_separation_of_the_two_bounds():
 
 def test_criterion_4_lambda_independence_of_c():
     f = fixtures.fixture("gaussian", 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 2.0, 6, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 6, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), theta=1.0, k_max=6)
-    params = XClassParams(sp.alpha[0], sp.alpha[1], sp.sigma1, sp.sigma2, sp.p)
-    xrep = xclass_check(t, params, 6)
+    xrep = xclass_check(t, sp, 6)
     reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0])
     spread = summarize_dilation(reports)["spread"]
     ok = xrep.verdict == "PASS" and spread <= 3.0
@@ -119,10 +118,11 @@ def test_criterion_5_power_weight_ap_boundary():
 
 def test_criterion_6_xclass_exactness():
     s = 0.7
-    t = WeightSequence.from_spec(GeometricLevel(s, Constant(1.0)), 2.0, 6, 1, L, 512)
-    good = XClassParams(alpha1=s, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
+    t = WeightSequence.from_spec(GeometricLevel(s, Constant(1.0)), 6, 1, L, 512)
+    good = SpaceParams("B", 2.0, 2.0, 2, (s, s))
     rep_good = xclass_check(t, good, depth=6)
-    bad = XClassParams(alpha1=s, alpha2=s - 1.0, sigma1=2.0, sigma2=2.0, p=2.0)
+    with pytest.warns(UserWarning, match="violates"):
+        bad = SpaceParams("B", 2.0, 2.0, 2, (s, s - 1.0))
     rep_bad = xclass_check(t, bad, depth=6)
     ok = (
         0.99 <= rep_good.c1 <= 1.01
@@ -192,7 +192,7 @@ def test_criterion_8_littlewood_paley_telescoping():
 
 
 def test_criterion_9_norm_equivalence_brackets():
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), 2.0, 6, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), 6, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5), k_max=6)
     ru = build_phi(6, 1, L, N)
     sd_lo, sd_hi = regression.STAR_DIFF_BRACKET
@@ -221,7 +221,7 @@ def test_criterion_10_maximal_ratio_regressions():
     fs_max = 0.0
     wm_max = 0.0
     t_by_n = {
-        n: WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 2.0, 5, 1, L, n)
+        n: WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 5, 1, L, n)
         for n in (n_base, 2 * n_base)
     }
     for seed in range(20):

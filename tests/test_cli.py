@@ -340,7 +340,7 @@ def test_parse_config_returns_config_or_config_error(config, command):
     assert isinstance(cfg, RunConfig)
     # a parsed weight spec builds its levels, or fails as a typed error
     try:
-        WeightSequence.from_spec(cfg.weights, cfg.space.p, 1, cfg.dim, cfg.halfwidth, 32)
+        WeightSequence.from_spec(cfg.weights, 1, cfg.dim, cfg.halfwidth, 32)
     except DilatestError:
         pass
 
@@ -520,6 +520,22 @@ def test_maximal_at_theta_equal_to_p_runs_the_a1_scan(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert report["results"]["theta"] == 2.0 and report["verdicts"]["overall"] == "PASS"
+
+
+def test_maximal_names_the_theta_it_would_substitute(tmp_path, capsys):
+    # space.theta unset leaves the maximal bound to use theta = 1.5, above p = 1.2;
+    # once "error: InvalidExponent: need 1 < theta <= p < inf", a theta never set
+    cfg = {
+        "grid": {"L": 8.0, "N": 256, "dim": 1},
+        "space": {"kind": "B", "p": 1.2, "q": 2.0, "M": 2, "alpha": [0.5, 0.5], "K_max": 2},
+        "weights": {"kind": "geometric", "s": 0.5, "base": {"kind": "power", "beta": 0.3}},
+        "families": 1,
+        "family_size": 2,
+    }
+    assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: space.theta = 1.0" in err
+    assert "theta = 1.5" in err and "p = 1.2" in err
 
 
 # -- dimension 3: the input gate, and every command through main

@@ -1,4 +1,7 @@
 import itertools
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +35,21 @@ def test_choose_i_examples():
     assert choose_i(2.0) == 2  # strict left inequality at exact powers
     assert choose_i(7.99) == 3
     assert choose_i(5.0) == 3
+
+
+def test_choose_i_brackets_powers_of_two_and_their_neighbours():
+    # lam < 2**i <= 2*lam, checked in exact rational arithmetic up to the largest float
+    lams = [math.nextafter(2.0**j, d) for j in range(1024) for d in (0.0, math.inf)]
+    lams += [2.0**j for j in range(1024)] + [sys.float_info.max]
+    for lam in (x for x in lams if x >= 1.0):
+        i = choose_i(lam)
+        assert Fraction(lam) < 2**i <= 2 * Fraction(lam), lam
+
+
+@pytest.mark.parametrize("lam", [0.5, math.inf, math.nan])
+def test_choose_i_rejects_factors_below_one_and_non_finite(lam):
+    with pytest.raises(ValueError, match="finite and at least 1"):
+        choose_i(lam)
 
 
 def test_dilate_identity():
@@ -68,25 +86,25 @@ def test_dilate_clipping_guard():
 
 
 def test_compute_h_constant_levels():
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(3.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(3.0)), 5, 1, L, N)
     for lam in (1.0, 2.0, 5.0):
-        assert compute_H(t, lam, 5) == pytest.approx(1.0, rel=1e-14)
+        assert compute_H(t, lam, 5, 2.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_compute_h_power_weight_homogeneity():
     for beta in (-0.2, 0.3):
         t = WeightSequence.from_spec(
-            GeometricLevel(1.0, Power(beta)), 2.0, 5, 1, L, N
+            GeometricLevel(1.0, Power(beta)), 5, 1, L, N
         )
         for lam in (2.0, 3.0, 4.0, 8.0):
-            assert compute_H(t, lam, 5) == pytest.approx(lam**-beta, rel=1e-12)
+            assert compute_H(t, lam, 5, 2.0) == pytest.approx(lam**-beta, rel=1e-12)
 
 
 def test_compute_h_needs_the_weights_in_closed_form():
-    exact = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 2.0, 4, 1, L, N)
-    stripped = WeightSequence([g.with_samples(g.samples) for g in exact.levels], 2.0)
+    exact = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 4, 1, L, N)
+    stripped = WeightSequence([g.with_samples(g.samples) for g in exact.levels])
     with pytest.raises(PreconditionFailed, match="closed form"):
-        compute_H(stripped, 2.0, 4)
+        compute_H(stripped, 2.0, 4, 2.0)
 
 
 def test_compute_h_dominated_by_pointwise_sup():
@@ -94,9 +112,9 @@ def test_compute_h_dominated_by_pointwise_sup():
     # so the cube-norm ratio cannot exceed it
     for beta, lam in ((0.3, 2.0), (-0.2, 4.0)):
         t = WeightSequence.from_spec(
-            GeometricLevel(1.0, Power(beta)), 2.0, 4, 1, L, N
+            GeometricLevel(1.0, Power(beta)), 4, 1, L, N
         )
-        h = compute_H(t, lam, 4)
+        h = compute_H(t, lam, 4, 2.0)
         sup = sobolev_sup_ratio(Power(beta), lam, L).value
         assert h <= sup * (1.0 + 1e-9)
 
@@ -105,8 +123,8 @@ def test_compute_h_shifted_power_stable_under_domain_doubling():
     spec = GeometricLevel(1.0, ShiftedPower(1.0, -0.25))
     hs = []
     for mult in (1, 2):
-        t = WeightSequence.from_spec(spec, 2.0, 4, 1, L * mult, N * mult)
-        hs.append(compute_H(t, 2.0, 4))
+        t = WeightSequence.from_spec(spec, 4, 1, L * mult, N * mult)
+        hs.append(compute_H(t, 2.0, 4, 2.0))
     assert hs[1] == pytest.approx(hs[0], rel=5e-2)
 
 
@@ -161,7 +179,7 @@ def test_verify_theorem_in_3d():
     f = GridFunction.from_callable(lambda p: np.exp(-4.0 * np.sum(p**2, axis=-1)), 3, 2.0, 32)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=1)
     t = WeightSequence.from_spec(
-        GeometricLevel(1.0, ShiftedPower((0.5, 0.0, 0.0), -0.25)), 2.0, 1, 3, 2.0, 32
+        GeometricLevel(1.0, ShiftedPower((0.5, 0.0, 0.0), -0.25)), 1, 3, 2.0, 32
     )
     reports = verify_theorem(f, t, sp, [2.0, 4.0])
     for r in reports:
@@ -172,7 +190,7 @@ def test_verify_theorem_in_3d():
 
 def test_verify_theorem_identity_lambda():
     f = fixtures.fixture("gaussian", 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
     (rep,) = verify_theorem(f, t, sp, [1.0])
     assert rep.H == pytest.approx(1.0, rel=1e-14)
@@ -181,7 +199,7 @@ def test_verify_theorem_identity_lambda():
 
 def test_verify_theorem_classical_slope():
     f = fixtures.fixture("gaussian", 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
     reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0])
     summary = summarize_dilation(reports)
@@ -191,7 +209,7 @@ def test_verify_theorem_classical_slope():
 
 def test_verify_theorem_power_weight_lambda_independence():
     f = fixtures.fixture("gaussian", 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Power(0.3)), 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), theta=1.0, k_max=5)
     reports = verify_theorem(f, t, sp, [2.0, 4.0, 8.0])
     assert summarize_dilation(reports)["spread"] <= 3.0
@@ -204,7 +222,7 @@ def test_verify_theorem_power_weight_lambda_independence():
 
 def test_verify_theorem_precondition():
     f = fixtures.fixture("gaussian", 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 3, (2.5, 2.5), k_max=5)  # alpha above the rate
     with pytest.raises(PreconditionFailed):
         verify_theorem(f, t, sp, [2.0])
@@ -213,7 +231,7 @@ def test_verify_theorem_precondition():
 def test_verify_theorem_report_carries_sobolev():
     f = fixtures.fixture("gaussian", 1, L, 1024)
     t = WeightSequence.from_spec(
-        GeometricLevel(1.0, ShiftedPower(1.0, -0.25)), 2.0, 4, 1, L, 1024
+        GeometricLevel(1.0, ShiftedPower(1.0, -0.25)), 4, 1, L, 1024
     )
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=4)
     (rep,) = verify_theorem(f, t, sp, [2.0])

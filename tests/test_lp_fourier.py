@@ -107,14 +107,14 @@ def test_partial_reconstruction_error_decreases_with_truncation():
 
 def test_fourier_norm_zero():
     f = GridFunction(1, L, np.zeros(N))
-    t = WeightSequence.from_spec(Constant(1.0), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(Constant(1.0), 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
     assert fourier_norm(f, t, sp, build_phi(5, 1, L, N)) == 0.0
 
 
 def test_fourier_norm_band_limited_reduces_to_lp():
     f = GridFunction.from_callable(lambda x: np.cos(math.pi * x / 4.0), 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 5, 1, L, N)
     l2 = math.sqrt(np.sum(f.samples**2) * f.spacing)
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
@@ -124,8 +124,8 @@ def test_fourier_norm_band_limited_reduces_to_lp():
 def test_fourier_norm_monotone_in_smoothness():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)), 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 3, (1.0, 1.0), k_max=5)
-    t1 = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
-    t2 = WeightSequence.from_spec(GeometricLevel(2.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    t1 = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 5, 1, L, N)
+    t2 = WeightSequence.from_spec(GeometricLevel(2.0, Constant(1.0)), 5, 1, L, N)
     sp2 = SpaceParams("B", 2.0, 2.0, 3, (2.0, 2.0), k_max=5)
     ru = build_phi(5, 1, L, N)
     assert fourier_norm(f, t2, sp2, ru) > fourier_norm(f, t1, sp, ru)
@@ -140,7 +140,7 @@ def _classical_fourier_norm(f, s, kind, ru):
 def test_generic_weight_path_matches_hardcoded_path():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)) * np.cos(x), 1, L, N)
     s = 0.5
-    t = WeightSequence.from_spec(GeometricLevel(s, Constant(1.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(s, Constant(1.0)), 5, 1, L, N)
     ru = build_phi(5, 1, L, N)
     for kind in ("B", "F"):
         sp = SpaceParams(kind, 2.0, 2.0, 2, (s, s), k_max=5)
@@ -151,7 +151,7 @@ def test_generic_weight_path_matches_hardcoded_path():
 
 def test_b_equals_f_when_p_equals_q():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)) * np.sin(2 * x), 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), 3.0, 4, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), 4, 1, L, N)
     spb = SpaceParams("B", 3.0, 3.0, 2, (0.5, 0.5), k_max=4)
     spf = SpaceParams("F", 3.0, 3.0, 2, (0.5, 0.5), k_max=4)
     ru = build_phi(4, 1, L, N)
@@ -160,7 +160,7 @@ def test_b_equals_f_when_p_equals_q():
 
 def test_missing_levels():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)), 1, L, N)
-    t = WeightSequence.from_spec(Constant(1.0), 2.0, 2, 1, L, N)
+    t = WeightSequence.from_spec(Constant(1.0), 2, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
     with pytest.raises(MissingLevels):
         fourier_norm(f, t, sp, build_phi(5, 1, L, N))
@@ -168,7 +168,7 @@ def test_missing_levels():
 
 def test_two_admissible_profiles_agree_within_bounded_ratio():
     f = GridFunction.from_callable(lambda x: np.exp(-(x**2)), 1, L, N)
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, 5, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 5, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=5)
     ru = build_phi(5, 1, L, N)
     a = fourier_norm(f, t, sp, ru)

@@ -170,14 +170,14 @@ def test_fs_ratio_exponent_guard():
 
 
 def test_weighted_ratio_constants():
-    t = WeightSequence.from_spec(Constant(1.0), 2.0, 3, 1, L, 256)
+    t = WeightSequence.from_spec(Constant(1.0), 3, 1, L, 256)
     f = GridFunction.from_callable(lambda x: np.full_like(x, 2.0), 1, L, 256)
     got = weighted_maximal_ratio([f, f], t, 2.0, 2.0, 1.5)
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weighted_ratio_power_weight():
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 2.0, 5, 1, L, 1024)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 5, 1, L, 1024)
     fam = [fixtures.random_smooth(s, 1, L, 1024) for s in range(4)]
     r = weighted_maximal_ratio(fam, t, 2.0, 2.0, 1.5)
     assert 1.0 <= r < 10.0
@@ -185,7 +185,7 @@ def test_weighted_ratio_power_weight():
 
 def test_weighted_ratio_at_theta_equal_to_p_is_finite():
     # p / theta = 1: the levelwise precondition is the A_1 scan
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 2.0, 3, 1, L, 512)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 3, 1, L, 512)
     fam = [fixtures.random_smooth(s, 1, L, 512) for s in range(3)]
     r = weighted_maximal_ratio(fam, t, 2.0, 2.0, 2.0)
     assert math.isfinite(r) and r >= 1.0
@@ -193,14 +193,14 @@ def test_weighted_ratio_at_theta_equal_to_p_is_finite():
 
 def test_weighted_ratio_precondition():
     # |x|^1.2 fails the scan at exponent p/theta = 4/3
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(1.2)), 2.0, 3, 1, L, 4096)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(1.2)), 3, 1, L, 4096)
     fam = [fixtures.random_smooth(s, 1, L, 4096) for s in range(2)]
     with pytest.raises(PreconditionFailed):
         weighted_maximal_ratio(fam, t, 2.0, 2.0, 1.5)
 
 
 def test_weighted_ratio_needs_a_level_per_function():
-    t = WeightSequence.from_spec(Constant(1.0), 2.0, 1, 1, L, 256)
+    t = WeightSequence.from_spec(Constant(1.0), 1, 1, L, 256)
     f = GridFunction.from_callable(lambda x: np.full_like(x, 2.0), 1, L, 256)
     with pytest.raises(MissingLevels):
         weighted_maximal_ratio([f, f, f], t, 2.0, 2.0, 1.5)

@@ -3,7 +3,7 @@ import pytest
 
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
-from dilatest.errors import InvalidExponent, ResolutionExceeded
+from dilatest.errors import ResolutionExceeded
 from dilatest.lp_fourier import build_phi, fourier_norm
 from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
@@ -11,18 +11,24 @@ from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
 L, N = 8.0, 2048
 
 
-def const_weights(p=2.0, k_max=5, n=N, halfwidth=L):
-    return WeightSequence.from_spec(Constant(1.0), p, k_max, 1, halfwidth, n)
+def const_weights(k_max=5, n=N, halfwidth=L):
+    return WeightSequence.from_spec(Constant(1.0), k_max, 1, halfwidth, n)
 
 
-def geo_weights(s, p=2.0, k_max=5, n=N, halfwidth=L, base=None):
+def geo_weights(s, k_max=5, n=N, halfwidth=L, base=None):
     return WeightSequence.from_spec(
-        GeometricLevel(s, base or Constant(1.0)), p, k_max, 1, halfwidth, n
+        GeometricLevel(s, base or Constant(1.0)), k_max, 1, halfwidth, n
     )
 
 
 def sp_of(kind="B", p=2.0, q=2.0, M=2, s=0.5, k_max=5):
     return SpaceParams(kind, p, q, M, (s, s), k_max=k_max)
+
+
+def test_alpha_warning_names_the_line_that_built_the_space():
+    with pytest.warns(UserWarning, match="violates") as record:
+        SpaceParams("B", 2.0, 2.0, 2, (1.5, 0.5))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_ltilde_zero():
@@ -34,7 +40,7 @@ def test_ltilde_zero():
 def test_ltilde_constant_analytic():
     # f = t0 = 1, p = 1: integral of |window cap domain| over the box is 4L-1
     f = GridFunction.from_callable(lambda x: np.ones_like(x), 1, L, N)
-    t0 = const_weights(p=1.0).level(0)
+    t0 = const_weights().level(0)
     assert ltilde_norm(f, t0, 1.0) == pytest.approx(4 * L - 1, rel=1e-12)
 
 
@@ -125,7 +131,7 @@ def test_star_norm_constant_function_counts_unit_cubes():
     # f = 1 on [-2, 2], p = 1: four unit cubes each contributing 1
     n, hw = 256, 2.0
     f = GridFunction.from_callable(lambda x: np.ones_like(x), 1, hw, n)
-    t = WeightSequence.from_spec(Constant(1.0), 1.0, 2, 1, hw, n)
+    t = WeightSequence.from_spec(Constant(1.0), 2, 1, hw, n)
     sp = SpaceParams("B", 1.0, 1.0, 1, (0.5, 0.5), k_max=2)
     assert star_norm(f, t, sp) == pytest.approx(4.0, rel=1e-12)
 
@@ -145,7 +151,7 @@ def test_weight_sequence_rejects_nonpositive_levels():
 
     bad = GridFunction(1, L, np.zeros(N))
     with pytest.raises(NonPositiveValue):
-        WeightSequence([bad], 2.0)
+        WeightSequence([bad])
 
 
 def test_star_norm_monotone_in_truncation():
@@ -172,7 +178,7 @@ def test_boundary_flag_fires_on_small_domain():
     # difference mass sits in flagged windows, so the run is marked unreliable
     n, hw = 256, 2.0
     f = GridFunction.from_callable(lambda x: x * x, 1, hw, n)
-    t = WeightSequence.from_spec(Constant(1.0), 2.0, 1, 1, hw, n)
+    t = WeightSequence.from_spec(Constant(1.0), 1, 1, hw, n)
     sp = SpaceParams("B", 2.0, 2.0, 1, (0.5, 0.5), k_max=1)
     _, info = diff_norm(f, t, sp, details=True)
     assert info["boundary_mass"] > 0.2 and not info["reliable"]
@@ -184,19 +190,11 @@ def test_star_norm_2d_smoke():
         lambda p: np.exp(-(p[..., 0] ** 2 + p[..., 1] ** 2)), 2, hw, n
     )
     t = WeightSequence.from_spec(
-        GeometricLevel(0.5, Constant(1.0)), 2.0, 2, 2, hw, n
+        GeometricLevel(0.5, Constant(1.0)), 2, 2, hw, n
     )
     sp = SpaceParams("F", 2.0, 2.0, 2, (0.5, 0.5), k_max=2)
     v = star_norm(f, t, sp)
     assert np.isfinite(v) and v > 0
-
-
-@pytest.mark.parametrize("norm", [diff_norm, star_norm])
-def test_weight_and_space_exponents_must_agree(norm):
-    f = fixtures.fixture("gaussian", 1, L, 512)
-    t = const_weights(p=3.0, n=512)
-    with pytest.raises(InvalidExponent, match=r"p = 3\.0.*p = 2\.0"):
-        norm(f, t, sp_of(p=2.0, k_max=3))
 
 
 # -- metamorphic: a power-of-two scale of f passes through every norm ------------------
@@ -209,7 +207,7 @@ def test_scaling_f_by_a_power_of_two_scales_every_norm_by_it(dim, halfwidth, n, 
                                                              p, q):
     # multiplying by 2**m is exact, so at p = q = 2 every power and root is too
     f = fixtures.fixture("sine_packet", dim, halfwidth, n)
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), p, k_max, dim, halfwidth, n)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), k_max, dim, halfwidth, n)
     sp = SpaceParams(kind, p, q, 2, (0.5, 0.5), k_max=k_max)
     ru = build_phi(k_max, dim, halfwidth, n)
     norms = [diff_norm, star_norm, lambda g, t, sp: fourier_norm(g, t, sp, ru)]

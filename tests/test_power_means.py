@@ -7,12 +7,12 @@ import pytest
 
 from dilatest.dyadic import Box, GridFunction, box_lp_average
 from dilatest.errors import EmptyIntersection, InvalidExponent, NonPositiveValue
+from dilatest.norms import SpaceParams
 from dilatest.weights import (
     SHIFT_FRACTIONS,
     Power,
     ShiftedPower,
     WeightSequence,
-    XClassParams,
     ap_constant,
     conjugate,
     cube_families,
@@ -121,19 +121,19 @@ def _family_means(w: GridFunction, k, shift, r):
     return out
 
 
-def _xclass_oracle(t: WeightSequence, params: XClassParams, j_max):
+def _xclass_oracle(t: WeightSequence, sp: SpaceParams, j_max):
     """Per fine level j, the sups over k <= j and every cube of C1's and C2's ratios."""
     c1, c2 = [0.0] * (j_max + 1), [0.0] * (j_max + 1)
     for lev in scan_levels(t.grid, j_max):
         for shift in SHIFT_FRACTIONS:
             mp, ms1, ms2 = (
                 [_family_means(t.level(kw), lev, shift, r) for kw in range(j_max + 1)]
-                for r in (params.p, -params.sigma1, params.sigma2)
+                for r in (sp.p, -sp.sigma1, sp.sigma2)
             )
             for j in range(j_max + 1):
                 for k in range(j + 1):
-                    gain1 = 2.0 ** (params.alpha1 * (j - k))
-                    gain2 = 2.0 ** (params.alpha2 * (k - j))
+                    gain1 = 2.0 ** (sp.alpha[0] * (j - k))
+                    gain2 = 2.0 ** (sp.alpha[1] * (k - j))
                     for q in mp[k]:
                         c1[j] = max(c1[j], mp[k][q] / ms1[j][q] * gain1)
                         c2[j] = max(c2[j], ms2[j][q] / mp[k][q] * gain2)
@@ -143,7 +143,8 @@ def _xclass_oracle(t: WeightSequence, params: XClassParams, j_max):
 @pytest.mark.parametrize(
     "dim, halfwidth, n", [(1, 8.0, 128), (1, 3.0, 64), (2, 4.0, 16), (2, 3.0, 32)]
 )
-@pytest.mark.parametrize("sigma1, sigma2", [(0.7, 3.0), (math.inf, 3.0), (2.0, math.inf)])
+# a space's sigma1 = theta p / (p - theta) is at least p' = 2; sigma1 = 6 is theta = 1.5
+@pytest.mark.parametrize("sigma1, sigma2", [(6.0, 3.0), (math.inf, 3.0), (2.0, math.inf)])
 def test_xclass_check_matches_the_brute_force_oracle(dim, halfwidth, n, sigma1, sigma2):
     # rough, level-dependent weights, so every (k, j) pairing and cube matters;
     # L = 3 is not a power of two, so the families carry clipped edge cubes
@@ -153,10 +154,12 @@ def test_xclass_check_matches_the_brute_force_oracle(dim, halfwidth, n, sigma1, 
         for k in range(4)
     ]
     p = 2.0
-    t = WeightSequence(levels, p)
-    params = XClassParams(alpha1=0.3, alpha2=0.9, sigma1=sigma1, sigma2=sigma2, p=p)
-    rep = xclass_check(t, params, depth=3)
-    o1, o2 = _xclass_oracle(t, params, 3)
+    theta = p if sigma1 == math.inf else sigma1 * p / (p + sigma1)
+    t = WeightSequence(levels)
+    sp = SpaceParams("B", p, 2.0, 2, (0.3, 0.9), theta=theta, sigma2=sigma2)
+    assert sp.sigma1 == sigma1
+    rep = xclass_check(t, sp, depth=3)
+    o1, o2 = _xclass_oracle(t, sp, 3)
     assert [d for d, _, _ in rep.trace] == [1, 3]
     for d, a, b in rep.trace:
         assert a == pytest.approx(max(o1[: d + 1]), rel=1e-12), (d, "C1")

@@ -17,14 +17,14 @@ def gaussian():
 
 
 def test_fourier_gaussian_baseline(gaussian):
-    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), 2.0, K, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), K, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=K)
     got = fourier_norm(gaussian, t, sp, build_phi(K, 1, L, N))
     assert got == pytest.approx(regression.FOURIER_GAUSSIAN_S1_BASELINE, rel=1e-6)
 
 
 def test_diff_and_star_gaussian_baselines(gaussian):
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), 2.0, K, 1, L, N)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Constant(1.0)), K, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5), k_max=K)
     assert diff_norm(gaussian, t, sp) == pytest.approx(
         regression.DIFF_GAUSSIAN_SHALF_BASELINE, rel=1e-6

@@ -20,19 +20,18 @@ import pytest
 
 from dilatest.dyadic import GridFunction, box_reduce, range_table
 from dilatest.maximal import hl_maximal
+from dilatest.norms import SpaceParams
 from dilatest.weights import (
     SHIFT_FRACTIONS,
     CubeFamily,
     GeometricLevel,
     Power,
     WeightSequence,
-    XClassParams,
     ap_constant,
     cube_families,
     cube_power_means,
     power_table,
     scan_levels,
-    sigma1_of,
     weight_grid,
     xclass_check,
 )
@@ -174,7 +173,7 @@ def _brute_ap(gamma: GridFunction, p, depth, resolutions):
     return trace, arg
 
 
-def _brute_xclass(t: WeightSequence, params: XClassParams, j_max, depths):
+def _brute_xclass(t: WeightSequence, sp: SpaceParams, j_max, depths):
     """Running sups of C1 and C2 per fine level with fresh means and all three shifts."""
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
@@ -182,12 +181,12 @@ def _brute_xclass(t: WeightSequence, params: XClassParams, j_max, depths):
         for shift in SHIFT_FRACTIONS:
             mp, ms1, ms2 = (
                 [_fresh_means(t.level(kw), lev, shift, r)[0] for kw in range(j_max + 1)]
-                for r in (params.p, -params.sigma1, params.sigma2)
+                for r in (sp.p, -sp.sigma1, sp.sigma2)
             )
             for j in range(j_max + 1):
                 for k in range(j + 1):
-                    v1 = mp[k] / ms1[j] * 2.0 ** (-params.alpha1 * (k - j))
-                    v2 = ms2[j] / mp[k] * 2.0 ** (-params.alpha2 * (j - k))
+                    v1 = mp[k] / ms1[j] * 2.0 ** (-sp.alpha[0] * (k - j))
+                    v2 = ms2[j] / mp[k] * 2.0 ** (-sp.alpha[1] * (j - k))
                     c1[j] = max(c1[j], float(v1.max()))
                     c2[j] = max(c2[j], float(v2.max()))
     return [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]
@@ -223,12 +222,11 @@ def test_ap_constant_equals_the_scan_over_all_three_shifts(dim, halfwidth, n, p)
 @pytest.mark.parametrize("theta, sigma2", [(1.5, 2.0), (1.0, 3.0)])
 def test_xclass_check_equals_the_scan_over_all_three_shifts(dim, halfwidth, n, skips, theta,
                                                             sigma2):
-    p = 2.0
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), p, 3, dim, halfwidth, n)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 3, dim, halfwidth, n)
     assert _skips_a_family(t.grid, 3) == skips
-    params = XClassParams(0.5, 0.7, sigma1_of(theta, p), sigma2, p)
-    rep = xclass_check(t, params, depth=6)
-    assert rep.trace == _brute_xclass(t, params, 3, [d for d, _, _ in rep.trace])
+    sp = SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.7), theta=theta, sigma2=sigma2)
+    rep = xclass_check(t, sp, depth=6)
+    assert rep.trace == _brute_xclass(t, sp, 3, [d for d, _, _ in rep.trace])
     assert (rep.c1, rep.c2) == rep.trace[-1][1:]
 
 
@@ -246,10 +244,10 @@ def test_scaling_the_weight_by_a_power_of_two_leaves_the_cube_constants(dim, hal
     rng = np.random.default_rng(dim)
     levels = [w.with_samples(2.0 ** (0.6 * k) * np.exp(0.7 * rng.normal(size=(n,) * dim)))
               for k in range(4)]
-    params = XClassParams(0.3, 0.9, 0.7, 3.0, 2.0)
-    a = xclass_check(WeightSequence(levels, 2.0), params, depth=3)
-    b = xclass_check(WeightSequence([g.with_samples(2.0**m * g.samples) for g in levels], 2.0),
-                     params, depth=3)
+    sp = SpaceParams("B", 2.0, 2.0, 2, (0.3, 0.9), theta=1.5, sigma2=3.0)
+    a = xclass_check(WeightSequence(levels), sp, depth=3)
+    b = xclass_check(WeightSequence([g.with_samples(2.0**m * g.samples) for g in levels]),
+                     sp, depth=3)
     assert b.c1 == pytest.approx(a.c1, rel=1e-13, abs=0)
     assert b.c2 == pytest.approx(a.c2, rel=1e-13, abs=0)
 
@@ -261,7 +259,8 @@ def test_scaling_the_weight_by_a_power_of_two_leaves_the_cube_constants(dim, hal
     "scan",
     [
         lambda w, t: ap_constant(w, 2.0, depth=6),
-        lambda w, t: xclass_check(t, XClassParams(0.3, 0.9, 0.7, 2.0, 2.0), depth=3),
+        lambda w, t: xclass_check(t, SpaceParams("B", 2.0, 2.0, 2, (0.3, 0.9), theta=1.5),
+                                  depth=3),
         lambda w, t: hl_maximal(w),
     ],
     ids=["ap_constant", "xclass_check", "hl_maximal"],
@@ -270,7 +269,7 @@ def test_scaling_the_weight_by_a_power_of_two_leaves_the_cube_constants(dim, hal
 def test_scan_call_leaves_no_garbage_and_no_growth(scan, dim):
     n = 512 if dim == 1 else 64
     w = _weight(dim, 4.0, n, seed=5)
-    t = WeightSequence([w.with_samples(2.0**k * w.samples) for k in range(4)], 2.0)
+    t = WeightSequence([w.with_samples(2.0**k * w.samples) for k in range(4)])
     arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
     scan(w, t)
     gc.collect()

@@ -10,6 +10,7 @@ from dilatest.errors import (
     NonPositiveValue,
     ResolutionExceeded,
 )
+from dilatest.norms import SpaceParams
 from dilatest.weights import (
     FAIL,
     PASS,
@@ -20,7 +21,6 @@ from dilatest.weights import (
     ProductWeight,
     ShiftedPower,
     WeightSequence,
-    XClassParams,
     ap_constant,
     conjugate,
     cube_families,
@@ -217,29 +217,33 @@ def test_ap_duality_is_an_exact_identity(dim, n, beta, p):
 
 
 def test_cube_weight_norm_examples():
-    ones = WeightSequence.from_spec(Constant(1.0), 2.0, 1, 1, L, 1024)
-    assert cube_weight_norm(ones, 0, 0) == pytest.approx(1.0, rel=1e-12)
-    assert cube_weight_norm(ones, 1, 0) == pytest.approx(2.0**-0.5, rel=1e-12)
-    lin = WeightSequence.from_spec(Power(1.0), 1.0, 0, 1, L, 4096)
-    assert cube_weight_norm(lin, 0, 0) == pytest.approx(0.5, rel=1e-6)
+    ones = WeightSequence.from_spec(Constant(1.0), 1, 1, L, 1024)
+    assert cube_weight_norm(ones, 0, 0, 2.0) == pytest.approx(1.0, rel=1e-12)
+    assert cube_weight_norm(ones, 1, 0, 2.0) == pytest.approx(2.0**-0.5, rel=1e-12)
+    lin = WeightSequence.from_spec(Power(1.0), 0, 1, L, 4096)
+    assert cube_weight_norm(lin, 0, 0, 1.0) == pytest.approx(0.5, rel=1e-6)
 
 
 def test_weight_sequence_missing_level():
-    t = WeightSequence.from_spec(Constant(1.0), 2.0, 2, 1, L, 256)
+    t = WeightSequence.from_spec(Constant(1.0), 2, 1, L, 256)
     with pytest.raises(MissingLevels):
         t.level(3)
 
 
-def _geometric_sequence(s, base=None, k_max=6, p=2.0, n=512, dilated=False):
+def _geometric_sequence(s, base=None, k_max=6, n=512, dilated=False):
     spec = GeometricLevel(s, base or Constant(1.0), dilated=dilated)
-    return WeightSequence.from_spec(spec, p, k_max, 1, L, n)
+    return WeightSequence.from_spec(spec, k_max, 1, L, n)
+
+
+def _class_space(alpha1, alpha2):
+    # p = 2 and theta = 1 give sigma1 = p' = 2; sigma2 defaults to p = 2
+    return SpaceParams("B", 2.0, 2.0, 2, (alpha1, alpha2))
 
 
 def test_xclass_exact_geometric():
     s = 0.5
     t = _geometric_sequence(s)
-    params = XClassParams(alpha1=s, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    rep = xclass_check(t, params, depth=6)
+    rep = xclass_check(t, _class_space(s, s), depth=6)
     assert 0.99 <= rep.c1 <= 1.01 and 0.99 <= rep.c2 <= 1.01
     assert rep.verdict == PASS
 
@@ -249,8 +253,9 @@ def test_xclass_alpha1_above_growth_fails():
     # the measured ratio grows like 2**((alpha1 - s)(j - k))
     s = 1.0
     t = _geometric_sequence(s)
-    params = XClassParams(alpha1=s + 0.5, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    rep = xclass_check(t, params, depth=6)
+    with pytest.warns(UserWarning, match="violates"):
+        sp = _class_space(s + 0.5, s)
+    rep = xclass_check(t, sp, depth=6)
     assert rep.verdict == FAIL
     assert rep.c1 == pytest.approx(2.0 ** (0.5 * 6), rel=1e-9)
 
@@ -258,8 +263,9 @@ def test_xclass_alpha1_above_growth_fails():
 def test_xclass_alpha2_below_growth_fails():
     s = 1.0
     t = _geometric_sequence(s)
-    params = XClassParams(alpha1=s, alpha2=s - 1.0, sigma1=2.0, sigma2=2.0, p=2.0)
-    rep = xclass_check(t, params, depth=6)
+    with pytest.warns(UserWarning, match="violates"):
+        sp = _class_space(s, s - 1.0)
+    rep = xclass_check(t, sp, depth=6)
     assert rep.verdict == FAIL
     assert rep.c2 == pytest.approx(2.0**6, rel=1e-9)
 
@@ -270,35 +276,26 @@ def test_xclass_x_dependence_cancels_in_c2():
     s = 0.5
     t_flat = _geometric_sequence(s)
     t_wx = _geometric_sequence(s, base=Power(0.3), n=1024)
-    params = XClassParams(alpha1=s, alpha2=s, sigma1=2.0, sigma2=2.0, p=2.0)
-    c2_flat = xclass_check(t_flat, params, depth=5).c2
-    c2_wx = xclass_check(t_wx, params, depth=5).c2
+    sp = _class_space(s, s)
+    c2_flat = xclass_check(t_flat, sp, depth=5).c2
+    c2_wx = xclass_check(t_wx, sp, depth=5).c2
     assert c2_wx == pytest.approx(c2_flat, rel=1e-9)
 
 
 def test_xclass_order_violation_must_fail():
     # alpha2 < alpha1 with the geometric rate in between cannot pass
     t = _geometric_sequence(1.0)
-    params = XClassParams(alpha1=1.5, alpha2=0.5, sigma1=2.0, sigma2=2.0, p=2.0)
-    assert params.order_violation
-    rep = xclass_check(t, params, depth=6)
+    with pytest.warns(UserWarning, match="violates"):
+        sp = _class_space(1.5, 0.5)
+    rep = xclass_check(t, sp, depth=6)
+    assert rep.order_violation
     assert rep.verdict == FAIL
-
-
-def test_xclass_exponent_must_match_the_weight_sequence():
-    t = _geometric_sequence(0.5, k_max=3, p=2.0, n=256)
-    params = XClassParams(alpha1=0.5, alpha2=0.5, sigma1=2.0, sigma2=3.0, p=3.0)
-    with pytest.raises(InvalidExponent, match=r"p = 3\.0.*p = 2\.0"):
-        xclass_check(t, params, depth=3)
 
 
 def test_xclass_admissible_scalar_sequence():
     spec = AdmissibleSeq(1.0, 1.0, 0.5)
-    t = WeightSequence.from_spec(spec, 2.0, 6, 1, L, 512)
+    t = WeightSequence.from_spec(spec, 6, 1, L, 512)
     eps = 0.25
-    params = XClassParams(
-        alpha1=1.0 - eps, alpha2=1.0 + eps, sigma1=2.0, sigma2=2.0, p=2.0
-    )
-    rep = xclass_check(t, params, depth=6)
+    rep = xclass_check(t, _class_space(1.0 - eps, 1.0 + eps), depth=6)
     assert rep.verdict == PASS
     assert rep.c1 <= 1.0 + 1e-9 and rep.c2 < 10.0
