@@ -22,7 +22,7 @@ from . import fixtures, regression
 from .dilation import summarize_dilation, verify_theorem
 from .dyadic import GridFunction, finest_level
 from .errors import ConfigError, DilatestError, InvalidExponent, config_number
-from .lp_fourier import build_phi, fourier_norm
+from .lp_fourier import fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
 from .norms import SpaceParams, diff_norm, star_norm, window_level_cap
 from .weights import (
@@ -36,6 +36,9 @@ from .weights import (
 
 COMMANDS = ("norm", "ap", "xclass", "dilate", "maximal", "equiv")
 WINDOW_COMMANDS = ("norm", "dilate", "equiv")  # the commands that build difference windows
+# the commands that need p > 1: xclass and dilate read sigma1 = theta (p/theta)',
+# and the maximal bound a theta in (1, p]
+P_ABOVE_ONE_COMMANDS = ("xclass", "dilate", "maximal")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
 _MAXIMAL_THETA = 1.5  # the maximal bound needs theta > 1; used when space.theta is not
@@ -156,6 +159,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
         )
     except InvalidExponent as exc:
         raise ConfigError(f"space: {exc}") from exc
+    if command in P_ABOVE_ONE_COMMANDS and not space.p > 1.0:
+        raise ConfigError(f"space.p = {space.p}: the {command} command needs p > 1")
     # difference windows need 4 cells a side; the other commands read the
     # K_max weight levels only, each as fine as the grid resolves
     k_cap = window_cap if command in WINDOW_COMMANDS else finest_level(halfwidth, resolution)
@@ -217,10 +222,9 @@ def _fixture(cfg: RunConfig) -> GridFunction:
 def _run_norm(cfg, threads=1):
     f = _fixture(cfg)
     t = _weight_sequence(cfg)
-    ru = build_phi(cfg.space.k_max, cfg.dim, cfg.halfwidth, cfg.resolution)
     dv, dinfo = diff_norm(f, t, cfg.space, details=True)
     sv, sinfo = star_norm(f, t, cfg.space, details=True)
-    fv = fourier_norm(f, t, cfg.space, ru)
+    fv = fourier_norm(f, t, cfg.space)
     rows = [
         {"norm": "diff", "value": dv, "boundary_mass": dinfo["boundary_mass"]},
         {"norm": "star", "value": sv, "boundary_mass": sinfo["boundary_mass"]},
@@ -342,13 +346,12 @@ def _run_maximal(cfg, threads=1):
 
 def _run_equiv(cfg, threads=1):
     t = _weight_sequence(cfg)
-    ru = build_phi(cfg.space.k_max, cfg.dim, cfg.halfwidth, cfg.resolution)
     rows = []
     for name in fixtures.EQUIVALENCE_FAMILY:
         f = fixtures.fixture(name, cfg.dim, cfg.halfwidth, cfg.resolution)
         d = diff_norm(f, t, cfg.space)
         s = star_norm(f, t, cfg.space)
-        fo = fourier_norm(f, t, cfg.space, ru)
+        fo = fourier_norm(f, t, cfg.space)
         rows.append(
             {
                 "fixture": name,

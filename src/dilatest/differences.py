@@ -49,7 +49,6 @@ from .dyadic import (
     level_block_reduce,
     level_cell_count,
     level_cube_count,
-    level_first_index,
     point_layout,
     range_table,
     tensor_points,
@@ -284,19 +283,24 @@ def delta_window_field(f: GridFunction, k: int, order: int):
 def delta_cube_field(f: GridFunction, k: int, order: int):
     """delta^M(Q_{k,m}) f for every level-k cube tiling the domain.
 
-    Returns (values, flagged, first_index): values indexed by m - first_index
-    along each axis.
+    Returns (values, flagged), one entry per cube in cube order from the lower
+    domain corner along each axis; flagged marks cubes that lost (x, h) pairs
+    to the boundary.
     """
     sums, lost, _ = _node_sums(f, k, order, lambda v: level_block_reduce(v, f, k))
-    return sums / (2.0 ** (-k)) ** (2 * f.dim), lost, level_first_index(f, k)
+    return sums / (2.0 ** (-k)) ** (2 * f.dim), lost
 
 
 def delta_expanded_field(f: GridFunction, k: int, order: int):
-    """delta^M(Q_{k, m~}) f for every level-k cube tiling the domain."""
+    """delta^M(Q_{k, m~}) f for every level-k cube tiling the domain.
+
+    Returns (values, flagged) in the cube order of ``delta_cube_field``;
+    flagged marks cubes whose expansion leaves the box or that lost pairs.
+    """
     c = level_cell_count(f, k)
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
     j = np.arange(level_cube_count(f, k))
     lo, hi = (j - 2) * c, (j + 3) * c
     sums, lost, cells = _node_sums(f, k, order, lambda v: box_reduce(range_table(v), lo, hi))
     values = sums / (5.0 * 2.0 ** (-k)) ** (2 * f.dim)
-    return values, lost | (cells < (5 * c) ** f.dim), level_first_index(f, k)
+    return values, lost | (cells < (5 * c) ** f.dim)

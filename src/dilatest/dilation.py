@@ -31,14 +31,7 @@ import numpy as np
 from .dyadic import GridFunction, level_block_reduce, level_cell_count, tensor_points
 from .errors import ClippingExcessive, InvalidExponent, PreconditionFailed, ResolutionExceeded
 from .norms import SpaceParams, diff_norm, star_norm
-from .weights import (
-    FAIL,
-    WeightSequence,
-    _eval,
-    _trace_verdict,
-    eval_weight,
-    xclass_check,
-)
+from .weights import FAIL, WeightSequence, _trace_verdict, eval_weight, xclass_check
 
 _CLIP_TOL = 0.01  # largest witnessed share of mass that a dilation may clip
 _SPREAD_LIMIT = 3.0  # largest max/median of observed_c that still reads PASS
@@ -69,16 +62,13 @@ def dilate(f: GridFunction, lam):
     diagnostic extrapolates the boundary density of |f| over the zeroed
     region and raises ClippingExcessive when that witnessed mass exceeds
     1% of the dilated total. Returns (g, clipped_fraction): the dilated
-    function and that witnessed fraction.
+    function, which holds the interpolated samples and no evaluator, and that
+    witnessed fraction.
     """
     if lam < 1.0:
         raise ValueError("dilation factor must be at least 1")
     vals, _ = f.interp_masked(f.points() * lam)
-    ev = None
-    if f.evaluator is not None:
-        base = f.evaluator
-        ev = lambda pts: np.asarray(base(np.asarray(pts, dtype=float) * lam), dtype=float)
-    g = f.with_samples(vals, evaluator=ev)
+    g = f.with_samples(vals)
     n = f.dim
     zeroed = (2.0 * f.halfwidth) ** n * (1.0 - lam**-n)
     witnessed = _boundary_density(f) * zeroed
@@ -127,8 +117,8 @@ _SUP_STAGES = 3  # the sup probe's number of domain-doubling stages
 
 def _ratio_values(omega, lam, pts):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num = _eval(omega, 0, pts / lam)
-        den = _eval(omega, 0, pts)
+        num = omega.at(0, pts / lam)
+        den = omega.at(0, pts)
         ratio = num / den
     ratio = np.where(np.isfinite(ratio) & (den > 0), ratio, -np.inf)
     return ratio

@@ -121,7 +121,7 @@ class GridFunction:
     dim : n, any dimension >= 1
     halfwidth : L, half side of the sampled box
     samples : array of shape (N,) * dim; N must be a power of two
-    evaluator : optional closed form, used for exact resampling and dilation;
+    evaluator : optional closed form, used for exact resampling;
         called with points in the public layout (see ``point_layout``):
         shape (...,) in 1-D and (..., dim) above
     """
@@ -177,8 +177,9 @@ class GridFunction:
             raise ValueError("evaluator produced non-finite samples")
         return f
 
-    def with_samples(self, samples, evaluator=None):
-        return GridFunction(self.dim, self.halfwidth, samples, evaluator=evaluator)
+    def with_samples(self, samples):
+        """The same geometry holding ``samples``, with no evaluator."""
+        return GridFunction(self.dim, self.halfwidth, samples)
 
     def resample(self, resolution):
         """Same geometry at a new resolution (exact when a closed form exists)."""
@@ -331,11 +332,6 @@ def level_cube_count(f: GridFunction, k: int) -> int:
     if nc < 1.0 - 1e-9 or abs(nc - round(nc)) > 1e-9:
         raise ResolutionExceeded(f"level {k} cubes do not tile the domain")
     return int(round(nc))
-
-
-def level_first_index(f: GridFunction, k: int) -> int:
-    """Dyadic index of the cube at the lower-left domain corner."""
-    return int(round(-f.halfwidth * 2.0**k))
 
 
 def _tile_reduce(values, cells):

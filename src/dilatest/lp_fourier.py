@@ -4,12 +4,12 @@ The band multipliers live on the DFT frequency lattice of the periodized box,
 so "convolve with the band kernel" is a pointwise multiplication in frequency
 space. The cutoff profile is exactly 1 on |xi| <= 1 and exactly 0 on
 |xi| >= 3/2, hence the band sum telescopes identically and band-limited
-inputs reconstruct to round-off.
+inputs reconstruct to round-off. The grid and K fix the bands, so
+``lp_pieces`` builds them from the grid of the function it splits.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,24 +33,14 @@ def _profile(r):
     return a / (a + b)
 
 
-@dataclass
-class ResolutionOfUnity:
-    """Band multipliers phi_0..phi_K on a fixed DFT frequency lattice."""
-
-    dim: int
-    halfwidth: float
-    resolution: int
-    k_max: int
-    multipliers: list
-    radial: np.ndarray
-
-
 def nyquist_frequency(halfwidth, resolution):
     return math.pi * resolution / (2.0 * halfwidth)
 
 
-def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024) -> ResolutionOfUnity:
-    """Evaluate the dyadic resolution of unity on the DFT lattice."""
+def build_phi(k_max, dim, halfwidth, resolution):
+    """The band multipliers phi_0..phi_K of the dyadic resolution of unity on
+    the DFT lattice of the grid of ``resolution`` cells per axis over
+    [-halfwidth, halfwidth]**dim."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     nyq = nyquist_frequency(halfwidth, resolution)
@@ -65,28 +55,16 @@ def build_phi(k_max, dim=1, halfwidth=8.0, resolution=1024) -> ResolutionOfUnity
     mults = [_profile(radial)]
     for k in range(1, k_max + 1):
         mults.append(_profile(radial * 2.0**-k) - _profile(radial * 2.0 ** (1 - k)))
-    return ResolutionOfUnity(
-        dim=dim,
-        halfwidth=halfwidth,
-        resolution=resolution,
-        k_max=k_max,
-        multipliers=mults,
-        radial=radial,
-    )
+    return mults
 
 
-def _check_geometry(f: GridFunction, ru: ResolutionOfUnity):
-    if (f.dim, f.halfwidth, f.resolution) != (ru.dim, ru.halfwidth, ru.resolution):
-        raise ValueError("grid and resolution-of-unity geometries differ")
-
-
-def lp_pieces(f: GridFunction, ru: ResolutionOfUnity):
-    """Band-limited pieces of f; their sum telescopes to a low-pass of f."""
-    _check_geometry(f, ru)
+def lp_pieces(f: GridFunction, k_max):
+    """Band-limited pieces 0..k_max of f, with the bands of f's own grid; their
+    sum telescopes to a low-pass of f."""
     spectrum = np.fft.fftn(f.samples)
     scale = max(float(np.sqrt(np.mean(f.samples**2))), 1e-300)
     pieces = []
-    for mult in ru.multipliers:
+    for mult in build_phi(k_max, f.dim, f.halfwidth, f.resolution):
         z = np.fft.ifftn(spectrum * mult)
         resid = float(np.max(np.abs(z.imag)))
         if resid > 1e-10 * scale:
@@ -97,18 +75,15 @@ def lp_pieces(f: GridFunction, ru: ResolutionOfUnity):
     return pieces
 
 
-def fourier_norm(f: GridFunction, t: WeightSequence, sp, ru: ResolutionOfUnity) -> float:
-    """Fourier-side weighted norm of the B or F kind.
+def fourier_norm(f: GridFunction, t: WeightSequence, sp) -> float:
+    """Fourier-side weighted norm of the B or F kind, over the bands 0..sp.k_max
+    of f's grid.
 
     B aggregates weighted L_p norms of the band pieces in l_q over levels;
     F swaps the order and takes the L_p norm of the pointwise l_q aggregate.
     """
-    _check_geometry(f, ru)
-    k_top = sp.k_max
-    if ru.k_max < k_top:
-        raise NyquistExceeded("resolution of unity holds fewer bands than requested")
-    if t.k_max < k_top:
-        raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {k_top}")
-    pieces = lp_pieces(f, ru)
-    layers = [t.level(k).samples * pieces[k].samples for k in range(k_top + 1)]
+    if t.k_max < sp.k_max:
+        raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}")
+    pieces = lp_pieces(f, sp.k_max)
+    layers = [t.level(k).samples * piece.samples for k, piece in enumerate(pieces)]
     return mixed_norm(sp.kind, layers, sp.p, sp.q, f.spacing**f.dim)[0]

@@ -160,19 +160,19 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     n, p = f.dim, sp.p
     cellw = f.spacing**n
 
-    t0m, _ = cube_weight_norms_level(t, 0, p)
+    t0m = cube_weight_norms_level(t, 0, p)
     l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
     zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
 
     def level(k):
-        tkm, _ = cube_weight_norms_level(t, k, p)
+        tkm = cube_weight_norms_level(t, k, p)
         if sp.kind == "F":
-            de, flags, _ = delta_expanded_field(f, k, sp.M)
+            de, flags = delta_expanded_field(f, k, sp.M)
             per_cube = 2.0 ** (k * n / p) * tkm * de
             # every cell takes the value of the cube that owns it
             per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
             return per_cube, flags, per_cell
-        dc, flags, _ = delta_cube_field(f, k, sp.M)
+        dc, flags = delta_cube_field(f, k, sp.M)
         per_cube = tkm * dc
         return per_cube, flags, per_cube
 

@@ -38,11 +38,12 @@ and every scanned cube; its depth trace reads the sup over j <= d. No argmax
 cube is kept.
 """
 
+import dataclasses
 import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .dyadic import (
     cube_box,
     finest_level,
     level_block_reduce,
-    level_first_index,
     point_layout,
     range_table,
 )
@@ -77,11 +77,22 @@ _STAGES = 3  # refinement stages of an A_p scan, the finest at the grid's resolu
 
 
 # -- weight construction DSL ---------------------------------------------------
+# One frozen dataclass per weight kind: ``kind`` is its name in a config, its
+# fields are the config's fields, and ``at(k, pts)`` evaluates the level-k
+# weight at points of shape (..., dim).
+
+
+def _radius(pts, center):
+    return np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
 class Constant:
     value: float
+    kind: ClassVar[str] = "constant"
+
+    def at(self, k, pts):
+        return np.full(pts.shape[:-1], float(self.value))
 
 
 @dataclass(frozen=True)
@@ -89,14 +100,30 @@ class Power:
     """|x|**beta."""
 
     beta: float
+    kind: ClassVar[str] = "power"
+
+    def at(self, k, pts):
+        return _radius(pts, 0.0) ** self.beta
 
 
 @dataclass(frozen=True)
 class ShiftedPower:
-    """|x - center|**delta."""
+    """|x - center|**delta; the center is a tuple of one coordinate, which
+    serves every axis, or of one per axis (a number is read as one)."""
 
     center: tuple
     delta: float
+    kind: ClassVar[str] = "shifted_power"
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(np.atleast_1d(self.center).tolist()))
+
+    def at(self, k, pts):
+        if len(self.center) not in (1, pts.shape[-1]):
+            raise ValueError(
+                f"shifted_power center {self.center!r} does not fit {pts.shape[-1]}-D points"
+            )
+        return _radius(pts, self.center) ** self.delta
 
 
 @dataclass(frozen=True)
@@ -106,6 +133,10 @@ class GeometricLevel:
     s: float
     base: object
     dilated: bool = False
+    kind: ClassVar[str] = "geometric"
+
+    def at(self, k, pts):
+        return 2.0 ** (k * self.s) * self.base.at(k, pts * 2.0 ** (-k) if self.dilated else pts)
 
 
 @dataclass(frozen=True)
@@ -115,11 +146,27 @@ class AdmissibleSeq:
     s: float
     b: float = 0.0
     c: float = 0.0
+    kind: ClassVar[str] = "admissible_seq"
+
+    def at(self, k, pts):
+        scale = 2.0 ** (self.s * k) * (1.0 + k) ** self.b * (1.0 + math.log(1.0 + k)) ** self.c
+        return np.full(pts.shape[:-1], scale)
 
 
 @dataclass(frozen=True)
 class ProductWeight:
     factors: tuple
+    kind: ClassVar[str] = "product"
+
+    def at(self, k, pts):
+        out = 1.0
+        for fac in self.factors:
+            out = out * fac.at(k, pts)
+        return out
+
+
+SPEC_KINDS = {cls.kind: cls for cls in (Constant, Power, ShiftedPower, GeometricLevel,
+                                         AdmissibleSeq, ProductWeight)}
 
 
 def eval_weight(spec, k, pts, dim=1):
@@ -130,46 +177,12 @@ def eval_weight(spec, k, pts, dim=1):
     """
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = _eval(spec, int(k), point_layout(pts, dim))
+            vals = spec.at(int(k), point_layout(pts, dim))
     except OverflowError:  # a level scalar 2**(k s) or (1+k)**b beyond the float range
         raise NonPositiveValue(f"weight {spec!r} overflows at level {k}") from None
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise NonPositiveValue(f"weight {spec!r} not strictly positive at level {k}")
     return vals
-
-
-def _radius(pts, center):
-    return np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=-1))
-
-
-def _eval(spec, k, pts):
-    """The weight at points of shape (..., dim)."""
-    if isinstance(spec, Constant):
-        return np.full(pts.shape[:-1], float(spec.value))
-    if isinstance(spec, Power):
-        return _radius(pts, 0.0) ** spec.beta
-    if isinstance(spec, ShiftedPower):
-        if np.size(spec.center) not in (1, pts.shape[-1]):
-            raise ValueError(
-                f"shifted_power center {spec.center!r} does not fit {pts.shape[-1]}-D points"
-            )
-        return _radius(pts, spec.center) ** spec.delta
-    if isinstance(spec, GeometricLevel):
-        arg = pts * 2.0 ** (-k) if spec.dilated else pts
-        return 2.0 ** (k * spec.s) * _eval(spec.base, k, arg)
-    if isinstance(spec, AdmissibleSeq):
-        scale = (
-            2.0 ** (spec.s * k)
-            * (1.0 + k) ** spec.b
-            * (1.0 + math.log(1.0 + k)) ** spec.c
-        )
-        return np.full(pts.shape[:-1], scale)
-    if isinstance(spec, ProductWeight):
-        out = 1.0
-        for fac in spec.factors:
-            out = out * _eval(fac, k, pts)
-        return out
-    raise TypeError(f"unknown weight spec {spec!r}")
 
 
 def weight_grid(spec, k, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
@@ -453,10 +466,11 @@ def cube_weight_norm(t: WeightSequence, k, m, p) -> float:
 
 
 def cube_weight_norms_level(t: WeightSequence, k, p):
-    """All t_{k,m} over the level-k cubes tiling the grid, plus first index."""
+    """All t_{k,m} over the level-k cubes tiling the grid, in cube order from
+    the lower domain corner."""
     g = t.level(k)
     sums = level_block_reduce(g.samples**p, g, k) * g.spacing**g.dim
-    return sums ** (1.0 / p), level_first_index(g, k)
+    return sums ** (1.0 / p)
 
 
 # -- the inter-level regularity class ----------------------------------------------
@@ -550,73 +564,68 @@ def xclass_check(t: WeightSequence, sp, depth=6):
 # -- serialization (CLI config schema) ----------------------------------------------
 
 
+def _plain(value):
+    """A spec field in its dict form: specs as dicts, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return spec_to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def spec_to_dict(spec):
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "value": spec.value}
-    if isinstance(spec, Power):
-        return {"kind": "power", "beta": spec.beta}
-    if isinstance(spec, ShiftedPower):
-        return {"kind": "shifted_power", "center": list(np.atleast_1d(spec.center)), "delta": spec.delta}
-    if isinstance(spec, GeometricLevel):
-        return {
-            "kind": "geometric",
-            "s": spec.s,
-            "base": spec_to_dict(spec.base),
-            "dilated": spec.dilated,
-        }
-    if isinstance(spec, AdmissibleSeq):
-        return {"kind": "admissible_seq", "s": spec.s, "b": spec.b, "c": spec.c}
-    if isinstance(spec, ProductWeight):
-        return {"kind": "product", "factors": [spec_to_dict(f) for f in spec.factors]}
-    raise TypeError(f"unknown weight spec {spec!r}")
+    """The dict form of a spec: its ``kind`` and every field."""
+    out = {"kind": spec.kind}
+    for fld in dataclasses.fields(spec):
+        out[fld.name] = _plain(getattr(spec, fld.name))
+    return out
+
+
+def _read_field(name, value, where, dim):
+    """One field of a spec in a config: ``base`` holds a spec, ``factors`` a
+    non-empty list of them, ``center`` a number or a list, ``dilated`` a
+    boolean, and every other field a number."""
+    if name == "base":
+        return spec_from_dict(value, dim, where)
+    if name == "factors":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: expected a non-empty list, got {value!r}")
+        return tuple(spec_from_dict(f, dim, f"{where}[{i}]") for i, f in enumerate(value))
+    if name == "center":
+        entries = value if isinstance(value, list) else [value]
+        center = tuple(config_number(c, where) for c in entries)
+        if not center or (dim is not None and len(center) not in (1, dim)):
+            raise ConfigError(f"{where}: a shifted_power.center must be a number or a "
+                              f"list of length 1 or grid.dim = {dim}, got {value!r}")
+        return center
+    if name == "dilated":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
+    return config_number(value, where)
 
 
 def spec_from_dict(d, dim=None, where="weights"):
     """Weight spec from its dict form, read as the CLI reads a config.
 
-    Numbers go through ``config_number``; ``dilated`` must be a boolean and
-    ``factors`` a non-empty list. With ``dim`` given, a shifted-power center
-    must be a number, a one-element list, or exactly ``dim`` entries. Raises
-    ConfigError naming the offending field, ``where`` being the path of d.
+    ``kind`` picks the class in ``SPEC_KINDS`` and every field of the class
+    is read from the entry of its name; a field with a default may be left
+    out. Numbers go through ``config_number``; ``dilated`` must be a boolean
+    and ``factors`` a non-empty list. With ``dim`` given, a shifted-power
+    center must be a number, a one-element list, or exactly ``dim`` entries.
+    Raises ConfigError naming the offending field, ``where`` being the path of d.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {d!r}")
-
-    def entry(key, default=None):
-        if key not in d and default is None:
-            raise ConfigError(f"{where}.{key}: missing")
-        return d.get(key, default)
-
-    def number(key, default=None):
-        return config_number(entry(key, default), f"{where}.{key}")
-
     kind = d.get("kind")
-    if kind == "constant":
-        return Constant(number("value"))
-    if kind == "power":
-        return Power(number("beta"))
-    if kind == "shifted_power":
-        center = entry("center")
-        center = center if isinstance(center, list) else [center]
-        center = tuple(config_number(c, f"{where}.center") for c in center)
-        if not center or (dim is not None and len(center) not in (1, dim)):
-            raise ConfigError(f"{where}.center: a shifted_power.center must be a number or a "
-                              f"list of length 1 or grid.dim = {dim}, got {d['center']!r}")
-        return ShiftedPower(center if len(center) > 1 else center[0], number("delta"))
-    if kind == "geometric":
-        dilated = entry("dilated", False)
-        if not isinstance(dilated, bool):
-            raise ConfigError(f"{where}.dilated: expected true or false, got {dilated!r}")
-        return GeometricLevel(
-            number("s"), spec_from_dict(entry("base"), dim, f"{where}.base"), dilated
-        )
-    if kind == "admissible_seq":
-        return AdmissibleSeq(number("s"), number("b", 0.0), number("c", 0.0))
-    if kind == "product":
-        factors = entry("factors")
-        if not isinstance(factors, list) or not factors:
-            raise ConfigError(f"{where}.factors: expected a non-empty list, got {factors!r}")
-        return ProductWeight(
-            tuple(spec_from_dict(f, dim, f"{where}.factors[{i}]") for i, f in enumerate(factors))
-        )
-    raise ConfigError(f"{where}.kind: unknown weight kind {kind!r}")
+    cls = SPEC_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{where}.kind: unknown weight kind {kind!r}")
+    fields = {}
+    for fld in dataclasses.fields(cls):
+        path = f"{where}.{fld.name}"
+        if fld.name in d:
+            fields[fld.name] = _read_field(fld.name, d[fld.name], path, dim)
+        elif fld.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing")
+    return cls(**fields)

@@ -88,7 +88,8 @@ def test_window_field_matches_scalar_2d():
 def test_expanded_field_matches_scalar_2d():
     f = grid2(lambda p: np.exp(-radial(p) ** 2))
     k, order = 2, 1
-    values, flagged, m0 = delta_expanded_field(f, k, order)
+    values, flagged = delta_expanded_field(f, k, order)
+    m0 = int(round(-HW * 2.0**k))  # the cube at the lower domain corner
     nc = values.shape[0]
     i = j = nc // 2 + 1
     if not flagged[i, j]:

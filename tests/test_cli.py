@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dilatest import cli, fixtures
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.errors import ConfigError, DilatestError
-from dilatest.weights import WeightSequence
+from dilatest.weights import ShiftedPower, WeightSequence
 
 
 def write_config(tmp_path, name, data):
@@ -270,8 +270,9 @@ def test_shifted_power_center_of_the_wrong_length_exits_2(tmp_path, capsys, dim,
     [(1, 1.0, 1.0), (1, [1.0], 1.0), (2, 1.0, 1.0), (2, [1.0], 1.0), (2, [1.0, 2.0], (1.0, 2.0))],
 )
 def test_shifted_power_center_forms_that_parse(dim, center, parsed):
+    # every form reads as the library's spec with that center
     cfg = parse_config(_shifted_power_config(dim, center), "norm")
-    assert cfg.weights.base.center == parsed
+    assert cfg.weights.base == ShiftedPower(parsed, -0.25)
 
 
 _SPEC_KEYS = ("kind", "value", "beta", "center", "delta", "s", "b", "c", "dilated", "factors")
@@ -536,6 +537,33 @@ def test_maximal_names_the_theta_it_would_substitute(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: space.theta = 1.0" in err
     assert "theta = 1.5" in err and "p = 1.2" in err
+
+
+# 1-D L=8, N=256, B with p = 1, q = 2, geometric s = 0.5 over |x|^0.3
+_P_ONE = {
+    "grid": {"L": 8.0, "N": 256, "dim": 1},
+    "space": {"kind": "B", "p": 1, "q": 2, "M": 2, "alpha": [0.5, 0.5], "K_max": 2},
+    "weights": {"kind": "geometric", "s": 0.5, "base": {"kind": "power", "beta": 0.3}},
+    "families": 1,
+    "family_size": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("xclass", 2), ("dilate", 2), ("maximal", 2), ("norm", 0), ("equiv", 1), ("ap", 2)],
+)
+def test_p_equal_to_one_is_a_config_error_where_a_command_needs_p_above_one(
+        tmp_path, capsys, command, code):
+    # xclass and dilate once exited 2 on "error: InvalidExponent: need 1 <= theta
+    # <= p and p > 1", and maximal advised "set space.theta in (1, p]", which is
+    # empty at p = 1; norm, equiv and ap run at p = 1
+    assert main([command, "--config", write_config(tmp_path, "c.json", _P_ONE)]) == code
+    err = capsys.readouterr().err
+    if command in ("xclass", "dilate", "maximal"):
+        assert f"config error: space.p = 1.0: the {command} command needs p > 1" in err
+    else:
+        assert "error" not in err
 
 
 # -- dimension 3: the input gate, and every command through main

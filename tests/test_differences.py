@@ -41,6 +41,12 @@ def grid(fn, n=4096, L=8.0, dim=1):
     return GridFunction.from_callable(fn, dim, L, n)
 
 
+def first_index(f, k):
+    """Dyadic index of the level-k cube at the lower domain corner, where the
+    cube fields start along each axis."""
+    return int(round(-f.halfwidth * 2.0**k))
+
+
 # -- independent oracle: dense double quadrature straight from the closed form
 
 
@@ -172,7 +178,8 @@ def test_window_field_matches_pointwise_op():
 def test_cube_field_matches_pointwise_op():
     f = grid(lambda x: np.exp(-(x**2)) * np.cos(2 * x), n=1024)
     k, order = 2, 1
-    values, flagged, m0 = delta_cube_field(f, k, order)
+    values, flagged = delta_cube_field(f, k, order)
+    m0 = first_index(f, k)
     for j in (10, 31, 40):
         m = m0 + j
         box = Box((m * 2.0**-k,), ((m + 1) * 2.0**-k,))
@@ -183,9 +190,9 @@ def test_cube_field_matches_pointwise_op():
 def test_expanded_field_matches_pointwise_op():
     f = grid(lambda x: np.exp(-(x**2)), n=1024)
     k, order = 2, 2
-    values, flagged, m0 = delta_expanded_field(f, k, order)
-    j = 32 - m0  # cube starting at 8.0 * 2**-k... pick an interior index
-    j = len(values) // 2 + 3
+    values, flagged = delta_expanded_field(f, k, order)
+    m0 = first_index(f, k)
+    j = len(values) // 2 + 3  # an interior cube
     assert not flagged[j]
     assert values[j] == pytest.approx(
         delta_avg_expanded(f, k, m0 + j, order), rel=1e-9
@@ -199,7 +206,7 @@ def test_window_vs_expanded_cube_bounded_ratio():
     order = 1
     for k in (2, 3):
         win, _ = delta_window_field(f, k, order)
-        cubes, flags, m0 = delta_expanded_field(f, k, order)
+        cubes, flags = delta_expanded_field(f, k, order)
         win_avg = level_block_reduce(win, f, k) / level_cell_count(f, k)
         keep = (~flags) & (cubes > 1e-12)
         ratio = win_avg[keep] / cubes[keep]
@@ -236,9 +243,9 @@ def test_fields_match_scalar_oracles_everywhere(dim, k, order):
     c = f.axis_centers()
     side = 2.0**-k
     window, wflag = delta_window_field(f, k, order)
-    cube, cflag, m0 = delta_cube_field(f, k, order)
-    expanded, eflag, e0 = delta_expanded_field(f, k, order)
-    assert e0 == m0
+    cube, cflag = delta_cube_field(f, k, order)
+    expanded, eflag = delta_expanded_field(f, k, order)
+    m0 = first_index(f, k)
     seen_flags = set()
     for idx in _probe_entries(f.resolution, dim):
         want = delta_avg_window(f, tuple(c[i] for i in idx), k, order)
@@ -434,7 +441,8 @@ def _oracle_fields(dim, k, order):
     data=st.data(),
 )
 def test_fields_match_scalar_oracles_at_random_entries(dim, k, order, data):
-    f, window, (cube, _, m0) = _oracle_fields(dim, k, order)
+    f, window, (cube, _) = _oracle_fields(dim, k, order)
+    m0 = first_index(f, k)
     c = f.axis_centers()
     i = tuple(data.draw(st.integers(0, n - 1)) for n in window.shape)
     assert window[i] == pytest.approx(

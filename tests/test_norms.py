@@ -4,7 +4,7 @@ import pytest
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
 from dilatest.errors import ResolutionExceeded
-from dilatest.lp_fourier import build_phi, fourier_norm
+from dilatest.lp_fourier import fourier_norm
 from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
 
@@ -209,8 +209,7 @@ def test_scaling_f_by_a_power_of_two_scales_every_norm_by_it(dim, halfwidth, n, 
     f = fixtures.fixture("sine_packet", dim, halfwidth, n)
     t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), k_max, dim, halfwidth, n)
     sp = SpaceParams(kind, p, q, 2, (0.5, 0.5), k_max=k_max)
-    ru = build_phi(k_max, dim, halfwidth, n)
-    norms = [diff_norm, star_norm, lambda g, t, sp: fourier_norm(g, t, sp, ru)]
+    norms = [diff_norm, star_norm, fourier_norm]
     for name, norm in zip(["diff", "star", "fourier"], norms):
         base = norm(f, t, sp)
         for m in (-3, 5):

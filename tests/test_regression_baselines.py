@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dilatest import fixtures, regression
-from dilatest.lp_fourier import build_phi, fourier_norm
+from dilatest.lp_fourier import fourier_norm
 from dilatest.norms import SpaceParams, diff_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, WeightSequence
 
@@ -19,7 +19,7 @@ def gaussian():
 def test_fourier_gaussian_baseline(gaussian):
     t = WeightSequence.from_spec(GeometricLevel(1.0, Constant(1.0)), K, 1, L, N)
     sp = SpaceParams("B", 2.0, 2.0, 2, (1.0, 1.0), k_max=K)
-    got = fourier_norm(gaussian, t, sp, build_phi(K, 1, L, N))
+    got = fourier_norm(gaussian, t, sp)
     assert got == pytest.approx(regression.FOURIER_GAUSSIAN_S1_BASELINE, rel=1e-6)
 
 

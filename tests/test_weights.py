@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dilatest.dyadic import GridFunction
 from dilatest.errors import (
+    ConfigError,
     InvalidExponent,
     MissingLevels,
     NonPositiveValue,
@@ -14,6 +16,7 @@ from dilatest.norms import SpaceParams
 from dilatest.weights import (
     FAIL,
     PASS,
+    SPEC_KINDS,
     AdmissibleSeq,
     Constant,
     GeometricLevel,
@@ -101,6 +104,51 @@ def test_spec_serialization_roundtrip():
     assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+# one instance of every weight kind, with every optional field off its default
+_EVERY_KIND = [
+    Constant(2.0),
+    Power(0.3),
+    ShiftedPower((1.0, -0.5), -0.25),
+    GeometricLevel(0.5, Power(0.3), dilated=True),
+    AdmissibleSeq(1.0, 0.5, -0.25),
+    ProductWeight((Constant(2.0), ShiftedPower(1.0, -0.25))),
+]
+# the fields a config must give, as the README's weight-spec block lists them
+_REQUIRED = {
+    "constant": ["value"],
+    "power": ["beta"],
+    "shifted_power": ["center", "delta"],
+    "geometric": ["s", "base"],
+    "admissible_seq": ["s"],
+    "product": ["factors"],
+}
+
+
+def test_every_spec_kind_round_trips_through_json():
+    assert sorted(spec.kind for spec in _EVERY_KIND) == sorted(SPEC_KINDS) == sorted(_REQUIRED)
+    for spec in _EVERY_KIND:
+        d = json.loads(json.dumps(spec_to_dict(spec)))
+        assert SPEC_KINDS[d["kind"]] is type(spec)
+        assert spec_from_dict(d) == spec
+
+
+@pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda spec: spec.kind)
+def test_every_required_spec_field_when_missing_is_a_config_error(spec):
+    full = spec_to_dict(spec)
+    for name in _REQUIRED[spec.kind]:
+        partial = {key: value for key, value in full.items() if key != name}
+        with pytest.raises(ConfigError, match=rf"^weights\.{name}: missing$"):
+            spec_from_dict(partial)
+    # the other fields take their defaults
+    bare = spec_from_dict({key: full[key] for key in ["kind"] + _REQUIRED[spec.kind]})
+    assert bare == type(spec)(*(getattr(spec, name) for name in _REQUIRED[spec.kind]))
+
+
+def test_a_scalar_center_is_a_one_entry_tuple():
+    assert ShiftedPower(1.0, -0.25) == ShiftedPower((1.0,), -0.25)
+    assert ShiftedPower(1.0, -0.25).center == (1.0,)
+
+
 def test_ap_constant_of_one_is_exactly_one():
     g = GridFunction.from_callable(lambda x: np.ones_like(x), 1, L, 512)
     rep = ap_constant(g, 2.0, depth=4)
@@ -109,7 +157,7 @@ def test_ap_constant_of_one_is_exactly_one():
 
 def test_ap_scale_invariance():
     g = weight_grid(Power(0.5), 0, 1, L, 1024)
-    g3 = g.with_samples(3.0 * g.samples, evaluator=lambda x: 3.0 * np.abs(x) ** 0.5)
+    g3 = GridFunction(g.dim, g.halfwidth, 3.0 * g.samples, lambda x: 3.0 * np.abs(x) ** 0.5)
     a = ap_constant(g, 2.0, depth=4).constant
     b = ap_constant(g3, 2.0, depth=4).constant
     assert b == pytest.approx(a, rel=1e-12)
@@ -209,7 +257,8 @@ def test_ap_duality_is_an_exact_identity(dim, n, beta, p):
     # power p' - 1, so the sups agree at every stage (Grafakos, GTM 249, ch. 7)
     g = weight_grid(Power(beta), 0, dim, L, n)
     pc = conjugate(p)
-    sigma = g.with_samples(g.samples ** (1.0 - pc), lambda x: g.evaluator(x) ** (1.0 - pc))
+    sigma = GridFunction(g.dim, g.halfwidth, g.samples ** (1.0 - pc),
+                         lambda x: g.evaluator(x) ** (1.0 - pc))
     base, dual = ap_constant(g, p, depth=4), ap_constant(sigma, pc, depth=4)
     assert [res for res, _ in dual.trace] == [res for res, _ in base.trace]
     for (_, d), (_, b) in zip(dual.trace, base.trace):
