@@ -28,8 +28,8 @@ from .norms import SpaceParams, diff_norm, star_norm, window_level_cap
 from .weights import (
     WeightSequence,
     ap_constant,
+    plain_form,
     spec_from_dict,
-    spec_to_dict,
     weight_grid,
     xclass_check,
 )
@@ -55,43 +55,73 @@ def _integer(value, where, minimum=None):
     return value
 
 
-def _section(data, key, default):
-    value = data.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected an object, got {value!r}")
+def _numbers(value, where, length=None):
+    """A list of config numbers: exactly ``length`` of them, or any non-empty list."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        count = "a non-empty list of" if length is None else length
+        raise ConfigError(f"{where}: expected {count} numbers, got {value!r}")
+    return [config_number(v, where) for v in value]
+
+
+def _choice(value, where, choices):
+    if value not in choices:
+        raise ConfigError(f"{where}: expected one of {list(choices)}, got {value!r}")
     return value
 
 
-def _bounds(data):
-    """Optional overrides: 'fs' and 'weighted' are numbers, the rest [lo, hi].
+def _positive(value, where):
+    """A bound override; every bounded ratio is >= 0, so a bound <= 0 could only read FAIL."""
+    value = config_number(value, where)
+    if not value > 0:
+        raise ConfigError(f"{where}: must be positive, got {value}")
+    return value
 
-    Every bounded ratio is >= 0, so a bound <= 0, or a bracket whose hi is,
-    could only ever read FAIL and is rejected.
-    """
-    out = {}
-    for key, value in _section(data, "bounds", {}).items():
-        where = f"bounds.{key}"
-        if key in ("fs", "weighted"):
-            out[key] = config_number(value, where)
-            if not out[key] > 0:
-                raise ConfigError(f"{where}: must be positive, got {out[key]}")
-        elif key in ("star_diff", "fourier_diff"):
-            if not isinstance(value, list) or len(value) != 2:
-                raise ConfigError(f"{where}: expected [lo, hi], got {value!r}")
-            lo, hi = (config_number(v, where) for v in value)
-            if lo > hi:
-                raise ConfigError(f"{where}: lo = {lo} exceeds hi = {hi}")
-            if not hi > 0:
-                raise ConfigError(f"{where}: hi must be positive, got {hi}")
-            out[key] = [lo, hi]
-        else:
-            raise ConfigError(f"{where}: unknown bound")
-    return out
+
+def _bracket(value, where):
+    """A [lo, hi] bracket override: lo <= hi, and hi > 0 as for ``_positive``."""
+    lo, hi = _numbers(value, where, 2)
+    if lo > hi:
+        raise ConfigError(f"{where}: lo = {lo} exceeds hi = {hi}")
+    if not hi > 0:
+        raise ConfigError(f"{where}: hi must be positive, got {hi}")
+    return [lo, hi]
+
+
+class _Reader:
+    """One config object: each key is read once, with its default and check,
+    and echoed as the run used it; ``unread`` names every other key."""
+
+    def __init__(self, data, where):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{where or 'config'}: expected an object, got {data!r}")
+        self.data, self.where, self.echo, self.parts = data, where, {}, []
+
+    def _path(self, key):
+        return f"{self.where}.{key}" if self.where else key
+
+    def read(self, key, default, check, *args):
+        """``check(value, path, *args)`` of the value under key, else of ``default``."""
+        value = check(self.data.get(key, default), self._path(key), *args)
+        self.echo[key] = plain_form(value)
+        return value
+
+    def part(self, key):
+        """The reader of the object under key; a missing one reads as empty."""
+        part = _Reader(self.data.get(key, {}), self._path(key))
+        self.echo[key] = part.echo
+        self.parts.append(part)
+        return part
+
+    def unread(self):
+        """Dotted paths of the keys that nothing read, here and in the parts."""
+        own = [self._path(key) for key in self.data if key not in self.echo]
+        return own + [path for part in self.parts for path in part.unread()]
 
 
 @dataclass
 class RunConfig:
-    """A validated config; ``parse_config`` holds the defaults."""
+    """A validated config; ``parse_config`` holds the defaults, and ``echo``
+    every key it read, defaults filled in, as the artifact's ``config``."""
 
     command: str
     halfwidth: float
@@ -108,54 +138,45 @@ class RunConfig:
     family_size: int
     sigma: float
     bounds: dict
+    echo: dict
 
 
 def parse_config(data: dict, command: str) -> RunConfig:
-    """Validate a config mapping; error messages carry the offending field."""
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    if "command" in data and data["command"] != command:
-        raise ConfigError(
-            f"config.command = {data['command']!r} does not match the "
-            f"invoked subcommand {command!r}"
-        )
-    grid = _section(data, "grid", {})
-    halfwidth = config_number(grid.get("L", 8.0), "grid.L")
+    """Validate a config mapping; error messages carry the offending field,
+    and a key that nothing reads is an error."""
+    top = _Reader(data, "")
+    top.read("command", command, _choice, (command,))
+    grid = top.part("grid")
+    halfwidth = grid.read("L", 8.0, config_number)
     if (
         not 0 < halfwidth < math.inf
         or abs(math.log2(halfwidth) - round(math.log2(halfwidth))) > 1e-12
     ):
         raise ConfigError("grid.L must be a positive power of two (cube alignment)")
-    resolution = _integer(grid.get("N", 4096), "grid.N")
+    resolution = grid.read("N", 4096, _integer)
     if resolution < 32 or resolution & (resolution - 1):
         raise ConfigError("grid.N must be a power of two >= 32")
-    dim = _integer(grid.get("dim", 1), "grid.dim")
+    dim = grid.read("dim", 1, _integer)
     if dim not in (1, 2, 3):
         raise ConfigError("grid.dim must be 1, 2 or 3 (the sup probe is too coarse above 3)")
 
-    s = _section(data, "space", {})
+    s = top.part("space")
     window_cap = window_level_cap(halfwidth, resolution)
-    k_max = s.get("K_max", max(1, min(6, window_cap)))
-    alpha = s.get("alpha", [1.0, 1.0])
-    if not isinstance(alpha, list) or len(alpha) != 2:
-        raise ConfigError(f"space.alpha: expected two numbers, got {alpha!r}")
-    alpha = tuple(config_number(a, "space.alpha") for a in alpha)
+    p = s.read("p", 2.0, config_number)
+    alpha = s.read("alpha", [1.0, 1.0], _numbers, 2)
     if not all(math.isfinite(a) for a in alpha):
-        raise ConfigError(f"space.alpha: expected finite numbers, got {list(alpha)!r}")
+        raise ConfigError(f"space.alpha: expected finite numbers, got {alpha!r}")
     try:
         space = SpaceParams(
-            kind=s.get("kind", "B"),
-            p=config_number(s.get("p", 2.0), "space.p"),
-            q=config_number(s.get("q", 2.0), "space.q"),
-            M=_integer(s.get("M", 2), "space.M", minimum=1),
-            alpha=alpha,
-            theta=config_number(s.get("theta", 1.0), "space.theta"),
-            sigma2=(
-                config_number(s["sigma2"], "space.sigma2")
-                if s.get("sigma2") is not None
-                else None
-            ),
-            k_max=_integer(k_max, "space.K_max", minimum=1),
+            kind=s.read("kind", "B", _choice, ("B", "F")),
+            p=p,
+            q=s.read("q", 2.0, config_number),
+            M=s.read("M", 2, _integer, 1),
+            alpha=tuple(alpha),
+            theta=s.read("theta", 1.0, config_number),
+            # sigma2 defaults to p, also when null
+            sigma2=s.read("sigma2", p, lambda v, w: p if v is None else config_number(v, w)),
+            k_max=s.read("K_max", max(1, min(6, window_cap)), _integer, 1),
         )
     except InvalidExponent as exc:
         raise ConfigError(f"space: {exc}") from exc
@@ -170,24 +191,16 @@ def parse_config(data: dict, command: str) -> RunConfig:
             f"for grid (L={halfwidth}, N={resolution})"
         )
 
-    weights = spec_from_dict(_section(data, "weights", {"kind": "constant", "value": 1.0}), dim)
-
-    fixture_name = data.get("fixture", "gaussian")
-    if fixture_name not in fixtures.fixture_names():
-        raise ConfigError(
-            f"fixture: unknown {fixture_name!r}; choose from {fixtures.fixture_names()}"
-        )
-    lam_list = data.get("lambda_list", [2.0, 4.0, 8.0])
-    if not isinstance(lam_list, list) or not lam_list:
-        raise ConfigError(f"lambda_list: expected a non-empty list, got {lam_list!r}")
-    lam_list = [config_number(v, "lambda_list") for v in lam_list]
+    weights = top.read("weights", {"kind": "constant", "value": 1.0},
+                       lambda v, w: spec_from_dict(v, dim, w))
+    fixture_name = top.read("fixture", "gaussian", _choice, fixtures.fixture_names())
+    lam_list = top.read("lambda_list", [2.0, 4.0, 8.0], _numbers)
     if not all(1.0 <= v < math.inf for v in lam_list):
         raise ConfigError("lambda_list: dilation factors must be finite and >= 1")
-    norm = data.get("norm", "diff")
-    if norm not in ("diff", "star"):
-        raise ConfigError("norm must be 'diff' or 'star'")
-
-    return RunConfig(
+    b = top.part("bounds")
+    checks = {"fs": _positive, "weighted": _positive,
+              "star_diff": _bracket, "fourier_diff": _bracket}
+    cfg = RunConfig(
         command=command,
         halfwidth=halfwidth,
         resolution=resolution,
@@ -196,14 +209,19 @@ def parse_config(data: dict, command: str) -> RunConfig:
         weights=weights,
         fixture=fixture_name,
         lambda_list=lam_list,
-        depth=_integer(data.get("depth", 6), "depth"),
-        norm=norm,
-        seed=_integer(data.get("seed", 0), "seed", minimum=0),
-        families=_integer(data.get("families", 20), "families", minimum=1),
-        family_size=_integer(data.get("family_size", 6), "family_size", minimum=1),
-        sigma=config_number(data.get("sigma", 0.5), "sigma"),
-        bounds=_bounds(data),
+        depth=top.read("depth", 6, _integer),
+        norm=top.read("norm", "diff", _choice, ("diff", "star")),
+        seed=top.read("seed", 0, _integer, 0),
+        families=top.read("families", 20, _integer, 1),
+        family_size=top.read("family_size", 6, _integer, 1),
+        sigma=top.read("sigma", 0.5, config_number),
+        bounds={key: b.read(key, None, check) for key, check in checks.items() if key in b.data},
+        echo=top.echo,
     )
+    unread = top.unread()
+    if unread:
+        raise ConfigError("; ".join(f"{path}: unknown key" for path in unread))
+    return cfg
 
 
 def _weight_sequence(cfg: RunConfig) -> WeightSequence:
@@ -394,30 +412,7 @@ def run(cfg: RunConfig, threads=1) -> dict:
     results, verdicts = handler(cfg, threads)
     elapsed = time.monotonic() - started
     report = {
-        "config": {
-            "command": cfg.command,
-            "grid": {"L": cfg.halfwidth, "N": cfg.resolution, "dim": cfg.dim},
-            "space": {
-                "kind": cfg.space.kind,
-                "p": cfg.space.p,
-                "q": cfg.space.q,
-                "M": cfg.space.M,
-                "alpha": list(cfg.space.alpha),
-                "theta": cfg.space.theta,
-                "sigma2": cfg.space.sigma2,
-                "K_max": cfg.space.k_max,
-            },
-            "weights": spec_to_dict(cfg.weights),
-            "fixture": cfg.fixture,
-            "lambda_list": cfg.lambda_list,
-            "depth": cfg.depth,
-            "norm": cfg.norm,
-            "seed": cfg.seed,
-            "families": cfg.families,
-            "family_size": cfg.family_size,
-            "sigma": cfg.sigma,
-            "bounds": dict(cfg.bounds),
-        },
+        "config": cfg.echo,
         "results": results,
         "verdicts": verdicts,
         "meta": {

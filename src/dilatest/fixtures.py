@@ -2,7 +2,8 @@
 
 Every fixture decays well inside the default box, so dilation clipping and
 window clipping stay negligible. All fixtures carry closed-form evaluators,
-which keeps resampling and dilation exact.
+which keep resampling to another resolution exact; dilation interpolates the
+samples.
 """
 
 import functools

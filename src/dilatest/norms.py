@@ -19,7 +19,7 @@ from .differences import delta_cube_field, delta_expanded_field, delta_window_fi
 from .dyadic import (
     GridFunction, finest_level, level_block_reduce, level_cell_count, mixed_norm, window_sums,
 )
-from .errors import InvalidExponent, ResolutionExceeded
+from .errors import InvalidExponent, MissingLevels, ResolutionExceeded
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
 
 BOUNDARY_MASS_LIMIT = 0.20
@@ -86,9 +86,7 @@ def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
             f"(spacing {f.spacing:.3g})"
         )
     if t.k_max < sp.k_max:
-        raise ResolutionExceeded(
-            f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}"
-        )
+        raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}")
 
 
 def _aggregate_levels(sp: SpaceParams, zero, cellw, level, details):

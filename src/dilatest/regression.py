@@ -25,8 +25,3 @@ FS_RATIO_BOUND = 1.41
 # weighted maximal ratio with t_k = 2**(k/2) |x|**0.3, theta = 1.5 over 20
 # seeded smooth families: measured max 2.3081; ~10% headroom.
 WEIGHTED_RATIO_BOUND = 2.54
-
-# single-value baselines for the reference Gaussian fixture
-FOURIER_GAUSSIAN_S1_BASELINE = 1.398776406774764  # B-kind, t_k = 2**k
-DIFF_GAUSSIAN_SHALF_BASELINE = 2.764485237737893  # t_k = 2**(k/2), M = 2
-STAR_GAUSSIAN_SHALF_BASELINE = 1.4826337791860635

@@ -564,12 +564,13 @@ def xclass_check(t: WeightSequence, sp, depth=6):
 # -- serialization (CLI config schema) ----------------------------------------------
 
 
-def _plain(value):
-    """A spec field in its dict form: specs as dicts, tuples as lists."""
+def plain_form(value):
+    """A spec or spec field in its dict form: specs as dicts, tuples as lists,
+    anything else as it is."""
     if dataclasses.is_dataclass(value):
         return spec_to_dict(value)
     if isinstance(value, tuple):
-        return [_plain(v) for v in value]
+        return [plain_form(v) for v in value]
     return value
 
 
@@ -577,7 +578,7 @@ def spec_to_dict(spec):
     """The dict form of a spec: its ``kind`` and every field."""
     out = {"kind": spec.kind}
     for fld in dataclasses.fields(spec):
-        out[fld.name] = _plain(getattr(spec, fld.name))
+        out[fld.name] = plain_form(getattr(spec, fld.name))
     return out
 
 
@@ -610,9 +611,10 @@ def spec_from_dict(d, dim=None, where="weights"):
 
     ``kind`` picks the class in ``SPEC_KINDS`` and every field of the class
     is read from the entry of its name; a field with a default may be left
-    out. Numbers go through ``config_number``; ``dilated`` must be a boolean
-    and ``factors`` a non-empty list. With ``dim`` given, a shifted-power
-    center must be a number, a one-element list, or exactly ``dim`` entries.
+    out, and a key that is neither ``kind`` nor a field is an error. Numbers
+    go through ``config_number``; ``dilated`` must be a boolean and
+    ``factors`` a non-empty list. With ``dim`` given, a shifted-power center
+    must be a number, a one-element list, or exactly ``dim`` entries.
     Raises ConfigError naming the offending field, ``where`` being the path of d.
     """
     if not isinstance(d, dict):
@@ -621,6 +623,11 @@ def spec_from_dict(d, dim=None, where="weights"):
     cls = SPEC_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{where}.kind: unknown weight kind {kind!r}")
+    names = [fld.name for fld in dataclasses.fields(cls)]
+    unknown = [key for key in d if key not in names and key != "kind"]
+    if unknown:
+        raise ConfigError("; ".join(f"{where}.{key}: unknown key of a {kind} spec"
+                                    for key in unknown))
     fields = {}
     for fld in dataclasses.fields(cls):
         path = f"{where}.{fld.name}"

@@ -397,6 +397,55 @@ def test_echoed_config_reproduces_the_results(tmp_path):
     assert again == artifact
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_echoed_config_reproduces_the_artifact_of_every_command(tmp_path, command):
+    # the echo holds every key the reader read, defaults filled in, so running
+    # it again writes the same bytes
+    cfg = dict(BASE, families=2, family_size=4, sigma=0.25, depth=3,
+               bounds={"fs": 3.0, "star_diff": [0.1, 0.9]})
+    cfg["grid"] = {"L": 8.0, "N": 512, "dim": 1}
+    cfg["space"] = dict(BASE["space"], K_max=3)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    code = main([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(first)])
+    echo = json.loads(first.read_text())["config"]
+    assert echo["command"] == command and echo["grid"]["N"] == 512
+    assert main([command, "--config", write_config(tmp_path, "echo.json", echo),
+                 "--out", str(again)]) == code
+    assert again.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("lambdas", [3.0]),
+        ("grid.n", 4),
+        ("space.Kmax", 3),
+        ("bounds.fss", 1.0),
+        ("weights.dilate", True),
+        ("weights.base.betta", 0.3),
+        ("weights.base.base", {"kind": "constant", "value": 1.0}),
+    ],
+)
+def test_a_key_outside_the_schema_exits_2_naming_its_path(tmp_path, capsys, path, value):
+    # once dropped without a word, the run using the default in its place
+    cfg = _set(json.loads(json.dumps(BASE)), path, value)
+    assert main(["ap", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert f"config error: {path}: unknown key" in capsys.readouterr().err
+
+
+def test_every_unknown_key_is_named():
+    cfg = dict(BASE, lambdas=[3.0], grid=dict(BASE["grid"], n=4))
+    with pytest.raises(ConfigError, match=r"^lambdas: unknown key; grid\.n: unknown key$"):
+        parse_config(cfg, "norm")
+
+
+def test_a_known_key_the_command_ignores_still_parses():
+    # the 2-D ladder configs pass lambda_list and families to every command
+    cfg = parse_config(dict(BASE, lambda_list=[2, 4], families=4, norm="star"), "ap")
+    assert cfg.lambda_list == [2.0, 4.0] and cfg.families == 4
+    assert cfg.echo["lambda_list"] == [2.0, 4.0] and cfg.echo["norm"] == "star"
+
+
 @pytest.mark.parametrize("command, depth", [("ap", -20), ("xclass", 0), ("dilate", 0)])
 def test_depth_below_its_minimum_exits_2_naming_depth(tmp_path, capsys, command, depth):
     config = write_config(tmp_path, "c.json", dict(BASE, depth=depth))
@@ -436,6 +485,10 @@ _SMALL = {"grid": {"L": 8, "N": 256}, "space": {"K_max": 2}, "depth": 3}
         ({"kind": "product", "factors": [{"kind": "power", "beta": "x"}]},
          "weights.factors[0].beta"),
         ({"kind": "geometric", "s": 1.0, "base": {"kind": "constant"}}, "weights.base.value"),
+        # a key the kind does not have, once dropped without a word
+        ({"kind": "product", "factors": [{"kind": "power", "beta": 0.3},
+                                         {"kind": "power", "beta": 0.3, "value": 1.0}]},
+         "weights.factors[1].value"),
     ],
 )
 def test_malformed_weight_spec_exits_2_naming_its_field(tmp_path, capsys, weights, field):

@@ -3,7 +3,7 @@ import pytest
 
 from dilatest import fixtures
 from dilatest.dyadic import GridFunction
-from dilatest.errors import ResolutionExceeded
+from dilatest.errors import MissingLevels, ResolutionExceeded
 from dilatest.lp_fourier import fourier_norm
 from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
@@ -29,6 +29,15 @@ def test_alpha_warning_names_the_line_that_built_the_space():
     with pytest.warns(UserWarning, match="violates") as record:
         SpaceParams("B", 2.0, 2.0, 2, (1.5, 0.5))
     assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("norm", [diff_norm, star_norm, fourier_norm])
+def test_a_weight_sequence_shorter_than_k_max_raises_missing_levels(norm):
+    # the difference norms once raised ResolutionExceeded here, the Fourier norm
+    # MissingLevels, for the one condition: levels 0..2 where the space needs 5
+    f = fixtures.fixture("gaussian", 1, L, N)
+    with pytest.raises(MissingLevels, match=r"levels 0\.\.2, need 5"):
+        norm(f, const_weights(k_max=2), sp_of(k_max=5))
 
 
 def test_ltilde_zero():
