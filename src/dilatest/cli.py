@@ -24,7 +24,7 @@ from .dyadic import GridFunction, finest_level
 from .errors import ConfigError, DilatestError, InvalidExponent, config_number
 from .lp_fourier import fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
-from .norms import SpaceParams, diff_norm, star_norm, window_level_cap
+from .norms import SpaceParams, diff_and_star_norms, diff_norm, star_norm, window_level_cap
 from .weights import (
     WeightSequence,
     ap_constant,
@@ -367,8 +367,7 @@ def _run_equiv(cfg, threads=1):
     rows = []
     for name in fixtures.EQUIVALENCE_FAMILY:
         f = fixtures.fixture(name, cfg.dim, cfg.halfwidth, cfg.resolution)
-        d = diff_norm(f, t, cfg.space)
-        s = star_norm(f, t, cfg.space)
+        d, s = diff_and_star_norms(f, t, cfg.space)
         fo = fourier_norm(f, t, cfg.space)
         rows.append(
             {

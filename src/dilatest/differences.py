@@ -17,21 +17,22 @@ remaining pairs is scaled by (all pairs) / (kept pairs), so boundary windows
 stay unbiased; entries that dropped pairs are flagged.
 
 The scalar ``delta_avg_*`` functionals take one box each and serve as
-oracles. The fields share one engine, ``_node_sums``, which reduces
-|Delta_h^M f| over every window or cube of a level, one h-node at a time;
-each field sets only its reduction, normalization and extra flag. Nodes and
-grid are tensor products, so each stencil term f(x + mult*h) is a clamped
-linear shift along one axis after another (``GridFunction.axis_stencil``):
-interp's one rule, nested per-axis linear steps, so the fields equal the
-point-by-point interpolation bit for bit, on any node spacing. Every axis
-has the same centers and node values, so the stencil rows of the inner
-axes are computed once per node value and field, not once per node (1-D has
-no inner axis and keeps no table). The stencil term of f(x + 0*h) does not
-depend on h and is shifted and scaled once per call. Pairs that leave the box
-are dropped by zeroing each axis's out-of-domain rows of |Delta_h^M f|. Each
-node's field is reduced on its own, because reducing the sum over nodes
-would move the round-off of the prefix sums; the kept-pair counts are
-integers, a product of per-axis counts, and are reduced once.
+oracles. The fields share one engine, ``_node_sums``, whose node loop feeds
+each h-node's |Delta_h^M f| to every reduction asked for (``delta_fields``;
+each ``delta_*_field`` is its one-kind call); a kind sets only its
+reduction, normalization and extra flag. Nodes and grid are tensor products,
+so each stencil term f(x + mult*h) is a clamped linear shift along one axis
+after another (``GridFunction.axis_stencil``): interp's one rule, nested
+per-axis linear steps, so the fields equal the point-by-point interpolation
+bit for bit, on any node spacing. Every axis has the same centers and node
+values, so the stencil rows of the inner axes are computed once per node
+value and call, not once per node (1-D has no inner axis and keeps no
+table). The stencil term of f(x + 0*h) does not depend on h and is shifted
+and scaled once per call. Pairs that leave the box are dropped by zeroing
+each axis's out-of-domain rows of |Delta_h^M f|. Each node's field is
+reduced on its own, because reducing the sum over nodes would move the
+round-off of the prefix sums; the kept-pair counts are integers, a product
+of per-axis counts, and are reduced once.
 """
 
 import functools
@@ -183,13 +184,15 @@ def _lead_next(v):
     return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
-def _node_sums(f: GridFunction, k: int, order: int, reduce):
+def _node_sums(f: GridFunction, k: int, order: int, reduces):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
-    ``reduce`` maps a sample array to one entry per window or cube. Returns
-    (sums, lost, cells): sum_h w_h sum_x dx^n |Delta_h^M f(x)| per entry,
-    renormalized for the (x, h) pairs that left the box; a mask of entries
-    that lost pairs; and ``reduce`` of ones, the cell count of each entry.
+    Each of ``reduces`` maps a sample array to one entry per window or cube.
+    Returns, per reduction, (sums, lost, cells): sum_h w_h sum_x dx^n
+    |Delta_h^M f(x)| per entry, renormalized for the (x, h) pairs that left
+    the box; a mask of entries that lost pairs; and the reduction of ones,
+    the cell count of each entry. Each reduction adds its node terms in node
+    order, so its result is bit for bit the one it gives alone.
 
     Nodes run in row-major order and a node recomputes only the axes from
     the first whose component changed: the axis-0 shifts for h_0 serve every
@@ -227,7 +230,7 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
     moved = [[f.samples] * (len(mults) - 1)] + [None] * (dim - 1)
     inside = [None] * dim
     count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
-    num = 0.0
+    nums = [0.0] * len(reduces)
     last = (None,) * dim
     for node in itertools.product(range(len(axis_nodes)), repeat=dim):
         first = next(a for a in range(dim) if node[a] != last[a])
@@ -259,13 +262,44 @@ def _node_sums(f: GridFunction, k: int, order: int, reduce):
             g[(slice(None),) * a + (~keep,)] = 0.0
         # summed per node: a single reduce of the summed field moves the
         # round-off of prefix-table sums; the integer counts are exact in any order
-        num = num + reduce(g)
-    cells = reduce(np.ones(f.samples.shape))
-    valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
-    total = len(axis_nodes) ** dim * cells
-    with np.errstate(invalid="ignore", divide="ignore"):
-        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-    return dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells
+        nums = [num + reduce(g) for num, reduce in zip(nums, reduces)]
+    out = []
+    for num, reduce in zip(nums, reduces):
+        cells = reduce(np.ones(f.samples.shape))
+        valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
+        total = len(axis_nodes) ** dim * cells
+        with np.errstate(invalid="ignore", divide="ignore"):
+            renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+        out.append((dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells))
+    return out
+
+
+def _reduction(f: GridFunction, k: int, kind):
+    """(reduce, finish) of one field kind: ``reduce`` sums a sample array over
+    each level-k window or cube, and ``finish`` maps that reduction's
+    (sums, lost, cells) from ``_node_sums`` to (values, flagged)."""
+    n, c = f.dim, level_cell_count(f, k)  # a level-k cube spans c cells per axis
+    if kind == "window":  # the window x + 2**-k (-1, 1)^n spans 2c cells per axis
+        return (lambda v: window_sums(v, c)), lambda sums, lost, cells: (
+            2.0 ** (2 * k * n) * sums, lost | ~np.isclose(cells, (2 * c) ** n, rtol=1e-12))
+    if kind == "cube":
+        return (lambda v: level_block_reduce(v, f, k)), lambda sums, lost, _: (
+            sums / (2.0 ** (-k)) ** (2 * n), lost)
+    if kind != "expanded":
+        raise ValueError(f"unknown field kind {kind!r}")
+    # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
+    j = np.arange(level_cube_count(f, k))
+    lo, hi = (j - 2) * c, (j + 3) * c
+    return (lambda v: box_reduce(range_table(v), lo, hi)), lambda sums, lost, cells: (
+        sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n))
+
+
+def delta_fields(f: GridFunction, k: int, order: int, kinds):
+    """One (values, flagged) per kind ("window", "cube" or "expanded") from one
+    h-node loop, each bit for bit what its own ``delta_*_field`` returns."""
+    parts = [_reduction(f, k, kind) for kind in kinds]
+    sums = _node_sums(f, k, order, [reduce for reduce, _ in parts])
+    return [finish(*s) for (_, finish), s in zip(parts, sums)]
 
 
 def delta_window_field(f: GridFunction, k: int, order: int):
@@ -274,10 +308,7 @@ def delta_window_field(f: GridFunction, k: int, order: int):
     Returns (values, flagged) where flagged marks windows that were clipped at
     the domain edge or lost (x, h) pairs to the boundary.
     """
-    r = level_cell_count(f, k)  # the window x + 2**-k (-1, 1)^n spans 2r cells per axis
-    sums, lost, cells = _node_sums(f, k, order, lambda v: window_sums(v, r))
-    clipped = ~np.isclose(cells, (2 * r) ** f.dim, rtol=1e-12)
-    return 2.0 ** (2 * k * f.dim) * sums, lost | clipped
+    return delta_fields(f, k, order, ("window",))[0]
 
 
 def delta_cube_field(f: GridFunction, k: int, order: int):
@@ -287,8 +318,7 @@ def delta_cube_field(f: GridFunction, k: int, order: int):
     domain corner along each axis; flagged marks cubes that lost (x, h) pairs
     to the boundary.
     """
-    sums, lost, _ = _node_sums(f, k, order, lambda v: level_block_reduce(v, f, k))
-    return sums / (2.0 ** (-k)) ** (2 * f.dim), lost
+    return delta_fields(f, k, order, ("cube",))[0]
 
 
 def delta_expanded_field(f: GridFunction, k: int, order: int):
@@ -297,10 +327,4 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
     Returns (values, flagged) in the cube order of ``delta_cube_field``;
     flagged marks cubes whose expansion leaves the box or that lost pairs.
     """
-    c = level_cell_count(f, k)
-    # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
-    j = np.arange(level_cube_count(f, k))
-    lo, hi = (j - 2) * c, (j + 3) * c
-    sums, lost, cells = _node_sums(f, k, order, lambda v: box_reduce(range_table(v), lo, hi))
-    values = sums / (5.0 * 2.0 ** (-k)) ** (2 * f.dim)
-    return values, lost | (cells < (5 * c) ** f.dim)
+    return delta_fields(f, k, order, ("expanded",))[0]

@@ -7,6 +7,8 @@ ratios compare like with like. Boundary-clipped windows and cubes are included
 with renormalized quadrature and tracked as a boundary-mass fraction; runs
 where flagged terms carry more than 20% of the total mass are marked
 unreliable.
+``diff_and_star_norms`` gives both difference norms from one h-node pass
+per level, since they reduce the same |Delta_h^M f|.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import delta_cube_field, delta_expanded_field, delta_window_field
+from .differences import delta_cube_field, delta_expanded_field, delta_fields, delta_window_field
 from .dyadic import (
     GridFunction, finest_level, level_block_reduce, level_cell_count, mixed_norm, window_sums,
 )
@@ -133,17 +135,46 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p):
     return float(np.sum(dens) * cellw) ** (1.0 / p)
 
 
-def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
-    """Moving-window difference norm (B or F kind) plus the zero-order term."""
-    _check_levels(f, t, sp)
+def _diff(f: GridFunction, t: WeightSequence, sp: SpaceParams, field, details):
+    """``diff_norm`` from ``field(k)``, the level-k window field."""
 
     def level(k):
-        field, flagged = delta_window_field(f, k, sp.M)
-        weighted = t.level(k).samples * field
+        values, flagged = field(k)
+        weighted = t.level(k).samples * values
         return weighted, flagged, weighted
 
     zero = ltilde_norm(f, t.level(0), sp.p)
     return _aggregate_levels(sp, zero, f.spacing**f.dim, level, details)
+
+
+def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
+    """Moving-window difference norm (B or F kind) plus the zero-order term."""
+    _check_levels(f, t, sp)
+    return _diff(f, t, sp, lambda k: delta_window_field(f, k, sp.M), details)
+
+
+def _star(f: GridFunction, t: WeightSequence, sp: SpaceParams, field, details):
+    """``star_norm`` from ``field(k)``, the level-k cube (B) or expanded (F) field."""
+    n, p = f.dim, sp.p
+    cellw = f.spacing**n
+
+    t0m = cube_weight_norms_level(t, 0, p)
+    l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
+    zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
+
+    def level(k):
+        tkm = cube_weight_norms_level(t, k, p)
+        values, flags = field(k)
+        if sp.kind == "F":
+            per_cube = 2.0 ** (k * n / p) * tkm * values
+            # every cell takes the value of the cube that owns it
+            per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
+            return per_cube, flags, per_cell
+        per_cube = tkm * values
+        return per_cube, flags, per_cube
+
+    # B sums over cubes, each of measure one; F integrates over cells
+    return _aggregate_levels(sp, zero, cellw if sp.kind == "F" else 1.0, level, details)
 
 
 def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
@@ -155,24 +186,15 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     built from cube L_1 norms.
     """
     _check_levels(f, t, sp)
-    n, p = f.dim, sp.p
-    cellw = f.spacing**n
+    field = delta_expanded_field if sp.kind == "F" else delta_cube_field
+    return _star(f, t, sp, lambda k: field(f, k, sp.M), details)
 
-    t0m = cube_weight_norms_level(t, 0, p)
-    l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
-    zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
 
-    def level(k):
-        tkm = cube_weight_norms_level(t, k, p)
-        if sp.kind == "F":
-            de, flags = delta_expanded_field(f, k, sp.M)
-            per_cube = 2.0 ** (k * n / p) * tkm * de
-            # every cell takes the value of the cube that owns it
-            per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
-            return per_cube, flags, per_cell
-        dc, flags = delta_cube_field(f, k, sp.M)
-        per_cube = tkm * dc
-        return per_cube, flags, per_cube
-
-    # B sums over cubes, each of measure one; F integrates over cells
-    return _aggregate_levels(sp, zero, cellw if sp.kind == "F" else 1.0, level, details)
+def diff_and_star_norms(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
+    """(``diff_norm``, ``star_norm``), bit for bit, from one ``delta_fields``
+    call per level: the window field with the cube (B) or expanded (F) one."""
+    _check_levels(f, t, sp)
+    kinds = ("window", "expanded" if sp.kind == "F" else "cube")
+    fields = {k: delta_fields(f, k, sp.M, kinds) for k in range(1, sp.k_max + 1)}
+    return (_diff(f, t, sp, lambda k: fields[k][0], details),
+            _star(f, t, sp, lambda k: fields.pop(k)[1], details))

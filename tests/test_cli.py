@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dilatest import cli, fixtures
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.errors import ConfigError, DilatestError
+from dilatest.norms import diff_norm, star_norm
 from dilatest.weights import ShiftedPower, WeightSequence
 
 
@@ -158,6 +159,18 @@ def test_equiv_command(tmp_path):
     assert main(["equiv", "--config", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert len(report["results"]["rows"]) == 5
+
+
+def test_equiv_of_kind_f_reports_the_separate_norms():
+    # every shipped config is kind B: this runs the window + expanded pass
+    cfg = parse_config(dict(BASE, space=dict(BASE["space"], kind="F")), "equiv")
+    t = cli._weight_sequence(cfg)
+    rows = run(cfg)["results"]["rows"]
+    assert [row["fixture"] for row in rows] == list(fixtures.EQUIVALENCE_FAMILY)
+    for row in rows:
+        f = fixtures.fixture(row["fixture"], cfg.dim, cfg.halfwidth, cfg.resolution)
+        assert (row["diff"], row["star"]) == (diff_norm(f, t, cfg.space),
+                                              star_norm(f, t, cfg.space))
 
 
 def test_config_error_messages(tmp_path, capsys):

@@ -20,6 +20,7 @@ from dilatest.differences import (
     delta_avg_window,
     delta_cube_field,
     delta_expanded_field,
+    delta_fields,
     delta_m,
     delta_window_field,
     difference_coefficients,
@@ -27,6 +28,7 @@ from dilatest.differences import (
 from dilatest.dyadic import (
     Box,
     GridFunction,
+    finest_level,
     level_block_reduce,
     level_cell_count,
     level_cube_count,
@@ -367,7 +369,7 @@ def test_shift_kernel_matches_gather(geometry, k):
         np.testing.assert_array_equal(got[1], flags)
 
 
-def _node_sums_per_node_stencils(f, k, order, reduce):
+def _node_sums_per_node_stencils(f, k, order, reduces):
     """The node loop before its stencil table: every node asks ``axis_stencil``
     for each recomputed axis, sums the terms from 0.0 with every coefficient
     multiplied, scales the mult = 0 term per node, and masks |Delta_h^M f| by
@@ -382,7 +384,7 @@ def _node_sums_per_node_stencils(f, k, order, reduce):
     moved = [[f.samples] * (len(mults) - 1)] + [None] * (dim - 1)
     inside = [None] * dim
     count = 0
-    num = 0.0
+    nums = [0.0] * len(reduces)
     last = (None,) * dim
     for node in itertools.product(range(len(axis_nodes)), repeat=dim):
         first = next(a for a in range(dim) if node[a] != last[a])
@@ -405,13 +407,16 @@ def _node_sums_per_node_stencils(f, k, order, reduce):
             acc = acc + still * coeffs[-1]
         g = np.abs(np.moveaxis(acc, 0, -1), order="C")
         g *= functools.reduce(np.logical_and.outer, inside)
-        num = num + reduce(g)
-    cells = reduce(np.ones(f.samples.shape))
-    valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
-    total = len(axis_nodes) ** dim * cells
-    with np.errstate(invalid="ignore", divide="ignore"):
-        renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-    return dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells
+        nums = [num + reduce(g) for num, reduce in zip(nums, reduces)]
+    out = []
+    for num, reduce in zip(nums, reduces):
+        cells = reduce(np.ones(f.samples.shape))
+        valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
+        total = len(axis_nodes) ** dim * cells
+        with np.errstate(invalid="ignore", divide="ignore"):
+            renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+        out.append((dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells))
+    return out
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -425,6 +430,37 @@ def test_node_loop_matches_per_node_stencils_on_the_ladder_grid(k, monkeypatch):
         want = field(f, k, 2)
         np.testing.assert_array_equal(have[0], want[0])
         np.testing.assert_array_equal(have[1], want[1])
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from(
+        [(1, 1.0, 32), (1, 2.0, 64), (1, 4.0, 128), (2, 1.0, 16), (2, 2.0, 16), (3, 1.0, 8)]
+    ),
+    order=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_joint_fields_equal_the_separate_calls_byte_for_byte(geometry, order, seed):
+    # one node loop feeds both reductions, each adding its node terms in node
+    # order: not close, the same bytes, boundary-clipped entries included
+    dim, halfwidth, n = geometry
+    f = GridFunction(dim, halfwidth, np.random.default_rng(seed).standard_normal((n,) * dim))
+    field = {
+        "window": delta_window_field,
+        "cube": delta_cube_field,
+        "expanded": delta_expanded_field,
+    }
+    for k in range(finest_level(halfwidth, n) + 1):
+        alone = {kind: call(f, k, order) for kind, call in field.items()}
+        assert alone["window"][1].any()  # the edge windows are clipped
+        for kinds in (("window", "cube"), ("window", "expanded")):
+            for kind, (values, flags) in zip(kinds, delta_fields(f, k, order, kinds)):
+                assert _same_bytes(values, alone[kind][0]), (k, kinds, kind)
+                assert _same_bytes(flags, alone[kind][1]), (k, kinds, kind)
 
 
 @functools.lru_cache(maxsize=None)
@@ -456,7 +492,18 @@ def test_fields_match_scalar_oracles_at_random_entries(dim, k, order, data):
     )
 
 
-@pytest.mark.parametrize("field", [delta_window_field, delta_cube_field, delta_expanded_field])
+@pytest.mark.parametrize(
+    "field",
+    [
+        delta_window_field,
+        delta_cube_field,
+        delta_expanded_field,
+        pytest.param(
+            lambda f, k, order: delta_fields(f, k, order, ("window", "cube")),
+            id="delta_fields-window-cube",
+        ),
+    ],
+)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_field_call_leaves_no_garbage_and_no_growth(field, dim):
     # buffers held by a reference cycle live until the cyclic collector runs:
@@ -488,8 +535,9 @@ def test_field_call_leaves_no_garbage_and_no_growth(field, dim):
         lambda f: delta_cube_field(f, 2, 2),
         lambda f: delta_expanded_field(f, 2, 3),
         lambda f: window_sums(f.samples, 3),
+        lambda f: delta_fields(f, 2, 2, ("window", "expanded")),
     ],
-    ids=["window", "cube", "expanded", "window_sums"],
+    ids=["window", "cube", "expanded", "window_sums", "window+expanded"],
 )
 @pytest.mark.parametrize("dim", [1, 2])
 def test_calls_leave_their_input_unchanged(call, dim):

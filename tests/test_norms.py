@@ -5,7 +5,7 @@ from dilatest import fixtures
 from dilatest.dyadic import GridFunction
 from dilatest.errors import MissingLevels, ResolutionExceeded
 from dilatest.lp_fourier import fourier_norm
-from dilatest.norms import SpaceParams, diff_norm, ltilde_norm, star_norm
+from dilatest.norms import SpaceParams, diff_and_star_norms, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
 
 L, N = 8.0, 2048
@@ -31,7 +31,7 @@ def test_alpha_warning_names_the_line_that_built_the_space():
     assert [w.filename for w in record] == [__file__]
 
 
-@pytest.mark.parametrize("norm", [diff_norm, star_norm, fourier_norm])
+@pytest.mark.parametrize("norm", [diff_norm, star_norm, fourier_norm, diff_and_star_norms])
 def test_a_weight_sequence_shorter_than_k_max_raises_missing_levels(norm):
     # the difference norms once raised ResolutionExceeded here, the Fourier norm
     # MissingLevels, for the one condition: levels 0..2 where the space needs 5
@@ -227,3 +227,20 @@ def test_scaling_f_by_a_power_of_two_scales_every_norm_by_it(dim, halfwidth, n, 
                 assert scaled == 2.0**m * base, (name, m)
             else:
                 assert scaled == pytest.approx(2.0**m * base, rel=1e-13, abs=0), (name, m)
+
+
+# -- one difference pass for both norms ------------------------------------------------
+
+
+@pytest.mark.parametrize("dim, halfwidth, n, k_max", [(1, 4.0, 512, 4), (2, 4.0, 128, 2)])
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_joint_norms_equal_the_separate_calls_exactly(dim, halfwidth, n, k_max, kind):
+    # B pairs the window with the cube field, F with the expanded field
+    f = fixtures.fixture("sine_packet", dim, halfwidth, n)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), k_max, dim, halfwidth, n)
+    sp = SpaceParams(kind, 1.5, 3.0, 2, (0.5, 0.5), k_max=k_max)
+    diff = diff_norm(f, t, sp, details=True)
+    star = star_norm(f, t, sp, details=True)
+    assert diff[1]["boundary_mass"] > 0 and star[1]["boundary_mass"] > 0
+    assert diff_and_star_norms(f, t, sp, details=True) == (diff, star)
+    assert diff_and_star_norms(f, t, sp) == (diff[0], star[0])
