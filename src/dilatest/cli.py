@@ -364,10 +364,11 @@ def _run_maximal(cfg, threads=1):
 
 def _run_equiv(cfg, threads=1):
     t = _weight_sequence(cfg)
+    fs = [fixtures.fixture(name, cfg.dim, cfg.halfwidth, cfg.resolution)
+          for name in fixtures.EQUIVALENCE_FAMILY]
     rows = []
-    for name in fixtures.EQUIVALENCE_FAMILY:
-        f = fixtures.fixture(name, cfg.dim, cfg.halfwidth, cfg.resolution)
-        d, s = diff_and_star_norms(f, t, cfg.space)
+    for name, f, (d, s) in zip(fixtures.EQUIVALENCE_FAMILY, fs,
+                               diff_and_star_norms(fs, t, cfg.space)):
         fo = fourier_norm(f, t, cfg.space)
         rows.append(
             {
@@ -505,6 +506,8 @@ def main(argv=None) -> int:
         cmd.add_argument("--format", default="json", choices=("json", "csv"))
         cmd.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.threads < 1:  # argparse's usage error: exit 2, no traceback
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     _keep_freed_heap()
 
     try:

@@ -17,22 +17,23 @@ remaining pairs is scaled by (all pairs) / (kept pairs), so boundary windows
 stay unbiased; entries that dropped pairs are flagged.
 
 The scalar ``delta_avg_*`` functionals take one box each and serve as
-oracles. The fields share one engine, ``_node_sums``, whose node loop feeds
-each h-node's |Delta_h^M f| to every reduction asked for (``delta_fields``;
-each ``delta_*_field`` is its one-kind call); a kind sets only its
-reduction, normalization and extra flag. Nodes and grid are tensor products,
-so each stencil term f(x + mult*h) is a clamped linear shift along one axis
-after another (``GridFunction.axis_stencil``): interp's one rule, nested
-per-axis linear steps, so the fields equal the point-by-point interpolation
-bit for bit, on any node spacing. Every axis has the same centers and node
-values, so the stencil rows of the inner axes are computed once per node
-value and call, not once per node (1-D has no inner axis and keeps no
-table). The stencil term of f(x + 0*h) does not depend on h and is shifted
-and scaled once per call. Pairs that leave the box are dropped by zeroing
-each axis's out-of-domain rows of |Delta_h^M f|. Each node's field is
-reduced on its own, because reducing the sum over nodes would move the
-round-off of the prefix sums; the kept-pair counts are integers, a product
-of per-axis counts, and are reduced once.
+oracles. The fields share one engine, ``_node_sums``, whose one node loop
+serves every function on a grid, each node's stencil rows computed once,
+and feeds each |Delta_h^M f| to every reduction asked for (``delta_fields``;
+each ``delta_*_field`` is its one-function, one-kind call); a kind sets only
+its reduction, normalization and extra flag. Nodes and grid are tensor
+products, so each stencil term f(x + mult*h) is a clamped linear shift along
+one axis after another (``GridFunction.axis_stencil``): interp's one rule,
+nested per-axis linear steps, so the fields equal the point-by-point
+interpolation bit for bit, on any node spacing. Every axis has the same
+centers and node values, so the stencil rows of the inner axes are computed
+once per node value and call (1-D has no inner axis and keeps no table).
+The stencil term of f(x + 0*h) does not depend on h and is shifted and
+scaled once per call. Pairs that leave the box are dropped by zeroing each
+axis's out-of-domain rows of |Delta_h^M f|. Each node's field is reduced on
+its own, because reducing the sum over nodes would move the round-off of
+the prefix sums; the kept-pair counts are integers, a product of per-axis
+counts, and are reduced once per reduction.
 """
 
 import functools
@@ -184,27 +185,32 @@ def _lead_next(v):
     return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
-def _node_sums(f: GridFunction, k: int, order: int, reduces):
+def _node_sums(fs, k: int, order: int, reduces):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
-    Each of ``reduces`` maps a sample array to one entry per window or cube.
-    Returns, per reduction, (sums, lost, cells): sum_h w_h sum_x dx^n
+    ``fs`` are functions on one grid (ValueError otherwise); each of
+    ``reduces`` maps a sample array to one entry per window or cube. Returns,
+    per function and reduction, (sums, lost, cells): sum_h w_h sum_x dx^n
     |Delta_h^M f(x)| per entry, renormalized for the (x, h) pairs that left
     the box; a mask of entries that lost pairs; and the reduction of ones,
-    the cell count of each entry. Each reduction adds its node terms in node
-    order, so its result is bit for bit the one it gives alone.
+    the cell count of each entry. Each (function, reduction) adds its node
+    terms in node order, so its result is bit for bit the one it gives alone.
 
     Nodes run in row-major order and a node recomputes only the axes from
     the first whose component changed: the axis-0 shifts for h_0 serve every
-    h_1. Every axis has the same centers and node values, so the stencil
-    rows of a node value serve every axis. The inner axes revisit each value
-    and keep its rows in a table, filled on first use and read by axis 0 as
-    well; axis 0 sees each value once, so 1-D keeps no table. The stencil
-    point mult = 0, shifted once per call, is not ``f.samples``: a shift by
-    zero still interpolates when the float centers do not land on the grid.
-    Pairs that leave the box are dropped by zeroing each axis's out-of-domain
-    rows of |Delta_h^M f|.
+    h_1. A node's stencil rows, which depend on the grid alone, serve every
+    function, and every axis: the inner axes revisit each value and keep its
+    rows in a table, filled on first use and read by axis 0 as well; axis 0
+    sees each value once, so 1-D keeps no table. The stencil point mult = 0,
+    shifted once per call, is not ``f.samples``: a shift by zero still
+    interpolates when the float centers do not land on the grid. Pairs that
+    leave the box are dropped by zeroing each axis's out-of-domain rows of
+    |Delta_h^M f|; the kept pairs, the cells and the renormalization depend
+    on the grid alone and are finished once per reduction.
     """
+    f = fs[0]
+    if any((g.dim, g.halfwidth, g.resolution) != (f.dim, f.halfwidth, f.resolution) for g in fs):
+        raise ValueError("the functions of one node loop must share one grid")
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
     # the last stencil point is mult = 0; the node loop shifts and tests only
     # the others, since every unshifted center lies in the box
@@ -220,58 +226,64 @@ def _node_sums(f: GridFunction, k: int, order: int, reduces):
     table = [None] * len(axis_nodes)  # stencil rows per node value, kept by the inner axes
     # the mult = 0 term coeffs[-1] * f(x + 0*h), the same for every node
     i0, w, _ = f.axis_stencil([0.0])
-    still = f.samples
-    for a in range(dim):
-        still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
-    still *= coeffs[-1]
-    # moved[a][j]: f shifted by mults[j] * h along axes 0..a-1, stored with
-    # axis a leading; inside[a]: the axis-a factor of the in-domain mask
-    # shared by every stencil point
-    moved = [[f.samples] * (len(mults) - 1)] + [None] * (dim - 1)
-    inside = [None] * dim
+    stills = []
+    for g in fs:
+        still = g.samples
+        for a in range(dim):
+            still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
+        still *= coeffs[-1]
+        stills.append(still)
+    # moved[i][a][j]: function i shifted by mults[j] * h along axes 0..a-1,
+    # stored with axis a leading; rows[a]: the stencil rows of axis a, whose
+    # in-domain test is the axis-a factor of the mask of every stencil point
+    moved = [[[g.samples] * (len(mults) - 1)] + [None] * (dim - 1) for g in fs]
+    rows = [None] * dim
     count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
-    nums = [0.0] * len(reduces)
+    nums = [[0.0] * len(reduces) for _ in fs]
     last = (None,) * dim
     for node in itertools.product(range(len(axis_nodes)), repeat=dim):
         first = next(a for a in range(dim) if node[a] != last[a])
         last = node
         for a in range(first, dim):
-            rows = table[node[a]] or stencil(axis_nodes[node[a]])
-            i0, w, inside[a] = rows
+            rows[a] = table[node[a]] or stencil(axis_nodes[node[a]])
             if a == 0:
-                count = count + inside[0]
+                count = count + rows[0][2]
             else:
-                table[node[a]] = rows
-            if a + 1 < dim:
-                moved[a + 1] = None  # release the previous shifts first
-                moved[a + 1] = [
-                    _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
-                ]
-                continue
-            # the first coefficient is 1, so the sum starts from its term
-            # unscaled: exact but for the sign of a zero, which abs drops
-            acc = _shift(moved[a][0], i0[0], w[0])
-            for j in range(1, len(moved[a])):
-                v = _shift(moved[a][j], i0[j], w[j])
-                v *= coeffs[j]
-                acc += v
-            acc += still
-        # back to the axis order, C-contiguous: cube sums depend on the layout
-        g = np.abs(np.moveaxis(acc, 0, -1), order="C")
-        for a, keep in enumerate(inside):
-            g[(slice(None),) * a + (~keep,)] = 0.0
-        # summed per node: a single reduce of the summed field moves the
-        # round-off of prefix-table sums; the integer counts are exact in any order
-        nums = [num + reduce(g) for num, reduce in zip(nums, reduces)]
+                table[node[a]] = rows[a]
+        for i, (own, still) in enumerate(zip(moved, stills)):
+            for a in range(first, dim):
+                i0, w, _ = rows[a]
+                if a + 1 < dim:
+                    own[a + 1] = None  # release the previous shifts first
+                    own[a + 1] = [
+                        _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(own[a])
+                    ]
+                    continue
+                # the first coefficient is 1, so the sum starts from its term
+                # unscaled: exact but for the sign of a zero, which abs drops
+                acc = _shift(own[a][0], i0[0], w[0])
+                for j in range(1, len(own[a])):
+                    v = _shift(own[a][j], i0[j], w[j])
+                    v *= coeffs[j]
+                    acc += v
+                acc += still
+            # back to the axis order, C-contiguous: cube sums depend on the layout
+            g = np.abs(np.moveaxis(acc, 0, -1), order="C")
+            for a, (_, _, keep) in enumerate(rows):
+                g[(slice(None),) * a + (~keep,)] = 0.0
+            # summed per node: a single reduce of the summed field moves the
+            # round-off of prefix-table sums; the integer counts are exact in any order
+            nums[i] = [num + reduce(g) for num, reduce in zip(nums[i], reduces)]
     out = []
-    for num, reduce in zip(nums, reduces):
+    for reduce in reduces:
         cells = reduce(np.ones(f.samples.shape))
         valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
         total = len(axis_nodes) ** dim * cells
         with np.errstate(invalid="ignore", divide="ignore"):
             renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-        out.append((dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells))
-    return out
+        out.append((renorm, valid < total - 1e-9, cells))
+    return [[(dh**dim * f.spacing**dim * num * renorm, lost, cells)
+             for num, (renorm, lost, cells) in zip(own, out)] for own in nums]
 
 
 def _reduction(f: GridFunction, k: int, kind):
@@ -294,12 +306,13 @@ def _reduction(f: GridFunction, k: int, kind):
         sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n))
 
 
-def delta_fields(f: GridFunction, k: int, order: int, kinds):
-    """One (values, flagged) per kind ("window", "cube" or "expanded") from one
-    h-node loop, each bit for bit what its own ``delta_*_field`` returns."""
-    parts = [_reduction(f, k, kind) for kind in kinds]
-    sums = _node_sums(f, k, order, [reduce for reduce, _ in parts])
-    return [finish(*s) for (_, finish), s in zip(parts, sums)]
+def delta_fields(fs, k: int, order: int, kinds):
+    """Per function of ``fs``, all on one grid, one (values, flagged) per kind
+    ("window", "cube" or "expanded") from one h-node loop, each bit for bit
+    what its own ``delta_*_field`` returns."""
+    parts = [_reduction(fs[0], k, kind) for kind in kinds]
+    sums = _node_sums(fs, k, order, [reduce for reduce, _ in parts])
+    return [[finish(*s) for (_, finish), s in zip(parts, own)] for own in sums]
 
 
 def delta_window_field(f: GridFunction, k: int, order: int):
@@ -308,7 +321,7 @@ def delta_window_field(f: GridFunction, k: int, order: int):
     Returns (values, flagged) where flagged marks windows that were clipped at
     the domain edge or lost (x, h) pairs to the boundary.
     """
-    return delta_fields(f, k, order, ("window",))[0]
+    return delta_fields([f], k, order, ("window",))[0][0]
 
 
 def delta_cube_field(f: GridFunction, k: int, order: int):
@@ -318,7 +331,7 @@ def delta_cube_field(f: GridFunction, k: int, order: int):
     domain corner along each axis; flagged marks cubes that lost (x, h) pairs
     to the boundary.
     """
-    return delta_fields(f, k, order, ("cube",))[0]
+    return delta_fields([f], k, order, ("cube",))[0][0]
 
 
 def delta_expanded_field(f: GridFunction, k: int, order: int):
@@ -327,4 +340,4 @@ def delta_expanded_field(f: GridFunction, k: int, order: int):
     Returns (values, flagged) in the cube order of ``delta_cube_field``;
     flagged marks cubes whose expansion leaves the box or that lost pairs.
     """
-    return delta_fields(f, k, order, ("expanded",))[0]
+    return delta_fields([f], k, order, ("expanded",))[0][0]

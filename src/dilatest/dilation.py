@@ -30,7 +30,7 @@ import numpy as np
 
 from .dyadic import GridFunction, level_block_reduce, level_cell_count, tensor_points
 from .errors import ClippingExcessive, InvalidExponent, PreconditionFailed, ResolutionExceeded
-from .norms import SpaceParams, diff_norm, star_norm
+from .norms import SpaceParams, diff_and_star_norms
 from .weights import FAIL, WeightSequence, _trace_verdict, eval_weight, xclass_check
 
 _CLIP_TOL = 0.01  # largest witnessed share of mass that a dilation may clip
@@ -204,9 +204,11 @@ def verify_theorem(
     Requires the weight sequence to pass the inter-level class check at the
     space parameters (FAIL raises PreconditionFailed) and f to have a nonzero
     norm (a zero norm raises PreconditionFailed). Returns one report per
-    lambda, in lambda_list order; entries are independent jobs and run on a
-    thread pool when threads > 1. For lambda > 1 a report also holds the
-    probed sup_x w(x/lambda)/w(x) of the weights' closed form. Use
+    lambda, in lambda_list order. One h-node sweep per level takes the norms
+    of f and of all its dilations; the rest of each entry is an independent
+    job, run on a thread pool when threads > 1, and raises its dilation's
+    error, so errors come in lambda order. For lambda > 1 a report also holds
+    the probed sup_x w(x/lambda)/w(x) of the weights' closed form. Use
     summarize_dilation for the lambda-independence verdict.
     """
     xrep = xclass_check(t, sp, depth if depth is not None else sp.k_max)
@@ -214,8 +216,13 @@ def verify_theorem(
         raise PreconditionFailed(
             f"weight sequence failed the class check: trace {xrep.trace}"
         )
-    norm_fn = {"diff": diff_norm, "star": star_norm}[norm]
-    base = norm_fn(f, t, sp)
+    dilated = []
+    for lam in lam_list:
+        try:
+            dilated.append(dilate(f, lam))
+        except (ClippingExcessive, ValueError) as exc:
+            dilated.append((f, exc))  # normed in f's place, raised by its entry
+    (base,), *afters = diff_and_star_norms([f] + [g for g, _ in dilated], t, sp, (norm,))
     if base == 0:
         raise PreconditionFailed(
             f"norm_before = 0: the {norm} norm of f vanishes, so the growth "
@@ -223,9 +230,10 @@ def verify_theorem(
         )
     n_over_p = f.dim / sp.p
 
-    def entry(lam):
-        g, clipped = dilate(f, lam)
-        after = norm_fn(g, t, sp)
+    def entry(lam, normed, dilation):
+        (after,), (_, clipped) = normed, dilation
+        if isinstance(clipped, Exception):
+            raise clipped
         h_const = compute_H(t, lam, sp.k_max, sp.p)
         try:
             shape = lam ** (sp.alpha[1] - n_over_p) * h_const
@@ -256,8 +264,8 @@ def verify_theorem(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(entry, lam_list))
-    return [entry(lam) for lam in lam_list]
+            return list(pool.map(entry, lam_list, afters, dilated))
+    return [entry(*job) for job in zip(lam_list, afters, dilated)]
 
 
 def summarize_dilation(reports):

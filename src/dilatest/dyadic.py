@@ -26,7 +26,8 @@ Geometry conventions used throughout the package:
   ``reduceat``): ``range_table`` builds it and ``table_reduce`` reads it, and
   ``box_reduce`` takes the same ranges along every axis from a first-axis
   table that a scan builds once for all of its cube families,
-* the B and F aggregates over levels are one choice (``mixed_norm``).
+* the B and F aggregates over levels are one choice, folded one level at a
+  time (``MixedNorm``, and ``mixed_norm`` over a list of levels).
 """
 
 import itertools
@@ -492,21 +493,36 @@ def window_sums(values, radius_cells: int):
 # -- mixed norms over levels -----------------------------------------------------
 
 
-def lp_of_lq(layers, p, q, cellw=1.0):
-    """L_p norm of the pointwise l_q aggregate of the layers (the F kind)."""
-    agg = 0.0
-    for v in layers:
-        agg = agg + np.abs(v) ** q
-    return float(np.sum(agg ** (p / q)) * cellw) ** (1.0 / p)
+class MixedNorm:
+    """The kind-"B" aggregate, l_q over levels of the L_p norm of each layer,
+    or the kind-"F" one, the L_p norm of their pointwise l_q aggregate; a
+    caller that ``add``s each level as it comes need not hold them all."""
+
+    def __init__(self, kind, p, q, cellw=1.0, layers=()):
+        self.kind, self.p, self.q, self.cellw = kind, p, q, cellw
+        self.terms, self.agg = [], 0.0
+        for v in layers:
+            self.add(v)
+
+    def add(self, layer):
+        if self.kind == "B":
+            self.terms.append(float(np.sum(np.abs(layer) ** self.p) * self.cellw) ** (1.0 / self.p))
+        else:
+            self.agg = self.agg + np.abs(layer) ** self.q
+
+    def value(self):
+        """(value, per-level L_p norms); F has no per-level terms and gives []."""
+        p, q = self.p, self.q
+        if self.kind == "B":
+            return float(np.sum(np.asarray(self.terms) ** q)) ** (1.0 / q), self.terms
+        return float(np.sum(self.agg ** (p / q)) * self.cellw) ** (1.0 / p), []
 
 
 def mixed_norm(kind, layers, p, q, cellw=1.0):
-    """The kind-"B" aggregate, l_q over levels of the L_p norm of each layer,
-    or the kind-"F" one ``lp_of_lq``.
+    """The ``MixedNorm`` of the layers: (value, per-level L_p norms)."""
+    return MixedNorm(kind, p, q, cellw, layers).value()
 
-    Returns (value, per-level L_p norms); F has no per-level terms and gives [].
-    """
-    if kind == "B":
-        terms = [float(np.sum(np.abs(v) ** p) * cellw) ** (1.0 / p) for v in layers]
-        return float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q), terms
-    return lp_of_lq(layers, p, q, cellw), []
+
+def lp_of_lq(layers, p, q, cellw=1.0):
+    """L_p norm of the pointwise l_q aggregate of the layers (the F kind)."""
+    return mixed_norm("F", layers, p, q, cellw)[0]

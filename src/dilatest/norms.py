@@ -7,8 +7,8 @@ ratios compare like with like. Boundary-clipped windows and cubes are included
 with renormalized quadrature and tracked as a boundary-mass fraction; runs
 where flagged terms carry more than 20% of the total mass are marked
 unreliable.
-``diff_and_star_norms`` gives both difference norms from one h-node pass
-per level, since they reduce the same |Delta_h^M f|.
+``diff_and_star_norms`` gives either or both difference norms of several
+functions on one grid from one h-node sweep per level.
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 
 from .differences import delta_cube_field, delta_expanded_field, delta_fields, delta_window_field
 from .dyadic import (
-    GridFunction, finest_level, level_block_reduce, level_cell_count, mixed_norm, window_sums,
+    GridFunction, MixedNorm, finest_level, level_block_reduce, level_cell_count, window_sums,
 )
 from .errors import InvalidExponent, MissingLevels, ResolutionExceeded
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
@@ -91,34 +91,6 @@ def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
         raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}")
 
 
-def _aggregate_levels(sp: SpaceParams, zero, cellw, level, details):
-    """Zero-order term plus the B/F aggregate of levels 1..k_max.
-
-    ``level(k)`` returns (terms, flagged, layer): the level-k terms, whose
-    p-th powers are their boundary mass, the flags of those terms, and the
-    layer the aggregate reads, each entry of which has measure ``cellw``.
-    """
-    layers, flagged_mass, total_mass = [], 0.0, 0.0
-    for k in range(1, sp.k_max + 1):
-        terms, flagged, layer = level(k)
-        mass = terms**sp.p
-        flagged_mass += float(np.sum(mass[flagged]))
-        total_mass += float(np.sum(mass))
-        layers.append(layer)
-    main, level_terms = mixed_norm(sp.kind, layers, sp.p, sp.q, cellw)
-    value = main + zero
-    if not details:
-        return value
-    frac = flagged_mass / total_mass if total_mass > 0 else 0.0
-    return value, {
-        "zero_order": zero,
-        "main": main,
-        "level_terms": level_terms,
-        "boundary_mass": frac,
-        "reliable": frac <= BOUNDARY_MASS_LIMIT,
-    }
-
-
 def ltilde_norm(f: GridFunction, t0: GridFunction, p):
     """Zero-order term: L_p norm of the unit-window L_1 means against t0^p.
 
@@ -135,46 +107,62 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p):
     return float(np.sum(dens) * cellw) ** (1.0 / p)
 
 
-def _diff(f: GridFunction, t: WeightSequence, sp: SpaceParams, field, details):
-    """``diff_norm`` from ``field(k)``, the level-k window field."""
+class _Norm:
+    """The diff or star norm of one function, folded level by level: ``add``
+    takes the level-k window (diff), cube (B star) or expanded (F star) field
+    for k = 1..k_max in order, and ``value`` gives the zero-order term plus
+    the B/F aggregate, with ``details`` also its parts and boundary mass."""
 
-    def level(k):
-        values, flagged = field(k)
-        weighted = t.level(k).samples * values
-        return weighted, flagged, weighted
+    def __init__(self, name, f: GridFunction, t: WeightSequence, sp: SpaceParams):
+        self.name, self.f, self.t, self.sp = name, f, t, sp
+        cellw = f.spacing**f.dim
+        if name == "diff":
+            self.zero = ltilde_norm(f, t.level(0), sp.p)
+        else:
+            t0m = cube_weight_norms_level(t, 0, sp.p)
+            l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
+            self.zero = float(np.sum((t0m * l1m) ** sp.p)) ** (1.0 / sp.p)
+            # B sums over cubes, each of measure one; F integrates over cells
+            cellw = cellw if sp.kind == "F" else 1.0
+        self.agg = MixedNorm(sp.kind, sp.p, sp.q, cellw)
+        self.flagged_mass = self.total_mass = 0.0
 
-    zero = ltilde_norm(f, t.level(0), sp.p)
-    return _aggregate_levels(sp, zero, f.spacing**f.dim, level, details)
+    def add(self, k, field):
+        f, sp, (values, flagged) = self.f, self.sp, field
+        if self.name == "diff":
+            terms = layer = self.t.level(k).samples * values
+        elif sp.kind == "F":
+            terms = 2.0 ** (k * f.dim / sp.p) * cube_weight_norms_level(self.t, k, sp.p) * values
+            # every cell takes the value of the cube that owns it
+            layer = np.kron(terms, np.ones((level_cell_count(f, k),) * f.dim))
+        else:
+            terms = layer = cube_weight_norms_level(self.t, k, sp.p) * values
+        mass = terms**sp.p  # the boundary mass of the terms
+        self.flagged_mass += float(np.sum(mass[flagged]))
+        self.total_mass += float(np.sum(mass))
+        self.agg.add(layer)
+
+    def value(self, details):
+        main, level_terms = self.agg.value()
+        if not details:
+            return main + self.zero
+        frac = self.flagged_mass / self.total_mass if self.total_mass > 0 else 0.0
+        return main + self.zero, {
+            "zero_order": self.zero,
+            "main": main,
+            "level_terms": level_terms,
+            "boundary_mass": frac,
+            "reliable": frac <= BOUNDARY_MASS_LIMIT,
+        }
 
 
 def diff_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
     """Moving-window difference norm (B or F kind) plus the zero-order term."""
     _check_levels(f, t, sp)
-    return _diff(f, t, sp, lambda k: delta_window_field(f, k, sp.M), details)
-
-
-def _star(f: GridFunction, t: WeightSequence, sp: SpaceParams, field, details):
-    """``star_norm`` from ``field(k)``, the level-k cube (B) or expanded (F) field."""
-    n, p = f.dim, sp.p
-    cellw = f.spacing**n
-
-    t0m = cube_weight_norms_level(t, 0, p)
-    l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
-    zero = float(np.sum((t0m * l1m) ** p)) ** (1.0 / p)
-
-    def level(k):
-        tkm = cube_weight_norms_level(t, k, p)
-        values, flags = field(k)
-        if sp.kind == "F":
-            per_cube = 2.0 ** (k * n / p) * tkm * values
-            # every cell takes the value of the cube that owns it
-            per_cell = np.kron(per_cube, np.ones((level_cell_count(f, k),) * n))
-            return per_cube, flags, per_cell
-        per_cube = tkm * values
-        return per_cube, flags, per_cube
-
-    # B sums over cubes, each of measure one; F integrates over cells
-    return _aggregate_levels(sp, zero, cellw if sp.kind == "F" else 1.0, level, details)
+    norm = _Norm("diff", f, t, sp)
+    for k in range(1, sp.k_max + 1):
+        norm.add(k, delta_window_field(f, k, sp.M))
+    return norm.value(details)
 
 
 def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
@@ -187,14 +175,24 @@ def star_norm(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False
     """
     _check_levels(f, t, sp)
     field = delta_expanded_field if sp.kind == "F" else delta_cube_field
-    return _star(f, t, sp, lambda k: field(f, k, sp.M), details)
+    norm = _Norm("star", f, t, sp)
+    for k in range(1, sp.k_max + 1):
+        norm.add(k, field(f, k, sp.M))
+    return norm.value(details)
 
 
-def diff_and_star_norms(f: GridFunction, t: WeightSequence, sp: SpaceParams, details=False):
-    """(``diff_norm``, ``star_norm``), bit for bit, from one ``delta_fields``
-    call per level: the window field with the cube (B) or expanded (F) one."""
-    _check_levels(f, t, sp)
-    kinds = ("window", "expanded" if sp.kind == "F" else "cube")
-    fields = {k: delta_fields(f, k, sp.M, kinds) for k in range(1, sp.k_max + 1)}
-    return (_diff(f, t, sp, lambda k: fields[k][0], details),
-            _star(f, t, sp, lambda k: fields.pop(k)[1], details))
+def diff_and_star_norms(fs, t: WeightSequence, sp: SpaceParams, names=("diff", "star"),
+                        details=False):
+    """Per function of ``fs``, all on one grid, a tuple of its ``names`` norms
+    ("diff", "star"), bit for bit what ``diff_norm`` and ``star_norm`` give.
+    One ``delta_fields`` sweep per level serves every function and norm, and
+    each norm folds its level in before the next sweep."""
+    _check_levels(fs[0], t, sp)
+    kinds = ["window" if name == "diff" else "expanded" if sp.kind == "F" else "cube"
+             for name in names]
+    norms = [[_Norm(name, f, t, sp) for name in names] for f in fs]
+    for k in range(1, sp.k_max + 1):
+        for own, fields in zip(norms, delta_fields(fs, k, sp.M, kinds)):
+            for norm, field in zip(own, fields):
+                norm.add(k, field)
+    return [tuple(norm.value(details) for norm in own) for own in norms]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dilatest import cli, fixtures
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
+from dilatest.dilation import dilate
 from dilatest.errors import ConfigError, DilatestError
 from dilatest.norms import diff_norm, star_norm
 from dilatest.weights import ShiftedPower, WeightSequence
@@ -481,6 +482,50 @@ def test_dilate_zero_fixture_exits_2_naming_the_zero_norm(tmp_path, capsys):
     assert main(["dilate", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "PreconditionFailed" in err and "norm_before = 0" in err
+
+
+@pytest.mark.parametrize(
+    "changes, error, named",
+    [
+        # the gaussian has not decayed by the edge of [-2, 2]: lambda = 2 clips
+        ({"grid": {"L": 2, "N": 256}, "lambda_list": [1.0, 2.0]},
+         "ClippingExcessive", "dilation by 2.0 clips"),
+        # on [-4, 4] lambda = 1e4 clips 0.6% of the mass, under the 1% limit,
+        # but its bound shape overflows; the later lambda = 3e4 clips, and
+        # the earlier lambda's error wins
+        ({"grid": {"L": 4, "N": 256}, "lambda_list": [1e4, 3e4],
+          "space": {"K_max": 2, "alpha": [80, 80], "M": 81}},
+         "InvalidExponent", "lambda = 10000.0"),
+    ],
+    ids=["later-lambda-clips", "earlier-lambda-first"],
+)
+def test_dilate_errors_come_in_lambda_order(tmp_path, capsys, changes, error, named):
+    config = dict({"grid": {"L": 8, "N": 256}, "space": {"K_max": 2}, "depth": 3}, **changes)
+    assert main(["dilate", "--config", write_config(tmp_path, "c.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}" in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_dilate_star_norm_rows_equal_the_per_function_star_norms(kind):
+    cfg = parse_config(dict(BASE, norm="star", space=dict(BASE["space"], kind=kind)), "dilate")
+    f, t = cli._fixture(cfg), cli._weight_sequence(cfg)
+    base = star_norm(f, t, cfg.space)
+    rows = run(cfg)["results"]["rows"]
+    assert [row["lambda"] for row in rows] == cfg.lambda_list
+    for row in rows:
+        g, _ = dilate(f, row["lambda"])
+        assert (row["norm_before"], row["norm_after"]) == (base, star_norm(g, t, cfg.space))
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_threads_below_one_exit_2_naming_the_flag(tmp_path, capsys, threads):
+    path = write_config(tmp_path, "c.json", BASE)
+    with pytest.raises(SystemExit) as exit_:
+        main(["dilate", "--config", path, "--threads", threads])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --threads" in err and "Traceback" not in err
 
 
 _SMALL = {"grid": {"L": 8, "N": 256}, "space": {"K_max": 2}, "depth": 3}

@@ -369,11 +369,16 @@ def test_shift_kernel_matches_gather(geometry, k):
         np.testing.assert_array_equal(got[1], flags)
 
 
-def _node_sums_per_node_stencils(f, k, order, reduces):
-    """The node loop before its stencil table: every node asks ``axis_stencil``
-    for each recomputed axis, sums the terms from 0.0 with every coefficient
-    multiplied, scales the mult = 0 term per node, and masks |Delta_h^M f| by
-    the outer product of the per-axis in-domain tests."""
+def _node_sums_per_node_stencils(fs, k, order, reduces):
+    """The node loop before its stencil table and its functions axis: one
+    loop per function, every node asks ``axis_stencil`` for each recomputed
+    axis, sums the terms from 0.0 with every coefficient multiplied, scales
+    the mult = 0 term per node, and masks |Delta_h^M f| by the outer product
+    of the per-axis in-domain tests."""
+    return [_one_node_sums_per_node_stencils(f, k, order, reduces) for f in fs]
+
+
+def _one_node_sums_per_node_stencils(f, k, order, reduces):
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
@@ -458,9 +463,58 @@ def test_joint_fields_equal_the_separate_calls_byte_for_byte(geometry, order, se
         alone = {kind: call(f, k, order) for kind, call in field.items()}
         assert alone["window"][1].any()  # the edge windows are clipped
         for kinds in (("window", "cube"), ("window", "expanded")):
-            for kind, (values, flags) in zip(kinds, delta_fields(f, k, order, kinds)):
+            for kind, (values, flags) in zip(kinds, delta_fields([f], k, order, kinds)[0]):
                 assert _same_bytes(values, alone[kind][0]), (k, kinds, kind)
                 assert _same_bytes(flags, alone[kind][1]), (k, kinds, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    geometry=st.sampled_from(
+        [(1, 1.0, 32), (1, 2.0, 64), (2, 1.0, 16), (2, 2.0, 16), (3, 1.0, 8)]
+    ),
+    count=st.integers(1, 4),
+    order=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(["window", "cube", "expanded"]), min_size=1, max_size=3,
+                   unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fields_of_several_functions_equal_the_one_function_calls(
+    geometry, count, order, kinds, seed
+):
+    # the node loop shares the stencil rows across the functions; each
+    # function's fields are the same bytes as its own call, flags included
+    dim, halfwidth, n = geometry
+    rng = np.random.default_rng(seed)
+    fs = [GridFunction(dim, halfwidth, rng.standard_normal((n,) * dim)) for _ in range(count)]
+    field = {
+        "window": delta_window_field,
+        "cube": delta_cube_field,
+        "expanded": delta_expanded_field,
+    }
+    for k in range(finest_level(halfwidth, n) + 1):
+        joint = delta_fields(fs, k, order, kinds)
+        assert len(joint) == count
+        for f, per_kind in zip(fs, joint):
+            for kind, (values, flags) in zip(kinds, per_kind):
+                alone = field[kind](f, k, order)
+                assert _same_bytes(values, alone[0]), (k, kind)
+                assert _same_bytes(flags, alone[1]), (k, kind)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        lambda f: GridFunction(f.dim, 2.0 * f.halfwidth, f.samples),
+        lambda f: GridFunction(f.dim, f.halfwidth, f.samples[::2]),
+        lambda f: GridFunction(2, f.halfwidth, np.outer(f.samples, f.samples)),
+    ],
+    ids=["halfwidth", "resolution", "dim"],
+)
+def test_functions_on_different_grids_raise_value_error(other):
+    f = GridFunction(1, 2.0, np.random.default_rng(0).standard_normal(64))
+    with pytest.raises(ValueError, match="one grid"):
+        delta_fields([f, other(f)], 1, 2, ("window",))
 
 
 @functools.lru_cache(maxsize=None)
@@ -499,7 +553,7 @@ def test_fields_match_scalar_oracles_at_random_entries(dim, k, order, data):
         delta_cube_field,
         delta_expanded_field,
         pytest.param(
-            lambda f, k, order: delta_fields(f, k, order, ("window", "cube")),
+            lambda f, k, order: delta_fields([f, f], k, order, ("window", "cube")),
             id="delta_fields-window-cube",
         ),
     ],
@@ -535,7 +589,7 @@ def test_field_call_leaves_no_garbage_and_no_growth(field, dim):
         lambda f: delta_cube_field(f, 2, 2),
         lambda f: delta_expanded_field(f, 2, 3),
         lambda f: window_sums(f.samples, 3),
-        lambda f: delta_fields(f, 2, 2, ("window", "expanded")),
+        lambda f: delta_fields([f, f], 2, 2, ("window", "expanded")),
     ],
     ids=["window", "cube", "expanded", "window_sums", "window+expanded"],
 )

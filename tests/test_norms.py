@@ -31,7 +31,10 @@ def test_alpha_warning_names_the_line_that_built_the_space():
     assert [w.filename for w in record] == [__file__]
 
 
-@pytest.mark.parametrize("norm", [diff_norm, star_norm, fourier_norm, diff_and_star_norms])
+@pytest.mark.parametrize("norm", [
+    diff_norm, star_norm, fourier_norm,
+    pytest.param(lambda f, t, sp: diff_and_star_norms([f], t, sp), id="diff_and_star_norms"),
+])
 def test_a_weight_sequence_shorter_than_k_max_raises_missing_levels(norm):
     # the difference norms once raised ResolutionExceeded here, the Fourier norm
     # MissingLevels, for the one condition: levels 0..2 where the space needs 5
@@ -242,5 +245,21 @@ def test_joint_norms_equal_the_separate_calls_exactly(dim, halfwidth, n, k_max, 
     diff = diff_norm(f, t, sp, details=True)
     star = star_norm(f, t, sp, details=True)
     assert diff[1]["boundary_mass"] > 0 and star[1]["boundary_mass"] > 0
-    assert diff_and_star_norms(f, t, sp, details=True) == (diff, star)
-    assert diff_and_star_norms(f, t, sp) == (diff[0], star[0])
+    assert diff_and_star_norms([f], t, sp, details=True) == [(diff, star)]
+    assert diff_and_star_norms([f], t, sp) == [(diff[0], star[0])]
+
+
+@pytest.mark.parametrize("dim, halfwidth, n, k_max", [(1, 4.0, 512, 4), (2, 4.0, 128, 2)])
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_norms_of_several_functions_equal_the_separate_calls_exactly(dim, halfwidth, n, k_max,
+                                                                      kind):
+    # one sweep per level serves every function; each norm, details included,
+    # is the one its own call gives, asked for together or alone
+    fs = [fixtures.fixture(name, dim, halfwidth, n)
+          for name in ("sine_packet", "gaussian", "mollified_step")]
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), k_max, dim, halfwidth, n)
+    sp = SpaceParams(kind, 1.5, 3.0, 2, (0.5, 0.5), k_max=k_max)
+    want = [(diff_norm(f, t, sp, details=True), star_norm(f, t, sp, details=True)) for f in fs]
+    assert diff_and_star_norms(fs, t, sp, details=True) == want
+    assert diff_and_star_norms(fs, t, sp, ("star",), details=True) == [(s,) for _, s in want]
+    assert diff_and_star_norms(fs, t, sp, ("diff",)) == [(d[0],) for d, _ in want]
