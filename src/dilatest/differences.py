@@ -301,8 +301,8 @@ def _reduction(f: GridFunction, k: int, kind):
         raise ValueError(f"unknown field kind {kind!r}")
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
     j = np.arange(level_cube_count(f, k))
-    lo, hi = (j - 2) * c, (j + 3) * c
-    return (lambda v: box_reduce(range_table(v), lo, hi)), lambda sums, lost, cells: (
+    ranges, grid = [((j - 2) * c, (j + 3) * c)], (len(j),) * n
+    return (lambda v: box_reduce(range_table(v), ranges).reshape(grid)), lambda sums, lost, cells: (
         sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n))
 
 

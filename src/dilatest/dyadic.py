@@ -25,7 +25,8 @@ Geometry conventions used throughout the package:
   ("sum" reads the unpadded prefix table, "min" and "max" the array for
   ``reduceat``): ``range_table`` builds it and ``table_reduce`` reads it, and
   ``box_reduce`` takes the same ranges along every axis from a first-axis
-  table that a scan builds once for all of its cube families,
+  table, for a list of range sets at once (the cube scans read such a table
+  once per batch of cube families, ``weights.family_cube_reduce``),
 * the B and F aggregates over levels are one choice, folded one level at a
   time (``MixedNorm``, and ``mixed_norm`` over a list of levels).
 """
@@ -438,14 +439,28 @@ def table_reduce(table: RangeTable, lo, hi):
     return np.where(_along(hi > lo, axis, data.ndim), out, empty)
 
 
-def box_reduce(table: RangeTable, lo, hi):
-    """Reduce over the boxes [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ... by the
-    table's op: the same index ranges along every axis, from the first-axis
-    ``range_table`` of the values, which a scan over many box families builds
-    once; each further axis tables the partial result."""
-    out = table_reduce(table, lo, hi)
+def box_reduce(table: RangeTable, ranges):
+    """Reduce by the table's op over the boxes of every range set (lo, hi) of
+    the list: [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ..., the same index ranges
+    along every axis, from the first-axis ``range_table`` of the values.
+
+    Returns one flat array holding each set's box grid in C order, set after
+    set. The first axis reads the table once for the sets' concatenated
+    ranges; each further axis tables the partial once, and each set reads its
+    own rows with its own ranges, so every lane is reduced as if alone.
+    """
+    out = table_reduce(table, np.concatenate([lo for lo, _ in ranges]),
+                       np.concatenate([hi for _, hi in ranges]))
     for ax in range(1, out.ndim):
-        out = table_reduce(range_table(out, ax, table.op), lo, hi)
+        rows = range_table(out, 1, table.op)
+        del out  # tabled; the partial and the next one are never alive together
+        pieces, start = [], 0
+        for lo, hi in ranges:
+            stop = start + len(lo) ** ax
+            part = table_reduce(RangeTable(1, rows.op, rows.data[start:stop]), lo, hi)
+            pieces.append(part.reshape((-1,) + part.shape[2:]))
+            start = stop
+        out = np.concatenate(pieces)
     return out
 
 

@@ -29,9 +29,13 @@ M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
 
 A scan builds the first-axis table of each weight array and exponent once
 (``power_table``): the sums of w**r, or at r = inf and r = -inf the max and
-the min of w, since a ``RangeTable`` carries its reduction. Every family of
-the list reads it by that reduction (``family_cube_reduce``); the tables are
-locals of the one call. The class check reads each distinct exponent once.
+the min of w, since a ``RangeTable`` carries its reduction. The scan order,
+levels coarse to fine and shifts in order, is cut into batches of families
+(``family_batches``), and one ``family_cube_reduce`` call reads a table for
+a whole batch; means, ratios and maxima run once per batch. Every number, and
+the first cube in scan order winning a tie, is that of a family-by-family
+scan. The tables are locals of the one call. The class check reads each
+distinct exponent once.
 
 The class check keeps C1 and C2 as running sups per fine level j, over k <= j
 and every scanned cube; its depth trace reads the sup over j <= d. No argmax
@@ -57,6 +61,7 @@ from .dyadic import (
     level_block_reduce,
     point_layout,
     range_table,
+    table_reduce,
 )
 from .errors import (
     ConfigError,
@@ -169,6 +174,11 @@ SPEC_KINDS = {cls.kind: cls for cls in (Constant, Power, ShiftedPower, Geometric
                                          AdmissibleSeq, ProductWeight)}
 
 
+def _strictly_positive(values):
+    """Whether every value is finite and > 0: the one rule for weight samples."""
+    return bool(np.all(np.isfinite(values)) and np.all(np.asarray(values) > 0.0))
+
+
 def eval_weight(spec, k, pts, dim=1):
     """Evaluate a weight spec at level k on points in the public layout.
 
@@ -180,7 +190,7 @@ def eval_weight(spec, k, pts, dim=1):
             vals = spec.at(int(k), point_layout(pts, dim))
     except OverflowError:  # a level scalar 2**(k s) or (1+k)**b beyond the float range
         raise NonPositiveValue(f"weight {spec!r} overflows at level {k}") from None
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+    if not _strictly_positive(vals):
         raise NonPositiveValue(f"weight {spec!r} not strictly positive at level {k}")
     return vals
 
@@ -211,7 +221,7 @@ class WeightSequence:
                 g0.resolution,
             ):
                 raise ValueError("all levels must share one grid geometry")
-            if np.any(g.samples <= 0.0) or not np.all(np.isfinite(g.samples)):
+            if not _strictly_positive(g.samples):
                 raise NonPositiveValue("weight levels must be strictly positive")
         self.levels = list(levels)
         self.spec = spec
@@ -305,10 +315,33 @@ def cube_families(f: GridFunction, k):
     return _FAMILIES[key]
 
 
-def family_cube_reduce(table: RangeTable, fam: CubeFamily):
+# entries of a batch's first-axis partial, cubes x cells**(n - 1). Whole stages at once made
+# 2-D ap slower than one family per read. 2**16 made 2-D xclass faster but raised its traced
+# memory peak by 0.8 MB; at 2**15 each 2-D scan's peak is that of the one-family scan
+_BATCH_ENTRIES = 1 << 15
+
+
+def family_batches(f: GridFunction, levels):
+    """The cube families of f's grid at the levels, in scan order (levels as
+    given, shifts in ``SHIFT_FRACTIONS`` order), cut into lists for
+    ``family_cube_reduce``: a list closes before its first-axis partial would
+    pass ``_BATCH_ENTRIES``, and a family that passes it alone is a list."""
+    batch, size = [], 0
+    for fam in (fam for k in levels for fam in cube_families(f, k)):
+        entries = len(fam.lo) * f.resolution ** (f.dim - 1)
+        if batch and size + entries > _BATCH_ENTRIES:
+            yield batch
+            batch, size = [], 0
+        batch.append(fam)
+        size += entries
+    yield batch
+
+
+def family_cube_reduce(table: RangeTable, fams):
     """Per-cube reduction, by the table's op, of the values tabled by
-    ``range_table`` over the family's cubes, in the shape of the cube grid."""
-    return box_reduce(table, fam.lo, fam.hi)
+    ``range_table`` over the cubes of every family of the list: one flat array
+    holding each family's cube grid in C order, family after family."""
+    return box_reduce(table, [(fam.lo, fam.hi) for fam in fams])
 
 
 def power_table(samples, r):
@@ -316,7 +349,7 @@ def power_table(samples, r):
 
     r = 1 tables the samples themselves, and r = inf and r = -inf table them
     for the max and the min. A scan builds one per weight array and exponent
-    and reads it for every level and shift.
+    and reads it for every batch of families.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if math.isinf(r):
@@ -324,25 +357,31 @@ def power_table(samples, r):
         return range_table(samples if r == 1.0 else samples**r)
 
 
-def cube_power_means(table: RangeTable, fam: CubeFamily, r):
-    """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the family's cubes,
-    from ``power_table(w, r)``, in the shape of the cube grid.
+def cube_power_means(table: RangeTable, fams, r):
+    """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the cubes of every
+    family of the list, from ``power_table(w, r)``, laid out as
+    ``family_cube_reduce`` lays out its sums.
 
     Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
-    on the cube. Raises NonPositiveValue when a power sum of w**r leaves the
-    float range; a sum that underflows to 0 at r < 0 gives the mean inf.
+    on the cube. Raises NonPositiveValue naming the level of the list's first
+    family when a power sum of w**r leaves the float range: the first-axis
+    prefix sums then leave it too, and every family's last cube reads their
+    total. A sum that underflows to 0 at r < 0 gives the mean inf.
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = family_cube_reduce(table, fam)
+        sums = family_cube_reduce(table, fams)
     if math.isinf(r):
         return sums  # the max or the min
     if not np.all(np.isfinite(sums)):
         raise NonPositiveValue(
-            f"the cube sums of w**r at r = {r} overflow the float range at level {fam.level}"
+            f"the cube sums of w**r at r = {r} overflow the float range at level {fams[0].level}"
         )
-    counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * sums.ndim)
+    counts = np.concatenate([
+        functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * table.data.ndim).ravel()
+        for fam in fams
+    ])
     with np.errstate(divide="ignore"):  # an underflowed mean at r < 0 gives inf
         return (sums / counts) ** (1.0 / r)
 
@@ -411,19 +450,23 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
     for res in stages:
         g = gamma.resample(res)
         levels = scan_levels(g, depth)
-        # one table per exponent for the stage, read by every level and shift
+        # one table per exponent for the stage, read by every batch of families
         tables = power_table(g.samples, 1.0), power_table(g.samples, r)
         best = -math.inf
-        for k in levels:
-            for fam in cube_families(g, k):
-                ratio = cube_power_means(tables[0], fam, 1.0) / cube_power_means(tables[1], fam, r)
-                j = int(np.argmax(ratio))
-                if ratio.flat[j] > best:
-                    best = float(ratio.flat[j])
-                    arg = fam, np.unravel_index(j, ratio.shape)
+        for fams in family_batches(g, levels):
+            ratio = cube_power_means(tables[0], fams, 1.0) / cube_power_means(tables[1], fams, r)
+            j = int(np.argmax(ratio))  # the first cube in scan order wins a tie
+            if ratio[j] > best:
+                best = float(ratio[j])
+                arg = fams, j
         trace.append((res, best))
     values = [v for _, v in trace]
-    fam, at = arg
+    fams, j = arg
+    for fam in fams:  # the family and the place in its cube grid of flat entry j
+        if j < len(fam.lo) ** gamma.dim:
+            break
+        j -= len(fam.lo) ** gamma.dim
+    at = np.unravel_index(j, (len(fam.lo),) * gamma.dim)
     return ApReport(
         constant=values[-1],
         argmax_cube=DyadicCube(fam.level, tuple(int(fam.indices[i]) for i in at)),
@@ -440,9 +483,14 @@ def ap_constant(gamma: GridFunction, p, depth=6, trace_factor=8) -> ApReport:
     p = 1 takes the limit r = -inf of -p'/p, the A_1 ratio sup_Q mean_Q g / min_Q g.
     The scan runs at up to three resolutions, each ``trace_factor`` times finer
     than the last and the finest the grid's own; stages below 32 cells are dropped.
+    A sample of g that is not finite and positive raises NonPositiveValue; for
+    such g no ratio is nan, so a batch's argmax is the family-by-family one.
     """
     if not p >= 1.0:
         raise InvalidExponent(f"the cube condition needs p >= 1, got p = {p}")
+    if not _strictly_positive(gamma.samples):
+        raise NonPositiveValue("the cube condition needs a weight whose samples are all finite "
+                               "and positive")
     r = -math.inf if p == 1.0 else -conjugate(p) / p
     return _mean_ratio_scan(gamma, r, depth, trace_factor)
 
@@ -495,6 +543,15 @@ def _level_factor(exponent):
     return 2.0**exponent
 
 
+def _sup_of_family_maxima(values, bounds):
+    """The largest of the families' maxima over a batch's flat values (family i
+    at ``bounds[i]:bounds[i + 1]``), nan only if every family's is: as a running
+    max(c, family max) over the families skips a family whose 0/0 means (both
+    underflowed) make its maximum nan."""
+    maxima = table_reduce(range_table(values, op="max"), bounds[:-1], bounds[1:])
+    return float(np.fmax.reduce(maxima))
+
+
 def xclass_check(t: WeightSequence, sp, depth=6):
     """Measure the two inter-level cube inequalities of the weight class.
 
@@ -527,19 +584,21 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     }
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
-    for klev in scan_levels(g, j_max):
-        for fam in cube_families(g, klev):
-            means = {
-                r: [cube_power_means(tables[kw, r], fam, r) for kw in range(j_max + 1)]
-                for r in distinct
-            }
-            mp, ms1, ms2 = (means[r] for r in exponents)
-            for j in range(j_max + 1):
-                for k in range(j + 1):
-                    v1 = mp[k] / ms1[j] * _level_factor(-alpha1 * (k - j))
-                    v2 = ms2[j] / mp[k] * _level_factor(-alpha2 * (j - k))
-                    c1[j] = max(c1[j], float(v1.max()))
-                    c2[j] = max(c2[j], float(v2.max()))
+    for fams in family_batches(g, scan_levels(g, j_max)):
+        bounds = [0]  # family i holds entries bounds[i]:bounds[i + 1] of the flat means
+        for fam in fams:
+            bounds.append(bounds[-1] + len(fam.lo) ** g.dim)
+        means = {
+            r: [cube_power_means(tables[kw, r], fams, r) for kw in range(j_max + 1)]
+            for r in distinct
+        }
+        mp, ms1, ms2 = (means[r] for r in exponents)
+        for j in range(j_max + 1):
+            for k in range(j + 1):
+                v1 = mp[k] / ms1[j] * _level_factor(-alpha1 * (k - j))
+                v2 = ms2[j] / mp[k] * _level_factor(-alpha2 * (j - k))
+                c1[j] = max(c1[j], _sup_of_family_maxima(v1, bounds))
+                c2[j] = max(c2[j], _sup_of_family_maxima(v2, bounds))
 
     depths = sorted({max(1, j_max - 4), max(1, j_max - 2), j_max})
     trace = [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]

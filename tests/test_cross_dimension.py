@@ -105,10 +105,11 @@ def _check_cube_power_means(dim, n):
     w1, w = _pair(lambda x: np.abs(x - 0.3) ** 0.4 + 0.1, dim, n)
     for k, r in itertools.product(range(-2, 5), (1, -1, 2.5, inf, -inf)):
         for fam in cube_families(w1, k):  # one geometry, so the same families in every dimension
-            m1 = cube_power_means(power_table(w1.samples, r), fam, r)
-            m = cube_power_means(power_table(w.samples, r), fam, r)
-            # the cube grid's first axis is x1
-            assert m.shape == (len(m1),) * dim
+            m1 = cube_power_means(power_table(w1.samples, r), [fam], r)
+            m = cube_power_means(power_table(w.samples, r), [fam], r)
+            # the cube grid, in C order, has x1 as its first axis
+            assert m.shape == (len(m1) ** dim,)
+            m = m.reshape((len(m1),) * dim)
             want = np.broadcast_to(m1.reshape((-1,) + (1,) * (dim - 1)), m.shape)
             np.testing.assert_allclose(m, want, rtol=RTOL, atol=0)
 

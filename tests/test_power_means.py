@@ -45,8 +45,9 @@ def test_cube_power_means_match_the_scalar_oracle(dim, halfwidth, n):
         side = 2.0**-k
         for fam in cube_families(w, k):
             for r in exponents:
-                means = cube_power_means(power_table(w.samples, r), fam, r)
-                assert means.shape == (len(fam.indices),) * dim
+                means = cube_power_means(power_table(w.samples, r), [fam], r)
+                assert means.shape == (len(fam.indices) ** dim,)
+                means = means.reshape((len(fam.indices),) * dim)
                 for m in np.ndindex(means.shape):
                     mean, shift = means[m], fam.shift
                     lo = tuple((int(fam.indices[mi]) + shift) * side for mi in m)
@@ -63,7 +64,7 @@ def test_cube_power_means_reject_r_zero():
     w = GridFunction(1, 4.0, np.ones(32))
     for r in (0.0, math.nan):
         with pytest.raises(InvalidExponent):
-            cube_power_means(power_table(w.samples, 1.0), cube_families(w, 0)[0], r)
+            cube_power_means(power_table(w.samples, 1.0), cube_families(w, 0)[:1], r)
 
 
 @pytest.mark.parametrize(
@@ -73,13 +74,30 @@ def test_cube_power_means_reject_r_zero():
 def test_cube_power_means_raise_when_a_power_sum_leaves_the_float_range(value, r):
     w = GridFunction(1, 4.0, np.full(64, value))
     with pytest.raises(NonPositiveValue, match=f"r = {r} .* at level 0"):
-        cube_power_means(power_table(w.samples, r), cube_families(w, 0)[0], r)
+        cube_power_means(power_table(w.samples, r), cube_families(w, 0)[:1], r)
+
+
+def test_ap_constant_names_r_and_the_first_level_whose_power_sum_overflows():
+    # p just above 1 gives r = -p'/p near -1e7, and w**r of |x|**0.5 near 0 overflows
+    p = 1.0000001
+    r = -conjugate(p) / p
+    with pytest.raises(NonPositiveValue, match=f"r = {r} .* at level -3$"):
+        ap_constant(weight_grid(Power(0.5), 0, 1, 8.0, 64), p)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_ap_constant_rejects_a_weight_that_is_not_positive(value, p):
+    samples = np.ones(64)
+    samples[40:44] = value
+    with pytest.raises(NonPositiveValue, match="samples are all finite and positive"):
+        ap_constant(GridFunction(1, 4.0, samples), p)
 
 
 def test_cube_power_means_of_an_underflowed_sum_are_inf():
     # at r < 0 a huge weight's w**r underflows to 0, and the mean is inf
     w = GridFunction(1, 4.0, np.full(64, 1e200))
-    means = cube_power_means(power_table(w.samples, -2.0), cube_families(w, 0)[0], -2.0)
+    means = cube_power_means(power_table(w.samples, -2.0), cube_families(w, 0)[:1], -2.0)
     assert np.all(means == math.inf)
 
 

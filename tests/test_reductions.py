@@ -157,12 +157,12 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
             if dim == 2:
                 blocks = [values[a:b, c:d] for a, b in cells for c, d in cells]
             for op in ("sum", "min", "max"):
-                red = family_cube_reduce(range_table(values, 0, op), fam)
+                red = family_cube_reduce(range_table(values, 0, op), [fam])
                 want = [getattr(np, op)(b) for b in blocks]
-                np.testing.assert_allclose(red.ravel(), want, rtol=1e-12)
+                np.testing.assert_allclose(red, want, rtol=1e-12)
                 counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * dim)
                 assert list(counts.ravel()) == [b.size for b in blocks]
-                assert red.shape == (len(fam.indices),) * dim
+                assert red.shape == (len(fam.indices) ** dim,)
 
 
 def test_mixed_norms_of_one_layer_are_its_lp_norm():

@@ -1,7 +1,7 @@
 """Cube scans that build each table once give the numbers of the per-family formula.
 
 The scans build one first-axis table per weight array and exponent and read
-it for every level and shift, skip a shift family that repeats an earlier
+it once per batch of families, skip a shift family that repeats an earlier
 one's cells, and ``hl_maximal`` reads one padded axis-0 table for every
 radius and nests three-point maxima from the widest radius down. The oracles
 here are the formulas before that: a fresh ``w**r`` and a fresh prefix table
@@ -18,11 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dilatest.dyadic import GridFunction, box_reduce, range_table
+from dilatest.dyadic import DyadicCube, GridFunction, box_reduce, range_table
 from dilatest.maximal import hl_maximal
 from dilatest.norms import SpaceParams
 from dilatest.weights import (
+    _BATCH_ENTRIES,
     SHIFT_FRACTIONS,
+    Constant,
     CubeFamily,
     GeometricLevel,
     Power,
@@ -30,6 +32,8 @@ from dilatest.weights import (
     ap_constant,
     cube_families,
     cube_power_means,
+    family_batches,
+    family_cube_reduce,
     power_table,
     scan_levels,
     weight_grid,
@@ -38,6 +42,7 @@ from dilatest.weights import (
 
 EXPONENTS = [1.0, -1.0, -3.0, 2.5, math.inf, -math.inf]
 GRIDS = [(1, 8.0, 1024), (2, 4.0, 64), (1, 4.0 / 3.0, 256), (2, 4.0 / 3.0, 32)]
+BATCH_GRIDS = GRIDS + [(2, 4.0, 256), (3, 4.0, 32), (3, 4.0 / 3.0, 16)]
 
 
 def _fresh_box_reduce(values, lo, hi, op):
@@ -99,11 +104,36 @@ def test_shared_power_tables_give_the_fresh_per_family_means_bit_for_bit(dim, ha
         table = power_table(w.samples, r)
         for k in scan_levels(w, 8):
             for fam in cube_families(w, k):
-                means = cube_power_means(table, fam, r)
+                means = cube_power_means(table, [fam], r)
                 want, cubes = _fresh_means(w, k, fam.shift, r)
-                assert np.array_equal(means.ravel(), want), (r, k, fam.shift)
-                assert np.array_equal(fam.indices[np.indices(means.shape).reshape(w.dim, -1).T],
-                                      cubes)
+                assert np.array_equal(means, want), (r, k, fam.shift)
+                grid = np.indices((len(fam.indices),) * w.dim).reshape(w.dim, -1).T
+                assert np.array_equal(fam.indices[grid], cubes)
+
+
+@pytest.mark.parametrize("dim, halfwidth, n", BATCH_GRIDS)
+def test_families_read_in_batches_give_the_one_family_reads_bit_for_bit(dim, halfwidth, n):
+    w = _weight(dim, halfwidth, n, seed=4)
+    levels = scan_levels(w, 8)
+    batches = list(family_batches(w, levels))
+    # the batches cut the scan order, levels coarse to fine and shifts in order
+    assert [fam for fams in batches for fam in fams] == [
+        fam for k in levels for fam in cube_families(w, k)]
+    for fams in batches:
+        partial = sum(len(fam.lo) for fam in fams) * n ** (dim - 1)
+        assert len(fams) == 1 or partial <= _BATCH_ENTRIES
+    if dim == 1:
+        assert len(batches) == 1
+    for fams in batches + [[fam for k in levels for fam in cube_families(w, k)]]:
+        for op in ("sum", "min", "max"):
+            got = family_cube_reduce(range_table(w.samples, 0, op), fams)
+            one = [family_cube_reduce(range_table(w.samples, 0, op), [fam]) for fam in fams]
+            assert np.array_equal(got, np.concatenate(one)), op
+        for r in EXPONENTS:
+            table = power_table(w.samples, r)
+            got = cube_power_means(table, fams, r)
+            assert np.array_equal(got, np.concatenate([cube_power_means(table, [fam], r)
+                                                       for fam in fams])), r
 
 
 def _running_max(values, radius, axis):
@@ -145,7 +175,8 @@ def test_box_reduce_reads_a_first_axis_table_like_its_array():
     for op in ("sum", "min", "max"):
         table = range_table(values, 0, op)
         assert table.op == op
-        assert np.array_equal(box_reduce(table, lo, hi), _fresh_box_reduce(values, lo, hi, op)), op
+        want = _fresh_box_reduce(values, lo, hi, op).ravel()
+        assert np.array_equal(box_reduce(table, [(lo, hi)]), want), op
     for op in ("mean", "median"):
         with pytest.raises(ValueError):
             range_table(values, 0, op)
@@ -192,7 +223,7 @@ def _brute_xclass(t: WeightSequence, sp: SpaceParams, j_max, depths):
     return [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]
 
 
-SCANS = [(2, 4.0, 256), (1, 8.0, 512)]
+SCANS = [(2, 4.0, 256), (1, 8.0, 512), (3, 4.0, 32)]
 
 
 def _skips_a_family(g: GridFunction, depth):
@@ -205,6 +236,7 @@ def test_ap_constant_equals_the_scan_over_all_three_shifts(dim, halfwidth, n, p)
     for gamma in (
         _weight(dim, halfwidth, n, seed=7),
         weight_grid(Power(0.6), 0, dim, halfwidth, n),
+        weight_grid(Constant(1.0), 0, dim, halfwidth, n),
     ):
         assert _skips_a_family(gamma, 6)
         rep = ap_constant(gamma, p, depth=6)
@@ -212,22 +244,47 @@ def test_ap_constant_equals_the_scan_over_all_three_shifts(dim, halfwidth, n, p)
         assert rep.trace == trace
         assert rep.constant == trace[-1][1]
         assert (rep.argmax_cube.level, rep.argmax_cube.index, rep.argmax_shift) == (k, m, shift)
+    # the constant weight ties every cube: the first cube of the first family
+    # at the coarsest level is reported
+    assert [value for _, value in rep.trace] == [1.0] * len(rep.trace)
+    first = cube_families(gamma, rep.levels_scanned[0])[0]
+    assert first.shift == rep.argmax_shift == 0.0
+    assert rep.argmax_cube == DyadicCube(first.level, (int(first.indices[0]),) * dim)
 
 
 # cube levels up to 3 reach the finest grid level only on the coarser grids
 @pytest.mark.parametrize(
     "dim, halfwidth, n, skips",
-    [case + (False,) for case in SCANS] + [(2, 4.0, 64, True), (1, 8.0, 128, True)],
+    [case + (False,) for case in SCANS[:2]]
+    + [(2, 4.0, 64, True), (1, 8.0, 128, True), (3, 4.0, 32, True)],
 )
 @pytest.mark.parametrize("theta, sigma2", [(1.5, 2.0), (1.0, 3.0)])
 def test_xclass_check_equals_the_scan_over_all_three_shifts(dim, halfwidth, n, skips, theta,
                                                             sigma2):
-    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 3, dim, halfwidth, n)
-    assert _skips_a_family(t.grid, 3) == skips
     sp = SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.7), theta=theta, sigma2=sigma2)
-    rep = xclass_check(t, sp, depth=6)
-    assert rep.trace == _brute_xclass(t, sp, 3, [d for d, _, _ in rep.trace])
-    assert (rep.c1, rep.c2) == rep.trace[-1][1:]
+    # over a constant base every cube of a level ties
+    for base in (Power(0.3), Constant(1.0)):
+        t = WeightSequence.from_spec(GeometricLevel(0.5, base), 3, dim, halfwidth, n)
+        assert _skips_a_family(t.grid, 3) == skips
+        rep = xclass_check(t, sp, depth=6)
+        assert rep.trace == _brute_xclass(t, sp, 3, [d for d, _, _ in rep.trace])
+        assert (rep.c1, rep.c2) == rep.trace[-1][1:]
+
+
+@pytest.mark.parametrize("dim, halfwidth, n", [(1, 8.0, 512), (2, 4.0, 64)])
+def test_xclass_check_skips_a_family_with_a_nan_ratio_as_the_per_family_scan_does(dim, halfwidth,
+                                                                                  n):
+    # w = 1e-200 on a small box underflows w**p and w**sigma2 to 0, so C2's ratio
+    # on the cubes inside it is 0/0; sigma1 = inf reads the min, which does not overflow
+    w = weight_grid(Constant(1.0), 0, dim, halfwidth, n)
+    box = (slice(n // 2 + 2, n // 2 + 8),) * dim
+    w.samples[box] = 1e-200
+    t = WeightSequence([w.with_samples(2.0 ** (0.5 * k) * w.samples) for k in range(4)])
+    sp = SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.7), theta=2.0, sigma2=3.0)
+    with np.errstate(invalid="ignore"):
+        rep = xclass_check(t, sp, depth=6)
+        assert rep.trace == _brute_xclass(t, sp, 3, [d for d, _, _ in rep.trace])
+    assert math.isfinite(rep.c2)
 
 
 # -- metamorphic: the cube conditions do not see a power-of-two scale ------------------

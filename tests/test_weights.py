@@ -225,8 +225,8 @@ def test_a1_constant_is_the_mean_over_min_scan(dim, n):
     want = []
     for gr in (g.resample(res) for res in (n // 64, n // 8, n) if res >= 32):
         ratios = [
-            cube_power_means(power_table(gr.samples, 1.0), fam, 1.0)
-            / cube_power_means(power_table(gr.samples, -math.inf), fam, -math.inf)
+            cube_power_means(power_table(gr.samples, 1.0), [fam], 1.0)
+            / cube_power_means(power_table(gr.samples, -math.inf), [fam], -math.inf)
             for k in scan_levels(gr, 4)
             for fam in cube_families(gr, k)
         ]
