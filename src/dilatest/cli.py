@@ -334,6 +334,8 @@ def _run_maximal(cfg, threads=1):
     rows = []
     for j in range(cfg.families):
         seed = cfg.seed + j
+        # each family lives only for its call: the indicators are drawn one at
+        # a time, and the smooth list goes when the weighted ratio returns
         fam = fixtures.random_indicator_family(
             seed, cfg.family_size, cfg.dim, cfg.halfwidth, cfg.resolution
         )
@@ -345,6 +347,7 @@ def _run_maximal(cfg, threads=1):
             for i in range(max(2, cfg.family_size // 2))
         ]
         wm_ratio = weighted_maximal_ratio(smooth, t, sp.p, sp.q, theta)
+        del smooth
         rows.append({"seed": seed, "fs_ratio": fs_ratio, "weighted_ratio": wm_ratio})
     fs_bound = cfg.bounds.get("fs", regression.FS_RATIO_BOUND)
     wm_bound = cfg.bounds.get("weighted", regression.WEIGHTED_RATIO_BOUND)

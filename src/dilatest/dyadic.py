@@ -115,6 +115,31 @@ def point_layout(pts, dim, public=False):
     return pts[..., 0] if public else pts[..., None]
 
 
+def _check_grid(dim, halfwidth, shape):
+    """Raise ValueError unless ``shape`` is a grid of ``GridFunction``'s kind."""
+    if dim <= 0:
+        raise ValueError("the dimension must be at least 1")
+    if len(shape) != dim:
+        raise ValueError(f"samples must be {dim}-dimensional")
+    n = shape[0]
+    if shape != (n,) * dim:
+        raise ValueError("samples must be square")
+    if n < 2 or n & (n - 1):
+        raise ValueError("per-axis resolution must be a power of two >= 2")
+    if halfwidth <= 0:
+        raise ValueError("halfwidth must be positive")
+
+
+def _cell_centers(halfwidth, n):
+    """The n cell centers of [-halfwidth, halfwidth] along one axis."""
+    return -halfwidth + (np.arange(n) + 0.5) * (2.0 * halfwidth / n)
+
+
+def _grid_points(dim, halfwidth, n):
+    """The cell centers of the grid in the public layout (``point_layout``)."""
+    return point_layout(tensor_points([_cell_centers(halfwidth, n)] * dim), dim, public=True)
+
+
 class GridFunction:
     """Real samples at the cell centers of a uniform grid over [-L, L]^n.
 
@@ -129,20 +154,10 @@ class GridFunction:
     """
 
     def __init__(self, dim, halfwidth, samples, evaluator=None):
-        if dim <= 0:
-            raise ValueError("the dimension must be at least 1")
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim != dim:
-            raise ValueError(f"samples must be {dim}-dimensional")
-        n = samples.shape[0]
-        if samples.shape != (n,) * dim:
-            raise ValueError("samples must be square")
-        if n < 2 or n & (n - 1):
-            raise ValueError("per-axis resolution must be a power of two >= 2")
+        _check_grid(dim, halfwidth, samples.shape)
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
         self.dim = dim
         self.halfwidth = float(halfwidth)
         self.samples = samples
@@ -161,23 +176,20 @@ class GridFunction:
         return Box((-self.halfwidth,) * self.dim, (self.halfwidth,) * self.dim)
 
     def axis_centers(self):
-        n, dx = self.resolution, self.spacing
-        return -self.halfwidth + (np.arange(n) + 0.5) * dx
+        return _cell_centers(self.halfwidth, self.resolution)
 
     def points(self):
         """All cell centers in the public layout: shape (N,) in 1-D, (N,) * n + (n,) above."""
-        grid = tensor_points([self.axis_centers()] * self.dim)
-        return point_layout(grid, self.dim, public=True)
+        return _grid_points(self.dim, self.halfwidth, self.resolution)
 
     @classmethod
     def from_callable(cls, fn, dim=1, halfwidth=8.0, resolution=1024):
-        f = cls(dim, halfwidth, np.zeros((resolution,) * dim), evaluator=fn)
-        f.samples = np.asarray(fn(f.points()), dtype=float)
-        if f.samples.shape != (resolution,) * dim:
+        """The samples of ``fn`` at the cell centers, with ``fn`` as the evaluator."""
+        _check_grid(dim, halfwidth, (resolution,) * dim)
+        samples = np.asarray(fn(_grid_points(dim, float(halfwidth), resolution)), dtype=float)
+        if samples.shape != (resolution,) * dim:
             raise ValueError("evaluator did not broadcast over the grid")
-        if not np.all(np.isfinite(f.samples)):
-            raise ValueError("evaluator produced non-finite samples")
-        return f
+        return cls(dim, halfwidth, samples, evaluator=fn)
 
     def with_samples(self, samples):
         """The same geometry holding ``samples``, with no evaluator."""
@@ -515,29 +527,28 @@ class MixedNorm:
 
     def __init__(self, kind, p, q, cellw=1.0, layers=()):
         self.kind, self.p, self.q, self.cellw = kind, p, q, cellw
-        self.terms, self.agg = [], 0.0
+        self.terms, self.agg = [], None  # agg: F's pointwise sum of |layer|^q
         for v in layers:
             self.add(v)
 
     def add(self, layer):
         if self.kind == "B":
             self.terms.append(float(np.sum(np.abs(layer) ** self.p) * self.cellw) ** (1.0 / self.p))
+        elif self.agg is None:  # the first power is a fresh array: later ones add in place
+            self.agg = np.abs(layer) ** self.q
         else:
-            self.agg = self.agg + np.abs(layer) ** self.q
+            self.agg += np.abs(layer) ** self.q
 
     def value(self):
         """(value, per-level L_p norms); F has no per-level terms and gives []."""
         p, q = self.p, self.q
         if self.kind == "B":
             return float(np.sum(np.asarray(self.terms) ** q)) ** (1.0 / q), self.terms
-        return float(np.sum(self.agg ** (p / q)) * self.cellw) ** (1.0 / p), []
+        agg = 0.0 if self.agg is None else self.agg
+        return float(np.sum(agg ** (p / q)) * self.cellw) ** (1.0 / p), []
 
 
 def mixed_norm(kind, layers, p, q, cellw=1.0):
     """The ``MixedNorm`` of the layers: (value, per-level L_p norms)."""
     return MixedNorm(kind, p, q, cellw, layers).value()
 
-
-def lp_of_lq(layers, p, q, cellw=1.0):
-    """L_p norm of the pointwise l_q aggregate of the layers (the F kind)."""
-    return mixed_norm("F", layers, p, q, cellw)[0]

@@ -122,20 +122,19 @@ def random_smooth(seed, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
 
 
 def random_indicator_family(seed, count, dim=1, halfwidth=8.0, resolution=1024):
-    """Seeded family of shifted mollified indicators (vector-valued tests)."""
+    """Seeded family of shifted mollified indicators (vector-valued tests).
+
+    A lazy generator: each member is drawn and sampled only when it is asked
+    for, so a caller that folds the members as they come holds one at a time.
+    Wrap it in ``list`` to read the family more than once.
+    """
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(count):
         c = rng.uniform(-halfwidth / 3, halfwidth / 3)
         hw = rng.uniform(0.4, 1.6)
-        out.append(
-            GridFunction.from_callable(
-                lambda pts, c=c, hw=hw: mollified_step(
-                    pts, dim, halfwidth=hw, center=c
-                ),
-                dim,
-                halfwidth,
-                resolution,
-            )
+        yield GridFunction.from_callable(
+            lambda pts, c=c, hw=hw: mollified_step(pts, dim, halfwidth=hw, center=c),
+            dim,
+            halfwidth,
+            resolution,
         )
-    return out

@@ -13,13 +13,23 @@ along each other axis. The per-point maxima nest three-point maxima
 radius h_j = 2^(j-1), the field is |f| v D_1(A_1 v D_1(A_2 v D_2(A_3 v ...
 D_(h_(J-1))(A_J)))), each D applied along every axis, so every level costs
 O(N^n) and the whole field O(N^n log N) on N^n cells.
+
+The vector-valued ratios fold each field into its L_p(l_q) sum (an F-kind
+``MixedNorm``) as soon as it is made: ``fs_inequality_ratio`` reads its
+family once, so a lazy family is held one member at a time, and
+``weighted_maximal_ratio``, whose family is a sequence it checks against the
+weight levels, makes one maximal field per level. Beyond a family the caller
+holds, their working set is O(N^n) whatever the family size: the two running
+sums, one member and the arrays of one maximal field (|f|, the axis-0 table
+of about 2 N^n, and per radius the running max, the partial means and one
+other-axis table).
 """
 
 import math
 
 import numpy as np
 
-from .dyadic import GridFunction, lp_of_lq, prefix_table, table_windows, three_point_max
+from .dyadic import GridFunction, MixedNorm, prefix_table, table_windows, three_point_max
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .weights import FAIL, WeightSequence, ap_constant
 
@@ -40,9 +50,10 @@ def hl_maximal(f: GridFunction) -> GridFunction:
         cells = np.minimum(idx + half + 1, n) - np.maximum(idx - half, 0)
         local = table_windows(table, 0, pad, half, half + 1)
         for ax in range(f.dim):
-            if ax:  # the other axes table the partial means of this radius
-                local = table_windows(prefix_table(local, ax, half + 1), ax, half + 1,
-                                      half, half + 1)
+            if ax:  # the other axes table the partial means of this radius; each
+                # rebinding drops the array before it once the next one exists
+                local = prefix_table(local, ax, half + 1)
+                local = table_windows(local, ax, half + 1, half, half + 1)
             local /= np.reshape(cells, (-1,) + (1,) * (f.dim - 1 - ax))
         if reach is not None:
             local = _dilate(reach, half, local)
@@ -61,22 +72,37 @@ def m_sigma(f: GridFunction, sigma) -> GridFunction:
     """Power variant (M(|f|^sigma))**(1/sigma)."""
     if sigma <= 0:
         raise InvalidExponent("sigma must be positive")
-    mf = hl_maximal(f.with_samples(np.abs(f.samples) ** sigma))
-    return f.with_samples(mf.samples ** (1.0 / sigma))
+    mf = hl_maximal(f.with_samples(np.abs(f.samples) ** sigma)).samples
+    mf **= 1.0 / sigma  # the field is fresh: raised in place
+    return f.with_samples(mf)
+
+
+def _ratio(lhs: MixedNorm, rhs: MixedNorm) -> float:
+    """lhs over rhs, and 0 when rhs is 0."""
+    num, den = lhs.value()[0], rhs.value()[0]
+    return 0.0 if den == 0.0 else num / den
 
 
 def fs_inequality_ratio(fs, p, q, sigma) -> float:
-    """Vector-valued maximal ratio: L_p(l_q) of M_sigma(f_k) over that of f_k."""
-    if not fs:
+    """Vector-valued maximal ratio: L_p(l_q) of M_sigma(f_k) over that of f_k.
+
+    ``fs`` is any iterable, read once; each member and its maximal field are
+    folded into the two sums as they come, so a lazy family is held one
+    member at a time.
+    """
+    fs = iter(fs)
+    f = next(fs, None)
+    if f is None:
         raise ValueError("need at least one function")
     if not 0.0 < sigma < min(1.0, p, q):
         raise InvalidExponent("need 0 < sigma < min(1, p, q)")
-    cellw = fs[0].spacing ** fs[0].dim
-    lhs = lp_of_lq([m_sigma(f, sigma).samples for f in fs], p, q, cellw)
-    rhs = lp_of_lq([f.samples for f in fs], p, q, cellw)
-    if rhs == 0.0:
-        return 0.0
-    return lhs / rhs
+    cellw = f.spacing ** f.dim
+    lhs, rhs = MixedNorm("F", p, q, cellw), MixedNorm("F", p, q, cellw)
+    while f is not None:
+        lhs.add(m_sigma(f, sigma).samples)
+        rhs.add(f.samples)
+        f = next(fs, None)
+    return _ratio(lhs, rhs)
 
 
 def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta) -> float:
@@ -99,10 +125,9 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta) -> float:
                 f"level-{k} weight failed the A_(p/theta) scan: trace {rep.trace}"
             )
     cellw = fs[0].spacing ** fs[0].dim
-    lhs = lp_of_lq(
-        [t.level(k).samples * hl_maximal(f).samples for k, f in enumerate(fs)], p, q, cellw
-    )
-    rhs = lp_of_lq([t.level(k).samples * f.samples for k, f in enumerate(fs)], p, q, cellw)
-    if rhs == 0.0:
-        return 0.0
-    return lhs / rhs
+    lhs, rhs = MixedNorm("F", p, q, cellw), MixedNorm("F", p, q, cellw)
+    for k, f in enumerate(fs):  # level by level, one maximal field at a time
+        w = t.level(k).samples
+        lhs.add(w * hl_maximal(f).samples)
+        rhs.add(w * f.samples)
+    return _ratio(lhs, rhs)

@@ -6,10 +6,13 @@ point array; ``_smooth_edge`` evaluates its exponentials only inside the band
 0 < t < 1, where the oracle clips t and evaluates them everywhere.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from dilatest import fixtures
+from dilatest.dyadic import GridFunction
 from dilatest.fixtures import _radius2, _smooth_edge, gaussian
 
 EDGES = [-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 2.0**-53, 0.5,
@@ -75,3 +78,36 @@ def test_fixtures_through_the_helpers_match_the_old_formulas(dim, n):
     assert np.array_equal(f.samples, want)
     g = fixtures.fixture("sine_packet", dim, 3.0, n)
     assert _same_bits(g.samples, np.sin(4.0 * pts[..., 0]) * np.exp(-_old_radius2(pts) / 4.0))
+
+
+# sha256 of the members' samples rounded to float32, in draw order, recorded
+# when the family was built as a list. The float64 bytes also depend on the
+# platform's exp (numpy's AVX-512 kernel and libm round about 5% of values
+# apart), which float32 rounding absorbs; the oracle test below pins the bits.
+INDICATOR_FAMILY_DIGESTS = {
+    (1, 512): "bf6f3c68bc0fe681038de63da7c2617c9a4cb1bd4dec2f9f7cdce6d3c8137889",
+    (2, 64): "ff2316adfe76da59964fefb42f089d95a3b94ac67ed3be56282707d3fc1abee7",
+}
+
+
+@pytest.mark.parametrize("dim, n", sorted(INDICATOR_FAMILY_DIGESTS))
+def test_random_indicator_family_keeps_its_recorded_members(dim, n):
+    digest = hashlib.sha256()
+    for f in fixtures.random_indicator_family(7, 4, dim, resolution=n):
+        digest.update(f.samples.astype(np.float32).tobytes())
+    assert digest.hexdigest() == INDICATOR_FAMILY_DIGESTS[dim, n]
+
+
+@pytest.mark.parametrize("dim, n", sorted(INDICATOR_FAMILY_DIGESTS))
+def test_random_indicator_family_is_lazy_and_draws_like_the_list_it_was(dim, n):
+    fam = fixtures.random_indicator_family(7, 4, dim, 8.0, n)
+    assert iter(fam) is fam  # an iterator, not a list: members are made as they are drawn
+    rng = np.random.default_rng(7)
+    pts = GridFunction(dim, 8.0, np.zeros((n,) * dim)).points()
+    for f in fam:
+        c = rng.uniform(-8.0 / 3, 8.0 / 3)
+        hw = rng.uniform(0.4, 1.6)
+        assert _same_bits(f.samples, fixtures.mollified_step(pts, dim, halfwidth=hw, center=c))
+        assert _same_bits(f.resample(n // 2).samples,
+                          fixtures.mollified_step(f.resample(n // 2).points(), dim, hw, 0.5, c))
+    assert next(fam, None) is None

@@ -1,10 +1,12 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dilatest import fixtures
-from dilatest.dyadic import GridFunction
+from dilatest.dyadic import GridFunction, mixed_norm
 from dilatest.errors import InvalidExponent, MissingLevels, PreconditionFailed
 from dilatest.maximal import (
     fs_inequality_ratio,
@@ -155,7 +157,7 @@ def test_fs_ratio_zero_family():
 
 
 def test_fs_ratio_scale_invariant():
-    fam = fixtures.random_indicator_family(7, 4, 1, L, 512)
+    fam = list(fixtures.random_indicator_family(7, 4, 1, L, 512))  # read twice
     r1 = fs_inequality_ratio(fam, 2.0, 2.0, 0.5)
     scaled = [f.with_samples(5.0 * f.samples) for f in fam]
     r2 = fs_inequality_ratio(scaled, 2.0, 2.0, 0.5)
@@ -204,3 +206,64 @@ def test_weighted_ratio_needs_a_level_per_function():
     f = GridFunction.from_callable(lambda x: np.full_like(x, 2.0), 1, L, 256)
     with pytest.raises(MissingLevels):
         weighted_maximal_ratio([f, f, f], t, 2.0, 2.0, 1.5)
+
+
+# (dim, halfwidth, N) of the streamed ratios against the held fields
+STREAM_GRIDS = [(1, 8.0, 256), (2, 4.0, 32), (3, 4.0, 32)]
+
+
+def _ratio_of_held_fields(num, den, p, q, f):
+    """The two F-kind L_p(l_q) sums of the listed fields, divided."""
+    cellw = f.spacing**f.dim
+    return mixed_norm("F", num, p, q, cellw)[0] / mixed_norm("F", den, p, q, cellw)[0]
+
+
+@pytest.mark.parametrize("dim, hw, n", STREAM_GRIDS)
+def test_fs_ratio_of_a_list_or_a_generator_is_the_ratio_of_the_held_fields(dim, hw, n):
+    p, q, sigma = 3.0, 1.5, 0.5
+    fam = list(fixtures.random_indicator_family(5, 3, dim, hw, n))
+    want = _ratio_of_held_fields([m_sigma(f, sigma).samples for f in fam],
+                                 [f.samples for f in fam], p, q, fam[0])
+    assert fs_inequality_ratio(fam, p, q, sigma) == want
+    lazy = fixtures.random_indicator_family(5, 3, dim, hw, n)
+    assert fs_inequality_ratio(lazy, p, q, sigma) == want
+
+
+@pytest.mark.parametrize("dim, hw, n", STREAM_GRIDS)
+def test_weighted_ratio_is_the_ratio_of_the_held_fields(dim, hw, n):
+    # the family is a sequence: the ratio checks its length against the levels
+    p, q, theta = 3.0, 1.5, 1.5
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), 3, dim, hw, n)
+    fam = [fixtures.random_smooth(s, dim, hw, n) for s in range(3)]
+    want = _ratio_of_held_fields(
+        [t.level(k).samples * hl_maximal(f).samples for k, f in enumerate(fam)],
+        [t.level(k).samples * f.samples for k, f in enumerate(fam)], p, q, fam[0])
+    assert weighted_maximal_ratio(fam, t, p, q, theta) == want
+
+
+def test_fs_ratio_of_an_empty_family_is_an_error():
+    for empty in ([], fixtures.random_indicator_family(5, 0, 1, L, 256)):
+        with pytest.raises(ValueError, match="at least one"):
+            fs_inequality_ratio(empty, 2.0, 2.0, 0.5)
+
+
+def _traced_peak(call):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fs_ratio_holds_one_member_of_a_lazy_family_at_a_time():
+    # each member and its maximal field are folded as made: four times the
+    # members may not cost another field
+    def ratio(count):
+        fam = fixtures.random_indicator_family(9, count, 2, 4.0, 64)
+        return fs_inequality_ratio(fam, 2.0, 2.0, 0.5)
+
+    ratio(2)
+    field_bytes = np.zeros((64, 64)).nbytes
+    assert _traced_peak(lambda: ratio(8)) - _traced_peak(lambda: ratio(2)) < field_bytes

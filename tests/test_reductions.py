@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from dilatest.dyadic import (
     GridFunction,
-    lp_of_lq,
     mixed_norm,
     range_table,
     table_reduce,
@@ -170,7 +169,7 @@ def test_mixed_norms_of_one_layer_are_its_lp_norm():
     lp = float(np.sum(np.abs(layer) ** 3) * 0.5) ** (1 / 3)
     value, terms = mixed_norm("B", [layer], 3.0, 1.5, 0.5)
     assert value == pytest.approx(lp, rel=1e-12) and terms == [pytest.approx(lp, rel=1e-12)]
-    assert lp_of_lq([layer], 3.0, 1.5, 0.5) == pytest.approx(lp, rel=1e-12)
+    assert mixed_norm("F", [layer], 3.0, 1.5, 0.5)[0] == pytest.approx(lp, rel=1e-12)
 
 
 def test_mixed_norms_of_constant_layers():
@@ -179,7 +178,7 @@ def test_mixed_norms_of_constant_layers():
     layers = [np.full(16, a), np.full(16, b)]
     want = 4.0 ** (1 / p) * (a**q + b**q) ** (1 / q)
     assert mixed_norm("B", layers, p, q, 0.25)[0] == pytest.approx(want, rel=1e-12)
-    assert lp_of_lq(layers, p, q, 0.25) == pytest.approx(want, rel=1e-12)
+    assert mixed_norm("F", layers, p, q, 0.25)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -54,16 +54,25 @@ def digest(main, command, config, fmt, workdir):
     return code, sha
 
 
-def main(argv):
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    src = Path(argv[1]).resolve()
+def load_cli(src):
+    """``dilatest.cli`` imported from the ``src`` directory, or None (with a
+    message) when the import found another copy of the package."""
+    src = Path(src).resolve()
     sys.path.insert(0, str(src))
     from dilatest import cli
 
     if src not in Path(cli.__file__).resolve().parents:
         print(f"dilatest was imported from {cli.__file__}, not from {src}", file=sys.stderr)
+        return None
+    return cli
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    cli = load_cli(argv[1])
+    if cli is None:
         return 2
     with tempfile.TemporaryDirectory() as workdir:
         for name, key, command, config in reports():
