@@ -30,10 +30,13 @@ centers and node values, so the stencil rows of the inner axes are computed
 once per node value and call (1-D has no inner axis and keeps no table).
 The stencil term of f(x + 0*h) does not depend on h and is shifted and
 scaled once per call. Pairs that leave the box are dropped by zeroing each
-axis's out-of-domain rows of |Delta_h^M f|. Each node's field is reduced on
-its own, because reducing the sum over nodes would move the round-off of
-the prefix sums; the kept-pair counts are integers, a product of per-axis
-counts, and are reduced once per reduction.
+axis's out-of-domain rows of |Delta_h^M f|, which stays in the layout the
+shifts leave it in. The prefix-table kinds (window, expanded) reduce each
+node's field on its own, because reducing the sum over nodes would move the
+round-off of the prefix sums; the cube kind's tile sums reduce the field
+summed over the nodes once, since its terms are >= 0 and their sum is
+accurate in any order. The kept-pair counts are integers, a product of
+per-axis counts, and are reduced once per reduction.
 """
 
 import functools
@@ -182,31 +185,42 @@ def _shift(v, i0, w):
 
 def _lead_next(v):
     """The array with its next axis leading, C-contiguous: gathers copy whole rows."""
-    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
+    return np.ascontiguousarray(v.transpose(*range(1, v.ndim), 0))
 
 
 def _node_sums(fs, k: int, order: int, reduces):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
-    ``fs`` are functions on one grid (ValueError otherwise); each of
-    ``reduces`` maps a sample array to one entry per window or cube. Returns,
-    per function and reduction, (sums, lost, cells): sum_h w_h sum_x dx^n
+    ``fs`` are functions on one grid (ValueError otherwise); ``reduces`` are
+    (reduce, once) pairs, each ``reduce`` mapping a sample array in axis
+    order, of any memory layout, to one entry per window or cube, the same
+    bits for every layout. A prefix-table reduction (once false) is taken of
+    each node's field and summed over the nodes, since reducing the summed
+    field would move the round-off of its prefix sums; a tile sum (once
+    true) is taken once of the field summed over the nodes, since its terms
+    are >= 0 and a sum of them is accurate in any order. Returns, per
+    function and reduction, (sums, lost, cells): sum_h w_h sum_x dx^n
     |Delta_h^M f(x)| per entry, renormalized for the (x, h) pairs that left
     the box; a mask of entries that lost pairs; and the reduction of ones,
-    the cell count of each entry. Each (function, reduction) adds its node
-    terms in node order, so its result is bit for bit the one it gives alone.
+    the cell count of each entry. Each function adds its node terms in node
+    order, so its result is bit for bit the one it gives alone.
 
-    Nodes run in row-major order and a node recomputes only the axes from
-    the first whose component changed: the axis-0 shifts for h_0 serve every
-    h_1. A node's stencil rows, which depend on the grid alone, serve every
-    function, and every axis: the inner axes revisit each value and keep its
-    rows in a table, filled on first use and read by axis 0 as well; axis 0
-    sees each value once, so 1-D keeps no table. The stencil point mult = 0,
+    Nodes run in row-major order. For each axis-0 node value the functions
+    run one at a time through the inner nodes, so the loop holds one
+    function's shifts; a node recomputes only the axes from the first whose
+    component changed: the axis-0 shifts for h_0 serve every h_1. A node's
+    stencil rows depend on the grid alone and serve every function and every
+    axis: the inner axes revisit each value and keep its rows in a table,
+    filled on first use and read by axis 0 as well; axis 0 sees each value
+    once and tables none, so 1-D keeps no table. The stencil point mult = 0,
     shifted once per call, is not ``f.samples``: a shift by zero still
-    interpolates when the float centers do not land on the grid. Pairs that
-    leave the box are dropped by zeroing each axis's out-of-domain rows of
-    |Delta_h^M f|; the kept pairs, the cells and the renormalization depend
-    on the grid alone and are finished once per reduction.
+    interpolates when the float centers do not land on the grid. The shifts
+    leave |Delta_h^M f| with the last axis leading, then axes 0..n-2, and it
+    stays in that layout: its absolute value is taken in place, pairs that
+    leave the box are dropped by zeroing each axis's out-of-domain rows, and
+    the reductions read it as a view in axis order. The kept pairs, the
+    cells and the renormalization depend on the grid alone and are finished
+    once per reduction.
     """
     f = fs[0]
     if any((g.dim, g.halfwidth, g.resolution) != (f.dim, f.halfwidth, f.resolution) for g in fs):
@@ -216,12 +230,16 @@ def _node_sums(fs, k: int, order: int, reduces):
     # the others, since every unshifted center lies in the box
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
+    in_axis_order = (*range(1, dim), 0)  # transposes |Delta_h^M f| back to axis order
+    per_node = [r for r, (_, once) in enumerate(reduces) if not once]
+    tiled = len(per_node) < len(reduces)
 
     def stencil(x):
-        """(i0, w) rows of the shifted stencil points for node value x, and
-        the in-domain test they share."""
+        """(i0, w) rows of the shifted stencil points for node value x, the
+        in-domain test they share, and its out-of-domain rows (None if none)."""
         i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], x))
-        return i0, w, np.logical_and.reduce(ok)
+        keep = np.logical_and.reduce(ok)
+        return i0, w, keep, None if keep.all() else ~keep
 
     table = [None] * len(axis_nodes)  # stencil rows per node value, kept by the inner axes
     # the mult = 0 term coeffs[-1] * f(x + 0*h), the same for every node
@@ -233,49 +251,64 @@ def _node_sums(fs, k: int, order: int, reduces):
             still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
         still *= coeffs[-1]
         stills.append(still)
-    # moved[i][a][j]: function i shifted by mults[j] * h along axes 0..a-1,
-    # stored with axis a leading; rows[a]: the stencil rows of axis a, whose
-    # in-domain test is the axis-a factor of the mask of every stencil point
-    moved = [[[g.samples] * (len(mults) - 1)] + [None] * (dim - 1) for g in fs]
-    rows = [None] * dim
     count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
-    nums = [[0.0] * len(reduces) for _ in fs]
-    last = (None,) * dim
-    for node in itertools.product(range(len(axis_nodes)), repeat=dim):
-        first = next(a for a in range(dim) if node[a] != last[a])
-        last = node
-        for a in range(first, dim):
-            rows[a] = table[node[a]] or stencil(axis_nodes[node[a]])
-            if a == 0:
-                count = count + rows[0][2]
-            else:
-                table[node[a]] = rows[a]
-        for i, (own, still) in enumerate(zip(moved, stills)):
-            for a in range(first, dim):
-                i0, w, _ = rows[a]
-                if a + 1 < dim:
-                    own[a + 1] = None  # release the previous shifts first
-                    own[a + 1] = [
-                        _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(own[a])
-                    ]
-                    continue
-                # the first coefficient is 1, so the sum starts from its term
-                # unscaled: exact but for the sign of a zero, which abs drops
-                acc = _shift(own[a][0], i0[0], w[0])
-                for j in range(1, len(own[a])):
-                    v = _shift(own[a][j], i0[j], w[j])
-                    v *= coeffs[j]
-                    acc += v
-                acc += still
-            # back to the axis order, C-contiguous: cube sums depend on the layout
-            g = np.abs(np.moveaxis(acc, 0, -1), order="C")
-            for a, (_, _, keep) in enumerate(rows):
-                g[(slice(None),) * a + (~keep,)] = 0.0
-            # summed per node: a single reduce of the summed field moves the
-            # round-off of prefix-table sums; the integer counts are exact in any order
-            nums[i] = [num + reduce(g) for num, reduce in zip(nums[i], reduces)]
+    # per function: the running sum of each per-node reduction, and the field
+    # summed over the nodes, which the tile sums reduce once
+    nums = [[None] * len(reduces) for _ in fs]
+    fields = [None] * len(fs)
+    for v0, x0 in enumerate(axis_nodes):
+        rows = [table[v0] or stencil(x0)] + [None] * (dim - 1)
+        count = count + rows[0][2]
+        for i, (g, still, own) in enumerate(zip(fs, stills, nums)):
+            # moved[a][j]: g shifted by mults[j] * h along axes 0..a-1, axis a leading
+            moved = [[g.samples] * (len(mults) - 1)] + [None] * (dim - 1)
+            last = (None,) * dim
+            for inner in itertools.product(range(len(axis_nodes)), repeat=dim - 1):
+                node = (v0,) + inner
+                first = next(a for a in range(dim) if node[a] != last[a])
+                last = node
+                for a in range(max(first, 1), dim):
+                    rows[a] = table[node[a]] = table[node[a]] or stencil(axis_nodes[node[a]])
+                for a in range(first, dim):
+                    i0, w = rows[a][:2]
+                    if a + 1 < dim:
+                        moved[a + 1] = None  # release the previous shifts first
+                        moved[a + 1] = [
+                            _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
+                        ]
+                        continue
+                    # the first coefficient is 1, so the sum starts from its term
+                    # unscaled: exact but for the sign of a zero, which abs drops
+                    acc = _shift(moved[a][0], i0[0], w[0])
+                    for j in range(1, len(moved[a])):
+                        v = _shift(moved[a][j], i0[j], w[j])
+                        v *= coeffs[j]
+                        acc += v
+                    acc += still
+                np.abs(acc, out=acc)
+                view = acc.transpose(in_axis_order)
+                for a, (_, _, _, drop) in enumerate(rows):
+                    if drop is not None:
+                        view[(slice(None),) * a + (drop,)] = 0.0
+                # the terms are >= 0, so a sum started from its first term
+                # instead of 0.0 has the same bits
+                for r in per_node:
+                    s = reduces[r][0](view)
+                    if own[r] is None:
+                        own[r] = s
+                    else:
+                        own[r] += s
+                if tiled:
+                    if fields[i] is None:
+                        fields[i] = acc
+                    else:
+                        fields[i] += acc
+    for own, field in zip(nums, fields):
+        for r, (reduce, once) in enumerate(reduces):
+            if once:
+                own[r] = reduce(field.transpose(in_axis_order))
     out = []
-    for reduce in reduces:
+    for reduce, _ in reduces:
         cells = reduce(np.ones(f.samples.shape))
         valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
         total = len(axis_nodes) ** dim * cells
@@ -287,23 +320,24 @@ def _node_sums(fs, k: int, order: int, reduces):
 
 
 def _reduction(f: GridFunction, k: int, kind):
-    """(reduce, finish) of one field kind: ``reduce`` sums a sample array over
-    each level-k window or cube, and ``finish`` maps that reduction's
-    (sums, lost, cells) from ``_node_sums`` to (values, flagged)."""
+    """(reduce, once, finish) of one field kind: ``reduce`` sums a sample
+    array over each level-k window or cube, ``once`` tells ``_node_sums`` it
+    is a tile sum, and ``finish`` maps that reduction's (sums, lost, cells)
+    from ``_node_sums`` to (values, flagged)."""
     n, c = f.dim, level_cell_count(f, k)  # a level-k cube spans c cells per axis
     if kind == "window":  # the window x + 2**-k (-1, 1)^n spans 2c cells per axis
-        return (lambda v: window_sums(v, c)), lambda sums, lost, cells: (
+        return (lambda v: window_sums(v, c)), False, lambda sums, lost, cells: (
             2.0 ** (2 * k * n) * sums, lost | ~np.isclose(cells, (2 * c) ** n, rtol=1e-12))
     if kind == "cube":
-        return (lambda v: level_block_reduce(v, f, k)), lambda sums, lost, _: (
+        return (lambda v: level_block_reduce(v, f, k)), True, lambda sums, lost, _: (
             sums / (2.0 ** (-k)) ** (2 * n), lost)
     if kind != "expanded":
         raise ValueError(f"unknown field kind {kind!r}")
     # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
     j = np.arange(level_cube_count(f, k))
     ranges, grid = [((j - 2) * c, (j + 3) * c)], (len(j),) * n
-    return (lambda v: box_reduce(range_table(v), ranges).reshape(grid)), lambda sums, lost, cells: (
-        sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n))
+    return (lambda v: box_reduce(range_table(v), ranges).reshape(grid)), False, (
+        lambda sums, lost, cells: (sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n)))
 
 
 def delta_fields(fs, k: int, order: int, kinds):
@@ -311,8 +345,8 @@ def delta_fields(fs, k: int, order: int, kinds):
     ("window", "cube" or "expanded") from one h-node loop, each bit for bit
     what its own ``delta_*_field`` returns."""
     parts = [_reduction(fs[0], k, kind) for kind in kinds]
-    sums = _node_sums(fs, k, order, [reduce for reduce, _ in parts])
-    return [[finish(*s) for (_, finish), s in zip(parts, own)] for own in sums]
+    sums = _node_sums(fs, k, order, [(reduce, once) for reduce, once, _ in parts])
+    return [[finish(*s) for (_, _, finish), s in zip(parts, own)] for own in sums]
 
 
 def delta_window_field(f: GridFunction, k: int, order: int):

@@ -352,9 +352,11 @@ def _tile_reduce(values, cells):
     """Sums over the aligned tiles of ``cells`` samples per axis, by reshape.
 
     Kept apart from ``table_reduce`` on purpose: prefix-table differences
-    round at the scale of the running total, not of the tile.
+    round at the scale of the running total, not of the tile. The sums are
+    taken of a C-ordered copy when ``values`` is not one, so their bits do
+    not depend on its layout.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.ascontiguousarray(values, dtype=float)
     tiles = v.reshape(sum(((n // cells, cells) for n in v.shape), ()))
     return np.sum(tiles, axis=tuple(range(1, tiles.ndim, 2)))
 

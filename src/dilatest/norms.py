@@ -187,6 +187,9 @@ def diff_and_star_norms(fs, t: WeightSequence, sp: SpaceParams, names=("diff", "
     ("diff", "star"), bit for bit what ``diff_norm`` and ``star_norm`` give.
     One ``delta_fields`` sweep per level serves every function and norm, and
     each norm folds its level in before the next sweep."""
+    for name in names:
+        if name not in ("diff", "star"):
+            raise ValueError(f"unknown norm name {name!r}: the names are 'diff' and 'star'")
     _check_levels(fs[0], t, sp)
     kinds = ["window" if name == "diff" else "expanded" if sp.kind == "F" else "cube"
              for name in names]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilatest import differences
+from dilatest import differences, fixtures
 from dilatest.differences import (
     _h_axis,
     _h_nodes,
@@ -276,15 +276,18 @@ def _reference_fields(f, k, orders):
 
     Each node interpolates the whole point cloud with ``interp_masked`` once
     per stencil multiple and sums reduce(|Delta_h^M f| * mask) and
-    reduce(mask); normalizations and flags follow the field definitions.
+    reduce(mask) over the nodes; the cube tile sums reduce the node sums of
+    |Delta_h^M f| * mask and of mask instead. Normalizations and flags follow
+    the field definitions.
     """
     a, n = 2.0**-k, f.dim
     r = int(round(a / f.spacing))
-    fields = {  # name: (reduction, normalization, extra flag from the cell counts)
+    fields = {  # name: (reduction, normalization, extra flag from the cell counts, once)
         "window": (
             lambda v: window_sums(v, r),
             2.0 ** (-2 * k * n),
             lambda cells: ~np.isclose(cells, (2 * r) ** n, rtol=1e-12),
+            False,
         )
     }
     if _tiles(f, k):
@@ -296,8 +299,9 @@ def _reference_fields(f, k, orders):
                 v = table_reduce(range_table(v, ax), (j - 2) * c, (j + 3) * c)
             return v
 
-        fields["cube"] = (lambda v: level_block_reduce(v, f, k), a ** (2 * n), None)
-        fields["expanded"] = (expanded, (5 * a) ** (2 * n), lambda cells: cells < (5 * c) ** n)
+        fields["cube"] = (lambda v: level_block_reduce(v, f, k), a ** (2 * n), None, True)
+        fields["expanded"] = (expanded, (5 * a) ** (2 * n), lambda cells: cells < (5 * c) ** n,
+                              False)
     nodes, w_h = _h_nodes(a, f.spacing, n)
     pts = f.points()
     sums = {(name, m): [0.0, 0.0] for name in fields for m in orders}
@@ -308,13 +312,16 @@ def _reference_fields(f, k, orders):
             for coeff, mult in difference_coefficients(m):
                 acc = acc + coeff * shifted[mult][0]
                 valid &= shifted[mult][1]
-            for name, (red, _, _) in fields.items():
+            for name, (red, _, _, once) in fields.items():
+                red = (lambda v: v) if once else red
                 s = sums[name, m]
                 s[0] = s[0] + red(np.abs(acc) * valid)
                 s[1] = s[1] + red(valid.astype(float))
     out = {}
     for (name, m), (num, valid) in sums.items():
-        red, norm, extra = fields[name]
+        red, norm, extra, once = fields[name]
+        if once:
+            num, valid = red(num), red(valid)
         cells = red(np.ones(f.samples.shape))
         total = len(nodes) * cells
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -373,8 +380,9 @@ def _node_sums_per_node_stencils(fs, k, order, reduces):
     """The node loop before its stencil table and its functions axis: one
     loop per function, every node asks ``axis_stencil`` for each recomputed
     axis, sums the terms from 0.0 with every coefficient multiplied, scales
-    the mult = 0 term per node, and masks |Delta_h^M f| by the outer product
-    of the per-axis in-domain tests."""
+    the mult = 0 term per node, masks |Delta_h^M f| by the outer product of
+    the per-axis in-domain tests, and tile-sums the node sum of the masked
+    fields."""
     return [_one_node_sums_per_node_stencils(f, k, order, reduces) for f in fs]
 
 
@@ -412,9 +420,11 @@ def _one_node_sums_per_node_stencils(f, k, order, reduces):
             acc = acc + still * coeffs[-1]
         g = np.abs(np.moveaxis(acc, 0, -1), order="C")
         g *= functools.reduce(np.logical_and.outer, inside)
-        nums = [num + reduce(g) for num, reduce in zip(nums, reduces)]
+        nums = [num + (g if once else reduce(g)) for num, (reduce, once) in zip(nums, reduces)]
     out = []
-    for num, reduce in zip(nums, reduces):
+    for num, (reduce, once) in zip(nums, reduces):
+        if once:
+            num = reduce(num)
         cells = reduce(np.ones(f.samples.shape))
         valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
         total = len(axis_nodes) ** dim * cells
@@ -435,6 +445,27 @@ def test_node_loop_matches_per_node_stencils_on_the_ladder_grid(k, monkeypatch):
         want = field(f, k, 2)
         np.testing.assert_array_equal(have[0], want[0])
         np.testing.assert_array_equal(have[1], want[1])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("geometry", [(1, 4.0, 256), (2, 2.0, 32), (3, 1.0, 16)],
+                         ids=["1d", "2d", "3d"])
+def test_cube_field_agrees_with_per_node_tile_sums(geometry, order, monkeypatch):
+    # the cube kind tiles the node sum of |Delta_h^M f| once; tiling each
+    # node's field and summing the tiles adds the same terms >= 0 in another
+    # order: 1e-14 relative at every entry, the far tails of the smooth f
+    # included
+    dim, halfwidth, n = geometry
+    f = fixtures.random_smooth(order, dim, halfwidth, n)
+    levels = range(finest_level(halfwidth, n) + 1)
+    got = [delta_cube_field(f, k, order) for k in levels]
+    node_sums = differences._node_sums
+    monkeypatch.setattr(differences, "_node_sums", lambda fs, k, order, reduces: node_sums(
+        fs, k, order, [(reduce, False) for reduce, _ in reduces]))
+    for k, (values, flags) in zip(levels, got):
+        want, want_flags = delta_cube_field(f, k, order)
+        np.testing.assert_allclose(values, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(flags, want_flags)
 
 
 def _same_bytes(a, b):

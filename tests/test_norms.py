@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatest import fixtures
+from dilatest.differences import delta_fields
 from dilatest.dyadic import GridFunction
 from dilatest.errors import MissingLevels, ResolutionExceeded
 from dilatest.lp_fourier import fourier_norm
@@ -263,3 +266,41 @@ def test_norms_of_several_functions_equal_the_separate_calls_exactly(dim, halfwi
     assert diff_and_star_norms(fs, t, sp, details=True) == want
     assert diff_and_star_norms(fs, t, sp, ("star",), details=True) == [(s,) for _, s in want]
     assert diff_and_star_norms(fs, t, sp, ("diff",)) == [(d[0],) for d, _ in want]
+
+
+@pytest.mark.parametrize("names", [("diff", "stra"), ("Diff",), ("star", "window")])
+def test_an_unknown_norm_name_is_a_value_error_naming_it(names):
+    # a misspelled name must not silently give the star norm
+    f = fixtures.fixture("gaussian", 1, 4.0, 256)
+    t = WeightSequence.from_spec(Constant(1.0), 2, 1, 4.0, 256)
+    bad = next(name for name in names if name not in ("diff", "star"))
+    with pytest.raises(ValueError, match=repr(bad)):
+        diff_and_star_norms([f], t, sp_of(k_max=2), names)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    grid=st.sampled_from([(1, 4.0, 256, 3), (2, 2.0, 32, 1)]),
+    kind=st.sampled_from(["B", "F"]),
+    m=st.integers(-4, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_difference_norms_scale_by_a_power_of_two(grid, kind, m, seed):
+    # f -> 2^m f scales every difference field, kept and flagged mass by
+    # exact float steps; only the final (.)^(1/p) goes through libm's pow,
+    # which is not correctly rounded (about 5 in 10^4 arguments miss
+    # 2^m pow(x, 1/2) for x 4^m by an ulp), so the norms agree to 2 ulp
+    dim, halfwidth, n, k_max = grid
+    f = fixtures.random_smooth(seed, dim, halfwidth, n)
+    g = f.with_samples(2.0**m * f.samples)
+    kinds = ("window", "cube", "expanded")
+    for k in range(1, k_max + 1):
+        for (fv, ff), (gv, gf) in zip(*delta_fields([f, g], k, 2, kinds)):
+            assert np.array_equal(gv, 2.0**m * fv) and np.array_equal(gf, ff)
+    t = WeightSequence.from_spec(GeometricLevel(0.5, Power(0.3)), k_max, dim, halfwidth, n)
+    sp = SpaceParams(kind, 2.0, 2.0, 2, (0.5, 0.5), k_max=k_max)
+    for (x, xd), (y, yd) in zip(*diff_and_star_norms([f, g], t, sp, details=True)):
+        assert y == pytest.approx(2.0**m * x, rel=4.5e-16, abs=0.0)
+        for part in ("main", "zero_order"):
+            assert yd[part] == pytest.approx(2.0**m * xd[part], rel=2.3e-16, abs=0.0)
+        assert (yd["boundary_mass"], yd["reliable"]) == (xd["boundary_mass"], xd["reliable"])
