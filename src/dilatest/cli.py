@@ -322,7 +322,11 @@ def _run_dilate(cfg, threads=1):
 
 
 def _run_maximal(cfg, threads=1):
-    t = _weight_sequence(cfg)
+    # one weight level per smooth function of a family: the levels beyond are
+    # never read, and a K_max short of them still raises MissingLevels
+    smooth_count = max(2, cfg.family_size // 2)
+    t = WeightSequence.from_spec(cfg.weights, min(cfg.space.k_max, smooth_count - 1),
+                                 cfg.dim, cfg.halfwidth, cfg.resolution)
     sp = cfg.space
     theta = sp.theta if sp.theta > 1.0 else _MAXIMAL_THETA
     if theta > sp.p:
@@ -344,7 +348,7 @@ def _run_maximal(cfg, threads=1):
             fixtures.random_smooth(
                 1000 + 10 * seed + i, cfg.dim, cfg.halfwidth, cfg.resolution
             )
-            for i in range(max(2, cfg.family_size // 2))
+            for i in range(smooth_count)
         ]
         wm_ratio = weighted_maximal_ratio(smooth, t, sp.p, sp.q, theta)
         del smooth

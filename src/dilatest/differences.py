@@ -22,21 +22,37 @@ serves every function on a grid, each node's stencil rows computed once,
 and feeds each |Delta_h^M f| to every reduction asked for (``delta_fields``;
 each ``delta_*_field`` is its one-function, one-kind call); a kind sets only
 its reduction, normalization and extra flag. Nodes and grid are tensor
-products, so each stencil term f(x + mult*h) is a clamped linear shift along
-one axis after another (``GridFunction.axis_stencil``): interp's one rule,
-nested per-axis linear steps, so the fields equal the point-by-point
-interpolation bit for bit, on any node spacing. Every axis has the same
-centers and node values, so the stencil rows of the inner axes are computed
-once per node value and call (1-D has no inner axis and keeps no table).
-The stencil term of f(x + 0*h) does not depend on h and is shifted and
-scaled once per call. Pairs that leave the box are dropped by zeroing each
-axis's out-of-domain rows of |Delta_h^M f|, which stays in the layout the
-shifts leave it in. The prefix-table kinds (window, expanded) reduce each
-node's field on its own, because reducing the sum over nodes would move the
-round-off of the prefix sums; the cube kind's tile sums reduce the field
-summed over the nodes once, since its terms are >= 0 and their sum is
-accurate in any order. The kept-pair counts are integers, a product of
-per-axis counts, and are reduced once per reduction.
+products, and each stencil term f(x + mult*h) is interp's one rule, nested
+per-axis clamped linear steps, so the fields equal the point-by-point
+interpolation bit for bit. The term is evaluated one of two ways, chosen
+once per call from the unclamped coordinates of the stencil points
+(``_slice_rows``):
+
+* On the half-cell lattice, every center, h-node and stencil point lies a
+  whole number of half cells from the first center, as on every grid the
+  config parser accepts (L and N powers of two). Each step then has weight
+  0, 1/2 or a clamped 1, so each term is a slice of one of 2^n arrays built
+  once per function and call: the samples and their neighbor averages
+  0.5 v[i] + 0.5 v[i + 1] along each subset of axes, with the edge samples
+  themselves at the ends (``_half_cell_arrays``). A node reads its terms on
+  its in-domain box only and interpolates nothing.
+* Off the lattice, as with dx = 1/24, the step weights move by ulps from
+  center to center and no slice reproduces them, so the samples are
+  shifted along one axis after another (``GridFunction.axis_stencil``),
+  which holds on any node spacing. The stencil rows of each node value are
+  computed once per call, and |Delta_h^M f| stays in the layout the shifts
+  leave it in.
+
+Both share the node loop, the reductions and the finishing step. The
+stencil term of f(x + 0*h) does not depend on h and is formed once per
+function and call. Pairs that leave the box are dropped by zeroing each
+axis's rows of |Delta_h^M f| outside its kept centers, an interval. The
+prefix-table kinds (window, expanded) reduce each node's field on its own,
+because reducing the sum over nodes would move the round-off of the prefix
+sums; the cube kind's tile sums reduce the field summed over the nodes
+once, since its terms are >= 0 and their sum is accurate in any order. The
+kept-pair counts are integers, a product of per-axis counts, and are
+reduced once per reduction.
 """
 
 import functools
@@ -188,6 +204,99 @@ def _lead_next(v):
     return np.ascontiguousarray(v.transpose(*range(1, v.ndim), 0))
 
 
+def _half_cells(v, axis):
+    """v at the n + 1 half-cell points of one axis, u = i - 1/2 for entry i
+    (u in cells from the first center): 0.5 v[i - 1] + 0.5 v[i] between two
+    centers, as interp's step of weight 1/2 forms it, and at both ends the
+    edge sample itself, as its clamped step returns it there."""
+    out = np.empty(v.shape[:axis] + (v.shape[axis] + 1,) + v.shape[axis + 1:])
+    v, lead = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)  # views, axis leading
+    np.multiply(v[:-1], 0.5, out=lead[1:-1])
+    lead[1:-1] += v[1:] * 0.5
+    lead[0], lead[-1] = v[0], v[-1]
+    return out
+
+
+def _half_cell_arrays(samples):
+    """The 2^n half-cell arrays of the samples: entry S, read as a bit set of
+    axes, is ``_half_cells`` taken along the axes of S in axis order, so it
+    holds interp's nested steps at every point whose coordinates are whole
+    cells on the other axes and half cells on those of S."""
+    arrays = [samples]
+    for axis in range(samples.ndim):
+        arrays += [_half_cells(v, axis) for v in arrays]
+    return arrays
+
+
+def _kept(ok):
+    """The centers of one axis whose stencil points all pass their in-domain
+    tests ``ok`` (a row per point), as a slice: each test holds on an
+    interval of centers, and so does their conjunction."""
+    kept = np.flatnonzero(np.logical_and.reduce(ok))
+    return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _slice_rows(halfwidth, resolution, k: int, order: int):
+    """The stencil rows of every level-k node value as half-cell slices, or
+    None unless all of them are. Every axis of a grid has the same centers
+    and node values, so one axis serves them all, and the rows depend on the
+    grid, level and order alone: they are kept for the next call.
+
+    A row is a slice when the unclamped coordinate u of its points
+    (``GridFunction.axis_units``) has 2u integral and u - j the same at
+    every kept center j: then interp's step at each point has weight 0, 1/2
+    or a clamped 1, so it returns an entry of the samples (u - j whole) or
+    of their ``_half_cells`` (u - j half), the same array for every center.
+    The mult = 0 row must be the samples themselves. The rows of node value
+    x: per shifted stencil point mult * x, which array (0: the samples,
+    1: the half cells) and the slice of it that holds the kept centers'
+    values; and the slice of kept centers (``_kept``). On a grid whose L and
+    N are powers of two every center, node and point lies on this half-cell
+    lattice, so every level the commands reach is sliced; a spacing such as
+    1/24 moves u by ulps from center to center and is not.
+    """
+    axis = GridFunction(1, halfwidth, np.zeros(resolution))
+    cells = np.arange(resolution, dtype=float)
+    if not np.array_equal(axis.axis_units([0.0])[0][0], cells):
+        return None
+    mults = [mult for _, mult in difference_coefficients(order)][:-1]
+    rows = []
+    for x in _h_axis(2.0 ** (-k), axis.spacing)[0]:
+        u, ok = axis.axis_units(np.multiply(mults, x))
+        box = _kept(ok)
+        lag = u[:, box.start] - box.start  # u - j at the first kept center, per point
+        if not (np.array_equal(2.0 * lag, np.floor(2.0 * lag))
+                and np.array_equal(u[:, box], lag[:, None] + cells[box])):
+            return None
+        start = np.ceil(lag)  # center j's entry: j + lag, and 1/2 more in the half cells
+        rows.append((tuple((int(s != d), slice(box.start + int(s), box.stop + int(s)))
+                           for s, d in zip(start, lag)), box))
+    return tuple(rows)
+
+
+def _sliced_field(arrays, still, rows, coeffs):
+    """One node's |Delta_h^M f| from the ``_half_cell_arrays`` of f, in axis
+    order: the first term unscaled, then coeff * term for each further
+    stencil point, then ``still``, as the shifts add them. Only the node's
+    in-domain box is evaluated, in an array of its own, since numpy's loops
+    over a strided output run several times slower; the field's other
+    entries are left unset."""
+    box = tuple(row[1] for row in rows)
+    for j, coeff in enumerate(coeffs[:-1]):
+        term = arrays[sum(row[0][j][0] << a for a, row in enumerate(rows))]
+        term = term[tuple(row[0][j][1] for row in rows)]
+        if j == 0:
+            acc = term.copy()
+        else:
+            acc += term * coeff
+    acc += still[box]
+    np.abs(acc, out=acc)
+    field = np.empty(still.shape)
+    field[box] = acc
+    return field
+
+
 def _node_sums(fs, k: int, order: int, reduces):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
@@ -205,22 +314,26 @@ def _node_sums(fs, k: int, order: int, reduces):
     the cell count of each entry. Each function adds its node terms in node
     order, so its result is bit for bit the one it gives alone.
 
-    Nodes run in row-major order. For each axis-0 node value the functions
-    run one at a time through the inner nodes, so the loop holds one
-    function's shifts; a node recomputes only the axes from the first whose
-    component changed: the axis-0 shifts for h_0 serve every h_1. A node's
-    stencil rows depend on the grid alone and serve every function and every
-    axis: the inner axes revisit each value and keep its rows in a table,
-    filled on first use and read by axis 0 as well; axis 0 sees each value
-    once and tables none, so 1-D keeps no table. The stencil point mult = 0,
-    shifted once per call, is not ``f.samples``: a shift by zero still
-    interpolates when the float centers do not land on the grid. The shifts
-    leave |Delta_h^M f| with the last axis leading, then axes 0..n-2, and it
-    stays in that layout: its absolute value is taken in place, pairs that
-    leave the box are dropped by zeroing each axis's out-of-domain rows, and
-    the reductions read it as a view in axis order. The kept pairs, the
-    cells and the renormalization depend on the grid alone and are finished
-    once per reduction.
+    The functions run one at a time through every node, in row-major
+    order, so the loop holds one function's half-cell arrays or shifts. A
+    node's stencil rows depend on the grid alone and serve every function
+    and every axis: each node value's rows are kept in a table, filled on
+    first use, so the first function fills it for the others. The term
+    evaluation is chosen once per call: the sliced one when ``_slice_rows``
+    gives the rows of every node value, else the shifted one. Sliced, a node
+    reads each term as a slice of the function's ``_half_cell_arrays`` on
+    its in-domain box (``_sliced_field``), adding the terms in the shifts'
+    order, so the bits are the shifts' own. Shifted, a node recomputes only
+    the axes from the first whose component changed: the axis-0 shifts for
+    h_0 serve every h_1. Their stencil point mult = 0, shifted once per
+    function, is not ``f.samples``: a shift by zero still interpolates when
+    the float centers do not land on the grid. The shifts leave
+    |Delta_h^M f| with the last axis leading, then axes 0..n-2, and it stays
+    in that layout, its absolute value taken in place. Either way pairs
+    that leave the box are dropped by zeroing each axis's rows outside its
+    kept centers, and the reductions read the field as an array in axis
+    order. The kept pairs, the cells and the renormalization depend on the
+    grid alone and are finished once per reduction.
     """
     f = fs[0]
     if any((g.dim, g.halfwidth, g.resolution) != (f.dim, f.halfwidth, f.resolution) for g in fs):
@@ -233,42 +346,42 @@ def _node_sums(fs, k: int, order: int, reduces):
     in_axis_order = (*range(1, dim), 0)  # transposes |Delta_h^M f| back to axis order
     per_node = [r for r, (_, once) in enumerate(reduces) if not once]
     tiled = len(per_node) < len(reduces)
+    still_i0, still_w, _ = f.axis_stencil([0.0])
+    # stencil rows per node value: all sliced, or shifted and filled on first use
+    sliced = _slice_rows(f.halfwidth, f.resolution, k, order)
+    table = list(sliced) if sliced else [None] * len(axis_nodes)
 
     def stencil(x):
-        """(i0, w) rows of the shifted stencil points for node value x, the
-        in-domain test they share, and its out-of-domain rows (None if none)."""
+        """(i0, w) rows of the shifted stencil points for node value x, and
+        the centers whose points all stay in the box."""
         i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], x))
-        keep = np.logical_and.reduce(ok)
-        return i0, w, keep, None if keep.all() else ~keep
+        return i0, w, _kept(ok)
 
-    table = [None] * len(axis_nodes)  # stencil rows per node value, kept by the inner axes
-    # the mult = 0 term coeffs[-1] * f(x + 0*h), the same for every node
-    i0, w, _ = f.axis_stencil([0.0])
-    stills = []
-    for g in fs:
-        still = g.samples
-        for a in range(dim):
-            still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
-        still *= coeffs[-1]
-        stills.append(still)
-    count = 0  # kept (x, h) pairs per center of one axis; the same on every axis
-    # per function: the running sum of each per-node reduction, and the field
-    # summed over the nodes, which the tile sums reduce once
-    nums = [[None] * len(reduces) for _ in fs]
-    fields = [None] * len(fs)
-    for v0, x0 in enumerate(axis_nodes):
-        rows = [table[v0] or stencil(x0)] + [None] * (dim - 1)
-        count = count + rows[0][2]
-        for i, (g, still, own) in enumerate(zip(fs, stills, nums)):
-            # moved[a][j]: g shifted by mults[j] * h along axes 0..a-1, axis a leading
-            moved = [[g.samples] * (len(mults) - 1)] + [None] * (dim - 1)
-            last = (None,) * dim
-            for inner in itertools.product(range(len(axis_nodes)), repeat=dim - 1):
-                node = (v0,) + inner
-                first = next(a for a in range(dim) if node[a] != last[a])
-                last = node
-                for a in range(max(first, 1), dim):
-                    rows[a] = table[node[a]] = table[node[a]] or stencil(axis_nodes[node[a]])
+    def sweep(g):
+        """Per reduction, the node sums of g."""
+        # the mult = 0 term coeffs[-1] * g(x + 0*h), the same for every node
+        if sliced:
+            arrays, still = _half_cell_arrays(g.samples), g.samples * coeffs[-1]
+        else:
+            still = g.samples
+            for a in range(dim):
+                still = _shift(still if a == 0 else _lead_next(still), still_i0[0], still_w[0])
+            still *= coeffs[-1]
+        # moved[a][j]: g shifted by mults[j] * h along axes 0..a-1, axis a leading
+        moved = [[g.samples] * (len(mults) - 1)] + [None] * (dim - 1)
+        rows = [None] * dim
+        # the running sum of each per-node reduction, and the field summed
+        # over the nodes, which the tile sums reduce once
+        own, field = [None] * len(reduces), None
+        last = (None,) * dim
+        for node in itertools.product(range(len(axis_nodes)), repeat=dim):
+            first = next(a for a in range(dim) if node[a] != last[a])
+            last = node
+            for a in range(first, dim):
+                rows[a] = table[node[a]] = table[node[a]] or stencil(axis_nodes[node[a]])
+            if sliced:
+                view = _sliced_field(arrays, still, rows, coeffs)
+            else:
                 for a in range(first, dim):
                     i0, w = rows[a][:2]
                     if a + 1 < dim:
@@ -287,30 +400,32 @@ def _node_sums(fs, k: int, order: int, reduces):
                     acc += still
                 np.abs(acc, out=acc)
                 view = acc.transpose(in_axis_order)
-                for a, (_, _, _, drop) in enumerate(rows):
-                    if drop is not None:
-                        view[(slice(None),) * a + (drop,)] = 0.0
-                # the terms are >= 0, so a sum started from its first term
-                # instead of 0.0 has the same bits
-                for r in per_node:
-                    s = reduces[r][0](view)
-                    if own[r] is None:
-                        own[r] = s
-                    else:
-                        own[r] += s
-                if tiled:
-                    if fields[i] is None:
-                        fields[i] = acc
-                    else:
-                        fields[i] += acc
-    for own, field in zip(nums, fields):
-        for r, (reduce, once) in enumerate(reduces):
-            if once:
-                own[r] = reduce(field.transpose(in_axis_order))
+            for a, row in enumerate(rows):
+                view[(slice(None),) * a + (slice(None, row[-1].start),)] = 0.0
+                view[(slice(None),) * a + (slice(row[-1].stop, None),)] = 0.0
+            # the terms are >= 0, so a sum started from its first term
+            # instead of 0.0 has the same bits
+            for r in per_node:
+                s = reduces[r][0](view)
+                if own[r] is None:
+                    own[r] = s
+                else:
+                    own[r] += s
+            if tiled:
+                if field is None:
+                    field = view
+                else:
+                    field += view
+        return [reduce(field) if once else num for num, (reduce, once) in zip(own, reduces)]
+
+    nums = [sweep(g) for g in fs]
+    count = np.zeros(f.resolution)  # kept (x, h) pairs per center of one axis, as on every axis
+    for row in table:
+        count[row[-1]] += 1
     out = []
     for reduce, _ in reduces:
         cells = reduce(np.ones(f.samples.shape))
-        valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
+        valid = reduce(functools.reduce(np.multiply.outer, [count] * dim))
         total = len(axis_nodes) ** dim * cells
         with np.errstate(invalid="ignore", divide="ignore"):
             renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)

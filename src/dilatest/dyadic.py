@@ -211,18 +211,20 @@ class GridFunction:
 
     # -- interpolation ------------------------------------------------------
 
-    def _clamped_weights(self, coords):
-        """Lower neighbor index and linear weight of each coordinate, clamped to the grid."""
-        n, dx, L = self.resolution, self.spacing, self.halfwidth
-        u = (np.asarray(coords, dtype=float) + L) / dx - 0.5
-        i0 = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
+    def _units(self, coords):
+        """Each coordinate in cells from the first center, unclamped: u = (x + L) / dx - 1/2."""
+        return (np.asarray(coords, dtype=float) + self.halfwidth) / self.spacing - 0.5
+
+    def _clamped_weights(self, u):
+        """Lower neighbor index and linear weight of each unit coordinate u, clamped to the grid."""
+        i0 = np.clip(np.floor(u).astype(np.int64), 0, self.resolution - 2)
         return i0, np.clip(u - i0, 0.0, 1.0)
 
     def _interp_clamped(self, pts):
         """n-linear interpolation, clamped, as nested linear steps: the corner
         values with the first axis fastest, then per axis a = 0, 1, ... each
         (lower, upper) pair becomes lower * (1 - w_a) + upper * w_a."""
-        i0, w = self._clamped_weights(point_layout(pts, self.dim))
+        i0, w = self._clamped_weights(self._units(point_layout(pts, self.dim)))
         i0, w = np.moveaxis(i0, -1, 0), np.moveaxis(w, -1, 0)
         vals = [
             self.samples[tuple(i + c for i, c in zip(i0, corner[::-1]))]
@@ -247,6 +249,13 @@ class GridFunction:
         mask = self.in_domain(pts)
         return np.where(mask, self._interp_clamped(pts), 0.0), mask
 
+    def axis_units(self, shifts):
+        """The centers of one axis moved by each shift, in cells: row r of each
+        returned array belongs to ``shifts[r]``, the unclamped coordinate u of
+        center x_j + shift (``_units``) and the in-domain test |x_j + shift| <= L."""
+        x = self.axis_centers() + np.reshape(shifts, (-1, 1))
+        return self._units(x), np.abs(x) <= self.halfwidth
+
     def axis_stencil(self, shifts):
         """Clamped linear interpolation at the centers of one axis moved by each shift.
 
@@ -256,9 +265,8 @@ class GridFunction:
         axis as one nested step of ``interp``, and the in-domain test
         |x_j + shift| <= L.
         """
-        x = self.axis_centers() + np.reshape(shifts, (-1, 1))
-        i0, w = self._clamped_weights(x)
-        return i0, w, np.abs(x) <= self.halfwidth
+        u, ok = self.axis_units(shifts)
+        return (*self._clamped_weights(u), ok)
 
     # -- index geometry ------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dilatest import cli, fixtures
+from dilatest import cli, fixtures, weights
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.dilation import dilate
 from dilatest.errors import ConfigError, DilatestError
@@ -393,6 +393,26 @@ def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys):
     cfg["space"] = dict(BASE["space"], K_max=2, theta=1.5)
     assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     assert "MissingLevels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "k_max, family_size, built, code",
+    [(5, 6, 3, 0), (5, 2, 2, 0), (5, 12, 6, 0), (1, 6, 2, 2)],
+)
+def test_maximal_builds_only_the_weight_levels_it_reads(
+    tmp_path, capsys, monkeypatch, k_max, family_size, built, code
+):
+    # one weight level per smooth function of a family, max(2, family_size // 2);
+    # a K_max short of them still exits 2 on MissingLevels
+    levels = []
+    weight_grid = weights.weight_grid
+    monkeypatch.setattr(weights, "weight_grid",
+                        lambda spec, k, *args: levels.append(k) or weight_grid(spec, k, *args))
+    cfg = dict(BASE, grid={"L": 8.0, "N": 512, "dim": 1}, families=1, family_size=family_size)
+    cfg["space"] = dict(BASE["space"], K_max=k_max, theta=1.5)
+    assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == code
+    assert levels == list(range(built))
+    assert ("MissingLevels" in capsys.readouterr().err) == (code == 2)
 
 
 def test_echoed_config_reproduces_the_results(tmp_path):

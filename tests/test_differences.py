@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatest import differences, fixtures
+from dilatest.cli import parse_config
 from dilatest.differences import (
     _h_axis,
     _h_nodes,
     _lead_next,
     _shift,
+    _slice_rows,
     delta_avg_cube,
     delta_avg_expanded,
     delta_avg_window,
@@ -37,6 +39,7 @@ from dilatest.dyadic import (
     window_sums,
 )
 from dilatest.errors import OutOfDomain
+from dilatest.norms import window_level_cap
 
 
 def grid(fn, n=4096, L=8.0, dim=1):
@@ -470,6 +473,87 @@ def test_cube_field_agrees_with_per_node_tile_sums(geometry, order, monkeypatch)
 
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- the half-cell slices against the shifts they stand in for
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 3),
+    order=st.integers(1, 3),
+)
+def test_every_grid_the_parser_accepts_is_sliced_at_every_level(data, dim, order):
+    # L and N powers of two put every center, h-node and stencil point a whole
+    # number of half cells from the first center, so no difference field a
+    # command asks for takes the shifts; N >= 16 L gives a level-1 window
+    log_l = data.draw(st.integers(-4, 6), label="log2 L")
+    log_n = data.draw(st.integers(max(5, log_l + 4), 13), label="log2 N")
+    halfwidth, n = 2.0**log_l, 2**log_n
+    cap = window_level_cap(halfwidth, n)
+    cfg = parse_config({"grid": {"L": halfwidth, "N": n, "dim": dim},
+                        "space": {"M": order, "alpha": [0.5, 0.5], "K_max": cap}}, "norm")
+    assert (cfg.halfwidth, cfg.resolution, cfg.space.k_max) == (halfwidth, n, cap)
+    for k in range(cap + 1):
+        assert _slice_rows(halfwidth, n, k, order) is not None, k
+
+
+@pytest.mark.parametrize("halfwidth, n", [(4.0 / 3.0, 64), (2.0 / 3.0, 32)],
+                         ids=["L4/3-N64", "L2/3-N32"])
+def test_grids_off_the_half_cell_lattice_keep_the_shifts(halfwidth, n):
+    # dx = 1/24: the float coordinates of the stencil points move by ulps
+    # from center to center, so no call of test_shift_kernel_matches_gather
+    # on these grids is sliced
+    for k in range(4):
+        for order in (1, 2, 3):
+            assert _slice_rows(halfwidth, n, k, order) is None, (k, order)
+
+
+def _edge_case_samples(dim, n):
+    """Two sample arrays: standard normal inside with -0.0 on the lower faces
+    and 0.0 on the upper ones, and signed zeros inside with 5e-324 on the
+    lower faces and -5e-324 on the upper ones, where an edge half cell formed
+    as 0.5 v + 0.5 v (0 for v = 5e-324) changes the fields of a grid with
+    dx = 1."""
+    rng = np.random.default_rng(20)
+    out = []
+    signed_zeros = np.where(rng.random((n,) * dim) < 0.5, -0.0, 0.0)
+    for inside, lower, upper in ((rng.standard_normal((n,) * dim), -0.0, 0.0),
+                                 (signed_zeros, 5e-324, -5e-324)):
+        for a in range(dim):
+            inside[(slice(None),) * a + (0,)] = lower
+            inside[(slice(None),) * a + (-1,)] = upper
+        out.append(inside)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize(
+    "geometry",
+    [(1, 2.0, 64), (2, 1.0, 32), (3, 1.0, 8), (1, 32.0, 64), (2, 16.0, 32), (3, 8.0, 16)],
+    ids=["1d", "2d", "3d", "1d-dx1", "2d-dx1", "3d-dx1"],
+)
+def test_sliced_and_shifted_fields_are_the_same_bytes(geometry, order, monkeypatch):
+    # every kind of both functions of one call, at every level: the sliced
+    # terms are the entries the shifts interpolate, in the shifts' float order
+    dim, halfwidth, n = geometry
+    fs = [GridFunction(dim, halfwidth, v) for v in _edge_case_samples(dim, n)]
+    kinds = ("window", "cube", "expanded")
+    levels = range(finest_level(halfwidth, n) + 1)
+    sliced = []
+    slice_rows = differences._slice_rows
+    monkeypatch.setattr(differences, "_slice_rows",
+                        lambda *args: sliced.append(slice_rows(*args)) or sliced[-1])
+    got = [delta_fields(fs, k, order, kinds) for k in levels]
+    assert len(sliced) == len(levels) and None not in sliced
+    monkeypatch.setattr(differences, "_slice_rows", lambda *args: None)
+    for k, have in zip(levels, got):
+        want = delta_fields(fs, k, order, kinds)
+        for f_have, f_want in zip(have, want):
+            for kind, (values, flags), (want_values, want_flags) in zip(kinds, f_have, f_want):
+                assert _same_bytes(values, want_values), (k, kind)
+                assert _same_bytes(flags, want_flags), (k, kind)
 
 
 @settings(max_examples=40, deadline=None)
