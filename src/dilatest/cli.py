@@ -158,12 +158,14 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError("grid.N must be a power of two >= 32")
     dim = grid.read("dim", 1, _integer)
     if dim not in (1, 2, 3):
-        raise ConfigError("grid.dim must be 1, 2 or 3 (the sup probe is too coarse above 3)")
+        raise ConfigError("grid.dim must be 1, 2 or 3 (the dimensions the package is tested in)")
 
     s = top.part("space")
     window_cap = window_level_cap(halfwidth, resolution)
     p = s.read("p", 2.0, config_number)
-    alpha = s.read("alpha", [1.0, 1.0], _numbers, 2)
+    M = s.read("M", 2, _integer, 1)
+    half = 0.5 if M == 1 else 1.0  # min(1, M/2): the default keeps 0 < alpha1 <= alpha2 < M
+    alpha = s.read("alpha", [half, half], _numbers, 2)
     if not all(math.isfinite(a) for a in alpha):
         raise ConfigError(f"space.alpha: expected finite numbers, got {alpha!r}")
     try:
@@ -171,7 +173,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
             kind=s.read("kind", "B", _choice, ("B", "F")),
             p=p,
             q=s.read("q", 2.0, config_number),
-            M=s.read("M", 2, _integer, 1),
+            M=M,
             alpha=tuple(alpha),
             theta=s.read("theta", 1.0, config_number),
             # sigma2 defaults to p, also when null
@@ -296,9 +298,6 @@ def _run_dilate(cfg, threads=1):
     summary = summarize_dilation(reports)
     rows = []
     for r in reports:
-        sob = "DIVERGENT" if (r.sobolev and r.sobolev.divergent) else (
-            r.sobolev.value if r.sobolev else None
-        )
         rows.append(
             {
                 "lambda": r.lam,
@@ -309,7 +308,7 @@ def _run_dilate(cfg, threads=1):
                 "bound_rhs_shape": r.bound_rhs_shape,
                 "observed_c": r.observed_c,
                 "clipped_fraction": r.clipped_fraction,
-                "sobolev_sup": sob,
+                "sobolev_sup": "DIVERGENT" if r.sobolev == math.inf else r.sobolev,
             }
         )
     results = {

@@ -6,21 +6,15 @@ H compares the cube L_p norms of the compressed weight t(x / lambda) against
 t itself over every nonnegative-level dyadic cube in the box. The compressed
 weight is evaluated exactly from the weights' closed form, which H needs.
 
-The pointwise-supremum comparison ratio sup_x w(x / lambda) / w(x) is probed
-on a lattice plus an adaptive zoom around the running maxima, over three
-domain-doubling stages with a per-stage zoom budget that grows; a genuinely
-infinite supremum (a power-law blow-up anywhere in the doubled boxes) then
-shows up as >= 2x growth per stage and is reported as DIVERGENT, while
-finite suprema settle. In n dimensions the lattice has 2**(16 - 4n) cells
-and each zoom 2**max(4, 8 - 2n) + 1 points per axis (4096 and 65 in 1-D,
-256 and 17 in 2-D, 16 and 17 in 3-D). The zoom keeps at least 17 points
-because a coarser zoom cannot climb a blow-up: with 5 points per axis in 3-D
-the probe read no |x - c|**-0.25 divergence, and the trace even fell across
-the stages.
+The pointwise-supremum comparison ratio sup_x w(x / lambda) / w(x) over R^n
+comes in closed form from the weight spec: at level 0 every spec is a
+constant times a product of powers |x - c|**d, so the ratio is lambda to
+minus the exponent sum at the origin, or infinite when the exponents at any
+other center do not cancel. The CLI prints an infinite one as DIVERGENT.
 
 The check's settings are fixed: a dilation may clip at most 1% of the
-witnessed mass, the probe runs three stages, and the lambda-independence
-verdict allows a max/median spread of observed_c up to 3.
+witnessed mass, and the lambda-independence verdict allows a max/median
+spread of observed_c up to 3.
 """
 
 import math
@@ -28,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import GridFunction, level_block_reduce, level_cell_count, tensor_points
-from .errors import ClippingExcessive, InvalidExponent, PreconditionFailed, ResolutionExceeded
+from .dyadic import GridFunction, level_block_reduce, level_cell_count
+from .errors import ClippingExcessive, InvalidExponent, PreconditionFailed
 from .norms import SpaceParams, diff_and_star_norms
-from .weights import FAIL, WeightSequence, _trace_verdict, eval_weight, xclass_check
+from .weights import FAIL, WeightSequence, eval_weight, xclass_check
 
 _CLIP_TOL = 0.01  # largest witnessed share of mass that a dilation may clip
 _SPREAD_LIMIT = 3.0  # largest max/median of observed_c that still reads PASS
@@ -103,76 +97,30 @@ def compute_H(t: WeightSequence, lam, k_max, p) -> float:
     return best
 
 
-@dataclass
-class SobolevSupResult:
-    """Probed supremum of w(x/lambda)/w(x) with its domain-doubling trace."""
+def sobolev_sup_ratio(omega, lam, dim=1) -> float:
+    """sup over R^n of w(x/lambda)/w(x), w the weight spec ``omega`` at level 0.
 
-    value: float
-    divergent: bool
-    trace: list
-
-
-_SUP_STAGES = 3  # the sup probe's number of domain-doubling stages
-
-
-def _ratio_values(omega, lam, pts):
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num = omega.at(0, pts / lam)
-        den = omega.at(0, pts)
-        ratio = num / den
-    ratio = np.where(np.isfinite(ratio) & (den > 0), ratio, -np.inf)
-    return ratio
-
-
-def _stage_sup(omega, lam, lattice, dx, zoom, zoom_rounds):
-    """Largest ratio on a lattice (..., dim) of spacing dx, then around its four
-    largest values ``zoom_rounds`` tensor zooms of ``zoom`` points per axis over
-    center +- w, w = dx shrinking 8x a round and recentered on each maximum."""
-    vals = _ratio_values(omega, lam, lattice)
-    flat = vals.reshape(-1)
-    order = np.argsort(flat)[-4:]  # zoom around the few largest coarse maxima
-    best = float(flat[order[-1]])
-    probes = lattice.reshape(-1, lattice.shape[-1])
-    for seed_idx in order:
-        center = probes[seed_idx]
-        w = dx
-        for _ in range(zoom_rounds):
-            la = np.linspace(-w, w, zoom)
-            local = tensor_points([c + la for c in center]).reshape(-1, len(center))
-            lv = _ratio_values(omega, lam, local)
-            j = int(np.argmax(lv))
-            center = local[j]
-            best = max(best, float(lv[j]))
-            w /= 8.0
-    return best
-
-
-def sobolev_sup_ratio(omega, lam, halfwidth, dim=1) -> SobolevSupResult:
-    """Probe sup_x w(x/lambda)/w(x) over three domain-doubling stages.
-
-    w is the weight spec ``omega`` at level 0, which for a geometric spec is
-    exactly its base. Each stage doubles the box and deepens the zoom around
-    the running maxima; DIVERGENT is the FAIL branch of the scans' growth
-    rule: the probed supremum at least doubled across both of the last two
-    stages. The lattice has 2**(16 - 4 * dim) cells and each zoom
-    2**max(4, 8 - 2 * dim) + 1 points per axis (see the module docstring);
-    from dim = 4 on the lattice would have fewer than 16 cells per axis, and
-    the probe raises ResolutionExceeded.
+    w is a positive constant times prod_i |x - c_i|**d_i (``omega.power_factors``).
+    A factor centered at the origin scales by lambda**-d under x -> x/lambda;
+    any other center whose exponents do not sum to 0 leaves the ratio
+    unbounded near x = c or x = lambda c, since along the chain c, lambda c,
+    lambda**2 c, ... the sums cannot cancel at every link. So the sup is inf
+    in that case, and lambda**-e_0 otherwise, e_0 the exponent sum at the
+    origin (inf also when that power leaves the float range).
     """
     if lam <= 1.0:
         raise ValueError("the comparison needs lambda > 1")
-    cells, zoom = 2 ** (16 - 4 * dim), 2 ** max(4, 8 - 2 * dim) + 1
-    if cells < 16:
-        raise ResolutionExceeded(f"the sup probe has under 16 lattice cells per axis in {dim}-D")
-    trace = []
-    for s in range(_SUP_STAGES):
-        box = halfwidth * 2.0**s
-        dx = 2.0 * box / cells
-        axis = -box + (np.arange(cells) + 0.5) * dx
-        lattice = tensor_points([axis] * dim)
-        trace.append(_stage_sup(omega, lam, lattice, dx, zoom, 4 * (s + 1)))
-    divergent = _trace_verdict(trace) == FAIL
-    return SobolevSupResult(value=trace[-1], divergent=divergent, trace=trace)
+    exponents = {}
+    for center, delta in omega.power_factors(dim):
+        exponents.setdefault(center, []).append(delta)
+    sums = {center: math.fsum(deltas) for center, deltas in exponents.items()}
+    origin = (0.0,) * dim
+    if any(total != 0.0 for center, total in sums.items() if center != origin):
+        return math.inf
+    try:
+        return lam ** -sums.get(origin, 0.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -187,7 +135,7 @@ class DilationReport:
     bound_rhs_shape: float
     observed_c: float
     clipped_fraction: float = 0.0
-    sobolev: SobolevSupResult = None
+    sobolev: float = None  # sup_x w(x/lambda)/w(x), inf if unbounded; None at lambda = 1
 
 
 def verify_theorem(
@@ -208,7 +156,7 @@ def verify_theorem(
     of f and of all its dilations; the rest of each entry is an independent
     job, run on a thread pool when threads > 1, and raises its dilation's
     error, so errors come in lambda order. For lambda > 1 a report also holds
-    the probed sup_x w(x/lambda)/w(x) of the weights' closed form. Use
+    sup_x w(x/lambda)/w(x) of the weights' closed form (``sobolev_sup_ratio``). Use
     summarize_dilation for the lambda-independence verdict.
     """
     xrep = xclass_check(t, sp, depth if depth is not None else sp.k_max)
@@ -245,9 +193,6 @@ def verify_theorem(
                 f"alpha2 = {sp.alpha[1]}, times norm_before, leaves the float range"
             )
         observed = after / (shape * base)
-        sob = None
-        if lam > 1.0:
-            sob = sobolev_sup_ratio(t.spec, lam, f.halfwidth, dim=f.dim)
         return DilationReport(
             lam=float(lam),
             i=choose_i(lam),
@@ -257,7 +202,7 @@ def verify_theorem(
             bound_rhs_shape=shape,
             observed_c=observed,
             clipped_fraction=clipped,
-            sobolev=sob,
+            sobolev=sobolev_sup_ratio(t.spec, lam, f.dim) if lam > 1.0 else None,
         )
 
     if threads > 1:

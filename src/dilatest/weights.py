@@ -83,8 +83,10 @@ _STAGES = 3  # refinement stages of an A_p scan, the finest at the grid's resolu
 
 # -- weight construction DSL ---------------------------------------------------
 # One frozen dataclass per weight kind: ``kind`` is its name in a config, its
-# fields are the config's fields, and ``at(k, pts)`` evaluates the level-k
-# weight at points of shape (..., dim).
+# fields are the config's fields, ``at(k, pts)`` evaluates the level-k
+# weight at points of shape (..., dim), and ``power_factors(dim)`` lists the
+# (center, exponent) pairs of the level-0 weight, which is a positive
+# constant times prod |x - center|**exponent.
 
 
 def _radius(pts, center):
@@ -99,6 +101,9 @@ class Constant:
     def at(self, k, pts):
         return np.full(pts.shape[:-1], float(self.value))
 
+    def power_factors(self, dim):
+        return []
+
 
 @dataclass(frozen=True)
 class Power:
@@ -109,6 +114,9 @@ class Power:
 
     def at(self, k, pts):
         return _radius(pts, 0.0) ** self.beta
+
+    def power_factors(self, dim):
+        return [((0.0,) * dim, self.beta)]
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,16 @@ class ShiftedPower:
         object.__setattr__(self, "center", tuple(np.atleast_1d(self.center).tolist()))
 
     def at(self, k, pts):
-        if len(self.center) not in (1, pts.shape[-1]):
-            raise ValueError(
-                f"shifted_power center {self.center!r} does not fit {pts.shape[-1]}-D points"
-            )
-        return _radius(pts, self.center) ** self.delta
+        return _radius(pts, self._center(pts.shape[-1])) ** self.delta
+
+    def power_factors(self, dim):
+        return [(self._center(dim), self.delta)]
+
+    def _center(self, dim):
+        """The center's dim coordinates, a one-coordinate center on every axis."""
+        if len(self.center) not in (1, dim):
+            raise ValueError(f"shifted_power center {self.center!r} does not fit {dim}-D points")
+        return self.center * (dim // len(self.center))
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,9 @@ class GeometricLevel:
 
     def at(self, k, pts):
         return 2.0 ** (k * self.s) * self.base.at(k, pts * 2.0 ** (-k) if self.dilated else pts)
+
+    def power_factors(self, dim):
+        return self.base.power_factors(dim)  # level 0 is the base, dilated or not
 
 
 @dataclass(frozen=True)
@@ -157,6 +173,9 @@ class AdmissibleSeq:
         scale = 2.0 ** (self.s * k) * (1.0 + k) ** self.b * (1.0 + math.log(1.0 + k)) ** self.c
         return np.full(pts.shape[:-1], scale)
 
+    def power_factors(self, dim):
+        return []
+
 
 @dataclass(frozen=True)
 class ProductWeight:
@@ -168,6 +187,9 @@ class ProductWeight:
         for fac in self.factors:
             out = out * fac.at(k, pts)
         return out
+
+    def power_factors(self, dim):
+        return [pair for fac in self.factors for pair in fac.power_factors(dim)]
 
 
 SPEC_KINDS = {cls.kind: cls for cls in (Constant, Power, ShiftedPower, GeometricLevel,

@@ -119,6 +119,34 @@ def test_divergent_serialized_as_sentinel(tmp_path):
     assert row["sobolev_sup"] == "DIVERGENT"
 
 
+def test_singular_points_beyond_the_box_read_divergent(tmp_path):
+    # |x - 12|**-0.25 blows up at x = 12 and x = 12 lambda, outside the box
+    # [-4, 4] and the domain-doubled boxes a lattice probe of the ratio reads,
+    # which once printed 1.08777193702 and 1.15019232491 here
+    cfg = dict(BASE, grid={"L": 4.0, "N": 512, "dim": 1})
+    cfg["weights"] = {
+        "kind": "geometric",
+        "s": 1.0,
+        "base": {"kind": "shifted_power", "center": 12.0, "delta": -0.25},
+    }
+    out = tmp_path / "r.json"
+    assert main(["dilate", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["rows"]
+    assert [(row["lambda"], row["sobolev_sup"]) for row in rows] == [
+        (2.0, "DIVERGENT"), (4.0, "DIVERGENT")
+    ]
+
+
+def test_m_one_without_alpha_parses_without_a_warning():
+    # the default alpha is min(1, M/2) on both sides, inside 0 < alpha1 <= alpha2 < M
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = parse_config({"space": {"M": 1}}, "norm")
+    assert cfg.space.alpha == (0.5, 0.5)
+    assert cfg.echo["space"]["alpha"] == [0.5, 0.5]
+    assert parse_config({}, "norm").space.alpha == (1.0, 1.0)
+
+
 def test_ap_fail_exit_code(tmp_path):
     cfg = dict(BASE)
     cfg["grid"] = {"L": 8.0, "N": 4096, "dim": 1}
@@ -711,7 +739,7 @@ _CUBE_3D = {
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_runs_on_a_3d_config(tmp_path, capsys, command):
     # exit 0, 1 or 2 with a verdict or a typed error, never a traceback
-    # (before the sup probe's rule, 3-D dilate raised KeyError at its table)
+    # (3-D dilate once raised KeyError at a table of per-dimension sup-probe sizes)
     code = main([command, "--config", write_config(tmp_path, "c.json", _CUBE_3D)])
     last = capsys.readouterr().err.strip().splitlines()[-1]
     verdict = {0: "PASS", 1: "FAIL", 2: "INCONCLUSIVE"}[code]
@@ -719,11 +747,11 @@ def test_every_command_runs_on_a_3d_config(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("dim", [0, 4])
-def test_grid_dim_outside_1_to_3_exits_2_naming_the_probe(tmp_path, capsys, dim):
+def test_grid_dim_outside_1_to_3_exits_2_naming_the_field(tmp_path, capsys, dim):
     cfg = dict(_CUBE_3D, grid=dict(_CUBE_3D["grid"], dim=dim))
     assert main(["ap", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
-    assert "grid.dim must be 1, 2 or 3" in err and "sup probe" in err
+    assert "grid.dim must be 1, 2 or 3 (the dimensions the package is tested in)" in err
 
 
 def test_an_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
