@@ -148,11 +148,9 @@ def parse_config(data: dict, command: str) -> RunConfig:
     top.read("command", command, _choice, (command,))
     grid = top.part("grid")
     halfwidth = grid.read("L", 8.0, config_number)
-    if (
-        not 0 < halfwidth < math.inf
-        or abs(math.log2(halfwidth) - round(math.log2(halfwidth))) > 1e-12
-    ):
-        raise ConfigError("grid.L must be a positive power of two (cube alignment)")
+    if not 0 < halfwidth < math.inf or math.frexp(halfwidth)[0] != 0.5:
+        raise ConfigError(
+            f"grid.L must be a positive power of two (cube alignment), got {halfwidth!r}")
     resolution = grid.read("N", 4096, _integer)
     if resolution < 32 or resolution & (resolution - 1):
         raise ConfigError("grid.N must be a power of two >= 32")

@@ -18,33 +18,28 @@ stay unbiased; entries that dropped pairs are flagged.
 
 The scalar ``delta_avg_*`` functionals take one box each and serve as
 oracles. The fields share one engine, ``_node_sums``, whose one node loop
-serves every function on a grid, each node's stencil rows computed once,
-and feeds each |Delta_h^M f| to every reduction asked for (``delta_fields``;
-each ``delta_*_field`` is its one-function, one-kind call); a kind sets only
-its reduction, normalization and extra flag. Nodes and grid are tensor
-products, and each stencil term f(x + mult*h) is interp's one rule, nested
-per-axis clamped linear steps, so the fields equal the point-by-point
-interpolation bit for bit. The term is evaluated one of two ways, chosen
-once per call from the unclamped coordinates of the stencil points
-(``_slice_rows``):
+serves every function on a grid and feeds each |Delta_h^M f| to every
+reduction asked for (``delta_fields``; each ``delta_*_field`` is its
+one-function, one-kind call); a kind sets only its reduction,
+normalization and extra flag. Nodes and grid are tensor products, and each
+stencil term f(x + mult*h) is interp's one rule, nested per-axis clamped
+linear steps, so the fields equal the point-by-point interpolation bit for
+bit.
 
-* On the half-cell lattice, every center, h-node and stencil point lies a
-  whole number of half cells from the first center, as on every grid the
-  config parser accepts (L and N powers of two). Each step then has weight
-  0, 1/2 or a clamped 1, so each term is a slice of one of 2^n arrays built
-  once per function and call: the samples and their neighbor averages
-  0.5 v[i] + 0.5 v[i + 1] along each subset of axes, with the edge samples
-  themselves at the ends (``_half_cell_arrays``). A node reads its terms on
-  its in-domain box only and interpolates nothing.
-* Off the lattice, as with dx = 1/24, the step weights move by ulps from
-  center to center and no slice reproduces them, so the samples are
-  shifted along one axis after another (``GridFunction.axis_stencil``),
-  which holds on any node spacing. The stencil rows of each node value are
-  computed once per call, and |Delta_h^M f| stays in the layout the shifts
-  leave it in.
+The terms are read on the half-cell lattice: every center, h-node and
+stencil point lies a whole number of half cells from the first center, as
+on every grid the config parser accepts (L and N powers of two). Each step
+then has weight 0, 1/2 or a clamped 1, so each term is a slice of one of
+2^n arrays built once per function and call: the samples and their
+neighbor averages 0.5 v[i] + 0.5 v[i + 1] along each subset of axes, with
+the edge samples themselves at the ends (``_half_cell_arrays``). A node
+reads its terms on its in-domain box only and interpolates nothing. The
+rows of the slices are checked and computed once per grid, level and order
+(``_slice_rows``); a grid off the lattice, as with dx = 1/24, where the
+step weights move by ulps from center to center and no slice reproduces
+them, raises ResolutionExceeded.
 
-Both share the node loop, the reductions and the finishing step. The
-stencil term of f(x + 0*h) does not depend on h and is formed once per
+The stencil term of f(x + 0*h) does not depend on h and is formed once per
 function and call. Pairs that leave the box are dropped by zeroing each
 axis's rows of |Delta_h^M f| outside its kept centers, an interval. The
 prefix-table kinds (window, expanded) reduce each node's field on its own,
@@ -188,22 +183,6 @@ def delta_avg_expanded(f: GridFunction, k: int, m, order: int) -> float:
 # -- vectorized fields ---------------------------------------------------------
 
 
-def _shift(v, i0, w):
-    """interp's nested step along the leading axis: (1 - w) v[i0] + w v[i0 + 1] per row."""
-    w = np.reshape(w, (-1,) + (1,) * (v.ndim - 1))
-    out = v.take(i0, 0)
-    out *= 1.0 - w
-    hi = v.take(i0 + 1, 0)
-    hi *= w
-    out += hi
-    return out
-
-
-def _lead_next(v):
-    """The array with its next axis leading, C-contiguous: gathers copy whole rows."""
-    return np.ascontiguousarray(v.transpose(*range(1, v.ndim), 0))
-
-
 def _half_cells(v, axis):
     """v at the n + 1 half-cell points of one axis, u = i - 1/2 for entry i
     (u in cells from the first center): 0.5 v[i - 1] + 0.5 v[i] between two
@@ -238,10 +217,10 @@ def _kept(ok):
 
 @functools.lru_cache(maxsize=64)
 def _slice_rows(halfwidth, resolution, k: int, order: int):
-    """The stencil rows of every level-k node value as half-cell slices, or
-    None unless all of them are. Every axis of a grid has the same centers
-    and node values, so one axis serves them all, and the rows depend on the
-    grid, level and order alone: they are kept for the next call.
+    """The stencil rows of every level-k node value as half-cell slices.
+    Every axis of a grid has the same centers and node values, so one axis
+    serves them all, and the rows depend on the grid, level and order alone:
+    they are kept for the next call.
 
     A row is a slice when the unclamped coordinate u of its points
     (``GridFunction.axis_units``) has 2u integral and u - j the same at
@@ -254,12 +233,14 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
     values; and the slice of kept centers (``_kept``). On a grid whose L and
     N are powers of two every center, node and point lies on this half-cell
     lattice, so every level the commands reach is sliced; a spacing such as
-    1/24 moves u by ulps from center to center and is not.
+    1/24 moves u by ulps from center to center and raises ResolutionExceeded.
     """
+    off = (f"level {k} of the grid L = {halfwidth}, N = {resolution} is off the half-cell "
+           "lattice of the difference fields: L must be a power of two")
     axis = GridFunction(1, halfwidth, np.zeros(resolution))
     cells = np.arange(resolution, dtype=float)
     if not np.array_equal(axis.axis_units([0.0])[0][0], cells):
-        return None
+        raise ResolutionExceeded(off)
     mults = [mult for _, mult in difference_coefficients(order)][:-1]
     rows = []
     for x in _h_axis(2.0 ** (-k), axis.spacing)[0]:
@@ -268,7 +249,7 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
         lag = u[:, box.start] - box.start  # u - j at the first kept center, per point
         if not (np.array_equal(2.0 * lag, np.floor(2.0 * lag))
                 and np.array_equal(u[:, box], lag[:, None] + cells[box])):
-            return None
+            raise ResolutionExceeded(off)
         start = np.ceil(lag)  # center j's entry: j + lag, and 1/2 more in the half cells
         rows.append((tuple((int(s != d), slice(box.start + int(s), box.stop + int(s)))
                            for s, d in zip(start, lag)), box))
@@ -278,10 +259,10 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
 def _sliced_field(arrays, still, rows, coeffs):
     """One node's |Delta_h^M f| from the ``_half_cell_arrays`` of f, in axis
     order: the first term unscaled, then coeff * term for each further
-    stencil point, then ``still``, as the shifts add them. Only the node's
-    in-domain box is evaluated, in an array of its own, since numpy's loops
-    over a strided output run several times slower; the field's other
-    entries are left unset."""
+    stencil point, then ``still``, in this order, which fixes the field's
+    bits. Only the node's in-domain box is evaluated, in an array of its
+    own, since numpy's loops over a strided output run several times
+    slower; the field's other entries are left unset."""
     box = tuple(row[1] for row in rows)
     for j, coeff in enumerate(coeffs[:-1]):
         term = arrays[sum(row[0][j][0] << a for a, row in enumerate(rows))]
@@ -315,91 +296,35 @@ def _node_sums(fs, k: int, order: int, reduces):
     order, so its result is bit for bit the one it gives alone.
 
     The functions run one at a time through every node, in row-major
-    order, so the loop holds one function's half-cell arrays or shifts. A
-    node's stencil rows depend on the grid alone and serve every function
-    and every axis: each node value's rows are kept in a table, filled on
-    first use, so the first function fills it for the others. The term
-    evaluation is chosen once per call: the sliced one when ``_slice_rows``
-    gives the rows of every node value, else the shifted one. Sliced, a node
-    reads each term as a slice of the function's ``_half_cell_arrays`` on
-    its in-domain box (``_sliced_field``), adding the terms in the shifts'
-    order, so the bits are the shifts' own. Shifted, a node recomputes only
-    the axes from the first whose component changed: the axis-0 shifts for
-    h_0 serve every h_1. Their stencil point mult = 0, shifted once per
-    function, is not ``f.samples``: a shift by zero still interpolates when
-    the float centers do not land on the grid. The shifts leave
-    |Delta_h^M f| with the last axis leading, then axes 0..n-2, and it stays
-    in that layout, its absolute value taken in place. Either way pairs
+    order, so the loop holds one function's half-cell arrays. A node's
+    stencil rows depend on the grid alone and serve every function and
+    every axis (``_slice_rows``, which raises ResolutionExceeded off the
+    half-cell lattice). A node reads each term as a slice of the function's
+    ``_half_cell_arrays`` on its in-domain box (``_sliced_field``). Pairs
     that leave the box are dropped by zeroing each axis's rows outside its
-    kept centers, and the reductions read the field as an array in axis
-    order. The kept pairs, the cells and the renormalization depend on the
-    grid alone and are finished once per reduction.
+    kept centers. The kept pairs, the cells and the renormalization depend
+    on the grid alone and are finished once per reduction.
     """
     f = fs[0]
     if any((g.dim, g.halfwidth, g.resolution) != (f.dim, f.halfwidth, f.resolution) for g in fs):
         raise ValueError("the functions of one node loop must share one grid")
-    axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
-    # the last stencil point is mult = 0; the node loop shifts and tests only
-    # the others, since every unshifted center lies in the box
-    coeffs, mults = zip(*difference_coefficients(order))
+    _, dh = _h_axis(2.0 ** (-k), f.spacing)
+    coeffs = [coeff for coeff, _ in difference_coefficients(order)]
     dim = f.dim
-    in_axis_order = (*range(1, dim), 0)  # transposes |Delta_h^M f| back to axis order
     per_node = [r for r, (_, once) in enumerate(reduces) if not once]
     tiled = len(per_node) < len(reduces)
-    still_i0, still_w, _ = f.axis_stencil([0.0])
-    # stencil rows per node value: all sliced, or shifted and filled on first use
-    sliced = _slice_rows(f.halfwidth, f.resolution, k, order)
-    table = list(sliced) if sliced else [None] * len(axis_nodes)
-
-    def stencil(x):
-        """(i0, w) rows of the shifted stencil points for node value x, and
-        the centers whose points all stay in the box."""
-        i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], x))
-        return i0, w, _kept(ok)
+    table = _slice_rows(f.halfwidth, f.resolution, k, order)  # stencil rows per node value
 
     def sweep(g):
         """Per reduction, the node sums of g."""
         # the mult = 0 term coeffs[-1] * g(x + 0*h), the same for every node
-        if sliced:
-            arrays, still = _half_cell_arrays(g.samples), g.samples * coeffs[-1]
-        else:
-            still = g.samples
-            for a in range(dim):
-                still = _shift(still if a == 0 else _lead_next(still), still_i0[0], still_w[0])
-            still *= coeffs[-1]
-        # moved[a][j]: g shifted by mults[j] * h along axes 0..a-1, axis a leading
-        moved = [[g.samples] * (len(mults) - 1)] + [None] * (dim - 1)
-        rows = [None] * dim
+        arrays, still = _half_cell_arrays(g.samples), g.samples * coeffs[-1]
         # the running sum of each per-node reduction, and the field summed
         # over the nodes, which the tile sums reduce once
         own, field = [None] * len(reduces), None
-        last = (None,) * dim
-        for node in itertools.product(range(len(axis_nodes)), repeat=dim):
-            first = next(a for a in range(dim) if node[a] != last[a])
-            last = node
-            for a in range(first, dim):
-                rows[a] = table[node[a]] = table[node[a]] or stencil(axis_nodes[node[a]])
-            if sliced:
-                view = _sliced_field(arrays, still, rows, coeffs)
-            else:
-                for a in range(first, dim):
-                    i0, w = rows[a][:2]
-                    if a + 1 < dim:
-                        moved[a + 1] = None  # release the previous shifts first
-                        moved[a + 1] = [
-                            _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
-                        ]
-                        continue
-                    # the first coefficient is 1, so the sum starts from its term
-                    # unscaled: exact but for the sign of a zero, which abs drops
-                    acc = _shift(moved[a][0], i0[0], w[0])
-                    for j in range(1, len(moved[a])):
-                        v = _shift(moved[a][j], i0[j], w[j])
-                        v *= coeffs[j]
-                        acc += v
-                    acc += still
-                np.abs(acc, out=acc)
-                view = acc.transpose(in_axis_order)
+        for node in itertools.product(range(len(table)), repeat=dim):
+            rows = [table[i] for i in node]
+            view = _sliced_field(arrays, still, rows, coeffs)
             for a, row in enumerate(rows):
                 view[(slice(None),) * a + (slice(None, row[-1].start),)] = 0.0
                 view[(slice(None),) * a + (slice(row[-1].stop, None),)] = 0.0
@@ -426,7 +351,7 @@ def _node_sums(fs, k: int, order: int, reduces):
     for reduce, _ in reduces:
         cells = reduce(np.ones(f.samples.shape))
         valid = reduce(functools.reduce(np.multiply.outer, [count] * dim))
-        total = len(axis_nodes) ** dim * cells
+        total = len(table) ** dim * cells
         with np.errstate(invalid="ignore", divide="ignore"):
             renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
         out.append((renorm, valid < total - 1e-9, cells))

@@ -9,9 +9,10 @@ Geometry conventions used throughout the package:
   singularities on dyadic hyperplanes are never sampled,
 * all integrals are midpoint sums over cells; boxes pick up the cells whose
   centers they contain, which is exact for boxes aligned with cell edges,
-* off-grid values follow one rule, nested per-axis linear steps (clamped):
-  ``interp`` on point clouds, ``axis_stencil`` for separable whole-grid
-  shifts, which therefore match ``interp`` bit for bit,
+* off-grid values follow one rule, nested per-axis linear steps (clamped),
+  ``interp``; ``axis_units`` gives the unclamped coordinates of whole-axis
+  shifts, from which the difference fields check that each step reads a
+  sample or a half-cell average, so they match ``interp`` bit for bit,
 * the levels a grid resolves follow one rule (``finest_level``), and a
   level-k cube must span a whole number of cells (``level_cell_count``),
 * box reductions come in two kinds, each applied one axis at a time so the
@@ -255,18 +256,6 @@ class GridFunction:
         center x_j + shift (``_units``) and the in-domain test |x_j + shift| <= L."""
         x = self.axis_centers() + np.reshape(shifts, (-1, 1))
         return self._units(x), np.abs(x) <= self.halfwidth
-
-    def axis_stencil(self, shifts):
-        """Clamped linear interpolation at the centers of one axis moved by each shift.
-
-        Row r of each returned array belongs to ``shifts[r]``: the lower
-        neighbor index i0 and weight w of center x_j + shift, so that
-        ``(1 - w) * v[i0] + w * v[i0 + 1]`` interpolates samples v along the
-        axis as one nested step of ``interp``, and the in-domain test
-        |x_j + shift| <= L.
-        """
-        u, ok = self.axis_units(shifts)
-        return (*self._clamped_weights(u), ok)
 
     # -- index geometry ------------------------------------------------------
 

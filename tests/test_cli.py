@@ -284,6 +284,8 @@ def _set(cfg, path, value):
         ("maximal", "bounds.fs", -1, "bounds.fs"),
         ("maximal", "bounds.weighted", 0, "bounds.weighted"),
         ("maximal", "bounds.fs", "abc", "bounds.fs"),
+        # one ulp off a power of two: off the half-cell lattice the fields slice
+        ("norm", "grid.L", 4.000000000000001, "grid.L"),
     ],
 )
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, path, value, field):

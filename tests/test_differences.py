@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,6 @@ from dilatest.cli import parse_config
 from dilatest.differences import (
     _h_axis,
     _h_nodes,
-    _lead_next,
-    _shift,
     _slice_rows,
     delta_avg_cube,
     delta_avg_expanded,
@@ -38,7 +37,7 @@ from dilatest.dyadic import (
     table_reduce,
     window_sums,
 )
-from dilatest.errors import OutOfDomain
+from dilatest.errors import ConfigError, OutOfDomain, ResolutionExceeded
 from dilatest.norms import window_level_cap
 
 
@@ -349,22 +348,18 @@ def _kernel_grid(dim, L, n):
 
 def _kernel_cases():
     """(dim, L, N) and k: every level on the 1-D configs grid and on 2-D N=64,
-    the finer levels on the 2-D ladder grid (N=128, whose coarse levels take
-    half a minute in the gather), and dx = 1/24 (L = 4/3 in 1-D, the same
-    lattice on L = 2/3 in 2-D), where the capped node step of k = 0 is off
-    the half-cell lattice and the cubes do not tile, so only the window exists.
+    and the finer levels on the 2-D ladder grid (N=128, whose coarse levels
+    take half a minute in the gather).
     """
     cases = [((1, 8.0, 1024), k) for k in range(4)]
     cases += [((2, 4.0, 64), k) for k in range(4)]
     cases += [((2, 4.0, 128), k) for k in (2, 3)]
-    cases += [((1, 4.0 / 3.0, 64), k) for k in range(4)]
-    cases += [((2, 2.0 / 3.0, 32), k) for k in (0, 3)]
     return [pytest.param(g, k, id=f"{g[0]}d-L{g[1]:.3g}-N{g[2]}-k{k}") for g, k in cases]
 
 
 @pytest.mark.parametrize("geometry, k", _kernel_cases())
 def test_shift_kernel_matches_gather(geometry, k):
-    # the shifts keep interp's float steps, so 2-D agrees exactly as well
+    # the half-cell slices are interp's own float steps, so 2-D agrees exactly as well
     f = _kernel_grid(*geometry)
     field = {
         "window": delta_window_field,
@@ -379,13 +374,38 @@ def test_shift_kernel_matches_gather(geometry, k):
         np.testing.assert_array_equal(got[1], flags)
 
 
+def _shift(v, i0, w):
+    """interp's nested step along the leading axis: (1 - w) v[i0] + w v[i0 + 1] per row."""
+    w = np.reshape(w, (-1,) + (1,) * (v.ndim - 1))
+    out = v.take(i0, 0)
+    out *= 1.0 - w
+    hi = v.take(i0 + 1, 0)
+    hi *= w
+    out += hi
+    return out
+
+
+def _lead_next(v):
+    """The array with its next axis leading, C-contiguous."""
+    return np.ascontiguousarray(v.transpose(*range(1, v.ndim), 0))
+
+
+def _axis_stencil(f, shifts):
+    """Per shift, interp's clamped step at the centers of one axis moved by
+    it, (i0, w) for ``_shift``, and the in-domain test |x_j + shift| <= L."""
+    u, ok = f.axis_units(shifts)
+    return (*f._clamped_weights(u), ok)
+
+
 def _node_sums_per_node_stencils(fs, k, order, reduces):
-    """The node loop before its stencil table and its functions axis: one
-    loop per function, every node asks ``axis_stencil`` for each recomputed
-    axis, sums the terms from 0.0 with every coefficient multiplied, scales
-    the mult = 0 term per node, masks |Delta_h^M f| by the outer product of
-    the per-axis in-domain tests, and tile-sums the node sum of the masked
-    fields."""
+    """The node loop as interpolating shifts, with neither half-cell slices
+    nor a stencil table nor a functions axis: one loop per function, every
+    node shifts the samples along one axis after another, asking
+    ``_axis_stencil`` for each recomputed axis, sums the terms from 0.0
+    with every coefficient multiplied, scales the mult = 0 term per node,
+    masks |Delta_h^M f| by the outer product of the per-axis in-domain
+    tests, and tile-sums the node sum of the masked fields. It holds on any
+    grid, on the half-cell lattice or off it."""
     return [_one_node_sums_per_node_stencils(f, k, order, reduces) for f in fs]
 
 
@@ -393,7 +413,7 @@ def _one_node_sums_per_node_stencils(f, k, order, reduces):
     axis_nodes, dh = _h_axis(2.0 ** (-k), f.spacing)
     coeffs, mults = zip(*difference_coefficients(order))
     dim = f.dim
-    i0, w, _ = f.axis_stencil([0.0])
+    i0, w, _ = _axis_stencil(f, [0.0])
     still = f.samples
     for a in range(dim):
         still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
@@ -406,7 +426,7 @@ def _one_node_sums_per_node_stencils(f, k, order, reduces):
         first = next(a for a in range(dim) if node[a] != last[a])
         last = node
         for a in range(first, dim):
-            i0, w, ok = f.axis_stencil(np.multiply(mults[:-1], axis_nodes[node[a]]))
+            i0, w, ok = _axis_stencil(f, np.multiply(mults[:-1], axis_nodes[node[a]]))
             inside[a] = np.logical_and.reduce(ok)
             if a == 0:
                 count = count + inside[0]
@@ -486,28 +506,35 @@ def _same_bytes(a, b):
 )
 def test_every_grid_the_parser_accepts_is_sliced_at_every_level(data, dim, order):
     # L and N powers of two put every center, h-node and stencil point a whole
-    # number of half cells from the first center, so no difference field a
-    # command asks for takes the shifts; N >= 16 L gives a level-1 window
+    # number of half cells from the first center, so every difference field a
+    # command asks for is sliced; N >= 16 L gives a level-1 window. An L one
+    # ulp off a power of two is rejected by the parser, not by the fields.
     log_l = data.draw(st.integers(-4, 6), label="log2 L")
     log_n = data.draw(st.integers(max(5, log_l + 4), 13), label="log2 N")
     halfwidth, n = 2.0**log_l, 2**log_n
     cap = window_level_cap(halfwidth, n)
-    cfg = parse_config({"grid": {"L": halfwidth, "N": n, "dim": dim},
-                        "space": {"M": order, "alpha": [0.5, 0.5], "K_max": cap}}, "norm")
+    space = {"M": order, "alpha": [0.5, 0.5], "K_max": cap}
+    cfg = parse_config({"grid": {"L": halfwidth, "N": n, "dim": dim}, "space": space}, "norm")
     assert (cfg.halfwidth, cfg.resolution, cfg.space.k_max) == (halfwidth, n, cap)
     for k in range(cap + 1):
-        assert _slice_rows(halfwidth, n, k, order) is not None, k
+        rows = _slice_rows(halfwidth, n, k, order)
+        assert len(rows) == len(_h_axis(2.0**-k, 2.0 * halfwidth / n)[0]), k
+    off = math.nextafter(halfwidth, data.draw(st.sampled_from([0.0, math.inf]), label="toward"))
+    with pytest.raises(ConfigError, match="grid.L"):
+        parse_config({"grid": {"L": off, "N": n, "dim": dim}, "space": space}, "norm")
 
 
 @pytest.mark.parametrize("halfwidth, n", [(4.0 / 3.0, 64), (2.0 / 3.0, 32)],
                          ids=["L4/3-N64", "L2/3-N32"])
-def test_grids_off_the_half_cell_lattice_keep_the_shifts(halfwidth, n):
+def test_grids_off_the_half_cell_lattice_raise_resolution_exceeded(halfwidth, n):
     # dx = 1/24: the float coordinates of the stencil points move by ulps
-    # from center to center, so no call of test_shift_kernel_matches_gather
-    # on these grids is sliced
+    # from center to center, so no half-cell slice reproduces interp's steps
+    # and the fields raise a typed error instead of returning other values
+    f = GridFunction(1, halfwidth, np.ones(n))
     for k in range(4):
         for order in (1, 2, 3):
-            assert _slice_rows(halfwidth, n, k, order) is None, (k, order)
+            with pytest.raises(ResolutionExceeded, match=re.escape(f"L = {halfwidth}, N = {n}")):
+                delta_fields([f], k, order, ("window",))
 
 
 def _edge_case_samples(dim, n):
@@ -541,13 +568,8 @@ def test_sliced_and_shifted_fields_are_the_same_bytes(geometry, order, monkeypat
     fs = [GridFunction(dim, halfwidth, v) for v in _edge_case_samples(dim, n)]
     kinds = ("window", "cube", "expanded")
     levels = range(finest_level(halfwidth, n) + 1)
-    sliced = []
-    slice_rows = differences._slice_rows
-    monkeypatch.setattr(differences, "_slice_rows",
-                        lambda *args: sliced.append(slice_rows(*args)) or sliced[-1])
     got = [delta_fields(fs, k, order, kinds) for k in levels]
-    assert len(sliced) == len(levels) and None not in sliced
-    monkeypatch.setattr(differences, "_slice_rows", lambda *args: None)
+    monkeypatch.setattr(differences, "_node_sums", _node_sums_per_node_stencils)
     for k, have in zip(levels, got):
         want = delta_fields(fs, k, order, kinds)
         for f_have, f_want in zip(have, want):
