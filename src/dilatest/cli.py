@@ -5,8 +5,10 @@ Usage: ``dilatest <command> --config <file> [--out <file>] [--format json|csv]
 
 Reports are emitted with sorted keys and floats rounded to 12 significant
 digits, so identical (config, seed) pairs produce byte-identical artifacts;
-wall-clock time is printed to stderr only, never serialized. Exit status is
-0 on PASS, 1 on FAIL, 2 on INCONCLUSIVE or a configuration error.
+wall-clock time is printed to stderr only, never serialized. Each command's
+verdict is ``verdicts.worst`` of its rule verdicts, and the exit status is its
+``verdicts.EXIT_CODE``: 0 on PASS, 1 on FAIL, 2 on INCONCLUSIVE; a
+configuration error exits 2 too.
 """
 
 import argparse
@@ -25,6 +27,7 @@ from .errors import ConfigError, DilatestError, InvalidExponent, config_number
 from .lp_fourier import fourier_norm
 from .maximal import fs_inequality_ratio, weighted_maximal_ratio
 from .norms import SpaceParams, diff_and_star_norms, diff_norm, star_norm, window_level_cap
+from .verdicts import EXIT_CODE, FAIL, INCONCLUSIVE, PASS, within, worst
 from .weights import (
     WeightSequence,
     ap_constant,
@@ -40,7 +43,6 @@ WINDOW_COMMANDS = ("norm", "dilate", "equiv")  # the commands that build differe
 # and the maximal bound a theta in (1, p]
 P_ABOVE_ONE_COMMANDS = ("xclass", "dilate", "maximal")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-EXIT_CODE = {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 2}
 _MAXIMAL_THETA = 1.5  # the maximal bound needs theta > 1; used when space.theta is not
 
 
@@ -157,6 +159,12 @@ def parse_config(data: dict, command: str) -> RunConfig:
     dim = grid.read("dim", 1, _integer)
     if dim not in (1, 2, 3):
         raise ConfigError("grid.dim must be 1, 2 or 3 (the dimensions the package is tested in)")
+    if (2.0 * halfwidth / resolution) ** dim < sys.float_info.min:
+        raise ConfigError(f"grid.L = {halfwidth!r}: the cell volume (2L/N)**dim at N = "
+                          f"{resolution}, dim = {dim} is below the smallest normal float")
+    if command in WINDOW_COMMANDS and halfwidth < 0.5:
+        raise ConfigError(f"grid.L = {halfwidth!r}: the {command} command needs L >= 0.5, so "
+                          "that its level-0 cubes and unit windows tile [-L, L]")
 
     s = top.part("space")
     window_cap = window_level_cap(halfwidth, resolution)
@@ -251,11 +259,11 @@ def _run_norm(cfg, threads=1):
     # a value with too much boundary mass cannot be trusted, which is not a violation
     unreliable = [name for name, info in (("diff", dinfo), ("star", sinfo))
                   if not info["reliable"]]
-    if not all(math.isfinite(v) for v in (dv, sv, fv)):
-        return {"rows": rows}, {"overall": "FAIL"}
-    if unreliable:
-        return {"rows": rows}, {"overall": "INCONCLUSIVE", "unreliable": unreliable}
-    return {"rows": rows}, {"overall": "PASS"}
+    verdict = worst([PASS if all(math.isfinite(v) for v in (dv, sv, fv)) else FAIL,
+                     INCONCLUSIVE if unreliable else PASS])
+    if verdict == INCONCLUSIVE:
+        return {"rows": rows}, {"overall": verdict, "unreliable": unreliable}
+    return {"rows": rows}, {"overall": verdict}
 
 
 def _run_ap(cfg, threads=1):
@@ -354,7 +362,7 @@ def _run_maximal(cfg, threads=1):
     wm_bound = cfg.bounds.get("weighted", regression.WEIGHTED_RATIO_BOUND)
     fs_max = max(r["fs_ratio"] for r in rows)
     wm_max = max(r["weighted_ratio"] for r in rows)
-    verdict = "PASS" if fs_max <= fs_bound and wm_max <= wm_bound else "FAIL"
+    verdict = worst([within(fs_max, fs_bound), within(wm_max, wm_bound)])
     results = {
         "rows": rows,
         "fs_max": fs_max,
@@ -384,19 +392,12 @@ def _run_equiv(cfg, threads=1):
                 "fourier_diff_ratio": fo / d if d > 0 else math.inf,
             }
         )
-    sd_lo, sd_hi = cfg.bounds.get("star_diff", regression.STAR_DIFF_BRACKET)
-    fd_lo, fd_hi = cfg.bounds.get("fourier_diff", regression.FOURIER_DIFF_BRACKET)
-    ok = all(
-        sd_lo <= r["star_diff_ratio"] <= sd_hi
-        and fd_lo <= r["fourier_diff_ratio"] <= fd_hi
-        for r in rows
-    )
-    results = {
-        "rows": rows,
-        "star_diff_bracket": [sd_lo, sd_hi],
-        "fourier_diff_bracket": [fd_lo, fd_hi],
-    }
-    return results, {"overall": "PASS" if ok else "FAIL"}
+    sd = cfg.bounds.get("star_diff", regression.STAR_DIFF_BRACKET)
+    fd = cfg.bounds.get("fourier_diff", regression.FOURIER_DIFF_BRACKET)
+    verdict = worst(within(r[key], hi, lo) for r in rows
+                    for key, (lo, hi) in (("star_diff_ratio", sd), ("fourier_diff_ratio", fd)))
+    results = {"rows": rows, "star_diff_bracket": list(sd), "fourier_diff_bracket": list(fd)}
+    return results, {"overall": verdict}
 
 
 _HANDLERS = {
@@ -541,7 +542,7 @@ def main(argv=None) -> int:
     print(f"wall clock: {report['wall_clock_s']:.3f} s", file=sys.stderr)
     verdict = report["verdicts"]["overall"]
     print(f"verdict: {verdict}", file=sys.stderr)
-    return EXIT_CODE.get(verdict, 2)
+    return EXIT_CODE[verdict]
 
 
 if __name__ == "__main__":

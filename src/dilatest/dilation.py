@@ -13,8 +13,8 @@ minus the exponent sum at the origin, or infinite when the exponents at any
 other center do not cancel. The CLI prints an infinite one as DIVERGENT.
 
 The check's settings are fixed: a dilation may clip at most 1% of the
-witnessed mass, and the lambda-independence verdict allows a max/median
-spread of observed_c up to 3.
+witnessed mass, and the lambda-independence verdict is ``verdicts.within``
+of the max/median spread of observed_c and the limit 3.
 """
 
 import math
@@ -25,7 +25,8 @@ import numpy as np
 from .dyadic import GridFunction, level_block_reduce, level_cell_count
 from .errors import ClippingExcessive, InvalidExponent, PreconditionFailed
 from .norms import SpaceParams, diff_and_star_norms
-from .weights import FAIL, WeightSequence, eval_weight, xclass_check
+from .verdicts import FAIL, within
+from .weights import WeightSequence, eval_weight, xclass_check
 
 _CLIP_TOL = 0.01  # largest witnessed share of mass that a dilation may clip
 _SPREAD_LIMIT = 3.0  # largest max/median of observed_c that still reads PASS
@@ -216,7 +217,8 @@ def verify_theorem(
 def summarize_dilation(reports):
     """Lambda-independence verdict plus the measured log-log growth slope.
 
-    PASS when the largest observed_c is at most 3 times their median.
+    PASS when the largest observed_c is at most 3 times their median
+    (``within`` the spread limit), else FAIL.
     """
     cs = np.array([r.observed_c for r in reports], dtype=float)
     spread = float(np.max(cs) / np.median(cs))
@@ -225,9 +227,8 @@ def summarize_dilation(reports):
     slope = float("nan")
     if len(reports) >= 2 and np.all(ratios > 0):
         slope = float(np.polyfit(np.log2(lams), np.log2(ratios), 1)[0])
-    verdict = "PASS" if spread <= _SPREAD_LIMIT else "FAIL"
     return {
-        "verdict": verdict,
+        "verdict": within(spread, _SPREAD_LIMIT),
         "spread": spread,
         "slope": slope,
         "median_c": float(np.median(cs)),

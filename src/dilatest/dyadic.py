@@ -322,8 +322,9 @@ def cubes_covering(b: Box, k: int, spacing=None):
 
 def finest_level(halfwidth, resolution, min_cells=1) -> int:
     """Largest level k whose cube side 2**-k spans at least ``min_cells`` cells
-    of the ``resolution``-cell grid over [-halfwidth, halfwidth]."""
-    return math.floor(math.log2(resolution / (2.0 * halfwidth * min_cells)) + 1e-9)
+    of the ``resolution``-cell grid over [-halfwidth, halfwidth]. A difference
+    of logs, not the log of a ratio, so a tiny halfwidth cannot overflow it."""
+    return math.floor(math.log2(resolution) - math.log2(2.0 * halfwidth * min_cells) + 1e-9)
 
 
 def level_cell_count(f: GridFunction, k: int) -> int:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .dyadic import GridFunction, MixedNorm, prefix_table, table_windows, three_point_max
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
-from .weights import FAIL, WeightSequence, ap_constant
+from .verdicts import FAIL
+from .weights import WeightSequence, ap_constant
 
 _AP_DEPTH = 4  # finest cube level of the A_(p/theta) scans of the weighted ratio
 

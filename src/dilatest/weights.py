@@ -1,13 +1,7 @@
 """Weight construction, Muckenhoupt diagnostics, and weight-sequence classes.
 
-Verdict semantics for every sup-over-cubes estimate: the supremum over an
-unbounded cube family can only be stabilized or falsified, never confirmed.
-A scan therefore reports a refinement trace and one of
-
-* ``PASS``        the running constant moved by < 10% across the last two
-                  refinement stages (plateau),
-* ``FAIL``        it grew by >= 2x per stage over the last two stages,
-* ``INCONCLUSIVE``  anything in between.
+Every sup-over-cubes estimate reports a refinement trace, and its verdict
+is ``verdicts.trend`` of that trace (see ``verdicts`` for the rule).
 
 The scanned family is the dyadic cubes of the requested levels together with
 their one-third and two-thirds translates per axis, which tracks the supremum
@@ -71,11 +65,8 @@ from .errors import (
     ResolutionExceeded,
     config_number,
 )
+from .verdicts import trend, worst
 
-PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
-
-_GROWTH = 2.0 * (1.0 - 1e-9)  # robust against exact powers of two
-_PLATEAU = 0.10
 SHIFT_FRACTIONS = (0.0, 1.0 / 3.0, 2.0 / 3.0)
 _STAGE_FLOOR = 32  # coarsest resolution of an A_p refinement stage
 _STAGES = 3  # refinement stages of an A_p scan, the finest at the grid's resolution
@@ -422,20 +413,6 @@ def scan_levels(f: GridFunction, depth):
     return range(k_min, min(depth, cap) + 1)
 
 
-def _trace_verdict(values):
-    if len(values) >= 3:
-        g1 = values[-2] / max(values[-3], 1e-300)
-        g2 = values[-1] / max(values[-2], 1e-300)
-        if g1 >= _GROWTH and g2 >= _GROWTH:
-            return FAIL
-    if len(values) >= 2:
-        prev = max(values[-2], 1e-300)
-        if abs(values[-1] - values[-2]) / prev < _PLATEAU:
-            return PASS
-        return INCONCLUSIVE
-    return INCONCLUSIVE
-
-
 # -- Muckenhoupt constants -------------------------------------------------------
 
 
@@ -495,7 +472,7 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
         argmax_shift=fam.shift,
         levels_scanned=(levels.start, levels.stop - 1),
         trace=trace,
-        verdict=_trace_verdict(values),
+        verdict=trend(values),
     )
 
 
@@ -583,9 +560,10 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     M_{Q,p}(t_k) / M_{Q,-s1}(t_j) * 2**(a1 (j-k)) and C2 bounds
     M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). Each fine level j keeps
     its running sup over k <= j and every scanned cube; the refinement trace
-    reads the sup over j <= d at growing depths d and the verdict follows the
-    plateau/growth heuristic. Returns the report, which holds C1 and C2 and
-    flags a2 < a1, which contradicts the admissible range (reported, not raised).
+    reads the sup over j <= d at growing depths d, and the verdict is the
+    worse of ``trend`` of the C1 and of the C2 trace. Returns the report,
+    which holds C1 and C2 and flags a2 < a1, which contradicts the
+    admissible range (reported, not raised).
     """
     if depth < 1:
         raise MissingLevels(
@@ -624,20 +602,12 @@ def xclass_check(t: WeightSequence, sp, depth=6):
 
     depths = sorted({max(1, j_max - 4), max(1, j_max - 2), j_max})
     trace = [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]
-    v1 = _trace_verdict([c for _, c, _ in trace])
-    v2 = _trace_verdict([c for _, _, c in trace])
-    if FAIL in (v1, v2):
-        verdict = FAIL
-    elif v1 == v2 == PASS:
-        verdict = PASS
-    else:
-        verdict = INCONCLUSIVE
     _, c1_final, c2_final = trace[-1]
     return XClassReport(
         c1=c1_final,
         c2=c2_final,
         trace=trace,
-        verdict=verdict,
+        verdict=worst([trend([c for _, c, _ in trace]), trend([c for _, _, c in trace])]),
         order_violation=alpha2 < alpha1,
     )
 

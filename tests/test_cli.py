@@ -765,3 +765,24 @@ def test_an_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "ap", too_large)
     assert main(["ap", "--config", write_config(tmp_path, "c.json", BASE)]) == 2
     assert "error: MemoryError: Unable to allocate 8.00 TiB" in capsys.readouterr().err
+
+
+# -- grids too small for the float range or for the unit window
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_subnormal_grid_l_exits_2_naming_it(tmp_path, capsys, command):
+    # L = 5e-324 once raised OverflowError in finest_level for every command,
+    # and with that patched norm and equiv divided by a zero cell volume
+    cfg = {"command": command, "grid": {"L": 5e-324, "N": 256}}
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert "config error: grid.L = 5e-324" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("halfwidth", [2.0**-1000, 0.25])
+def test_norm_below_the_unit_window_exits_2_naming_grid_l(tmp_path, capsys, halfwidth):
+    # at 2**-1000 numpy once refused the zero-order term's window array, and
+    # at 0.25 the level-0 cubes raised ResolutionExceeded
+    cfg = {"command": "norm", "grid": {"L": halfwidth, "N": 256}}
+    assert main(["norm", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert f"config error: grid.L = {halfwidth!r}: the norm command needs L >= 0.5" in (
+        capsys.readouterr().err)

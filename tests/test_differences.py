@@ -508,14 +508,20 @@ def test_every_grid_the_parser_accepts_is_sliced_at_every_level(data, dim, order
     # L and N powers of two put every center, h-node and stencil point a whole
     # number of half cells from the first center, so every difference field a
     # command asks for is sliced; N >= 16 L gives a level-1 window. An L one
-    # ulp off a power of two is rejected by the parser, not by the fields.
+    # ulp off a power of two is rejected by the parser, not by the fields, and
+    # so is an L below the unit window, 0.5, though its fields are sliced too.
     log_l = data.draw(st.integers(-4, 6), label="log2 L")
     log_n = data.draw(st.integers(max(5, log_l + 4), 13), label="log2 N")
     halfwidth, n = 2.0**log_l, 2**log_n
     cap = window_level_cap(halfwidth, n)
     space = {"M": order, "alpha": [0.5, 0.5], "K_max": cap}
-    cfg = parse_config({"grid": {"L": halfwidth, "N": n, "dim": dim}, "space": space}, "norm")
-    assert (cfg.halfwidth, cfg.resolution, cfg.space.k_max) == (halfwidth, n, cap)
+    grid = {"L": halfwidth, "N": n, "dim": dim}
+    if halfwidth < 0.5:
+        with pytest.raises(ConfigError, match="grid.L"):
+            parse_config({"grid": grid, "space": space}, "norm")
+    else:
+        cfg = parse_config({"grid": grid, "space": space}, "norm")
+        assert (cfg.halfwidth, cfg.resolution, cfg.space.k_max) == (halfwidth, n, cap)
     for k in range(cap + 1):
         rows = _slice_rows(halfwidth, n, k, order)
         assert len(rows) == len(_h_axis(2.0**-k, 2.0 * halfwidth / n)[0]), k

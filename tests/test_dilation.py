@@ -20,8 +20,8 @@ from dilatest.dilation import (
 from dilatest.errors import ClippingExcessive, PreconditionFailed
 from dilatest.dyadic import GridFunction, tensor_points
 from dilatest.norms import SpaceParams
+from dilatest.verdicts import FAIL, trend
 from dilatest.weights import (
-    FAIL,
     AdmissibleSeq,
     Constant,
     GeometricLevel,
@@ -29,7 +29,6 @@ from dilatest.weights import (
     ProductWeight,
     ShiftedPower,
     WeightSequence,
-    _trace_verdict,
 )
 
 L, N = 8.0, 2048
@@ -228,7 +227,7 @@ def probe_sup(omega, lam, halfwidth, dim=1):
         dx = 2.0 * box / cells
         axis = -box + (np.arange(cells) + 0.5) * dx
         trace.append(_stage_sup(omega, lam, tensor_points([axis] * dim), dx, zoom, 4 * (s + 1)))
-    return trace[-1], _trace_verdict(trace) == FAIL, trace
+    return trace[-1], trend(trace) == FAIL, trace
 
 
 _PROBE_HW = 8.0

@@ -118,6 +118,13 @@ def test_finest_level_matches_a_brute_force_search(halfwidth, min_cells):
         assert finest_level(float(halfwidth), n, min_cells) == max(fits), n
 
 
+@pytest.mark.parametrize("min_cells, level", [(1, 1081), (4, 1079)])
+def test_finest_level_of_a_subnormal_halfwidth_is_exact(min_cells, level):
+    # L = 5e-324 = 2**-1074 and N = 2**8: the side 2**-k spans 2**(1081 - k)
+    # cells, and the ratio N / (2 L min_cells) once overflowed to inf
+    assert finest_level(5e-324, 256, min_cells) == level
+
+
 def test_partition_measures():
     f = grid(lambda x: x, n=256, L=4.0)
     for k in (-2, 0, 3):

@@ -13,9 +13,8 @@ from dilatest.errors import (
     ResolutionExceeded,
 )
 from dilatest.norms import SpaceParams
+from dilatest.verdicts import FAIL, PASS
 from dilatest.weights import (
-    FAIL,
-    PASS,
     SPEC_KINDS,
     AdmissibleSeq,
     Constant,
