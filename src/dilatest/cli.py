@@ -25,12 +25,13 @@ from .dilation import summarize_dilation, verify_theorem
 from .dyadic import GridFunction, finest_level
 from .errors import ConfigError, DilatestError, InvalidExponent, config_number
 from .lp_fourier import fourier_norm
-from .maximal import fs_inequality_ratio, weighted_maximal_ratio
+from .maximal import AP_DEPTH, fs_inequality_ratio, weighted_maximal_ratio
 from .norms import SpaceParams, diff_and_star_norms, diff_norm, star_norm, window_level_cap
 from .verdicts import EXIT_CODE, FAIL, INCONCLUSIVE, PASS, within, worst
 from .weights import (
     WeightSequence,
     ap_constant,
+    coarsest_level,
     plain_form,
     spec_from_dict,
     weight_grid,
@@ -165,6 +166,10 @@ def parse_config(data: dict, command: str) -> RunConfig:
     if command in WINDOW_COMMANDS and halfwidth < 0.5:
         raise ConfigError(f"grid.L = {halfwidth!r}: the {command} command needs L >= 0.5, so "
                           "that its level-0 cubes and unit windows tile [-L, L]")
+    if command == "maximal" and coarsest_level(halfwidth) > AP_DEPTH:
+        raise ConfigError(f"grid.L = {halfwidth!r}: the maximal command scans its weights' "
+                          f"A_(p/theta) cubes down to level {AP_DEPTH}, so it needs "
+                          f"L >= 2**-{AP_DEPTH}")
 
     s = top.part("space")
     window_cap = window_level_cap(halfwidth, resolution)
@@ -197,6 +202,12 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError(
             f"space.K_max = {space.k_max} exceeds the resolution cap {k_cap} "
             f"for grid (L={halfwidth}, N={resolution})"
+        )
+    if command == "xclass" and space.k_max < coarsest_level(halfwidth):
+        raise ConfigError(
+            f"space.K_max = {space.k_max}: the xclass command scans cube levels "
+            f"{coarsest_level(halfwidth)} (the coarsest of grid L={halfwidth}) to "
+            f"min(depth, K_max), so K_max must be at least {coarsest_level(halfwidth)}"
         )
 
     weights = top.read("weights", {"kind": "constant", "value": 1.0},
@@ -291,7 +302,10 @@ def _run_xclass(cfg, threads=1):
         "C2": rep.c2,
         "order_violation": rep.order_violation,
     }
-    return results, {"overall": rep.verdict}
+    verdicts = {"overall": rep.verdict}
+    if rep.skipped_families:
+        verdicts["skipped_families"] = rep.skipped_families
+    return results, verdicts
 
 
 def _run_dilate(cfg, threads=1):

@@ -32,22 +32,28 @@ on every grid the config parser accepts (L and N powers of two). Each step
 then has weight 0, 1/2 or a clamped 1, so each term is a slice of one of
 2^n arrays built once per function and call: the samples and their
 neighbor averages 0.5 v[i] + 0.5 v[i + 1] along each subset of axes, with
-the edge samples themselves at the ends (``_half_cell_arrays``). A node
-reads its terms on its in-domain box only and interpolates nothing. The
-rows of the slices are checked and computed once per grid, level and order
-(``_slice_rows``); a grid off the lattice, as with dx = 1/24, where the
-step weights move by ulps from center to center and no slice reproduces
-them, raises ResolutionExceeded.
+the edge samples themselves at the ends (``_half_cell_arrays``), and a
+node interpolates nothing. The rows of the slices are checked and computed
+once per grid, level and order (``_slice_rows``); a grid off the lattice,
+as with dx = 1/24, where the step weights move by ulps from center to
+center and no slice reproduces them, raises ResolutionExceeded.
 
-The stencil term of f(x + 0*h) does not depend on h and is formed once per
-function and call. Pairs that leave the box are dropped by zeroing each
-axis's rows of |Delta_h^M f| outside its kept centers, an interval. The
-prefix-table kinds (window, expanded) reduce each node's field on its own,
-because reducing the sum over nodes would move the round-off of the prefix
-sums; the cube kind's tile sums reduce the field summed over the nodes
-once, since its terms are >= 0 and their sum is accurate in any order. The
-kept-pair counts are integers, a product of per-axis counts, and are
-reduced once per reduction.
+A node is evaluated and reduced on its active box only: the centers whose
+stencil points all stay in the sampled box (its kept centers, so the pairs
+that leave the box are dropped by leaving them out), cut down per axis to
+those whose stencil reads a nonzero sample. |Delta_h^M f| is exactly 0
+elsewhere, so dilations, which are 0 beyond L/lambda, and compactly
+supported functions skip their zeros: the window sums are taken over the
+box grown by the window radius, and the expanded sums over the cubes whose
+expansion meets it, each the whole grid's sums there bit for bit (adding
+zeros to a prefix sum keeps its bits), and 0 beyond. The stencil term of
+f(x + 0*h) does not depend on h and is formed once per function and call.
+The prefix-table kinds (window, expanded) reduce each node's field on its
+own, because reducing the sum over nodes would move the round-off of the
+prefix sums; the cube kind's tile sums reduce the field summed over the
+nodes once, into which each node adds its box, since its terms are >= 0
+and their sum is accurate in any order. The kept-pair counts are integers,
+a product of per-axis counts, and are reduced once per reduction.
 """
 
 import functools
@@ -60,13 +66,13 @@ from .dyadic import (
     Box,
     DyadicCube,
     GridFunction,
-    box_reduce,
     expanded_cube,
     level_block_reduce,
     level_cell_count,
     level_cube_count,
     point_layout,
     range_table,
+    table_reduce,
     tensor_points,
     window_sums,
 )
@@ -215,9 +221,16 @@ def _kept(ok):
     return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
 
 
+def _support(v, axis):
+    """The interval [s0, s1) of indices along ``axis`` at which some sample
+    of v is nonzero; (0, 0) for v = 0."""
+    on = np.flatnonzero(np.any(v != 0, axis=tuple(a for a in range(v.ndim) if a != axis)))
+    return (int(on[0]), int(on[-1]) + 1) if on.size else (0, 0)
+
+
 @functools.lru_cache(maxsize=64)
 def _slice_rows(halfwidth, resolution, k: int, order: int):
-    """The stencil rows of every level-k node value as half-cell slices.
+    """The stencil rows of every level-k node value as half-cell offsets.
     Every axis of a grid has the same centers and node values, so one axis
     serves them all, and the rows depend on the grid, level and order alone:
     they are kept for the next call.
@@ -229,11 +242,14 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
     of their ``_half_cells`` (u - j half), the same array for every center.
     The mult = 0 row must be the samples themselves. The rows of node value
     x: per shifted stencil point mult * x, which array (0: the samples,
-    1: the half cells) and the slice of it that holds the kept centers'
-    values; and the slice of kept centers (``_kept``). On a grid whose L and
-    N are powers of two every center, node and point lies on this half-cell
-    lattice, so every level the commands reach is sliced; a spacing such as
-    1/24 moves u by ulps from center to center and raises ResolutionExceeded.
+    1: the half cells) and the offset of center j's entry in it; the slice
+    of kept centers (``_kept``); and how far (below, above) the centers
+    whose stencil reads a sample interval [s0, s1) reach beyond it, an
+    entry e of the half cells reading samples e - 1 and e. On a grid whose
+    L and N are powers of two every center, node and point lies on this
+    half-cell lattice, so every level the commands reach is sliced; a
+    spacing such as 1/24 moves u by ulps from center to center and raises
+    ResolutionExceeded.
     """
     off = (f"level {k} of the grid L = {halfwidth}, N = {resolution} is off the half-cell "
            "lattice of the difference fields: L must be a power of two")
@@ -251,59 +267,67 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
                 and np.array_equal(u[:, box], lag[:, None] + cells[box])):
             raise ResolutionExceeded(off)
         start = np.ceil(lag)  # center j's entry: j + lag, and 1/2 more in the half cells
-        rows.append((tuple((int(s != d), slice(box.start + int(s), box.stop + int(s)))
-                           for s, d in zip(start, lag)), box))
+        terms = tuple((int(s != d), int(s)) for s, d in zip(start, lag))
+        # center j reads entry j + shift of the term's array, the mult = 0 term's entry j
+        reach = (max(0, *(shift for _, shift in terms)),
+                 max(0, *(half - shift for half, shift in terms)))
+        rows.append((terms, box, reach))
     return tuple(rows)
 
 
-def _sliced_field(arrays, still, rows, coeffs):
-    """One node's |Delta_h^M f| from the ``_half_cell_arrays`` of f, in axis
-    order: the first term unscaled, then coeff * term for each further
-    stencil point, then ``still``, in this order, which fixes the field's
-    bits. Only the node's in-domain box is evaluated, in an array of its
-    own, since numpy's loops over a strided output run several times
-    slower; the field's other entries are left unset."""
-    box = tuple(row[1] for row in rows)
+def _box_field(arrays, still, terms, box, coeffs):
+    """One node's |Delta_h^M f| on ``box`` (a slice per axis, inside its
+    kept centers) from the ``_half_cell_arrays`` of f, in axis order, and
+    per axis its stencil terms there, (0 for the samples or 1 for the half
+    cells, slice) per stencil point: the first term unscaled, then coeff *
+    term for each further stencil point, then ``still``, in this order,
+    which fixes the field's bits. The field is an array of the box's own,
+    since numpy's loops over a strided output run several times slower."""
     for j, coeff in enumerate(coeffs[:-1]):
-        term = arrays[sum(row[0][j][0] << a for a, row in enumerate(rows))]
-        term = term[tuple(row[0][j][1] for row in rows)]
+        term = arrays[sum(axis[j][0] << a for a, axis in enumerate(terms))]
+        term = term[tuple(axis[j][1] for axis in terms)]
         if j == 0:
             acc = term.copy()
         else:
             acc += term * coeff
     acc += still[box]
-    np.abs(acc, out=acc)
-    field = np.empty(still.shape)
-    field[box] = acc
-    return field
+    return np.abs(acc, out=acc)
 
 
 def _node_sums(fs, k: int, order: int, reduces):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
     ``fs`` are functions on one grid (ValueError otherwise); ``reduces`` are
-    (reduce, once) pairs, each ``reduce`` mapping a sample array in axis
-    order, of any memory layout, to one entry per window or cube, the same
-    bits for every layout. A prefix-table reduction (once false) is taken of
-    each node's field and summed over the nodes, since reducing the summed
-    field would move the round-off of its prefix sums; a tile sum (once
-    true) is taken once of the field summed over the nodes, since its terms
-    are >= 0 and a sum of them is accurate in any order. Returns, per
-    function and reduction, (sums, lost, cells): sum_h w_h sum_x dx^n
-    |Delta_h^M f(x)| per entry, renormalized for the (x, h) pairs that left
-    the box; a mask of entries that lost pairs; and the reduction of ones,
-    the cell count of each entry. Each function adds its node terms in node
-    order, so its result is bit for bit the one it gives alone.
+    (reduce, once) pairs. ``reduce(v, box)`` takes the values v of a box of
+    the grid (a slice per axis), in axis order and of any memory layout, the
+    grid being 0 outside it, and returns the entries (a slice per axis) of
+    its windows or cubes that can be nonzero and their sums, the same bits
+    for every layout and, on those entries, the reduction of the whole grid
+    bit for bit. A prefix-table reduction (once false) is taken of each
+    node's field and summed over the nodes, since reducing the summed field
+    would move the round-off of its prefix sums; a tile sum (once true) is
+    taken once of the field summed over the nodes, since its terms are >= 0
+    and a sum of them is accurate in any order. Returns, per function and
+    reduction, (sums, lost, cells): sum_h w_h sum_x dx^n |Delta_h^M f(x)|
+    per entry, renormalized for the (x, h) pairs that left the box; a mask
+    of entries that lost pairs; and the reduction of ones, the cell count of
+    each entry. Each function adds its node terms in node order, so its
+    result is bit for bit the one it gives alone.
 
     The functions run one at a time through every node, in row-major
     order, so the loop holds one function's half-cell arrays. A node's
     stencil rows depend on the grid alone and serve every function and
     every axis (``_slice_rows``, which raises ResolutionExceeded off the
-    half-cell lattice). A node reads each term as a slice of the function's
-    ``_half_cell_arrays`` on its in-domain box (``_sliced_field``). Pairs
-    that leave the box are dropped by zeroing each axis's rows outside its
-    kept centers. The kept pairs, the cells and the renormalization depend
-    on the grid alone and are finished once per reduction.
+    half-cell lattice). A node is evaluated and reduced on its active box
+    only: its kept centers, whose stencil points all stay in the box, cut
+    down per axis to the centers whose stencil reads a sample in the
+    function's support interval there (``_support``): an interval per
+    (axis, node value), found once per function with the slices its terms
+    read there, so a node only picks them up. |Delta_h^M f| is exactly 0
+    at the other centers, pairs that leave the box are dropped by leaving
+    their centers out, and a node with an empty active box adds nothing and
+    is skipped. The kept pairs, the cells and the renormalization depend on
+    the grid alone and are finished once per reduction.
     """
     f = fs[0]
     if any((g.dim, g.halfwidth, g.resolution) != (f.dim, f.halfwidth, f.resolution) for g in fs):
@@ -311,73 +335,91 @@ def _node_sums(fs, k: int, order: int, reduces):
     _, dh = _h_axis(2.0 ** (-k), f.spacing)
     coeffs = [coeff for coeff, _ in difference_coefficients(order)]
     dim = f.dim
-    per_node = [r for r, (_, once) in enumerate(reduces) if not once]
-    tiled = len(per_node) < len(reduces)
+    whole = (slice(0, f.resolution),) * dim
     table = _slice_rows(f.halfwidth, f.resolution, k, order)  # stencil rows per node value
+    count = np.zeros(f.resolution)  # kept (x, h) pairs per center of one axis, as on every axis
+    for _, kept, _ in table:
+        count[kept] += 1
+    out = []
+    for reduce, _ in reduces:
+        cells = reduce(np.ones(f.samples.shape), whole)[1]
+        valid = reduce(functools.reduce(np.multiply.outer, [count] * dim), whole)[1]
+        total = len(table) ** dim * cells
+        with np.errstate(invalid="ignore", divide="ignore"):
+            renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+        out.append((renorm, valid < total - 1e-9, cells))
 
     def sweep(g):
         """Per reduction, the node sums of g."""
         # the mult = 0 term coeffs[-1] * g(x + 0*h), the same for every node
         arrays, still = _half_cell_arrays(g.samples), g.samples * coeffs[-1]
+        # per axis, each node value's active slice and its terms' slices
+        # there, for the node values whose active slice is not empty
+        active = []
+        for a in range(dim):
+            s0, s1 = _support(g.samples, a)
+            active.append([])
+            for terms, kept, (below, above) in table:
+                lo, hi = max(kept.start, s0 - below), min(kept.stop, s1 + above)
+                if lo < hi:
+                    active[a].append((slice(lo, hi), [(half, slice(lo + shift, hi + shift))
+                                                      for half, shift in terms]))
         # the running sum of each per-node reduction, and the field summed
-        # over the nodes, which the tile sums reduce once
-        own, field = [None] * len(reduces), None
-        for node in itertools.product(range(len(table)), repeat=dim):
-            rows = [table[i] for i in node]
-            view = _sliced_field(arrays, still, rows, coeffs)
-            for a, row in enumerate(rows):
-                view[(slice(None),) * a + (slice(None, row[-1].start),)] = 0.0
-                view[(slice(None),) * a + (slice(row[-1].stop, None),)] = 0.0
-            # the terms are >= 0, so a sum started from its first term
-            # instead of 0.0 has the same bits
-            for r in per_node:
-                s = reduces[r][0](view)
-                if own[r] is None:
-                    own[r] = s
-                else:
-                    own[r] += s
-            if tiled:
-                if field is None:
-                    field = view
-                else:
-                    field += view
-        return [reduce(field) if once else num for num, (reduce, once) in zip(own, reduces)]
+        # over the nodes, which the tile sums reduce once; the terms are
+        # >= 0, so sums started from 0.0 have the bits of sums started from
+        # their first term
+        own = [np.zeros(cells.shape) for _, _, cells in out]
+        field = np.zeros(g.samples.shape) if any(once for _, once in reduces) else None
+        for node in itertools.product(*active):
+            box = tuple(s for s, _ in node)
+            view = _box_field(arrays, still, [terms for _, terms in node], box, coeffs)
+            for (reduce, once), num in zip(reduces, own):
+                if not once:
+                    at, s = reduce(view, box)
+                    num[at] += s
+            if field is not None:
+                field[box] += view
+        return [reduce(field, whole)[1] if once else num
+                for num, (reduce, once) in zip(own, reduces)]
 
-    nums = [sweep(g) for g in fs]
-    count = np.zeros(f.resolution)  # kept (x, h) pairs per center of one axis, as on every axis
-    for row in table:
-        count[row[-1]] += 1
-    out = []
-    for reduce, _ in reduces:
-        cells = reduce(np.ones(f.samples.shape))
-        valid = reduce(functools.reduce(np.multiply.outer, [count] * dim))
-        total = len(table) ** dim * cells
-        with np.errstate(invalid="ignore", divide="ignore"):
-            renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
-        out.append((renorm, valid < total - 1e-9, cells))
     return [[(dh**dim * f.spacing**dim * num * renorm, lost, cells)
-             for num, (renorm, lost, cells) in zip(own, out)] for own in nums]
+             for num, (renorm, lost, cells) in zip(sweep(g), out)] for g in fs]
 
 
 def _reduction(f: GridFunction, k: int, kind):
-    """(reduce, once, finish) of one field kind: ``reduce`` sums a sample
-    array over each level-k window or cube, ``once`` tells ``_node_sums`` it
-    is a tile sum, and ``finish`` maps that reduction's (sums, lost, cells)
-    from ``_node_sums`` to (values, flagged)."""
-    n, c = f.dim, level_cell_count(f, k)  # a level-k cube spans c cells per axis
+    """(reduce, once, finish) of one field kind: ``reduce(v, box)`` sums
+    the values v of a box of the grid, 0 elsewhere, over each level-k
+    window or cube as ``_node_sums`` asks, ``once`` tells it the reduction
+    is a tile sum, which reads the whole grid only, and ``finish`` maps that
+    reduction's (sums, lost, cells) from ``_node_sums`` to (values,
+    flagged)."""
+    n, size = f.dim, f.resolution
+    c = level_cell_count(f, k)  # a level-k cube spans c cells per axis
     if kind == "window":  # the window x + 2**-k (-1, 1)^n spans 2c cells per axis
-        return (lambda v: window_sums(v, c)), False, lambda sums, lost, cells: (
+        def windows(v, box):  # the windows of centers within c cells of the box
+            grow = [(min(c, s.start), min(c, size - s.stop)) for s in box]
+            return (tuple(slice(s.start - lo, s.stop + hi) for s, (lo, hi) in zip(box, grow)),
+                    window_sums(v, c, grow))
+        return windows, False, lambda sums, lost, cells: (
             2.0 ** (2 * k * n) * sums, lost | ~np.isclose(cells, (2 * c) ** n, rtol=1e-12))
     if kind == "cube":
-        return (lambda v: level_block_reduce(v, f, k)), True, lambda sums, lost, _: (
-            sums / (2.0 ** (-k)) ** (2 * n), lost)
+        return (lambda v, box: ((slice(None),) * n, level_block_reduce(v, f, k))), True, (
+            lambda sums, lost, _: (sums / (2.0 ** (-k)) ** (2 * n), lost))
     if kind != "expanded":
         raise ValueError(f"unknown field kind {kind!r}")
-    # expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c)
-    j = np.arange(level_cube_count(f, k))
-    ranges, grid = [((j - 2) * c, (j + 3) * c)], (len(j),) * n
-    return (lambda v: box_reduce(range_table(v), ranges).reshape(grid)), False, (
-        lambda sums, lost, cells: (sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n)))
+    cubes = level_cube_count(f, k)
+
+    def expanded(v, box):
+        # the expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c),
+        # which meets the box's cells [a, b) for a // c - 2 <= j < ceil(b / c) + 2
+        at = []
+        for ax, s in enumerate(box):
+            j = np.arange(max(s.start // c - 2, 0), min(-(-s.stop // c) + 2, cubes))
+            v = table_reduce(range_table(v, ax), (j - 2) * c - s.start, (j + 3) * c - s.start)
+            at.append(slice(int(j[0]), int(j[-1]) + 1))
+        return tuple(at), v
+    return expanded, False, lambda sums, lost, cells: (
+        sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n))
 
 
 def delta_fields(fs, k: int, order: int, kinds):

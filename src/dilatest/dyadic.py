@@ -21,7 +21,9 @@ Geometry conventions used throughout the package:
   reductions over index ranges from a table built once per array.
   ``prefix_table`` is the one prefix-sum table: with ``pad`` leading zeros
   and ``pad`` trailing totals, every clipped centered window is two slices
-  of it (``table_windows``, read by ``window_sums`` and the maximal field).
+  of it (``table_windows``, read by ``window_sums`` and the maximal field),
+  also the windows just beyond a box of a larger array that is 0 outside
+  it, which ``window_sums`` returns grown by up to the radius.
   Arbitrary ranges go through a ``RangeTable``, which knows its reduction
   ("sum" reads the unpadded prefix table, "min" and "max" the array for
   ``reduceat``): ``range_table`` builds it and ``table_reduce`` reads it, and
@@ -397,12 +399,14 @@ def prefix_table(values, axis, pad):
     return table
 
 
-def table_windows(table, axis, pad, below, above):
+def table_windows(table, axis, pad, below, above, grow=(0, 0)):
     """Sums over the ranges [i - below, i + above), clipped to the array, for
-    every index i, from its ``prefix_table`` with ``pad`` >= below, above: two slices."""
+    every index i from -grow[0] to n + grow[1] - 1, from its ``prefix_table``
+    with ``pad`` >= below + grow[0], above + grow[1] - 1: two slices."""
     n = table.shape[axis] - 2 * pad - 1
-    return (table[_at(axis, slice(pad + above, pad + above + n))]
-            - table[_at(axis, slice(pad - below, pad - below + n))])
+    before, after = grow
+    return (table[_at(axis, slice(pad + above - before, pad + above + n + after))]
+            - table[_at(axis, slice(pad - below - before, pad - below + n + after))])
 
 
 @dataclass(frozen=True)
@@ -495,7 +499,7 @@ def three_point_max(values, step, axis, out=None):
     return out
 
 
-def window_sums(values, radius_cells: int):
+def window_sums(values, radius_cells: int, grow=None):
     """Centered moving-window sums with half-weighted edge cells.
 
     Window at cell i covers (x_i - r*dx, x_i + r*dx): interior cells carry
@@ -503,16 +507,27 @@ def window_sums(values, radius_cells: int):
     so constants integrate exactly. Windows are clipped at the domain edge.
     Works separably, one axis at a time: the closed window [i - r, i + r] plus
     its interior [i - r + 1, i + r - 1], halved, both ``table_windows`` of one
-    ``prefix_table`` padded by r. The output stays C-ordered.
+    ``prefix_table``. The output stays C-ordered.
+
+    ``values`` may be a box of a larger array that is exactly 0 outside it:
+    ``grow`` then gives per axis how many windows (before, after) the box to
+    return as well, each at most r and clipped by the caller to the larger
+    array. The larger array's window sums are exactly 0 beyond the grown box,
+    and inside it they read the same prefix entries as the box's, since a
+    prefix sum over zeros is 0 and adding zeros keeps a total's bits: so the
+    box's window sums are the larger array's, bit for bit, on a finite array.
+    With no ``grow`` the output has the shape of ``values``.
     """
     out = np.asarray(values, dtype=float)
     r = int(radius_cells)
     if r < 1:
         raise ValueError("window radius must be at least one cell")
     for ax in range(out.ndim):
-        table = prefix_table(out, ax, r)
-        out = table_windows(table, ax, r, r, r + 1)
-        out += table_windows(table, ax, r, r - 1, r)
+        span = (0, 0) if grow is None else grow[ax]
+        pad = r + max(span)
+        table = prefix_table(out, ax, pad)
+        out = table_windows(table, ax, pad, r, r + 1, span)
+        out += table_windows(table, ax, pad, r - 1, r, span)
         out *= 0.5
     return out
 

@@ -34,7 +34,7 @@ from .errors import InvalidExponent, MissingLevels, PreconditionFailed
 from .verdicts import FAIL
 from .weights import WeightSequence, ap_constant
 
-_AP_DEPTH = 4  # finest cube level of the A_(p/theta) scans of the weighted ratio
+AP_DEPTH = 4  # finest cube level of the A_(p/theta) scans of the weighted ratio
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
@@ -120,7 +120,7 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta) -> float:
     if len(fs) > t.k_max + 1:
         raise MissingLevels("weight sequence shorter than the function family")
     for k in range(len(fs)):
-        rep = ap_constant(t.level(k), p / theta, _AP_DEPTH)
+        rep = ap_constant(t.level(k), p / theta, AP_DEPTH)
         if rep.verdict == FAIL:
             raise PreconditionFailed(
                 f"level-{k} weight failed the A_(p/theta) scan: trace {rep.trace}"

@@ -65,7 +65,7 @@ from .errors import (
     ResolutionExceeded,
     config_number,
 )
-from .verdicts import trend, worst
+from .verdicts import INCONCLUSIVE, PASS, trend, worst
 
 SHIFT_FRACTIONS = (0.0, 1.0 / 3.0, 2.0 / 3.0)
 _STAGE_FLOOR = 32  # coarsest resolution of an A_p refinement stage
@@ -399,9 +399,14 @@ def cube_power_means(table: RangeTable, fams, r):
         return (sums / counts) ** (1.0 / r)
 
 
+def coarsest_level(halfwidth):
+    """The coarsest cube level the scans read on a grid over [-L, L]^n."""
+    return -int(math.floor(math.log2(halfwidth)))
+
+
 def scan_levels(f: GridFunction, depth):
     """Cube levels scanned: coarsest cube with side <= 2L down to the grid."""
-    k_min = -int(math.floor(math.log2(f.halfwidth)))
+    k_min = coarsest_level(f.halfwidth)
     cap = finest_level(f.halfwidth, f.resolution)
     if depth < k_min:
         raise ResolutionExceeded(
@@ -530,6 +535,7 @@ class XClassReport:
     trace: list
     verdict: str
     order_violation: bool
+    skipped_families: int  # families left out of the sups for a nan maximum
 
 
 def _level_factor(exponent):
@@ -542,13 +548,11 @@ def _level_factor(exponent):
     return 2.0**exponent
 
 
-def _sup_of_family_maxima(values, bounds):
-    """The largest of the families' maxima over a batch's flat values (family i
-    at ``bounds[i]:bounds[i + 1]``), nan only if every family's is: as a running
-    max(c, family max) over the families skips a family whose 0/0 means (both
-    underflowed) make its maximum nan."""
-    maxima = table_reduce(range_table(values, op="max"), bounds[:-1], bounds[1:])
-    return float(np.fmax.reduce(maxima))
+def _family_maxima(values, bounds):
+    """Each family's maximum over a batch's flat values (family i at
+    ``bounds[i]:bounds[i + 1]``): nan for a family in which a cube's 0/0
+    means (both underflowed) give a nan ratio."""
+    return table_reduce(range_table(values, op="max"), bounds[:-1], bounds[1:])
 
 
 def xclass_check(t: WeightSequence, sp, depth=6):
@@ -561,8 +565,11 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     M_{Q,s2}(t_j) / M_{Q,p}(t_k) * 2**(a2 (k-j)). Each fine level j keeps
     its running sup over k <= j and every scanned cube; the refinement trace
     reads the sup over j <= d at growing depths d, and the verdict is the
-    worse of ``trend`` of the C1 and of the C2 trace. Returns the report,
-    which holds C1 and C2 and flags a2 < a1, which contradicts the
+    worse of ``trend`` of the C1 and of the C2 trace. A family whose C1 or
+    C2 maximum is nan (a cube's 0/0 means) is left out of the sups and
+    counted in ``skipped_families``; when any is, the verdict is at best
+    INCONCLUSIVE, since the sups miss those cubes' ratios. Returns the
+    report, which holds C1 and C2 and flags a2 < a1, which contradicts the
     admissible range (reported, not raised).
     """
     if depth < 1:
@@ -584,6 +591,7 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     }
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
+    skipped = 0
     for fams in family_batches(g, scan_levels(g, j_max)):
         bounds = [0]  # family i holds entries bounds[i]:bounds[i + 1] of the flat means
         for fam in fams:
@@ -593,12 +601,18 @@ def xclass_check(t: WeightSequence, sp, depth=6):
             for r in distinct
         }
         mp, ms1, ms2 = (means[r] for r in exponents)
+        nan = np.zeros(len(fams), dtype=bool)  # the batch's families with a nan maximum
         for j in range(j_max + 1):
             for k in range(j + 1):
-                v1 = mp[k] / ms1[j] * _level_factor(-alpha1 * (k - j))
-                v2 = ms2[j] / mp[k] * _level_factor(-alpha2 * (j - k))
-                c1[j] = max(c1[j], _sup_of_family_maxima(v1, bounds))
-                c2[j] = max(c2[j], _sup_of_family_maxima(v2, bounds))
+                with np.errstate(invalid="ignore"):  # a 0/0 ratio is counted in nan
+                    v1 = mp[k] / ms1[j] * _level_factor(-alpha1 * (k - j))
+                    v2 = ms2[j] / mp[k] * _level_factor(-alpha2 * (j - k))
+                m1, m2 = _family_maxima(v1, bounds), _family_maxima(v2, bounds)
+                # a running max skips the nan maxima; fmax is nan only if all are
+                c1[j] = max(c1[j], float(np.fmax.reduce(m1)))
+                c2[j] = max(c2[j], float(np.fmax.reduce(m2)))
+                nan |= np.isnan(m1) | np.isnan(m2)
+        skipped += int(np.count_nonzero(nan))
 
     depths = sorted({max(1, j_max - 4), max(1, j_max - 2), j_max})
     trace = [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]
@@ -607,8 +621,10 @@ def xclass_check(t: WeightSequence, sp, depth=6):
         c1=c1_final,
         c2=c2_final,
         trace=trace,
-        verdict=worst([trend([c for _, c, _ in trace]), trend([c for _, _, c in trace])]),
+        verdict=worst([trend([c for _, c, _ in trace]), trend([c for _, _, c in trace]),
+                       INCONCLUSIVE if skipped else PASS]),
         order_violation=alpha2 < alpha1,
+        skipped_families=skipped,
     )
 
 

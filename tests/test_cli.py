@@ -786,3 +786,25 @@ def test_norm_below_the_unit_window_exits_2_naming_grid_l(tmp_path, capsys, half
     assert main(["norm", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     assert f"config error: grid.L = {halfwidth!r}: the norm command needs L >= 0.5" in (
         capsys.readouterr().err)
+
+
+# -- grids whose coarsest cube level is finer than a scan's levels
+
+
+def test_xclass_below_the_coarsest_cube_level_exits_2_naming_k_max(tmp_path, capsys):
+    # depth 20 reaches level 10, the coarsest of L = 2**-10, but K_max = 6
+    # caps the levels the class check reads at min(depth, K_max) = 6
+    cfg = {"command": "xclass", "grid": {"L": 0.0009765625, "N": 256}, "depth": 20}
+    assert main(["xclass", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: space.K_max = 6" in err and "at least 10" in err
+    assert "depth =" not in err
+
+
+def test_maximal_below_its_scan_depth_exits_2_naming_grid_l(tmp_path, capsys):
+    # the weighted ratio scans its weights' A_(p/theta) cubes down to level
+    # 4, which no config key sets, so an L below 2**-4 can never run
+    cfg = {"command": "maximal", "grid": {"L": 0.0009765625, "N": 256}}
+    assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: grid.L = 0.0009765625" in err and "depth =" not in err

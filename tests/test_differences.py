@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dilatest import differences, fixtures
 from dilatest.cli import parse_config
+from dilatest.dilation import dilate
 from dilatest.differences import (
     _h_axis,
     _h_nodes,
@@ -397,6 +398,11 @@ def _axis_stencil(f, shifts):
     return (*f._clamped_weights(u), ok)
 
 
+def _whole(reduce, values):
+    """A field kind's reduction of an array that covers the whole grid."""
+    return reduce(values, tuple(slice(0, n) for n in values.shape))[1]
+
+
 def _node_sums_per_node_stencils(fs, k, order, reduces):
     """The node loop as interpolating shifts, with neither half-cell slices
     nor a stencil table nor a functions axis: one loop per function, every
@@ -443,13 +449,14 @@ def _one_node_sums_per_node_stencils(f, k, order, reduces):
             acc = acc + still * coeffs[-1]
         g = np.abs(np.moveaxis(acc, 0, -1), order="C")
         g *= functools.reduce(np.logical_and.outer, inside)
-        nums = [num + (g if once else reduce(g)) for num, (reduce, once) in zip(nums, reduces)]
+        nums = [num + (g if once else _whole(reduce, g))
+                for num, (reduce, once) in zip(nums, reduces)]
     out = []
     for num, (reduce, once) in zip(nums, reduces):
         if once:
-            num = reduce(num)
-        cells = reduce(np.ones(f.samples.shape))
-        valid = reduce(functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
+            num = _whole(reduce, num)
+        cells = _whole(reduce, np.ones(f.samples.shape))
+        valid = _whole(reduce, functools.reduce(np.multiply.outer, [count.astype(float)] * dim))
         total = len(axis_nodes) ** dim * cells
         with np.errstate(invalid="ignore", divide="ignore"):
             renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
@@ -470,6 +477,16 @@ def test_node_loop_matches_per_node_stencils_on_the_ladder_grid(k, monkeypatch):
         np.testing.assert_array_equal(have[1], want[1])
 
 
+def _tiles_of_box(reduce, f):
+    """The tile sums ``reduce`` of the whole grid, taken of one node's box
+    set into a grid of zeros, so that they can be summed node by node."""
+    def tiles(values, box):
+        grid = np.zeros(f.samples.shape)
+        grid[box] = values
+        return (slice(None),) * f.dim, _whole(reduce, grid)
+    return tiles
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("geometry", [(1, 4.0, 256), (2, 2.0, 32), (3, 1.0, 16)],
                          ids=["1d", "2d", "3d"])
@@ -484,7 +501,7 @@ def test_cube_field_agrees_with_per_node_tile_sums(geometry, order, monkeypatch)
     got = [delta_cube_field(f, k, order) for k in levels]
     node_sums = differences._node_sums
     monkeypatch.setattr(differences, "_node_sums", lambda fs, k, order, reduces: node_sums(
-        fs, k, order, [(reduce, False) for reduce, _ in reduces]))
+        fs, k, order, [(_tiles_of_box(reduce, f), False) for reduce, _ in reduces]))
     for k, (values, flags) in zip(levels, got):
         want, want_flags = delta_cube_field(f, k, order)
         np.testing.assert_allclose(values, want, rtol=1e-14, atol=0.0)
@@ -493,6 +510,160 @@ def test_cube_field_agrees_with_per_node_tile_sums(geometry, order, monkeypatch)
 
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- the active-box sweep against the dense sweep it replaced
+
+
+def _node_sums_dense(fs, k, order, reduces):
+    """The node loop before active boxes: every node evaluates |Delta_h^M f|
+    on all its kept centers, sets that into a field of the whole grid,
+    zeroes the rows outside the kept centers, and reduces the whole field;
+    the tile sums reduce the node sum of those fields."""
+    f = fs[0]
+    _, dh = _h_axis(2.0 ** (-k), f.spacing)
+    coeffs = [coeff for coeff, _ in difference_coefficients(order)]
+    dim = f.dim
+    table = _slice_rows(f.halfwidth, f.resolution, k, order)
+    count = np.zeros(f.resolution)
+    for _, kept, _ in table:
+        count[kept] += 1
+    result = []
+    for g in fs:
+        arrays, still = differences._half_cell_arrays(g.samples), g.samples * coeffs[-1]
+        nums = [None] * len(reduces)
+        for node in itertools.product(range(len(table)), repeat=dim):
+            rows = [table[i] for i in node]
+            kept = tuple(row[1] for row in rows)
+            for j, coeff in enumerate(coeffs[:-1]):
+                term = arrays[sum(row[0][j][0] << a for a, row in enumerate(rows))]
+                term = term[tuple(slice(s.start + row[0][j][1], s.stop + row[0][j][1])
+                                  for s, row in zip(kept, rows))]
+                if j == 0:
+                    acc = term.copy()
+                else:
+                    acc += term * coeff
+            acc += still[kept]
+            view = np.empty(g.samples.shape)
+            view[kept] = np.abs(acc)
+            for a, s in enumerate(kept):
+                view[(slice(None),) * a + (slice(None, s.start),)] = 0.0
+                view[(slice(None),) * a + (slice(s.stop, None),)] = 0.0
+            for r, (reduce, once) in enumerate(reduces):
+                part = view if once else _whole(reduce, view)
+                nums[r] = part if nums[r] is None else nums[r] + part
+        own = []
+        for num, (reduce, once) in zip(nums, reduces):
+            if once:
+                num = _whole(reduce, num)
+            cells = _whole(reduce, np.ones(g.samples.shape))
+            valid = _whole(reduce, functools.reduce(np.multiply.outer, [count] * dim))
+            total = len(table) ** dim * cells
+            with np.errstate(invalid="ignore", divide="ignore"):
+                renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+            own.append((dh**dim * f.spacing**dim * num * renorm, valid < total - 1e-9, cells))
+        result.append(own)
+    return result
+
+
+def _dense_fields(fs, k, order, kinds):
+    """``delta_fields`` through ``_node_sums_dense``."""
+    parts = [differences._reduction(fs[0], k, kind) for kind in kinds]
+    sums = _node_sums_dense(fs, k, order, [(reduce, once) for reduce, once, _ in parts])
+    return [[finish(*s) for (_, _, finish), s in zip(parts, own)] for own in sums]
+
+
+def _boxed(data, dim, n, shape):
+    """Standard normal samples kept on one random box, 0 elsewhere, the box
+    drawn as ``shape`` asks: anywhere, on an axis's lower or upper edge, one
+    cell wide on an axis, or empty."""
+    if shape == "zero":
+        return np.zeros((n,) * dim)
+    bounds = []
+    for a in range(dim):
+        lo = data.draw(st.integers(0, n - 1), label=f"lo{a}")
+        hi = data.draw(st.integers(lo + 1, n), label=f"hi{a}")
+        bounds.append([lo, hi])
+    a = data.draw(st.integers(0, dim - 1), label="axis")
+    if shape == "lower":
+        bounds[a][0] = 0
+    elif shape == "upper":
+        bounds[a][1] = n
+    elif shape == "narrow":
+        bounds[a][1] = bounds[a][0] + 1
+    elif shape == "inside":  # off every face, as ``dilate`` asks of an f it may clip
+        bounds = [[max(lo, 1), min(max(hi, lo + 2), n - 1)] for lo, hi in bounds]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = np.zeros((n,) * dim)
+    box = tuple(slice(lo, hi) for lo, hi in bounds)
+    samples[box] = np.random.default_rng(seed).standard_normal(samples[box].shape)
+    return samples
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    geometry=st.sampled_from(
+        [(1, 1.0, 32), (1, 2.0, 64), (2, 1.0, 16), (2, 0.5, 16), (3, 2.0, 8), (3, 1.0, 8)]
+    ),
+    order=st.integers(1, 3),
+    shapes=st.lists(st.sampled_from(["any", "lower", "upper", "narrow", "zero", "dilated"]),
+                    min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_active_box_sweep_is_the_dense_sweep_byte_for_byte(geometry, order, shapes, data):
+    # functions zero outside a box, and dilations, whose samples beyond L/lam
+    # are 0: evaluating and reducing each node on its active box only gives
+    # every kind's values and flags, at every level, the dense sweep's bytes
+    dim, halfwidth, n = geometry
+    fs = []
+    for shape in shapes:
+        f = GridFunction(dim, halfwidth, _boxed(data, dim, n, "inside" if shape == "dilated"
+                                                else shape))
+        if shape == "dilated":
+            f, _ = dilate(f, data.draw(st.sampled_from([1.5, 2.0, 4.0]), label="lambda"))
+        fs.append(f)
+    kinds = ("window", "cube", "expanded")
+    for k in range(finest_level(halfwidth, n) + 1):
+        got = delta_fields(fs, k, order, kinds)
+        want = _dense_fields(fs, k, order, kinds)
+        for f_got, f_want in zip(got, want):
+            for kind, (values, flags), (want_values, want_flags) in zip(kinds, f_got, f_want):
+                assert _same_bytes(values, want_values), (k, kind)
+                assert _same_bytes(flags, want_flags), (k, kind)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [1, 3])
+def test_fields_next_to_the_support_edge_match_scalar_oracles(dim, order):
+    # a smooth f kept on [20, 40) of each axis: the entries on either side
+    # of where the active boxes end, within and just beyond the reach of
+    # the windows and h-nodes, against the point-by-point functionals
+    n, halfwidth, k = 64, 2.0, 1
+    f = grid(lambda x: np.cos(x) + 2.0, n=n, L=halfwidth, dim=dim) if dim == 1 else grid(
+        lambda p: np.cos(p[..., 0]) * np.sin(p[..., 1] + 0.3) + 2.0, n=n, L=halfwidth, dim=2)
+    samples = np.zeros_like(f.samples)
+    box = (slice(20, 40),) * dim
+    samples[box] = f.samples[box]
+    f = GridFunction(dim, halfwidth, samples)
+    window, _ = delta_window_field(f, k, order)
+    expanded, _ = delta_expanded_field(f, k, order)
+    c, centers = level_cell_count(f, k), f.axis_centers()
+    reach = order * c + c  # stencil reach plus window radius, in cells
+    near = [i for e in (20, 40) for i in (e - reach - 1, e - reach, e - 1, e, e + reach)
+            if 0 <= i < n]
+    for i in near:
+        idx = (i,) * dim if dim == 1 else (i, 30)
+        want = delta_avg_window(f, tuple(centers[j] for j in idx), k, order)
+        assert window[idx] == pytest.approx(want, rel=1e-12, abs=0.0), idx
+    # beyond every stencil's and window's reach the windows are exactly 0
+    far = [i for i in range(n) if i < 20 - reach or i >= 40 + reach]
+    assert far or order > 1
+    assert all(window[(i,) * dim if dim == 1 else (i, 30)] == 0.0 for i in far)
+    m0 = first_index(f, k)
+    for j in range(expanded.shape[0]):
+        idx = (j,) * dim
+        want = delta_avg_expanded(f, k, m0 + j if dim == 1 else (m0 + j, m0 + j), order)
+        assert expanded[idx] == pytest.approx(want, rel=1e-12, abs=0.0), idx
 
 
 # -- the half-cell slices against the shifts they stand in for

@@ -184,7 +184,9 @@ def _ratio_values(omega, lam, pts):
         num = omega.at(0, pts / lam)
         den = omega.at(0, pts)
         ratio = num / den
-    return np.where(np.isfinite(ratio) & (den > 0), ratio, -np.inf)
+    # a point where w(x/lambda) is infinite and w(x) is not has an infinite
+    # ratio, a blow-up the probe sees; 0/0 and inf/inf read nothing
+    return np.where(~np.isnan(ratio) & (den > 0), ratio, -np.inf)
 
 
 def _stage_sup(omega, lam, lattice, dx, zoom, zoom_rounds):
@@ -215,7 +217,10 @@ def probe_sup(omega, lam, halfwidth, dim=1):
 
     Each stage doubles the box and deepens the zoom around the running
     maxima; divergent is the scans' growth rule: the probed sup at least
-    doubled across both of the last two stages. The lattice has
+    doubled across both of the last two stages, or a stage met a point
+    where the ratio is infinite, as a lattice point on the blow-up center
+    lambda c of a factor is (a finite closed form has none: a center whose
+    exponents cancel reads 0 * inf there, which is nan). The lattice has
     2**(16 - 4 * dim) cells and each zoom 2**max(4, 8 - 2 * dim) + 1 points
     per axis. It sees a blow-up only inside its boxes, and one of
     |x - c|**d with |d| < 1/4 may grow too slowly to meet the rule.
@@ -227,7 +232,7 @@ def probe_sup(omega, lam, halfwidth, dim=1):
         dx = 2.0 * box / cells
         axis = -box + (np.arange(cells) + 0.5) * dx
         trace.append(_stage_sup(omega, lam, tensor_points([axis] * dim), dx, zoom, 4 * (s + 1)))
-    return trace[-1], trend(trace) == FAIL, trace
+    return trace[-1], trend(trace) == FAIL or math.inf in trace, trace
 
 
 _PROBE_HW = 8.0
@@ -272,6 +277,15 @@ def test_closed_form_sup_agrees_with_the_probe(data, dim, lam):
     assert divergent == (closed == math.inf), (omega, closed, trace)
     if not divergent:
         assert value == pytest.approx(closed, rel=1e-12, abs=0), (omega, trace)
+
+
+def test_probe_sees_a_lattice_point_on_a_blow_up_center():
+    # in 3-D at lambda = 4 the last stage's lattice holds lambda c = (-2, -2, -2)
+    # itself, where w(x/lambda) is infinite; dropping that point left the
+    # probe's sups at 4.4e3, 1.3e6, 1.1e6, which missed the growth rule
+    omega = ProductWeight((ShiftedPower((-0.5,), -0.75), ShiftedPower((0.75,), -0.5)))
+    _, divergent, trace = probe_sup(omega, 4.0, _PROBE_HW, 3)
+    assert divergent and sobolev_sup_ratio(omega, 4.0, 3) == math.inf, trace
 
 
 def test_verify_theorem_in_3d():

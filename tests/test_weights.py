@@ -13,7 +13,7 @@ from dilatest.errors import (
     ResolutionExceeded,
 )
 from dilatest.norms import SpaceParams
-from dilatest.verdicts import FAIL, PASS
+from dilatest.verdicts import FAIL, INCONCLUSIVE, PASS
 from dilatest.weights import (
     SPEC_KINDS,
     AdmissibleSeq,
@@ -347,3 +347,22 @@ def test_xclass_admissible_scalar_sequence():
     rep = xclass_check(t, _class_space(1.0 - eps, 1.0 + eps), depth=6)
     assert rep.verdict == PASS
     assert rep.c1 <= 1.0 + 1e-9 and rep.c2 < 10.0
+
+
+def test_xclass_counts_families_whose_maximum_is_nan_and_reads_inconclusive():
+    # w = 1e-200 on 0.3 < x < 0.9: on a cube inside that interval both
+    # M_{Q,p}(t_k) and M_{Q,sigma2}(t_j) underflow to 0, so C2's 0/0 is nan
+    # and the running max skips the family's whole maximum; the sups then
+    # miss those cubes, and the verdict must not read PASS from the rest
+    grid_w = GridFunction.from_callable(
+        lambda x: np.where((0.3 < x) & (x < 0.9), 1e-200, 1.0), 1, 8.0, 512)
+    t = WeightSequence([grid_w.with_samples(2.0 ** (k / 2) * grid_w.samples) for k in range(7)])
+    rep = xclass_check(t, SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5), theta=2.0, sigma2=3.0))
+    assert rep.skipped_families > 0
+    assert math.isfinite(rep.c2)
+    assert rep.verdict == INCONCLUSIVE
+    # a weight without such a cube skips nothing and keeps its verdict
+    flat = WeightSequence([grid_w.with_samples(np.full(512, 2.0 ** (k / 2))) for k in range(7)])
+    rep = xclass_check(flat, SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5), theta=2.0, sigma2=3.0))
+    assert rep.skipped_families == 0
+    assert rep.verdict == PASS
