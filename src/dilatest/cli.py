@@ -22,24 +22,17 @@ from dataclasses import dataclass
 
 from . import fixtures, regression
 from .dilation import summarize_dilation, verify_theorem
-from .dyadic import GridFunction, finest_level
-from .errors import ConfigError, DilatestError, InvalidExponent, config_number
+from .dyadic import GridFunction
+from .errors import ConfigError, DilatestError, InvalidExponent, LevelPlanError, config_number
 from .lp_fourier import fourier_norm
-from .maximal import AP_DEPTH, fs_inequality_ratio, weighted_maximal_ratio
-from .norms import SpaceParams, diff_and_star_norms, diff_norm, star_norm, window_level_cap
+from .maximal import fs_inequality_ratio, weighted_maximal_ratio
+from .norms import SpaceParams, diff_and_star_norms, diff_norm, star_norm
+from .plan import check_plan, default_k_max, maximal_levels
 from .verdicts import EXIT_CODE, FAIL, INCONCLUSIVE, PASS, within, worst
-from .weights import (
-    WeightSequence,
-    ap_constant,
-    coarsest_level,
-    plain_form,
-    spec_from_dict,
-    weight_grid,
-    xclass_check,
-)
+from .weights import (WeightSequence, ap_constant, plain_form, spec_from_dict, weight_grid,
+                      xclass_check)
 
 COMMANDS = ("norm", "ap", "xclass", "dilate", "maximal", "equiv")
-WINDOW_COMMANDS = ("norm", "dilate", "equiv")  # the commands that build difference windows
 # the commands that need p > 1: xclass and dilate read sigma1 = theta (p/theta)',
 # and the maximal bound a theta in (1, p]
 P_ABOVE_ONE_COMMANDS = ("xclass", "dilate", "maximal")
@@ -163,16 +156,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
     if (2.0 * halfwidth / resolution) ** dim < sys.float_info.min:
         raise ConfigError(f"grid.L = {halfwidth!r}: the cell volume (2L/N)**dim at N = "
                           f"{resolution}, dim = {dim} is below the smallest normal float")
-    if command in WINDOW_COMMANDS and halfwidth < 0.5:
-        raise ConfigError(f"grid.L = {halfwidth!r}: the {command} command needs L >= 0.5, so "
-                          "that its level-0 cubes and unit windows tile [-L, L]")
-    if command == "maximal" and coarsest_level(halfwidth) > AP_DEPTH:
-        raise ConfigError(f"grid.L = {halfwidth!r}: the maximal command scans its weights' "
-                          f"A_(p/theta) cubes down to level {AP_DEPTH}, so it needs "
-                          f"L >= 2**-{AP_DEPTH}")
 
     s = top.part("space")
-    window_cap = window_level_cap(halfwidth, resolution)
     p = s.read("p", 2.0, config_number)
     M = s.read("M", 2, _integer, 1)
     half = 0.5 if M == 1 else 1.0  # min(1, M/2): the default keeps 0 < alpha1 <= alpha2 < M
@@ -189,26 +174,12 @@ def parse_config(data: dict, command: str) -> RunConfig:
             theta=s.read("theta", 1.0, config_number),
             # sigma2 defaults to p, also when null
             sigma2=s.read("sigma2", p, lambda v, w: p if v is None else config_number(v, w)),
-            k_max=s.read("K_max", max(1, min(6, window_cap)), _integer, 1),
+            k_max=s.read("K_max", default_k_max(halfwidth, resolution), _integer, 1),
         )
     except InvalidExponent as exc:
         raise ConfigError(f"space: {exc}") from exc
     if command in P_ABOVE_ONE_COMMANDS and not space.p > 1.0:
         raise ConfigError(f"space.p = {space.p}: the {command} command needs p > 1")
-    # difference windows need 4 cells a side; the other commands read the
-    # K_max weight levels only, each as fine as the grid resolves
-    k_cap = window_cap if command in WINDOW_COMMANDS else finest_level(halfwidth, resolution)
-    if space.k_max > k_cap:
-        raise ConfigError(
-            f"space.K_max = {space.k_max} exceeds the resolution cap {k_cap} "
-            f"for grid (L={halfwidth}, N={resolution})"
-        )
-    if command == "xclass" and space.k_max < coarsest_level(halfwidth):
-        raise ConfigError(
-            f"space.K_max = {space.k_max}: the xclass command scans cube levels "
-            f"{coarsest_level(halfwidth)} (the coarsest of grid L={halfwidth}) to "
-            f"min(depth, K_max), so K_max must be at least {coarsest_level(halfwidth)}"
-        )
 
     weights = top.read("weights", {"kind": "constant", "value": 1.0},
                        lambda v, w: spec_from_dict(v, dim, w))
@@ -240,13 +211,17 @@ def parse_config(data: dict, command: str) -> RunConfig:
     unread = top.unread()
     if unread:
         raise ConfigError("; ".join(f"{path}: unknown key" for path in unread))
+    try:  # every level the command reads, from the plan's rules
+        check_plan(command, halfwidth, resolution, space.k_max, cfg.depth, cfg.family_size)
+    except LevelPlanError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def _weight_sequence(cfg: RunConfig) -> WeightSequence:
-    return WeightSequence.from_spec(
-        cfg.weights, cfg.space.k_max, cfg.dim, cfg.halfwidth, cfg.resolution
-    )
+def _weight_sequence(cfg: RunConfig, k_max=None) -> WeightSequence:
+    """The weight levels 0..k_max, by default 0..K_max."""
+    k_max = cfg.space.k_max if k_max is None else k_max
+    return WeightSequence.from_spec(cfg.weights, k_max, cfg.dim, cfg.halfwidth, cfg.resolution)
 
 
 def _fixture(cfg: RunConfig) -> GridFunction:
@@ -341,11 +316,9 @@ def _run_dilate(cfg, threads=1):
 
 
 def _run_maximal(cfg, threads=1):
-    # one weight level per smooth function of a family: the levels beyond are
-    # never read, and a K_max short of them still raises MissingLevels
-    smooth_count = max(2, cfg.family_size // 2)
-    t = WeightSequence.from_spec(cfg.weights, min(cfg.space.k_max, smooth_count - 1),
-                                 cfg.dim, cfg.halfwidth, cfg.resolution)
+    # one weight level per smooth function of a family: the levels beyond are never read
+    smooth_count = maximal_levels(cfg.halfwidth, cfg.space.k_max, cfg.family_size)
+    t = _weight_sequence(cfg, smooth_count - 1)
     sp = cfg.space
     theta = sp.theta if sp.theta > 1.0 else _MAXIMAL_THETA
     if theta > sp.p:

@@ -76,7 +76,7 @@ from .dyadic import (
     tensor_points,
     window_sums,
 )
-from .errors import OutOfDomain, ResolutionExceeded
+from .errors import NonPositiveValue, OutOfDomain, ResolutionExceeded
 
 H_NODE_CAP = 32
 
@@ -425,10 +425,18 @@ def _reduction(f: GridFunction, k: int, kind):
 def delta_fields(fs, k: int, order: int, kinds):
     """Per function of ``fs``, all on one grid, one (values, flagged) per kind
     ("window", "cube" or "expanded") from one h-node loop, each bit for bit
-    what its own ``delta_*_field`` returns."""
+    what its own ``delta_*_field`` returns. Samples whose differences leave
+    the float range (|Delta_h^M f| overflows) raise NonPositiveValue naming
+    the level and kind of the first field that is not finite."""
     parts = [_reduction(fs[0], k, kind) for kind in kinds]
-    sums = _node_sums(fs, k, order, [(reduce, once) for reduce, once, _ in parts])
-    return [[finish(*s) for (_, _, finish), s in zip(parts, own)] for own in sums]
+    with np.errstate(over="ignore", invalid="ignore"):  # a field that overflows raises below
+        sums = _node_sums(fs, k, order, [(reduce, once) for reduce, once, _ in parts])
+        fields = [[finish(*s) for (_, _, finish), s in zip(parts, own)] for own in sums]
+    for own in fields:
+        for kind, (values, _) in zip(kinds, own):
+            if not np.all(np.isfinite(values)):
+                raise NonPositiveValue(f"the level-{k} {kind} field of order {order} is not finite")
+    return fields
 
 
 def delta_window_field(f: GridFunction, k: int, order: int):

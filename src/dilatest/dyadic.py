@@ -13,8 +13,9 @@ Geometry conventions used throughout the package:
   ``interp``; ``axis_units`` gives the unclamped coordinates of whole-axis
   shifts, from which the difference fields check that each step reads a
   sample or a half-cell average, so they match ``interp`` bit for bit,
-* the levels a grid resolves follow one rule (``finest_level``), and a
-  level-k cube must span a whole number of cells (``level_cell_count``),
+* the levels a grid resolves and a command reads follow the rules of
+  ``plan``, and a level-k cube must span a whole number of cells
+  (``level_cell_count``),
 * box reductions come in two kinds, each applied one axis at a time so the
   dimension is a loop bound: exact sums over aligned tiles by reshape
   (``level_block_reduce``; ``resample`` divides them into block means), and
@@ -320,13 +321,6 @@ def cubes_covering(b: Box, k: int, spacing=None):
 
 
 # -- aligned-level fast paths -------------------------------------------------
-
-
-def finest_level(halfwidth, resolution, min_cells=1) -> int:
-    """Largest level k whose cube side 2**-k spans at least ``min_cells`` cells
-    of the ``resolution``-cell grid over [-halfwidth, halfwidth]. A difference
-    of logs, not the log of a ratio, so a tiny halfwidth cannot overflow it."""
-    return math.floor(math.log2(resolution) - math.log2(2.0 * halfwidth * min_cells) + 1e-9)
 
 
 def level_cell_count(f: GridFunction, k: int) -> int:

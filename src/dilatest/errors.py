@@ -15,6 +15,11 @@ class ResolutionExceeded(DilatestError):
     """A dyadic level is finer than the grid can resolve."""
 
 
+class LevelPlanError(ResolutionExceeded):
+    """A command would read a level or stage that its grid, K_max or depth
+    rules out (``plan``); the message starts with the config key that decides it."""
+
+
 class OutOfDomain(DilatestError):
     """An evaluation point (or a whole quadrature window) leaves the sampled box."""
 
@@ -24,7 +29,8 @@ class InvalidExponent(DilatestError):
 
 
 class NonPositiveValue(DilatestError):
-    """A weight evaluated to zero, a negative number, or a non-finite value."""
+    """A weight evaluated to zero, a negative number, or a non-finite value, or
+    a sum of values left the float range."""
 
 
 class MissingLevels(DilatestError):

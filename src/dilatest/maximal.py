@@ -31,10 +31,9 @@ import numpy as np
 
 from .dyadic import GridFunction, MixedNorm, prefix_table, table_windows, three_point_max
 from .errors import InvalidExponent, MissingLevels, PreconditionFailed
+from .plan import AP_DEPTH
 from .verdicts import FAIL
 from .weights import WeightSequence, ap_constant
-
-AP_DEPTH = 4  # finest cube level of the A_(p/theta) scans of the weighted ratio
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
@@ -110,8 +109,8 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta) -> float:
     """Weighted vector-valued maximal ratio under a Muckenhoupt precondition.
 
     The levelwise weights must pass the finiteness scan at exponent p/theta
-    down to cube level 4 (their estimated constants bounded across levels);
-    a FAIL verdict raises PreconditionFailed.
+    down to cube level ``plan.AP_DEPTH`` (their estimated constants bounded
+    across levels); a FAIL verdict raises PreconditionFailed.
     """
     if not 1.0 < theta <= p < math.inf:
         raise InvalidExponent("need 1 < theta <= p < inf")

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .differences import delta_cube_field, delta_expanded_field, delta_fields, delta_window_field
-from .dyadic import (
-    GridFunction, MixedNorm, finest_level, level_block_reduce, level_cell_count, window_sums,
-)
+from .dyadic import GridFunction, MixedNorm, level_block_reduce, level_cell_count, window_sums
 from .errors import InvalidExponent, MissingLevels, ResolutionExceeded
+from .plan import WINDOW_CELLS, check_k_max
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
 
 BOUNDARY_MASS_LIMIT = 0.20
-_WINDOW_CELLS = 4  # a difference window spans at least this many cells a side
 
 
 @dataclass
@@ -75,18 +73,8 @@ class SpaceParams:
         return sigma1_of(self.theta, self.p)
 
 
-def window_level_cap(halfwidth, resolution) -> int:
-    """The finest level a difference norm reaches on the grid: its windows
-    span at least ``_WINDOW_CELLS`` cells a side."""
-    return finest_level(halfwidth, resolution, min_cells=_WINDOW_CELLS)
-
-
 def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
-    if sp.k_max > window_level_cap(f.halfwidth, f.resolution):
-        raise ResolutionExceeded(
-            f"k_max = {sp.k_max} needs window side >= {_WINDOW_CELLS} cells "
-            f"(spacing {f.spacing:.3g})"
-        )
+    check_k_max(f.halfwidth, f.resolution, sp.k_max, WINDOW_CELLS)  # the windows' cells
     if t.k_max < sp.k_max:
         raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}")
 

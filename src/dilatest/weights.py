@@ -34,6 +34,10 @@ distinct exponent once.
 The class check keeps C1 and C2 as running sups per fine level j, over k <= j
 and every scanned cube; its depth trace reads the sup over j <= d. No argmax
 cube is kept.
+
+The cube levels a scan reads, the A_p stages and the class check's depth
+trace follow the rules of ``plan``, which the config parser checks before a
+command runs.
 """
 
 import dataclasses
@@ -51,7 +55,6 @@ from .dyadic import (
     RangeTable,
     box_reduce,
     cube_box,
-    finest_level,
     level_block_reduce,
     point_layout,
     range_table,
@@ -65,11 +68,10 @@ from .errors import (
     ResolutionExceeded,
     config_number,
 )
+from .plan import ap_stages, class_levels, scan_levels
 from .verdicts import INCONCLUSIVE, PASS, trend, worst
 
 SHIFT_FRACTIONS = (0.0, 1.0 / 3.0, 2.0 / 3.0)
-_STAGE_FLOOR = 32  # coarsest resolution of an A_p refinement stage
-_STAGES = 3  # refinement stages of an A_p scan, the finest at the grid's resolution
 
 
 # -- weight construction DSL ---------------------------------------------------
@@ -399,25 +401,6 @@ def cube_power_means(table: RangeTable, fams, r):
         return (sums / counts) ** (1.0 / r)
 
 
-def coarsest_level(halfwidth):
-    """The coarsest cube level the scans read on a grid over [-L, L]^n."""
-    return -int(math.floor(math.log2(halfwidth)))
-
-
-def scan_levels(f: GridFunction, depth):
-    """Cube levels scanned: coarsest cube with side <= 2L down to the grid."""
-    k_min = coarsest_level(f.halfwidth)
-    cap = finest_level(f.halfwidth, f.resolution)
-    if depth < k_min:
-        raise ResolutionExceeded(
-            f"depth = {depth} is below the coarsest cube level of this grid; "
-            f"depth must be at least {k_min}"
-        )
-    if cap < k_min:
-        raise ResolutionExceeded("grid too coarse for any cube level")
-    return range(k_min, min(depth, cap) + 1)
-
-
 # -- Muckenhoupt constants -------------------------------------------------------
 
 
@@ -433,27 +416,12 @@ class ApReport:
     verdict: str
 
 
-def _resolution_trace(n, factor):
-    out = []
-    for i in reversed(range(_STAGES)):
-        r = n // factor**i
-        if r >= _STAGE_FLOOR and r not in out:
-            out.append(r)
-    return out
-
-
 def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
     """sup_Q M_{Q,1}(w) / M_{Q,r}(w) over the cube family, at refining resolutions."""
-    stages = _resolution_trace(gamma.resolution, factor)
-    if not stages:
-        raise ResolutionExceeded(
-            f"the cube scan needs at least {_STAGE_FLOOR} cells per axis, "
-            f"the grid has {gamma.resolution}"
-        )
     trace = []
-    for res in stages:
+    for res in ap_stages(gamma.resolution, factor):
         g = gamma.resample(res)
-        levels = scan_levels(g, depth)
+        levels = scan_levels(g.halfwidth, g.resolution, depth)
         # one table per exponent for the stage, read by every batch of families
         tables = power_table(g.samples, 1.0), power_table(g.samples, r)
         best = -math.inf
@@ -486,7 +454,8 @@ def ap_constant(gamma: GridFunction, p, depth=6, trace_factor=8) -> ApReport:
 
     p = 1 takes the limit r = -inf of -p'/p, the A_1 ratio sup_Q mean_Q g / min_Q g.
     The scan runs at up to three resolutions, each ``trace_factor`` times finer
-    than the last and the finest the grid's own; stages below 32 cells are dropped.
+    than the last and the finest the grid's own; stages below 32 cells are
+    dropped (``plan.ap_stages``).
     A sample of g that is not finite and positive raises NonPositiveValue; for
     such g no ratio is nan, so a batch's argmax is the family-by-family one.
     """
@@ -572,15 +541,9 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     report, which holds C1 and C2 and flags a2 < a1, which contradicts the
     admissible range (reported, not raised).
     """
-    if depth < 1:
-        raise MissingLevels(
-            f"depth = {depth} leaves no pair of levels for the class check; "
-            "depth must be at least 1"
-        )
-    if t.k_max < 1:
-        raise MissingLevels("need at least levels 0..1 for the class check")
     g = t.grid
-    j_max = min(depth, t.k_max)
+    levels, depths = class_levels(g.halfwidth, g.resolution, t.k_max, depth)
+    j_max = depths[-1]
     alpha1, alpha2 = sp.alpha
 
     exponents = sp.p, -sp.sigma1, sp.sigma2
@@ -592,7 +555,7 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
     skipped = 0
-    for fams in family_batches(g, scan_levels(g, j_max)):
+    for fams in family_batches(g, levels):
         bounds = [0]  # family i holds entries bounds[i]:bounds[i + 1] of the flat means
         for fam in fams:
             bounds.append(bounds[-1] + len(fam.lo) ** g.dim)
@@ -614,7 +577,6 @@ def xclass_check(t: WeightSequence, sp, depth=6):
                 nan |= np.isnan(m1) | np.isnan(m2)
         skipped += int(np.count_nonzero(nan))
 
-    depths = sorted({max(1, j_max - 4), max(1, j_max - 2), j_max})
     trace = [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]
     _, c1_final, c2_final = trace[-1]
     return XClassReport(

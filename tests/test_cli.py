@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import warnings
 
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import strategies as st
 from dilatest import cli, fixtures, weights
 from dilatest.cli import COMMANDS, RunConfig, main, parse_config, render, run
 from dilatest.dilation import dilate
-from dilatest.errors import ConfigError, DilatestError
+from dilatest.errors import (
+    ConfigError, DilatestError, MissingLevels, NyquistExceeded, ResolutionExceeded,
+)
 from dilatest.norms import diff_norm, star_norm
 from dilatest.weights import ShiftedPower, WeightSequence
 
@@ -418,22 +423,29 @@ def test_alpha_beyond_the_float_range_exits_2(tmp_path, capsys, command, alpha, 
     assert error in capsys.readouterr().err
 
 
-def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys):
+def test_maximal_family_longer_than_weights_exits_2(tmp_path, capsys, monkeypatch):
+    # once MissingLevels after the weight levels were built; now the parser's
+    # plan rejects it naming the key, before any level is built
+    levels = []
+    weight_grid = weights.weight_grid
+    monkeypatch.setattr(weights, "weight_grid",
+                        lambda spec, k, *args: levels.append(k) or weight_grid(spec, k, *args))
     cfg = dict(BASE, families=1, family_size=8)  # four smooth functions, three levels
     cfg["space"] = dict(BASE["space"], K_max=2, theta=1.5)
     assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
-    assert "MissingLevels" in capsys.readouterr().err
+    assert "config error: family_size = 8" in capsys.readouterr().err
+    assert levels == []
 
 
 @pytest.mark.parametrize(
     "k_max, family_size, built, code",
-    [(5, 6, 3, 0), (5, 2, 2, 0), (5, 12, 6, 0), (1, 6, 2, 2)],
+    [(5, 6, 3, 0), (5, 2, 2, 0), (5, 12, 6, 0), (1, 6, 0, 2)],
 )
 def test_maximal_builds_only_the_weight_levels_it_reads(
     tmp_path, capsys, monkeypatch, k_max, family_size, built, code
 ):
     # one weight level per smooth function of a family, max(2, family_size // 2);
-    # a K_max short of them still exits 2 on MissingLevels
+    # a K_max short of them is a config error naming family_size, no level built
     levels = []
     weight_grid = weights.weight_grid
     monkeypatch.setattr(weights, "weight_grid",
@@ -442,7 +454,8 @@ def test_maximal_builds_only_the_weight_levels_it_reads(
     cfg["space"] = dict(BASE["space"], K_max=k_max, theta=1.5)
     assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == code
     assert levels == list(range(built))
-    assert ("MissingLevels" in capsys.readouterr().err) == (code == 2)
+    err = capsys.readouterr().err
+    assert (f"config error: family_size = {family_size}" in err) == (code == 2)
 
 
 def test_echoed_config_reproduces_the_results(tmp_path):
@@ -510,12 +523,21 @@ def test_a_known_key_the_command_ignores_still_parses():
     assert cfg.echo["lambda_list"] == [2.0, 4.0] and cfg.echo["norm"] == "star"
 
 
-@pytest.mark.parametrize("command, depth", [("ap", -20), ("xclass", 0), ("dilate", 0)])
-def test_depth_below_its_minimum_exits_2_naming_depth(tmp_path, capsys, command, depth):
-    config = write_config(tmp_path, "c.json", dict(BASE, depth=depth))
-    assert main([command, "--config", config]) == 2
+@pytest.mark.parametrize(
+    "command, halfwidth, depth",
+    [("ap", 8.0, -20), ("xclass", 8.0, 0), ("dilate", 8.0, 0),
+     # the coarsest cube level of L = 2**-4 is 4
+     ("ap", 0.0625, 3), ("xclass", 0.0625, 1)],
+    ids=["ap--20", "xclass-0", "dilate-0", "ap-3-L0.0625", "xclass-1-L0.0625"],
+)
+def test_depth_below_its_minimum_exits_2_naming_depth(tmp_path, capsys, command, halfwidth,
+                                                      depth):
+    # once errors of the run, after the weights were built; now the parser's
+    # plan rejects them
+    cfg = dict(BASE, grid=dict(BASE["grid"], L=halfwidth), depth=depth)
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"depth = {depth}" in err and "at least" in err
+    assert f"config error: depth = {depth}" in err and "at least" in err
 
 
 def test_ap_at_depth_zero_still_runs(tmp_path, capsys):
@@ -808,3 +830,52 @@ def test_maximal_below_its_scan_depth_exits_2_naming_grid_l(tmp_path, capsys):
     assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error: grid.L = 0.0009765625" in err and "depth =" not in err
+
+
+# -- the level plan: what the parser accepts runs, what it rejects names a key
+
+_PLAN_KEY = re.compile(r"^config error: (grid\.L|space\.K_max|depth|family_size) = ", re.M)
+
+
+@st.composite
+def _plan_configs(draw):
+    """(command, config) over the keys the level plan reads: 1-D to 3-D grids
+    (3-D only at N = 32), L from 2**-4 to 64, N from 32 to 128, K_max, depth
+    and family_size, one family and one dilation factor to keep runs short."""
+    dim = draw(st.integers(1, 3))
+    n = 32 if dim == 3 else draw(st.sampled_from([32, 64, 128]))
+    return draw(st.sampled_from(COMMANDS)), {
+        "grid": {"L": 2.0 ** draw(st.integers(-4, 6)), "N": n, "dim": dim},
+        "space": {"K_max": draw(st.integers(1, 4)), "theta": 1.5},
+        "depth": draw(st.integers(-3, 6)),
+        "families": 1,
+        "family_size": draw(st.integers(1, 10)),
+        "lambda_list": [2.0],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_plan_configs())
+# configs the parser once accepted and a kernel then rejected on a level rule
+@example(case=("xclass", dict(BASE, grid={"L": 0.0625, "N": 32}, depth=1)))
+@example(case=("ap", dict(BASE, grid={"L": 0.0625, "N": 32}, depth=3)))
+@example(case=("dilate", dict(BASE, grid={"L": 0.5, "N": 64}, depth=0, lambda_list=[2.0])))
+@example(case=("maximal", dict(BASE, grid={"L": 8.0, "N": 32}, families=1, family_size=8,
+                               space={"K_max": 2, "theta": 1.5})))
+def test_a_config_the_parser_accepts_meets_no_level_rule_at_run_time(tmp_path_factory, case):
+    command, config = case
+    try:
+        cfg = parse_config(config, command)
+    except ConfigError:
+        err = io.StringIO()
+        path = write_config(tmp_path_factory.mktemp("plan"), "c.json", config)
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--config", path]) == 2
+        assert _PLAN_KEY.search(err.getvalue()), err.getvalue()
+        return
+    try:
+        run(cfg)
+    except (ResolutionExceeded, MissingLevels, NyquistExceeded):
+        raise
+    except DilatestError:
+        pass  # a value error of the run, such as ClippingExcessive

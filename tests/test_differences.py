@@ -30,7 +30,6 @@ from dilatest.differences import (
 from dilatest.dyadic import (
     Box,
     GridFunction,
-    finest_level,
     level_block_reduce,
     level_cell_count,
     level_cube_count,
@@ -38,8 +37,8 @@ from dilatest.dyadic import (
     table_reduce,
     window_sums,
 )
-from dilatest.errors import ConfigError, OutOfDomain, ResolutionExceeded
-from dilatest.norms import window_level_cap
+from dilatest.errors import ConfigError, NonPositiveValue, OutOfDomain, ResolutionExceeded
+from dilatest.plan import WINDOW_CELLS, finest_level
 
 
 def grid(fn, n=4096, L=8.0, dim=1):
@@ -684,7 +683,7 @@ def test_every_grid_the_parser_accepts_is_sliced_at_every_level(data, dim, order
     log_l = data.draw(st.integers(-4, 6), label="log2 L")
     log_n = data.draw(st.integers(max(5, log_l + 4), 13), label="log2 N")
     halfwidth, n = 2.0**log_l, 2**log_n
-    cap = window_level_cap(halfwidth, n)
+    cap = finest_level(halfwidth, n, WINDOW_CELLS)  # the finest level of a difference norm
     space = {"M": order, "alpha": [0.5, 0.5], "K_max": cap}
     grid = {"L": halfwidth, "N": n, "dim": dim}
     if halfwidth < 0.5:
@@ -699,6 +698,20 @@ def test_every_grid_the_parser_accepts_is_sliced_at_every_level(data, dim, order
     off = math.nextafter(halfwidth, data.draw(st.sampled_from([0.0, math.inf]), label="toward"))
     with pytest.raises(ConfigError, match="grid.L"):
         parse_config({"grid": {"L": off, "N": n, "dim": dim}, "space": space}, "norm")
+
+
+@pytest.mark.parametrize("kind", ["window", "cube", "expanded"])
+def test_a_field_whose_differences_overflow_raises_naming_its_level(kind):
+    # finite samples of +-1.7e308 at centers 30..33 of 1-D L=2, N=64: at k = 1,
+    # M = 2 the stencil sums overflow, and 49 of 64 window, 4 of 8 cube and
+    # 8 of 8 expanded entries once came back nan or inf with only a numpy warning
+    samples = np.zeros(64)
+    samples[30:34] = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
+    f = GridFunction(1, 2.0, samples)
+    with pytest.raises(NonPositiveValue, match=f"level-1 {kind} field of order 2 is not finite"):
+        delta_fields([f], 1, 2, (kind,))
+    scaled = delta_fields([f.with_samples(samples * 2.0**-900)], 1, 2, (kind,))[0][0][0]
+    assert np.all(np.isfinite(scaled)) and np.any(scaled > 0)  # the same samples, in range
 
 
 @pytest.mark.parametrize("halfwidth, n", [(4.0 / 3.0, 64), (2.0 / 3.0, 32)],

@@ -13,12 +13,12 @@ from dilatest.dyadic import (
     cube_box,
     cubes_covering,
     expanded_cube,
-    finest_level,
     level_block_reduce,
     level_cell_count,
     window_sums,
 )
 from dilatest.errors import EmptyIntersection, OutOfDomain, ResolutionExceeded
+from dilatest.plan import finest_level
 
 
 def grid(fn, n=1024, L=8.0, dim=1):

@@ -8,6 +8,7 @@ import pytest
 from dilatest.dyadic import Box, GridFunction, box_lp_average
 from dilatest.errors import EmptyIntersection, InvalidExponent, NonPositiveValue
 from dilatest.norms import SpaceParams
+from dilatest.plan import scan_levels
 from dilatest.weights import (
     SHIFT_FRACTIONS,
     Power,
@@ -18,7 +19,6 @@ from dilatest.weights import (
     cube_families,
     cube_power_means,
     power_table,
-    scan_levels,
     weight_grid,
     xclass_check,
 )
@@ -41,7 +41,7 @@ def test_cube_power_means_match_the_scalar_oracle(dim, halfwidth, n):
     p = 3.0
     exponents = [1.0, p, -conjugate(p) / p, math.inf, -math.inf]
     clipped = 0
-    for k in scan_levels(w, 6):
+    for k in scan_levels(w.halfwidth, w.resolution, 6):
         side = 2.0**-k
         for fam in cube_families(w, k):
             for r in exponents:
@@ -142,7 +142,7 @@ def _family_means(w: GridFunction, k, shift, r):
 def _xclass_oracle(t: WeightSequence, sp: SpaceParams, j_max):
     """Per fine level j, the sups over k <= j and every cube of C1's and C2's ratios."""
     c1, c2 = [0.0] * (j_max + 1), [0.0] * (j_max + 1)
-    for lev in scan_levels(t.grid, j_max):
+    for lev in scan_levels(t.grid.halfwidth, t.grid.resolution, j_max):
         for shift in SHIFT_FRACTIONS:
             mp, ms1, ms2 = (
                 [_family_means(t.level(kw), lev, shift, r) for kw in range(j_max + 1)]

@@ -20,7 +20,8 @@ from dilatest.dyadic import (
     three_point_max,
     window_sums,
 )
-from dilatest.weights import cube_families, family_cube_reduce, scan_levels
+from dilatest.plan import scan_levels
+from dilatest.weights import cube_families, family_cube_reduce
 
 BRUTE = {
     "sum": lambda block, axis: block.sum(axis=axis),
@@ -143,7 +144,7 @@ def test_three_point_max_joins_into_out_and_leaves_values():
 def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
     values = np.random.default_rng(dim).random((n,) * dim) + 0.1
     f = GridFunction(dim, halfwidth, values)
-    for k in scan_levels(f, 6):
+    for k in scan_levels(f.halfwidth, f.resolution, 6):
         for fam in cube_families(f, k):
             shift = fam.shift
             # the shifted tiling cut by cell centers, brute force

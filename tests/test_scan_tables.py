@@ -21,6 +21,7 @@ import pytest
 from dilatest.dyadic import DyadicCube, GridFunction, box_reduce, range_table
 from dilatest.maximal import hl_maximal
 from dilatest.norms import SpaceParams
+from dilatest.plan import scan_levels
 from dilatest.weights import (
     _BATCH_ENTRIES,
     SHIFT_FRACTIONS,
@@ -35,7 +36,6 @@ from dilatest.weights import (
     family_batches,
     family_cube_reduce,
     power_table,
-    scan_levels,
     weight_grid,
     xclass_check,
 )
@@ -102,7 +102,7 @@ def test_shared_power_tables_give_the_fresh_per_family_means_bit_for_bit(dim, ha
     w = _weight(dim, halfwidth, n)
     for r in EXPONENTS:
         table = power_table(w.samples, r)
-        for k in scan_levels(w, 8):
+        for k in scan_levels(w.halfwidth, w.resolution, 8):
             for fam in cube_families(w, k):
                 means = cube_power_means(table, [fam], r)
                 want, cubes = _fresh_means(w, k, fam.shift, r)
@@ -114,7 +114,7 @@ def test_shared_power_tables_give_the_fresh_per_family_means_bit_for_bit(dim, ha
 @pytest.mark.parametrize("dim, halfwidth, n", BATCH_GRIDS)
 def test_families_read_in_batches_give_the_one_family_reads_bit_for_bit(dim, halfwidth, n):
     w = _weight(dim, halfwidth, n, seed=4)
-    levels = scan_levels(w, 8)
+    levels = scan_levels(w.halfwidth, w.resolution, 8)
     batches = list(family_batches(w, levels))
     # the batches cut the scan order, levels coarse to fine and shifts in order
     assert [fam for fams in batches for fam in fams] == [
@@ -192,7 +192,7 @@ def _brute_ap(gamma: GridFunction, p, depth, resolutions):
     for res in resolutions:
         g = gamma.resample(res)
         best = -math.inf
-        for k in scan_levels(g, depth):
+        for k in scan_levels(g.halfwidth, g.resolution, depth):
             for shift in SHIFT_FRACTIONS:
                 mean, idx = _fresh_means(g, k, shift, 1.0)
                 ratio = mean / _fresh_means(g, k, shift, r)[0]
@@ -208,7 +208,7 @@ def _brute_xclass(t: WeightSequence, sp: SpaceParams, j_max, depths):
     """Running sups of C1 and C2 per fine level with fresh means and all three shifts."""
     c1 = [-math.inf] * (j_max + 1)
     c2 = [-math.inf] * (j_max + 1)
-    for lev in scan_levels(t.grid, j_max):
+    for lev in scan_levels(t.grid.halfwidth, t.grid.resolution, j_max):
         for shift in SHIFT_FRACTIONS:
             mp, ms1, ms2 = (
                 [_fresh_means(t.level(kw), lev, shift, r)[0] for kw in range(j_max + 1)]
@@ -227,7 +227,8 @@ SCANS = [(2, 4.0, 256), (1, 8.0, 512), (3, 4.0, 32)]
 
 
 def _skips_a_family(g: GridFunction, depth):
-    return any(len(cube_families(g, k)) < len(SHIFT_FRACTIONS) for k in scan_levels(g, depth))
+    return any(len(cube_families(g, k)) < len(SHIFT_FRACTIONS)
+               for k in scan_levels(g.halfwidth, g.resolution, depth))
 
 
 @pytest.mark.parametrize("dim, halfwidth, n", SCANS)

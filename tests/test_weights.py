@@ -13,6 +13,7 @@ from dilatest.errors import (
     ResolutionExceeded,
 )
 from dilatest.norms import SpaceParams
+from dilatest.plan import scan_levels
 from dilatest.verdicts import FAIL, INCONCLUSIVE, PASS
 from dilatest.weights import (
     SPEC_KINDS,
@@ -34,7 +35,6 @@ from dilatest.weights import (
     spec_from_dict,
     spec_to_dict,
     weight_grid,
-    scan_levels,
     xclass_check,
 )
 
@@ -226,7 +226,7 @@ def test_a1_constant_is_the_mean_over_min_scan(dim, n):
         ratios = [
             cube_power_means(power_table(gr.samples, 1.0), [fam], 1.0)
             / cube_power_means(power_table(gr.samples, -math.inf), [fam], -math.inf)
-            for k in scan_levels(gr, 4)
+            for k in scan_levels(gr.halfwidth, gr.resolution, 4)
             for fam in cube_families(gr, k)
         ]
         want.append((gr.resolution, max(float(np.max(r)) for r in ratios)))
