@@ -137,6 +137,11 @@ class RunConfig:
     echo: dict
 
 
+def _maximal_theta(space: SpaceParams) -> float:
+    """The theta of the maximal bound: space.theta when above 1, else ``_MAXIMAL_THETA``."""
+    return space.theta if space.theta > 1.0 else _MAXIMAL_THETA
+
+
 def parse_config(data: dict, command: str) -> RunConfig:
     """Validate a config mapping; error messages carry the offending field,
     and a key that nothing reads is an error."""
@@ -180,6 +185,12 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError(f"space: {exc}") from exc
     if command in P_ABOVE_ONE_COMMANDS and not space.p > 1.0:
         raise ConfigError(f"space.p = {space.p}: the {command} command needs p > 1")
+    if command == "maximal" and _maximal_theta(space) > space.p:
+        raise ConfigError(
+            f"space.theta = {space.theta} is not above 1, so the maximal bound substitutes "
+            f"theta = {_MAXIMAL_THETA}, which exceeds p = {space.p}; "
+            "set space.theta in (1, p]"
+        )
 
     weights = top.read("weights", {"kind": "constant", "value": 1.0},
                        lambda v, w: spec_from_dict(v, dim, w))
@@ -320,13 +331,7 @@ def _run_maximal(cfg, threads=1):
     smooth_count = maximal_levels(cfg.halfwidth, cfg.space.k_max, cfg.family_size)
     t = _weight_sequence(cfg, smooth_count - 1)
     sp = cfg.space
-    theta = sp.theta if sp.theta > 1.0 else _MAXIMAL_THETA
-    if theta > sp.p:
-        raise ConfigError(
-            f"space.theta = {sp.theta} is not above 1, so the maximal bound substitutes "
-            f"theta = {_MAXIMAL_THETA}, which exceeds p = {sp.p}; "
-            "set space.theta in (1, p]"
-        )
+    theta = _maximal_theta(sp)
     rows = []
     for j in range(cfg.families):
         seed = cfg.seed + j

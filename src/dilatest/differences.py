@@ -54,6 +54,18 @@ prefix sums; the cube kind's tile sums reduce the field summed over the
 nodes once, into which each node adds its box, since its terms are >= 0
 and their sum is accurate in any order. The kept-pair counts are integers,
 a product of per-axis counts, and are reduced once per reduction.
+
+The prefix-table kinds take the nodes two at a time, in node order, as the
+two lanes of one complex field: the real part holds the first node's field
+and the imaginary part the second's, on the union of their active boxes,
+with exact zeros elsewhere (a lone last node leaves the second lane 0).
+Each reduction runs once for both, and a prefix-sum step, the dependent
+add that bounds its speed, serves two nodes. The bits stay those of one
+node at a time: a complex add or subtract is two float ones, lane by lane,
+and the reductions halve the float view (``dyadic.window_sums``); the union
+box only adds zeros to each lane, which keeps a prefix sum's bits as the
+active boxes do; and each node's sums join the running sums in node
+order, the real lane and then the imaginary one.
 """
 
 import functools
@@ -275,14 +287,16 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
     return tuple(rows)
 
 
-def _box_field(arrays, still, terms, box, coeffs):
+def _box_field(arrays, still, terms, box, coeffs, out=None):
     """One node's |Delta_h^M f| on ``box`` (a slice per axis, inside its
     kept centers) from the ``_half_cell_arrays`` of f, in axis order, and
     per axis its stencil terms there, (0 for the samples or 1 for the half
     cells, slice) per stencil point: the first term unscaled, then coeff *
     term for each further stencil point, then ``still``, in this order,
-    which fixes the field's bits. The field is an array of the box's own,
-    since numpy's loops over a strided output run several times slower."""
+    which fixes the field's bits. The sum is an array of the box's own,
+    since numpy's loops over a strided output run several times slower;
+    its absolute value goes to ``out`` if given (a lane of the sweep's
+    complex field, one strided pass) and is returned."""
     for j, coeff in enumerate(coeffs[:-1]):
         term = arrays[sum(axis[j][0] << a for a, axis in enumerate(terms))]
         term = term[tuple(axis[j][1] for axis in terms)]
@@ -291,7 +305,7 @@ def _box_field(arrays, still, terms, box, coeffs):
         else:
             acc += term * coeff
     acc += still[box]
-    return np.abs(acc, out=acc)
+    return np.abs(acc, out=acc if out is None else out)
 
 
 def _node_sums(fs, k: int, order: int, reduces):
@@ -313,6 +327,14 @@ def _node_sums(fs, k: int, order: int, reduces):
     of entries that lost pairs; and the reduction of ones, the cell count of
     each entry. Each function adds its node terms in node order, so its
     result is bit for bit the one it gives alone.
+
+    A prefix-table reduction reads two nodes at once: ``v`` is complex, the
+    fields of two consecutive nodes in its real and imaginary lanes on the
+    union of their boxes, 0 elsewhere in each lane, and each lane of the
+    result is the reduction of that node's field alone, bit for bit (the
+    reductions work lane by lane, and zeros keep a prefix sum's bits). The
+    real lane joins the running sums before the imaginary one; a lone last
+    node runs with an empty imaginary lane.
 
     The functions run one at a time through every node, in row-major
     order, so the loop holds one function's half-cell arrays. A node's
@@ -370,15 +392,36 @@ def _node_sums(fs, k: int, order: int, reduces):
         # their first term
         own = [np.zeros(cells.shape) for _, _, cells in out]
         field = np.zeros(g.samples.shape) if any(once for _, once in reduces) else None
-        for node in itertools.product(*active):
-            box = tuple(s for s, _ in node)
-            view = _box_field(arrays, still, [terms for _, terms in node], box, coeffs)
+        paired = not all(once for _, once in reduces)
+
+        def add(pair):
+            """Add the fields of one or two consecutive nodes to the sums;
+            with a prefix-table reduction, as the lanes of one complex field
+            on the union of their boxes, 0 elsewhere, which each such
+            reduction reads once, and whose lanes add in node order. The
+            pair's arrays go when it returns, before the next pair's."""
+            boxes = [tuple(s for s, _ in node) for node in pair]
+            dests = [None] * len(pair)  # the tile sums alone: arrays of the fields' own
+            if paired:
+                union = tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                              for axis in zip(*boxes))
+                lanes = np.zeros(tuple(u.stop - u.start for u in union), dtype=complex)
+                dests = [lane[tuple(slice(s.start - u.start, s.stop - u.start)
+                                    for s, u in zip(box, union))]
+                         for lane, box in zip((lanes.real, lanes.imag), boxes)]
+            for node, box, dest in zip(pair, boxes, dests):
+                view = _box_field(arrays, still, [terms for _, terms in node], box, coeffs, dest)
+                if field is not None:
+                    field[box] += view
             for (reduce, once), num in zip(reduces, own):
                 if not once:
-                    at, s = reduce(view, box)
-                    num[at] += s
-            if field is not None:
-                field[box] += view
+                    at, s = reduce(lanes, union)
+                    num[at] += s.real
+                    num[at] += s.imag
+
+        nodes = itertools.product(*active)
+        for pair in iter(lambda: list(itertools.islice(nodes, 2)), []):  # the last alone if odd
+            add(pair)
         return [reduce(field, whole)[1] if once else num
                 for num, (reduce, once) in zip(own, reduces)]
 

@@ -30,7 +30,11 @@ Geometry conventions used throughout the package:
   ``reduceat``): ``range_table`` builds it and ``table_reduce`` reads it, and
   ``box_reduce`` takes the same ranges along every axis from a first-axis
   table, for a list of range sets at once (the cube scans read such a table
-  once per batch of cube families, ``weights.family_cube_reduce``),
+  once per batch of cube families, ``weights.family_cube_reduce``).
+  The sums keep complex values complex (``_lanes``): two float arrays in
+  the real and imaginary lanes, summed at once, each lane with the bits of
+  its own float call, which the difference fields use to reduce two
+  h-nodes per prefix scan,
 * the B and F aggregates over levels are one choice, folded one level at a
   time (``MixedNorm``, and ``mixed_norm`` over a list of levels).
 """
@@ -342,6 +346,14 @@ def level_cube_count(f: GridFunction, k: int) -> int:
     return int(round(nc))
 
 
+def _lanes(values):
+    """``values`` as a float array, or as a complex one when they are complex:
+    two float lanes, the real and the imaginary part, which the sums below
+    add and subtract lane by lane, each lane as its own float call would."""
+    v = np.asarray(values)
+    return np.asarray(v, dtype=np.result_type(v, np.float64))
+
+
 def _tile_reduce(values, cells):
     """Sums over the aligned tiles of ``cells`` samples per axis, by reshape.
 
@@ -350,7 +362,7 @@ def _tile_reduce(values, cells):
     taken of a C-ordered copy when ``values`` is not one, so their bits do
     not depend on its layout.
     """
-    v = np.ascontiguousarray(values, dtype=float)
+    v = np.ascontiguousarray(_lanes(values))
     tiles = v.reshape(sum(((n // cells, cells) for n in v.shape), ()))
     return np.sum(tiles, axis=tuple(range(1, tiles.ndim, 2)))
 
@@ -381,14 +393,19 @@ def prefix_table(values, axis, pad):
     """Prefix sums along one axis with ``pad`` + 1 leading zeros and ``pad``
     trailing copies of the total: entry pad + m holds the sum of the first
     clip(m, 0, n) entries, so a range [lo, hi) within pad of the axis sums to
-    entry pad + hi minus entry pad + lo, clipped to the array."""
-    v = np.asarray(values, dtype=float)
+    entry pad + hi minus entry pad + lo, clipped to the array.
+
+    Complex values keep their dtype (``_lanes``): a complex add is two float
+    adds, one per lane, so each lane's table has the bits of the float
+    table of that lane, and one scan serves two arrays."""
+    v = _lanes(values)
     n = v.shape[axis]
     shape = list(v.shape)
     shape[axis] = n + 2 * pad + 1
-    table = np.empty(shape)
+    table = np.empty(shape, dtype=v.dtype)
     table[_at(axis, slice(0, pad + 1))] = 0.0
-    np.cumsum(v, axis=axis, out=table[_at(axis, slice(pad + 1, pad + 1 + n))])
+    # np.cumsum's loop, called as the ufunc without the wrapper's per-call cost
+    np.add.accumulate(v, axis=axis, out=table[_at(axis, slice(pad + 1, pad + 1 + n))])
     table[_at(axis, slice(pad + 1 + n, None))] = table[_at(axis, slice(pad + n, pad + n + 1))]
     return table
 
@@ -420,8 +437,9 @@ class RangeTable:
 
 def range_table(values, axis=0, op="sum"):
     """The table from which ``table_reduce`` reduces any ranges of ``values``
-    along ``axis`` by ``op``: "sum", "min" or "max"."""
-    v = np.asarray(values, dtype=float)
+    along ``axis`` by ``op``: "sum", "min" or "max". Complex values keep
+    their dtype, and their sums are taken lane by lane (``prefix_table``)."""
+    v = _lanes(values)
     if op == "sum":
         return RangeTable(axis, op, prefix_table(v, axis, 0))
     if op not in ("min", "max"):
@@ -511,8 +529,13 @@ def window_sums(values, radius_cells: int, grow=None):
     prefix sum over zeros is 0 and adding zeros keeps a total's bits: so the
     box's window sums are the larger array's, bit for bit, on a finite array.
     With no ``grow`` the output has the shape of ``values``.
+
+    Complex values are two arrays, one per lane, summed at once: the tables
+    and their differences work lane by lane (``prefix_table``) and the
+    halving is applied to the float view, so each lane gets the bits of its
+    own float call, nonfinite values included.
     """
-    out = np.asarray(values, dtype=float)
+    out = _lanes(values)
     r = int(radius_cells)
     if r < 1:
         raise ValueError("window radius must be at least one cell")
@@ -522,7 +545,8 @@ def window_sums(values, radius_cells: int, grow=None):
         table = prefix_table(out, ax, pad)
         out = table_windows(table, ax, pad, r, r + 1, span)
         out += table_windows(table, ax, pad, r - 1, r, span)
-        out *= 0.5
+        half = out.view(np.float64)  # a complex 0.5 would mix the lanes through 0 * inf
+        half *= 0.5
     return out
 
 

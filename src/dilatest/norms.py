@@ -20,7 +20,7 @@ import numpy as np
 from .differences import delta_cube_field, delta_expanded_field, delta_fields, delta_window_field
 from .dyadic import GridFunction, MixedNorm, level_block_reduce, level_cell_count, window_sums
 from .errors import InvalidExponent, MissingLevels, ResolutionExceeded
-from .plan import WINDOW_CELLS, check_k_max
+from .plan import WINDOW_CELLS, check_k_max, check_unit_window
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
 
 BOUNDARY_MASS_LIMIT = 0.20
@@ -74,6 +74,7 @@ class SpaceParams:
 
 
 def _check_levels(f: GridFunction, t: WeightSequence, sp: SpaceParams):
+    check_unit_window(f.halfwidth, "a difference norm")  # the level-0 cubes and unit windows
     check_k_max(f.halfwidth, f.resolution, sp.k_max, WINDOW_CELLS)  # the windows' cells
     if t.k_max < sp.k_max:
         raise MissingLevels(f"weight sequence has levels 0..{t.k_max}, need {sp.k_max}")

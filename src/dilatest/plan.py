@@ -9,6 +9,8 @@ starts with ``<config key> = <value>``:
 * ``finest_level``: the finest level whose cube side spans a given number of
   cells; a difference window needs ``WINDOW_CELLS`` a side, a weight level
   one, and ``check_k_max`` holds K_max to the cap a command reads,
+* ``check_unit_window``: the difference norms tile [-L, L] with level-0
+  cubes and unit windows, so they need L >= 0.5,
 * ``coarsest_level`` and ``scan_levels``: a cube scan runs from the coarsest
   cube level of [-L, L]^n down to its depth, capped at the grid,
 * ``ap_stages``: the resolutions of an A_p scan's refinement stages,
@@ -50,6 +52,14 @@ def check_k_max(halfwidth, resolution, k_max, min_cells=1):
     if k_max > cap:
         raise LevelPlanError(f"space.K_max = {k_max} exceeds the resolution cap {cap} "
                              f"for grid (L={halfwidth}, N={resolution})")
+
+
+def check_unit_window(halfwidth, reader):
+    """L >= 0.5, so that the level-0 cubes and the unit windows of the
+    difference norms tile [-L, L]; ``reader`` names what reads them."""
+    if halfwidth < 0.5:
+        raise LevelPlanError(f"grid.L = {halfwidth!r}: {reader} needs L >= 0.5, "
+                             "so that its level-0 cubes and unit windows tile [-L, L]")
 
 
 def coarsest_level(halfwidth) -> int:
@@ -112,9 +122,8 @@ def check_plan(command, halfwidth, resolution, k_max, depth, family_size):
     """Every level rule of one command's run; raises LevelPlanError naming
     the config key of the first it breaks."""
     windows = command in ("norm", "dilate", "equiv")  # the commands that build difference windows
-    if windows and halfwidth < 0.5:
-        raise LevelPlanError(f"grid.L = {halfwidth!r}: the {command} command needs L >= 0.5, "
-                             "so that its level-0 cubes and unit windows tile [-L, L]")
+    if windows:
+        check_unit_window(halfwidth, f"the {command} command")
     # the other commands read the weight levels only, each as fine as the grid resolves
     check_k_max(halfwidth, resolution, k_max, WINDOW_CELLS if windows else 1)
     if command == "ap":

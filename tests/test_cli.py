@@ -722,6 +722,19 @@ def test_maximal_names_the_theta_it_would_substitute(tmp_path, capsys):
     assert "theta = 1.5" in err and "p = 1.2" in err
 
 
+def test_maximal_theta_above_p_exits_2_before_any_weight_level(tmp_path, capsys, monkeypatch):
+    # the substituted theta = 1.5 exceeds p = 1.2: once found after the three
+    # weight levels were built, now the parser rejects it beside the p > 1 rule
+    levels = []
+    weight_grid = weights.weight_grid
+    monkeypatch.setattr(weights, "weight_grid",
+                        lambda spec, k, *args: levels.append(k) or weight_grid(spec, k, *args))
+    cfg = {"space": {"p": 1.2, "K_max": 2}, "family_size": 6}
+    assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert "config error: space.theta = 1.0" in capsys.readouterr().err
+    assert levels == []
+
+
 # 1-D L=8, N=256, B with p = 1, q = 2, geometric s = 0.5 over |x|^0.3
 _P_ONE = {
     "grid": {"L": 8.0, "N": 256, "dim": 1},

@@ -478,9 +478,10 @@ def test_node_loop_matches_per_node_stencils_on_the_ladder_grid(k, monkeypatch):
 
 def _tiles_of_box(reduce, f):
     """The tile sums ``reduce`` of the whole grid, taken of one node's box
-    set into a grid of zeros, so that they can be summed node by node."""
+    set into a grid of zeros, so that they can be summed node by node; the
+    grid takes the values' dtype, so a complex pair of fields keeps both."""
     def tiles(values, box):
-        grid = np.zeros(f.samples.shape)
+        grid = np.zeros(f.samples.shape, dtype=values.dtype)
         grid[box] = values
         return (slice(None),) * f.dim, _whole(reduce, grid)
     return tiles
@@ -523,7 +524,7 @@ def _node_sums_dense(fs, k, order, reduces):
     _, dh = _h_axis(2.0 ** (-k), f.spacing)
     coeffs = [coeff for coeff, _ in difference_coefficients(order)]
     dim = f.dim
-    table = _slice_rows(f.halfwidth, f.resolution, k, order)
+    table = differences._slice_rows(f.halfwidth, f.resolution, k, order)
     count = np.zeros(f.resolution)
     for _, kept, _ in table:
         count[kept] += 1
@@ -629,6 +630,38 @@ def test_active_box_sweep_is_the_dense_sweep_byte_for_byte(geometry, order, shap
             for kind, (values, flags), (want_values, want_flags) in zip(kinds, f_got, f_want):
                 assert _same_bytes(values, want_values), (k, kind)
                 assert _same_bytes(flags, want_flags), (k, kind)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name, geometry", [("bump", (1, 4.0, 64)),
+                                            ("mollified_step", (2, 2.0, 32)),
+                                            ("mollified_step", (3, 2.0, 16))],
+                         ids=["1d", "2d", "3d"])
+def test_an_odd_count_of_active_nodes_is_the_dense_sweep_byte_for_byte(
+        name, geometry, order, monkeypatch):
+    # the sweep reduces the nodes in pairs, and an odd count leaves the last
+    # node alone, in a pair whose second lane is empty. On the grids the
+    # parser accepts every axis has an even count of node values and every
+    # node with kept centers reads the support, so the count is even: with
+    # the last node value left out of the stencil table, the sweep and the
+    # dense sweep both run an odd count at every level
+    dim, halfwidth, n = geometry
+    rows = differences._slice_rows
+    monkeypatch.setattr(differences, "_slice_rows", lambda *args: rows(*args)[:-1])
+    nodes = []  # one entry per node evaluated
+    box_field = differences._box_field
+    monkeypatch.setattr(differences, "_box_field",
+                        lambda *args: nodes.append(1) or box_field(*args))
+    f = fixtures.fixture(name, dim, halfwidth, n)
+    kinds = ("window", "cube", "expanded")
+    for k in range(finest_level(halfwidth, n) + 1):
+        nodes.clear()
+        got = delta_fields([f], k, order, kinds)[0]
+        assert len(nodes) % 2 == 1, k
+        for kind, (values, flags), (want_values, want_flags) in zip(
+                kinds, got, _dense_fields([f], k, order, kinds)[0]):
+            assert _same_bytes(values, want_values), (k, kind)
+            assert _same_bytes(flags, want_flags), (k, kind)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

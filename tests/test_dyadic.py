@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilatest.dyadic import (
     Box,
@@ -15,6 +17,9 @@ from dilatest.dyadic import (
     expanded_cube,
     level_block_reduce,
     level_cell_count,
+    prefix_table,
+    range_table,
+    table_reduce,
     window_sums,
 )
 from dilatest.errors import EmptyIntersection, OutOfDomain, ResolutionExceeded
@@ -188,6 +193,68 @@ def test_window_sums_constant_exact():
     sums = window_sums(f.samples, r) * f.spacing
     inner = np.abs(f.axis_centers()) <= f.halfwidth - 1.0
     assert np.allclose(sums[inner], 2.0, rtol=1e-12)
+
+
+# values as the difference fields may hold them and beyond: exact zeros of
+# either sign, subnormals, and magnitudes from 1e-300 to 1e300 of either sign,
+# whose sums on these small arrays stay finite
+_LANE_VALUES = st.builds(
+    lambda magnitude, sign: sign * magnitude,
+    st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e300)),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@st.composite
+def _complex_pair(draw):
+    """A complex array of 1-3 axes of 1-6 entries whose lanes, the real and
+    the imaginary part, are two independent arrays of ``_LANE_VALUES``, one
+    entry of one lane at times an infinity, as a field that overflows holds."""
+    dim = draw(st.integers(1, 3), label="dim")
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim), label="shape"))
+    size = math.prod(shape)
+    z = np.empty(shape, dtype=complex)
+    for lane in (z.real, z.imag):
+        lane[...] = np.reshape(draw(st.lists(_LANE_VALUES, min_size=size, max_size=size)), shape)
+    lane = draw(st.sampled_from([None, z.real, z.imag]), label="infinite lane")
+    if lane is not None:
+        lane.flat[draw(st.integers(0, size - 1), label="at")] = draw(
+            st.sampled_from([math.inf, -math.inf]), label="infinity")
+    return z
+
+
+def _assert_lane_by_lane(reduce, z):
+    """``reduce`` of the complex array z holds in each lane the bytes of
+    ``reduce`` of that lane alone, a float array."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a lane holding an infinity
+        got = reduce(z)
+        wants = [reduce(np.ascontiguousarray(lane)) for lane in (z.real, z.imag)]
+    assert got.dtype == complex
+    for part, want in zip((got.real, got.imag), wants):
+        assert want.dtype == float and part.shape == want.shape
+        assert np.ascontiguousarray(part).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=_complex_pair(), data=st.data())
+def test_complex_sums_are_the_float_sums_of_each_lane_byte_for_byte(z, data):
+    # one complex reduction serves two float arrays: every add and subtract
+    # works lane by lane and the halving reads the float view, so each lane
+    # gets the bits of its own float call, the nan of inf - inf included
+    axis = data.draw(st.integers(0, z.ndim - 1), label="axis")
+    pad = data.draw(st.integers(0, 3), label="pad")
+    _assert_lane_by_lane(lambda v: prefix_table(v, axis, pad), z)
+
+    r = data.draw(st.integers(1, 4), label="radius")
+    grow = data.draw(st.one_of(st.none(), st.lists(st.tuples(st.integers(0, r), st.integers(0, r)),
+                                                   min_size=z.ndim, max_size=z.ndim)), label="grow")
+    _assert_lane_by_lane(lambda v: window_sums(v, r, grow), z)
+
+    n = z.shape[axis]
+    lo = np.array(data.draw(st.lists(st.integers(-2, n + 2), min_size=1, max_size=5), label="lo"))
+    hi = lo + np.array(data.draw(st.lists(st.integers(0, n + 2), min_size=len(lo),
+                                          max_size=len(lo)), label="length"))
+    _assert_lane_by_lane(lambda v: table_reduce(range_table(v, axis), lo, hi), z)
 
 
 def test_interp_identity_and_outside():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dilatest import fixtures
 from dilatest.differences import delta_fields
 from dilatest.dyadic import GridFunction
-from dilatest.errors import MissingLevels, ResolutionExceeded
+from dilatest.errors import LevelPlanError, MissingLevels, ResolutionExceeded
 from dilatest.lp_fourier import fourier_norm
 from dilatest.norms import SpaceParams, diff_and_star_norms, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
@@ -44,6 +44,18 @@ def test_a_weight_sequence_shorter_than_k_max_raises_missing_levels(norm):
     f = fixtures.fixture("gaussian", 1, L, N)
     with pytest.raises(MissingLevels, match=r"levels 0\.\.2, need 5"):
         norm(f, const_weights(k_max=2), sp_of(k_max=5))
+
+
+@pytest.mark.parametrize("norm", [
+    diff_norm, star_norm,
+    pytest.param(lambda f, t, sp: diff_and_star_norms([f], t, sp), id="diff_and_star_norms"),
+])
+def test_a_grid_below_the_unit_window_raises_naming_grid_l(norm):
+    # at L = 0.25 the level-0 cubes and unit windows do not tile [-L, L];
+    # diff_norm once returned 0.4003 here where star_norm raised
+    f = fixtures.fixture("gaussian", 1, 0.25, 256)
+    with pytest.raises(LevelPlanError, match=r"^grid\.L = 0\.25: a difference norm needs L >= 0\.5"):
+        norm(f, const_weights(k_max=3, n=256, halfwidth=0.25), sp_of(k_max=3))
 
 
 def test_ltilde_zero():
