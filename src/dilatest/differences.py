@@ -44,18 +44,20 @@ that leave the box are dropped by leaving them out), cut down per axis to
 those whose stencil reads a nonzero sample. |Delta_h^M f| is exactly 0
 elsewhere, so dilations, which are 0 beyond L/lambda, and compactly
 supported functions skip their zeros: the window sums are taken over the
-box grown by the window radius, and the expanded sums over the cubes whose
-expansion meets it, each the whole grid's sums there bit for bit (adding
-zeros to a prefix sum keeps its bits), and 0 beyond. The stencil term of
-f(x + 0*h) does not depend on h and is formed once per function and call.
-The prefix-table kinds (window, expanded) reduce each node's field on its
-own, because reducing the sum over nodes would move the round-off of the
-prefix sums; the cube kind's tile sums reduce the field summed over the
-nodes once, into which each node adds its box, since its terms are >= 0
-and their sum is accurate in any order. The kept-pair counts are integers,
-a product of per-axis counts, and are reduced once per reduction.
+box grown by the window radius, the whole grid's sums there bit for bit
+(adding zeros to a prefix sum keeps its bits), and 0 beyond. The stencil
+term of f(x + 0*h) does not depend on h and is formed once per function
+and call. The window kind reduces each node's field on its own, because
+reducing the sum over nodes would move the round-off of its prefix sums.
+The cube and expanded kinds reduce once the field summed over the nodes,
+into which each node adds its box: its terms are >= 0, so their sum is
+accurate in any order. The cube kind takes its tile sums, and the expanded
+kind, per axis, the sums of the tile sums of cubes j - 2..j + 2, clipped
+at the domain and added as slices, so nothing cancels in the tails. The
+kept-pair counts are integers, a product of per-axis counts, and are
+reduced once per reduction.
 
-The prefix-table kinds take the nodes two at a time, in node order, as the
+The window kind takes the nodes two at a time, in node order, as the
 two lanes of one complex field: the real part holds the first node's field
 and the imaginary part the second's, on the union of their active boxes,
 with exact zeros elsewhere (a lone last node leaves the second lane 0).
@@ -81,10 +83,7 @@ from .dyadic import (
     expanded_cube,
     level_block_reduce,
     level_cell_count,
-    level_cube_count,
     point_layout,
-    range_table,
-    table_reduce,
     tensor_points,
     window_sums,
 )
@@ -317,18 +316,19 @@ def _node_sums(fs, k: int, order: int, reduces):
     grid being 0 outside it, and returns the entries (a slice per axis) of
     its windows or cubes that can be nonzero and their sums, the same bits
     for every layout and, on those entries, the reduction of the whole grid
-    bit for bit. A prefix-table reduction (once false) is taken of each
-    node's field and summed over the nodes, since reducing the summed field
-    would move the round-off of its prefix sums; a tile sum (once true) is
-    taken once of the field summed over the nodes, since its terms are >= 0
-    and a sum of them is accurate in any order. Returns, per function and
-    reduction, (sums, lost, cells): sum_h w_h sum_x dx^n |Delta_h^M f(x)|
-    per entry, renormalized for the (x, h) pairs that left the box; a mask
-    of entries that lost pairs; and the reduction of ones, the cell count of
-    each entry. Each function adds its node terms in node order, so its
-    result is bit for bit the one it gives alone.
+    bit for bit. The window sums (once false) are taken of each node's
+    field and summed over the nodes, since reducing the summed field would
+    move the round-off of their prefix sums; the cube and expanded sums
+    (once true) are taken once of the field summed over the nodes, the
+    whole grid, since its terms are >= 0 and a sum of them is accurate in
+    any order. Returns, per function and reduction, (sums, lost, cells):
+    sum_h w_h sum_x dx^n |Delta_h^M f(x)| per entry, renormalized for the
+    (x, h) pairs that left the box; a mask of entries that lost pairs; and
+    the reduction of ones, the cell count of each entry. Each function adds
+    its node terms in node order, so its result is bit for bit the one it
+    gives alone.
 
-    A prefix-table reduction reads two nodes at once: ``v`` is complex, the
+    A per-node reduction reads two nodes at once: ``v`` is complex, the
     fields of two consecutive nodes in its real and imaginary lanes on the
     union of their boxes, 0 elsewhere in each lane, and each lane of the
     result is the reduction of that node's field alone, bit for bit (the
@@ -396,9 +396,9 @@ def _node_sums(fs, k: int, order: int, reduces):
 
         def add(pair):
             """Add the fields of one or two consecutive nodes to the sums;
-            with a prefix-table reduction, as the lanes of one complex field
-            on the union of their boxes, 0 elsewhere, which each such
-            reduction reads once, and whose lanes add in node order. The
+            with the window sums, as the lanes of one complex field on the
+            union of their boxes, 0 elsewhere, which each such reduction
+            reads once, and whose lanes add in node order. The
             pair's arrays go when it returns, before the next pair's."""
             boxes = [tuple(s for s, _ in node) for node in pair]
             dests = [None] * len(pair)  # the tile sums alone: arrays of the fields' own
@@ -433,9 +433,8 @@ def _reduction(f: GridFunction, k: int, kind):
     """(reduce, once, finish) of one field kind: ``reduce(v, box)`` sums
     the values v of a box of the grid, 0 elsewhere, over each level-k
     window or cube as ``_node_sums`` asks, ``once`` tells it the reduction
-    is a tile sum, which reads the whole grid only, and ``finish`` maps that
-    reduction's (sums, lost, cells) from ``_node_sums`` to (values,
-    flagged)."""
+    sums tiles and reads the whole grid only, and ``finish`` maps that
+    reduction's (sums, lost, cells) from ``_node_sums`` to (values, flagged)."""
     n, size = f.dim, f.resolution
     c = level_cell_count(f, k)  # a level-k cube spans c cells per axis
     if kind == "window":  # the window x + 2**-k (-1, 1)^n spans 2c cells per axis
@@ -445,24 +444,23 @@ def _reduction(f: GridFunction, k: int, kind):
                     window_sums(v, c, grow))
         return windows, False, lambda sums, lost, cells: (
             2.0 ** (2 * k * n) * sums, lost | ~np.isclose(cells, (2 * c) ** n, rtol=1e-12))
-    if kind == "cube":
-        return (lambda v, box: ((slice(None),) * n, level_block_reduce(v, f, k))), True, (
-            lambda sums, lost, _: (sums / (2.0 ** (-k)) ** (2 * n), lost))
-    if kind != "expanded":
+    if kind not in ("cube", "expanded"):
         raise ValueError(f"unknown field kind {kind!r}")
-    cubes = level_cube_count(f, k)
+    reach = 2 if kind == "expanded" else 0  # the expanded cube of cube j: cubes j - 2..j + 2
 
-    def expanded(v, box):
-        # the expanded cube of cube j (0-based) covers cells [(j-2)c, (j+3)c),
-        # which meets the box's cells [a, b) for a // c - 2 <= j < ceil(b / c) + 2
-        at = []
-        for ax, s in enumerate(box):
-            j = np.arange(max(s.start // c - 2, 0), min(-(-s.stop // c) + 2, cubes))
-            v = table_reduce(range_table(v, ax), (j - 2) * c - s.start, (j + 3) * c - s.start)
-            at.append(slice(int(j[0]), int(j[-1]) + 1))
-        return tuple(at), v
-    return expanded, False, lambda sums, lost, cells: (
-        sums / (5.0 * 2.0 ** (-k)) ** (2 * n), lost | (cells < (5 * c) ** n))
+    def cubes(v, box):
+        # per axis, the tile sums of cubes j - reach..j + reach, clipped at the
+        # domain, added as slices in index order so nothing cancels
+        tiles = level_block_reduce(v, f, k)
+        for ax in range(n if reach else 0):
+            t, tiles = np.moveaxis(tiles, ax, 0), np.zeros_like(tiles)
+            out, m = np.moveaxis(tiles, ax, 0), len(t)
+            for d in range(-reach, reach + 1):
+                out[max(0, -d):m - max(0, d)] += t[max(0, d):m + min(0, d)]
+        return (slice(None),) * n, tiles
+    span = 2 * reach + 1  # cubes per axis
+    return cubes, True, lambda sums, lost, cells: (
+        sums / (span * 2.0 ** (-k)) ** (2 * n), lost | (cells < (span * c) ** n))
 
 
 def delta_fields(fs, k: int, order: int, kinds):

@@ -31,10 +31,10 @@ Geometry conventions used throughout the package:
   ``box_reduce`` takes the same ranges along every axis from a first-axis
   table, for a list of range sets at once (the cube scans read such a table
   once per batch of cube families, ``weights.family_cube_reduce``).
-  The sums keep complex values complex (``_lanes``): two float arrays in
-  the real and imaginary lanes, summed at once, each lane with the bits of
-  its own float call, which the difference fields use to reduce two
-  h-nodes per prefix scan,
+  The window sums keep complex values complex (``_lanes``): two float
+  arrays in the real and imaginary lanes, summed at once, each lane with
+  the bits of its own float call, which the window difference field uses
+  to reduce two h-nodes per prefix scan,
 * the B and F aggregates over levels are one choice, folded one level at a
   time (``MixedNorm``, and ``mixed_norm`` over a list of levels).
 """
@@ -348,8 +348,9 @@ def level_cube_count(f: GridFunction, k: int) -> int:
 
 def _lanes(values):
     """``values`` as a float array, or as a complex one when they are complex:
-    two float lanes, the real and the imaginary part, which the sums below
-    add and subtract lane by lane, each lane as its own float call would."""
+    two float lanes, the real and the imaginary part, which ``prefix_table``
+    and ``window_sums`` add and subtract lane by lane, each lane as its own
+    float call would."""
     v = np.asarray(values)
     return np.asarray(v, dtype=np.result_type(v, np.float64))
 
@@ -357,12 +358,12 @@ def _lanes(values):
 def _tile_reduce(values, cells):
     """Sums over the aligned tiles of ``cells`` samples per axis, by reshape.
 
-    Kept apart from ``table_reduce`` on purpose: prefix-table differences
-    round at the scale of the running total, not of the tile. The sums are
-    taken of a C-ordered copy when ``values`` is not one, so their bits do
-    not depend on its layout.
+    Kept apart from ``table_reduce`` on purpose, and read by the expanded
+    difference field for it: prefix-table differences round at the scale of
+    the running total, not of the tile. The sums are taken of a C-ordered
+    copy when ``values`` is not one, so their bits do not depend on its layout.
     """
-    v = np.ascontiguousarray(_lanes(values))
+    v = np.ascontiguousarray(values)
     tiles = v.reshape(sum(((n // cells, cells) for n in v.shape), ()))
     return np.sum(tiles, axis=tuple(range(1, tiles.ndim, 2)))
 
@@ -437,9 +438,8 @@ class RangeTable:
 
 def range_table(values, axis=0, op="sum"):
     """The table from which ``table_reduce`` reduces any ranges of ``values``
-    along ``axis`` by ``op``: "sum", "min" or "max". Complex values keep
-    their dtype, and their sums are taken lane by lane (``prefix_table``)."""
-    v = _lanes(values)
+    along ``axis`` by ``op``: "sum", "min" or "max"."""
+    v = np.asarray(values, dtype=float)
     if op == "sum":
         return RangeTable(axis, op, prefix_table(v, axis, 0))
     if op not in ("min", "max"):

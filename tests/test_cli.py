@@ -196,7 +196,7 @@ def test_equiv_command(tmp_path):
 
 
 def test_equiv_of_kind_f_reports_the_separate_norms():
-    # every shipped config is kind B: this runs the window + expanded pass
+    # the one shipped kind-F config is a norm: this runs equiv's window + expanded pass
     cfg = parse_config(dict(BASE, space=dict(BASE["space"], kind="F")), "equiv")
     t = cli._weight_sequence(cfg)
     rows = run(cfg)["results"]["rows"]

@@ -32,9 +32,6 @@ from dilatest.dyadic import (
     GridFunction,
     level_block_reduce,
     level_cell_count,
-    level_cube_count,
-    range_table,
-    table_reduce,
     window_sums,
 )
 from dilatest.errors import ConfigError, NonPositiveValue, OutOfDomain, ResolutionExceeded
@@ -265,6 +262,36 @@ def test_fields_match_scalar_oracles_everywhere(dim, k, order):
     assert seen_flags == {True, False}
 
 
+def _tiling_levels(f):
+    """Every level whose cubes tile the grid's domain, from one cube per axis
+    to cubes of one cell."""
+    return range(-int(math.log2(2 * f.halfwidth)), finest_level(f.halfwidth, f.resolution) + 1)
+
+
+def _expanded_oracle_cases():
+    """Every tiling level and M = 1..3 on a 1-D and a 2-D grid, and the 1-D
+    Gaussian at L=8, N=4096, k=3, M=2."""
+    fs = [_oracle_grid(1), grid(lambda p: np.exp(-(p[..., 0] ** 2) - 0.5 * p[..., 1] ** 2)
+                                * np.sin(p[..., 0] + 0.7), n=16, L=2.0, dim=2)]
+    cases = [pytest.param(f, k, order,
+                          id=f"{f.dim}d-L{f.halfwidth:g}-N{f.resolution}-k{k}-M{order}")
+             for f in fs for k in _tiling_levels(f) for order in (1, 2, 3)]
+    gaussian = grid(lambda x: np.exp(-(x**2)))  # L=8, N=4096
+    return cases + [pytest.param(gaussian, 3, 2, id="gaussian-1d-L8-N4096-k3-M2")]
+
+
+@pytest.mark.parametrize("f, k, order", _expanded_oracle_cases())
+def test_every_expanded_entry_matches_its_scalar_oracle(f, k, order):
+    # the expanded sums add five tile sums per axis, so the tails keep their
+    # digits: prefix-table differences lost every digit of 35 of the 128
+    # entries of the 1-D Gaussian at L=8, N=4096, k=3, M=2
+    values, _ = delta_expanded_field(f, k, order)
+    m0 = first_index(f, k)
+    want = [delta_avg_expanded(f, k, tuple(m0 + j for j in idx), order)
+            for idx in np.ndindex(values.shape)]
+    np.testing.assert_allclose(values.ravel(), want, rtol=1e-13, atol=0.0)
+
+
 # -- the separable-shift kernel against the point-cloud gather it replaced
 
 
@@ -278,9 +305,10 @@ def _reference_fields(f, k, orders):
 
     Each node interpolates the whole point cloud with ``interp_masked`` once
     per stencil multiple and sums reduce(|Delta_h^M f| * mask) and
-    reduce(mask) over the nodes; the cube tile sums reduce the node sums of
-    |Delta_h^M f| * mask and of mask instead. Normalizations and flags follow
-    the field definitions.
+    reduce(mask) over the nodes; the cube tile sums and the expanded sums,
+    each expanded cube's 5^n neighbouring tile sums, reduce the node sums
+    of |Delta_h^M f| * mask and of mask instead. Normalizations and flags
+    follow the field definitions.
     """
     a, n = 2.0**-k, f.dim
     r = int(round(a / f.spacing))
@@ -294,16 +322,28 @@ def _reference_fields(f, k, orders):
     }
     if _tiles(f, k):
         c = level_cell_count(f, k)
-        j = np.arange(level_cube_count(f, k))
 
         def expanded(v):
-            for ax in range(n):
-                v = table_reduce(range_table(v, ax), (j - 2) * c, (j + 3) * c)
-            return v
+            # cube by cube, the tile sums of the cubes j - 2..j + 2 along each
+            # axis that the domain holds, summed from 0.0 in index order along
+            # axis 0, then those sums along axis 1, and so on
+            tiles = level_block_reduce(v, f, k)
+
+            def along(j, ax):
+                if ax == 0:
+                    return tiles[j]
+                s = 0.0
+                for d in range(-2, 3):
+                    i = j[ax - 1] + d
+                    if 0 <= i < tiles.shape[ax - 1]:
+                        s = s + along(j[:ax - 1] + (i,) + j[ax:], ax - 1)
+                return s
+
+            return np.array([along(j, n) for j in np.ndindex(tiles.shape)]).reshape(tiles.shape)
 
         fields["cube"] = (lambda v: level_block_reduce(v, f, k), a ** (2 * n), None, True)
         fields["expanded"] = (expanded, (5 * a) ** (2 * n), lambda cells: cells < (5 * c) ** n,
-                              False)
+                              True)
     nodes, w_h = _h_nodes(a, f.spacing, n)
     pts = f.points()
     sums = {(name, m): [0.0, 0.0] for name in fields for m in orders}

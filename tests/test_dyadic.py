@@ -18,8 +18,6 @@ from dilatest.dyadic import (
     level_block_reduce,
     level_cell_count,
     prefix_table,
-    range_table,
-    table_reduce,
     window_sums,
 )
 from dilatest.errors import EmptyIntersection, OutOfDomain, ResolutionExceeded
@@ -249,12 +247,6 @@ def test_complex_sums_are_the_float_sums_of_each_lane_byte_for_byte(z, data):
     grow = data.draw(st.one_of(st.none(), st.lists(st.tuples(st.integers(0, r), st.integers(0, r)),
                                                    min_size=z.ndim, max_size=z.ndim)), label="grow")
     _assert_lane_by_lane(lambda v: window_sums(v, r, grow), z)
-
-    n = z.shape[axis]
-    lo = np.array(data.draw(st.lists(st.integers(-2, n + 2), min_size=1, max_size=5), label="lo"))
-    hi = lo + np.array(data.draw(st.lists(st.integers(0, n + 2), min_size=len(lo),
-                                          max_size=len(lo)), label="length"))
-    _assert_lane_by_lane(lambda v: table_reduce(range_table(v, axis), lo, hi), z)
 
 
 def test_interp_identity_and_outside():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilatest import fixtures
+from dilatest import differences, fixtures
 from dilatest.differences import delta_fields
 from dilatest.dyadic import GridFunction
 from dilatest.errors import LevelPlanError, MissingLevels, ResolutionExceeded
@@ -222,6 +222,28 @@ def test_star_norm_2d_smoke():
     sp = SpaceParams("F", 2.0, 2.0, 2, (0.5, 0.5), k_max=2)
     v = star_norm(f, t, sp)
     assert np.isfinite(v) and v > 0
+
+
+@pytest.mark.parametrize("norm, lanes", [(star_norm, False), (diff_norm, True)],
+                         ids=["star", "diff"])
+def test_only_the_window_field_sweeps_the_nodes_as_complex_lanes(norm, lanes, monkeypatch):
+    # the F star norm's expanded field adds every node into one real field and
+    # tiles it once per level; the window field alone pairs nodes as the two
+    # lanes of a complex field
+    made = []
+
+    class Numpy:  # numpy, recording the dtype of every array np.zeros makes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, shape, dtype=float):
+            made.append(np.dtype(dtype))
+            return np.zeros(shape, dtype)
+
+    monkeypatch.setattr(differences, "np", Numpy())
+    f = GridFunction.from_callable(lambda x: np.exp(-(x**2)), 1, L, 256)
+    norm(f, const_weights(k_max=2, n=256), sp_of("F", p=3.0, q=1.5, k_max=2))
+    assert made and (np.dtype(complex) in made) == lanes
 
 
 # -- metamorphic: a power-of-two scale of f passes through every norm ------------------
