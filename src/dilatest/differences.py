@@ -84,6 +84,7 @@ from .dyadic import (
     level_block_reduce,
     level_cell_count,
     point_layout,
+    support_box,
     tensor_points,
     window_sums,
 )
@@ -232,13 +233,6 @@ def _kept(ok):
     return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
 
 
-def _support(v, axis):
-    """The interval [s0, s1) of indices along ``axis`` at which some sample
-    of v is nonzero; (0, 0) for v = 0."""
-    on = np.flatnonzero(np.any(v != 0, axis=tuple(a for a in range(v.ndim) if a != axis)))
-    return (int(on[0]), int(on[-1]) + 1) if on.size else (0, 0)
-
-
 @functools.lru_cache(maxsize=64)
 def _slice_rows(halfwidth, resolution, k: int, order: int):
     """The stencil rows of every level-k node value as half-cell offsets.
@@ -343,7 +337,7 @@ def _node_sums(fs, k: int, order: int, reduces):
     half-cell lattice). A node is evaluated and reduced on its active box
     only: its kept centers, whose stencil points all stay in the box, cut
     down per axis to the centers whose stencil reads a sample in the
-    function's support interval there (``_support``): an interval per
+    function's support interval there (``dyadic.support_box``): an interval per
     (axis, node value), found once per function with the slices its terms
     read there, so a node only picks them up. |Delta_h^M f| is exactly 0
     at the other centers, pairs that leave the box are dropped by leaving
@@ -378,13 +372,12 @@ def _node_sums(fs, k: int, order: int, reduces):
         # per axis, each node value's active slice and its terms' slices
         # there, for the node values whose active slice is not empty
         active = []
-        for a in range(dim):
-            s0, s1 = _support(g.samples, a)
+        for s0, s1 in support_box(g.samples):
             active.append([])
             for terms, kept, (below, above) in table:
                 lo, hi = max(kept.start, s0 - below), min(kept.stop, s1 + above)
                 if lo < hi:
-                    active[a].append((slice(lo, hi), [(half, slice(lo + shift, hi + shift))
+                    active[-1].append((slice(lo, hi), [(half, slice(lo + shift, hi + shift))
                                                       for half, shift in terms]))
         # the running sum of each per-node reduction, and the field summed
         # over the nodes, which the tile sums reduce once; the terms are

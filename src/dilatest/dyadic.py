@@ -35,6 +35,9 @@ Geometry conventions used throughout the package:
   arrays in the real and imaginary lanes, summed at once, each lane with
   the bits of its own float call, which the window difference field uses
   to reduce two h-nodes per prefix scan,
+* an array is exactly 0 outside its support box (``support_box``: per axis
+  the index interval of its nonzero entries), which bounds the active boxes
+  of the difference sweep and of the maximal field's means,
 * the B and F aggregates over levels are one choice, folded one level at a
   time (``MixedNorm``, and ``mixed_norm`` over a list of levels).
 """
@@ -388,6 +391,18 @@ def _along(vec, axis, ndim):
 def _at(axis, index):
     """Index tuple that applies ``index`` along ``axis`` and keeps the axes before it."""
     return (slice(None),) * axis + (index,)
+
+
+def support_box(values):
+    """Per axis, the interval (s0, s1) of indices at which some entry of
+    ``values`` is nonzero, from one ``values != 0`` for every axis: the box
+    outside which the array is exactly 0. (0, 0) on every axis for values = 0."""
+    on = np.asarray(values) != 0
+    box = []
+    for axis in range(on.ndim):
+        hit = on.any(axis=tuple(a for a in range(on.ndim) if a != axis)).nonzero()[0]
+        box.append((int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0))
+    return tuple(box)
 
 
 def prefix_table(values, axis, pad):

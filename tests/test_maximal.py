@@ -1,13 +1,16 @@
 import gc
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dilatest import fixtures
-from dilatest.dyadic import GridFunction, mixed_norm
-from dilatest.errors import InvalidExponent, MissingLevels, PreconditionFailed
+from dilatest import fixtures, maximal
+from dilatest.dyadic import GridFunction, mixed_norm, prefix_table, table_windows, three_point_max
+from dilatest.errors import InvalidExponent, MissingLevels, NonPositiveValue, PreconditionFailed
 from dilatest.maximal import (
     fs_inequality_ratio,
     hl_maximal,
@@ -45,6 +48,56 @@ def brute_force_maximal_2d_at(f, i0, i1):
                 block = s[max(0, c0 - half):c0 + half + 1, max(0, c1 - half):c1 + half + 1]
                 best = max(best, block.mean())
     return best
+
+
+def brute_force_maximal(f):
+    """The whole field the slow way, in any dimension: per radius every
+    centered cube's clipped mean, each a slice of |f| averaged, then per point
+    the largest of |f| and of the means whose centers lie within the radius
+    along every axis."""
+    s = np.abs(f.samples)
+    n = f.resolution
+    best = s.copy()
+    for j in range(1, int(math.log2(n)) + 1):
+        half = 2 ** (j - 1)
+        means = np.empty(s.shape)
+        for c in np.ndindex(s.shape):
+            means[c] = s[tuple(slice(max(0, i - half), i + half + 1) for i in c)].mean()
+        for i in np.ndindex(s.shape):
+            near = means[tuple(slice(max(0, a - half), a + half + 1) for a in i)]
+            best[i] = max(best[i], near.max())
+    return best
+
+
+def full_grid_maximal(f):
+    """The maximal field with every radius's means taken on the whole grid:
+    ``hl_maximal`` before its active boxes, kept as the reference that the
+    boxes must match bit for bit."""
+    n = f.resolution
+    absf = np.abs(f.samples)
+    pad = n // 2 + 1
+    table = prefix_table(absf, 0, pad)
+    idx = np.arange(n)
+    reach = None
+    for j in range(int(math.log2(n)), 0, -1):
+        half = 2 ** (j - 1)
+        cells = np.minimum(idx + half + 1, n) - np.maximum(idx - half, 0)
+        local = table_windows(table, 0, pad, half, half + 1)
+        for ax in range(f.dim):
+            if ax:
+                local = prefix_table(local, ax, half + 1)
+                local = table_windows(local, ax, half + 1, half, half + 1)
+            local /= np.reshape(cells, (-1,) + (1,) * (f.dim - 1 - ax))
+        if reach is not None:
+            local = _full_grid_dilate(reach, half, local)
+        reach = local
+    return f.with_samples(_full_grid_dilate(reach, 1, absf))
+
+
+def _full_grid_dilate(values, step, out):
+    for ax in range(values.ndim - 1):
+        values = three_point_max(values, step, ax)
+    return three_point_max(values, step, values.ndim - 1, out)
 
 
 def test_maximal_constant():
@@ -131,6 +184,98 @@ def test_maximal_2d_matches_brute_force_on_every_point():
     mf = hl_maximal(f).samples
     for i0, i1 in np.ndindex(mf.shape):
         assert mf[i0, i1] == pytest.approx(brute_force_maximal_2d_at(f, i0, i1), rel=1e-12)
+
+
+def test_maximal_2d_matches_brute_force_on_a_corner_block():
+    # small integers in one corner, zero elsewhere: the active boxes touch two
+    # edges, and many means tie with each other and with |f|
+    samples = np.zeros((16, 16))
+    samples[:5, :3] = np.random.default_rng(4).integers(-3, 4, size=(5, 3))
+    f = GridFunction(2, 2.0, samples)
+    mf = hl_maximal(f).samples
+    for i0, i1 in np.ndindex(mf.shape):
+        assert mf[i0, i1] == pytest.approx(brute_force_maximal_2d_at(f, i0, i1), rel=1e-12)
+
+
+def test_maximal_3d_matches_brute_force_on_every_point():
+    samples = np.zeros((8, 8, 8))
+    samples[2:5, 1:3, 3:8] = np.random.default_rng(6).integers(-3, 4, size=(3, 2, 5))
+    f = GridFunction(3, 2.0, samples)
+    np.testing.assert_allclose(hl_maximal(f).samples, brute_force_maximal(f), rtol=1e-12)
+
+
+CASES = ["box", "low edge", "high edge", "both edges", "corner", "zero", "full"]
+
+
+@st.composite
+def _supported_samples(draw):
+    """(dim, samples): signed samples that are 0 outside a box of one of CASES."""
+    dim = draw(st.integers(1, 3))
+    n = 2 ** draw(st.integers(2, 6))
+    case = draw(st.sampled_from(CASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = []
+    for _ in range(dim):
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+        box.append({"box": slice(lo, hi), "low edge": slice(0, hi), "high edge": slice(lo, n),
+                    "both edges": slice(0, n), "corner": slice(n - 1, n) if lo % 2 else slice(0, 1),
+                    "zero": slice(0, 0), "full": slice(0, n)}[case])
+    samples = np.zeros((n,) * dim)
+    samples[tuple(box)] = rng.normal(size=samples[tuple(box)].shape)
+    return dim, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(_supported_samples())
+@example((2, np.pad(-np.ones((3, 2)), ((0, 13), (14, 0)))))
+@example((3, np.zeros((4, 4, 4))))
+@example((1, np.arange(-32.0, 32.0)))
+def test_maximal_matches_the_full_grid_means_bit_for_bit(case):
+    dim, samples = case
+    f = GridFunction(dim, 2.0, samples)
+    assert np.array_equal(hl_maximal(f).samples, full_grid_maximal(f).samples)
+
+
+def test_every_table_spans_at_most_the_support_grown_by_its_radius(monkeypatch):
+    # a later edit must not fall back to full-grid means on compact supports
+    made = []
+
+    def recorded(values, axis, pad):
+        made.append((np.shape(values), axis))
+        return prefix_table(values, axis, pad)
+
+    monkeypatch.setattr(maximal, "prefix_table", recorded)
+    n, support = 64, (slice(20, 24), slice(40, 43))
+    samples = np.zeros((n, n))
+    samples[support] = 1.0
+    hl_maximal(GridFunction(2, 2.0, samples))
+    halves = [2 ** (j - 1) for j in range(int(math.log2(n)), 0, -1)]
+    # one axis-0 table of the support, then one axis-1 table per radius of the
+    # partial means on the axis-0 box
+    assert made[0] == ((4, 3), 0)
+    assert [axis for _, axis in made[1:]] == [1] * len(halves)
+    for (shape, _), half in zip(made[1:], halves):
+        assert shape == (min(24 + half, n) - max(20 - half, 0), 3)
+
+
+def test_overflowing_means_raise_a_typed_error_naming_the_radius():
+    # 16 cells of 1e308 sum past the float range: no warning and no untyped
+    # ValueError, a NonPositiveValue
+    f = GridFunction(2, 2.0, np.full((16, 16), 1e308))
+    with pytest.raises(NonPositiveValue, match="radius 8 cells"):
+        hl_maximal(f)
+    row = np.zeros((16, 16))
+    row[0] = 1e308  # the columns sum to 1e308; the means along a row overflow later
+    with pytest.raises(NonPositiveValue, match="radius 4 cells"):
+        hl_maximal(GridFunction(2, 2.0, row))
+
+
+def test_weighted_ratio_of_overflowing_means_raises_a_typed_error():
+    t = WeightSequence.from_spec(Constant(1.0), 1, 2, 2.0, 32)
+    f = GridFunction(2, 2.0, np.full((32, 32), 1e308))
+    with pytest.raises(NonPositiveValue, match="maximal field"):
+        weighted_maximal_ratio([f, f], t, 2.0, 2.0, 1.5)
 
 
 def test_m_sigma():
