@@ -57,17 +57,36 @@ at the domain and added as slices, so nothing cancels in the tails. The
 kept-pair counts are integers, a product of per-axis counts, and are
 reduced once per reduction.
 
-The window kind takes the nodes two at a time, in node order, as the
-two lanes of one complex field: the real part holds the first node's field
-and the imaginary part the second's, on the union of their active boxes,
-with exact zeros elsewhere (a lone last node leaves the second lane 0).
-Each reduction runs once for both, and a prefix-sum step, the dependent
-add that bounds its speed, serves two nodes. The bits stay those of one
-node at a time: a complex add or subtract is two float ones, lane by lane,
-and the reductions halve the float view (``dyadic.window_sums``); the union
-box only adds zeros to each lane, which keeps a prefix sum's bits as the
-active boxes do; and each node's sums join the running sums in node
-order, the real lane and then the imaginary one.
+The nodes go in mirror units. The displacement box is symmetric, and
+|Delta_(-h)^M f(x)| = |Delta_h^M f(x - M h)|: -h reads at x the stencil
+points h reads at x - M h. The stencil is summed in mirror pairs,
+c_j f(x + (M - j) h) + c_(M - j) f(x + j h) for each j < M/2 and then the
+middle term of an even M (``_stencil_sum``, which the scalar functionals
+share), so -h's pair j at x + M h is h's pair j at x with its two products
+swapped or, for odd M, negated, and its field has h's bits. Where M h is a
+whole number of cells on every axis (the stencil row's mult-M term reads
+the samples), -h's kept centers and active box are h's moved by M h cells,
+and h and -h form one unit: h's field is evaluated once, on h's active
+box, and added at that box and again at the box moved by M h, h first.
+Where M h is half a cell, odd M at a level of one node per cell, x + M h
+is no center, and each node is a unit of its own, in the same loop, as is
+a node whose mirror is not active. Units go in the row-major order of
+their first node.
+
+The window kind takes the units two at a time as the two lanes of one
+complex field: the real part holds the first unit's field and the
+imaginary part the second's, on the union of their active boxes, with
+exact zeros elsewhere (a lone last unit leaves the second lane 0). One
+``window_sums`` call serves up to four nodes: its windows are grown past
+the union box to cover those of each placement, the union itself and the
+union moved by a mirrored unit's M h, and each grow stays within the
+window radius, as for one box. The bits stay those of one node at a time:
+a complex add or subtract is two float ones, lane by lane, and the
+reductions halve the float view (``dyadic.window_sums``); the union box
+only adds zeros to each lane, which keeps a prefix sum's bits as the
+active boxes do, and a window sum's bits do not depend on how far the
+windows are grown; and each node's sums join the running sums in unit
+order, the real lane's node and mirror and then the imaginary lane's.
 """
 
 import functools
@@ -105,10 +124,31 @@ def delta_m(f: GridFunction, order: int, h, x):
     """Order-M difference of f at x with displacement h (off-grid interpolated)."""
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    out = 0.0
-    for coeff, mult in difference_coefficients(order):
-        out = out + coeff * f.interp(x + mult * h)  # raises OutOfDomain off the box
-    return out
+    terms = difference_coefficients(order)
+    # raises OutOfDomain off the box
+    return _stencil_sum(order, lambda j: terms[j][0] * f.interp(x + terms[j][1] * h))
+
+
+def _stencil_sum(order, scaled):
+    """sum_j c_j f(x + (M - j) h) from its terms ``scaled(j)``, summed in
+    mirror pairs: scaled(j) + scaled(M - j) for each j < M/2 in turn, then
+    the middle term scaled(M/2) of an even M. The kernel and the scalar
+    functionals share this one order. It gives Delta_(-h) f(x + M h) the
+    bits of +-Delta_h f(x): the pair j of -h at x + M h is c_j f(x + j h) +
+    c_(M - j) f(x + (M - j) h), the pair of h at x with its two products
+    swapped (c_(M - j) = c_j) or negated (c_(M - j) = -c_j), and a float add
+    commutes and negates exactly. ``scaled(j)`` for j <= M/2 is added to in
+    place, so it must return an array (or scalar) of its own."""
+    acc = None
+    for j in range(order // 2 + 1):
+        part = scaled(j)
+        if j < order - j:
+            part += scaled(order - j)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    return acc
 
 
 def _h_axis(halfwidth, spacing):
@@ -154,15 +194,18 @@ def _double_average(f, box: Box, h_halfwidth, order, normalization):
     w_x = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel() * f.spacing**f.dim
 
     nodes, w_h = _h_nodes(h_halfwidth, f.spacing, f.dim)
+    terms = difference_coefficients(order)
     num = 0.0
     valid_w = 0.0
     for h in nodes:
-        acc = 0.0
         mask = np.ones(len(w_x), dtype=bool)
-        for coeff, mult in difference_coefficients(order):
-            vals, ok = f.interp_masked(pts + mult * h)
-            acc = acc + coeff * vals
-            mask &= ok
+
+        def scaled(j):
+            vals, ok = f.interp_masked(pts + terms[j][1] * h)
+            np.logical_and(mask, ok, out=mask)
+            return terms[j][0] * vals
+
+        acc = _stencil_sum(order, scaled)
         num += w_h * float(np.sum(np.abs(acc) * w_x * mask))
         valid_w += w_h * float(np.sum(w_x * mask))
     total_w = len(nodes) * w_h * float(np.sum(w_x))
@@ -250,7 +293,9 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
     1: the half cells) and the offset of center j's entry in it; the slice
     of kept centers (``_kept``); and how far (below, above) the centers
     whose stencil reads a sample interval [s0, s1) reach beyond it, an
-    entry e of the half cells reading samples e - 1 and e. On a grid whose
+    entry e of the half cells reading samples e - 1 and e; and the row of
+    the mirror value -x when M x is a whole number of cells, None when it
+    is half a cell (odd M with one node per cell). On a grid whose
     L and N are powers of two every center, node and point lies on this
     half-cell lattice, so every level the commands reach is sliced; a
     spacing such as 1/24 moves u by ulps from center to center and raises
@@ -264,7 +309,8 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
         raise ResolutionExceeded(off)
     mults = [mult for _, mult in difference_coefficients(order)][:-1]
     rows = []
-    for x in _h_axis(2.0 ** (-k), axis.spacing)[0]:
+    nodes = _h_axis(2.0 ** (-k), axis.spacing)[0]
+    for i, x in enumerate(nodes):
         u, ok = axis.axis_units(np.multiply(mults, x))
         box = _kept(ok)
         lag = u[:, box.start] - box.start  # u - j at the first kept center, per point
@@ -276,7 +322,9 @@ def _slice_rows(halfwidth, resolution, k: int, order: int):
         # center j reads entry j + shift of the term's array, the mult = 0 term's entry j
         reach = (max(0, *(shift for _, shift in terms)),
                  max(0, *(half - shift for half, shift in terms)))
-        rows.append((terms, box, reach))
+        # M x is a whole number of cells exactly when the mult = M term reads
+        # the samples; then -x, the mirror value, is the mirror row
+        rows.append((terms, box, reach, len(nodes) - 1 - i if terms[0][0] == 0 else None))
     return tuple(rows)
 
 
@@ -284,66 +332,86 @@ def _box_field(arrays, still, terms, box, coeffs, out=None):
     """One node's |Delta_h^M f| on ``box`` (a slice per axis, inside its
     kept centers) from the ``_half_cell_arrays`` of f, in axis order, and
     per axis its stencil terms there, (0 for the samples or 1 for the half
-    cells, slice) per stencil point: the first term unscaled, then coeff *
-    term for each further stencil point, then ``still``, in this order,
-    which fixes the field's bits. The sum is an array of the box's own,
-    since numpy's loops over a strided output run several times slower;
-    its absolute value goes to ``out`` if given (a lane of the sweep's
-    complex field, one strided pass) and is returned."""
-    for j, coeff in enumerate(coeffs[:-1]):
+    cells, slice) per stencil point: coeff * term for each stencil point
+    and ``still`` for the last, summed in mirror pairs (``_stencil_sum``),
+    which fixes the field's bits and gives the mirror node -h, on this box
+    moved by M h cells, the same bits. The sum is an array of the box's
+    own, since numpy's loops over a strided output run several times
+    slower; its absolute value goes to ``out`` if given (a lane of the
+    sweep's complex field, one strided pass) and is returned."""
+    order = len(coeffs) - 1
+
+    def scaled(j):
+        if j == order:
+            return still[box]
         term = arrays[sum(axis[j][0] << a for a, axis in enumerate(terms))]
-        term = term[tuple(axis[j][1] for axis in terms)]
-        if j == 0:
-            acc = term.copy()
-        else:
-            acc += term * coeff
-    acc += still[box]
+        return term[tuple(axis[j][1] for axis in terms)] * coeffs[j]
+
+    acc = _stencil_sum(order, scaled)
     return np.abs(acc, out=acc if out is None else out)
+
+
+def _moved(box, by):
+    """``box`` moved by ``by`` cells per axis."""
+    return tuple(slice(s.start + d, s.stop + d) for s, d in zip(box, by))
 
 
 def _node_sums(fs, k: int, order: int, reduces):
     """The h-node loop shared by every field, for h over 2**-k*(-1,1)^n.
 
     ``fs`` are functions on one grid (ValueError otherwise); ``reduces`` are
-    (reduce, once) pairs. ``reduce(v, box)`` takes the values v of a box of
-    the grid (a slice per axis), in axis order and of any memory layout, the
-    grid being 0 outside it, and returns the entries (a slice per axis) of
-    its windows or cubes that can be nonzero and their sums, the same bits
-    for every layout and, on those entries, the reduction of the whole grid
-    bit for bit. The window sums (once false) are taken of each node's
-    field and summed over the nodes, since reducing the summed field would
-    move the round-off of their prefix sums; the cube and expanded sums
-    (once true) are taken once of the field summed over the nodes, the
-    whole grid, since its terms are >= 0 and a sum of them is accurate in
-    any order. Returns, per function and reduction, (sums, lost, cells):
-    sum_h w_h sum_x dx^n |Delta_h^M f(x)| per entry, renormalized for the
-    (x, h) pairs that left the box; a mask of entries that lost pairs; and
-    the reduction of ones, the cell count of each entry. Each function adds
-    its node terms in node order, so its result is bit for bit the one it
-    gives alone.
+    (reduce, once) pairs. ``reduce(v, boxes)`` takes the values v of a box
+    of the grid, in axis order and of any memory layout, and the boxes of
+    the grid it is placed at (a slice per axis each, the grid being 0
+    outside the box), and returns per placement the entries (a slice per
+    axis) of its windows or cubes that can be nonzero and their sums, the
+    same bits for every layout and, on those entries, the reduction of the
+    whole grid bit for bit; a placement may run past the grid where v, in
+    the lane read at it, is 0. The window sums (once false) are taken of
+    each node's field and summed over the nodes, since reducing the summed
+    field would move the round-off of their prefix sums; the cube and
+    expanded sums (once true) are taken once of the field summed over the
+    nodes, the whole grid, since its terms are >= 0 and a sum of them is
+    accurate in any order. Returns, per function and reduction, (sums,
+    lost, cells): sum_h w_h sum_x dx^n |Delta_h^M f(x)| per entry,
+    renormalized for the (x, h) pairs that left the box; a mask of entries
+    that lost pairs; and the reduction of ones, the cell count of each
+    entry. Each function adds its node terms in the same order, so its
+    result is bit for bit the one it gives alone.
 
-    A per-node reduction reads two nodes at once: ``v`` is complex, the
-    fields of two consecutive nodes in its real and imaginary lanes on the
-    union of their boxes, 0 elsewhere in each lane, and each lane of the
-    result is the reduction of that node's field alone, bit for bit (the
-    reductions work lane by lane, and zeros keep a prefix sum's bits). The
-    real lane joins the running sums before the imaginary one; a lone last
-    node runs with an empty imaginary lane.
+    The nodes go in mirror units (module docstring), in the row-major
+    order of their first node: h and -h, h first, when M h is a whole
+    number of cells on every axis (``_slice_rows``) and -h is active, else
+    h alone. A unit evaluates h's field once, on h's active box, and adds
+    it there and again at the box moved by M h, -h's active box, where -h's
+    field has the same bits (``_stencil_sum``).
 
-    The functions run one at a time through every node, in row-major
-    order, so the loop holds one function's half-cell arrays. A node's
-    stencil rows depend on the grid alone and serve every function and
-    every axis (``_slice_rows``, which raises ResolutionExceeded off the
-    half-cell lattice). A node is evaluated and reduced on its active box
-    only: its kept centers, whose stencil points all stay in the box, cut
-    down per axis to the centers whose stencil reads a sample in the
-    function's support interval there (``dyadic.support_box``): an interval per
-    (axis, node value), found once per function with the slices its terms
-    read there, so a node only picks them up. |Delta_h^M f| is exactly 0
-    at the other centers, pairs that leave the box are dropped by leaving
-    their centers out, and a node with an empty active box adds nothing and
-    is skipped. The kept pairs, the cells and the renormalization depend on
-    the grid alone and are finished once per reduction.
+    A per-node reduction reads two units at once: ``v`` is complex, the
+    fields of two consecutive units in its real and imaginary lanes on the
+    union of their boxes, 0 elsewhere in each lane, placed at that union
+    and, for each mirrored unit, at the union moved by its M h; each lane
+    of a placement's result is the reduction of that node's field alone,
+    bit for bit (the reductions work lane by lane, and zeros keep a prefix
+    sum's bits). One call serves up to four nodes, and the sums join the
+    running sums in unit order: the real lane at the union, then at its
+    mirror's placement, then the imaginary lane likewise; a lone last unit
+    runs with an empty imaginary lane.
+
+    The functions run one at a time through every unit, so the loop holds
+    one function's half-cell arrays. A node's stencil rows depend on the
+    grid alone and serve every function and every axis (``_slice_rows``,
+    which raises ResolutionExceeded off the half-cell lattice). A node is
+    evaluated and reduced on its active box only: its kept centers, whose
+    stencil points all stay in the box, cut down per axis to the centers
+    whose stencil reads a sample in the function's support interval there
+    (``dyadic.support_box``): an interval per (axis, node value), found
+    once per function with the slices its terms read there, so a node only
+    picks them up. |Delta_h^M f| is exactly 0 at the other centers, pairs
+    that leave the box are dropped by leaving their centers out, and a node
+    with an empty active box adds nothing and is skipped, as is its mirror,
+    whose box is as empty. The kept pairs, the cells and the
+    renormalization depend on the grid alone and are finished once per
+    reduction.
     """
     f = fs[0]
     if any((g.dim, g.halfwidth, g.resolution) != (f.dim, f.halfwidth, f.resolution) for g in fs):
@@ -354,12 +422,12 @@ def _node_sums(fs, k: int, order: int, reduces):
     whole = (slice(0, f.resolution),) * dim
     table = _slice_rows(f.halfwidth, f.resolution, k, order)  # stencil rows per node value
     count = np.zeros(f.resolution)  # kept (x, h) pairs per center of one axis, as on every axis
-    for _, kept, _ in table:
+    for _, kept, _, _ in table:
         count[kept] += 1
     out = []
     for reduce, _ in reduces:
-        cells = reduce(np.ones(f.samples.shape), whole)[1]
-        valid = reduce(functools.reduce(np.multiply.outer, [count] * dim), whole)[1]
+        cells = reduce(np.ones(f.samples.shape), [whole])[0][1]
+        valid = reduce(functools.reduce(np.multiply.outer, [count] * dim), [whole])[0][1]
         total = len(table) ** dim * cells
         with np.errstate(invalid="ignore", divide="ignore"):
             renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
@@ -370,15 +438,29 @@ def _node_sums(fs, k: int, order: int, reduces):
         # the mult = 0 term coeffs[-1] * g(x + 0*h), the same for every node
         arrays, still = _half_cell_arrays(g.samples), g.samples * coeffs[-1]
         # per axis, each node value's active slice and its terms' slices
-        # there, for the node values whose active slice is not empty
+        # there, for the node values whose active slice is not empty, by row
         active = []
         for s0, s1 in support_box(g.samples):
-            active.append([])
-            for terms, kept, (below, above) in table:
+            active.append({})
+            for row, (terms, kept, (below, above), _) in enumerate(table):
                 lo, hi = max(kept.start, s0 - below), min(kept.stop, s1 + above)
                 if lo < hi:
-                    active[-1].append((slice(lo, hi), [(half, slice(lo + shift, hi + shift))
-                                                      for half, shift in terms]))
+                    active[-1][row] = (slice(lo, hi), [(half, slice(lo + shift, hi + shift))
+                                                       for half, shift in terms])
+
+        def units():
+            """Per unit in order, h's active box, its terms there per axis,
+            and M h in cells per axis if the mirror -h joins it, else None."""
+            for node in itertools.product(*active):  # rows in row-major order
+                mirror = tuple(table[row][3] for row in node)
+                by = None
+                if all(row in axis for row, axis in zip(mirror, active)):
+                    if mirror < node:
+                        continue  # in the unit of -h, which came first
+                    by = tuple(table[row][0][0][1] for row in node)  # the mult = M term's shift
+                picks = [axis[row] for axis, row in zip(active, node)]
+                yield tuple(box for box, _ in picks), [terms for _, terms in picks], by
+
         # the running sum of each per-node reduction, and the field summed
         # over the nodes, which the tile sums reduce once; the terms are
         # >= 0, so sums started from 0.0 have the bits of sums started from
@@ -388,34 +470,43 @@ def _node_sums(fs, k: int, order: int, reduces):
         paired = not all(once for _, once in reduces)
 
         def add(pair):
-            """Add the fields of one or two consecutive nodes to the sums;
+            """Add the nodes of one or two consecutive units to the sums;
             with the window sums, as the lanes of one complex field on the
             union of their boxes, 0 elsewhere, which each such reduction
-            reads once, and whose lanes add in node order. The
-            pair's arrays go when it returns, before the next pair's."""
-            boxes = [tuple(s for s, _ in node) for node in pair]
+            reads once, and whose lanes add in unit order. The pair's
+            arrays go when it returns, before the next pair's."""
             dests = [None] * len(pair)  # the tile sums alone: arrays of the fields' own
             if paired:
                 union = tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
-                              for axis in zip(*boxes))
+                              for axis in zip(*(box for box, _, _ in pair)))
                 lanes = np.zeros(tuple(u.stop - u.start for u in union), dtype=complex)
                 dests = [lane[tuple(slice(s.start - u.start, s.stop - u.start)
                                     for s, u in zip(box, union))]
-                         for lane, box in zip((lanes.real, lanes.imag), boxes)]
-            for node, box, dest in zip(pair, boxes, dests):
-                view = _box_field(arrays, still, [terms for _, terms in node], box, coeffs, dest)
+                         for lane, (box, _, _) in zip((lanes.real, lanes.imag), pair)]
+            for (box, terms, by), dest in zip(pair, dests):
+                view = _box_field(arrays, still, terms, box, coeffs, dest)
                 if field is not None:
                     field[box] += view
+                    if by is not None:
+                        field[_moved(box, by)] += view
+            if not paired:
+                return
+            placements = [union] + [_moved(union, by) for _, _, by in pair if by is not None]
             for (reduce, once), num in zip(reduces, own):
-                if not once:
-                    at, s = reduce(lanes, union)
-                    num[at] += s.real
-                    num[at] += s.imag
+                if once:
+                    continue
+                sums = iter(reduce(lanes, placements))
+                at, s = next(sums)
+                for (_, _, by), lane in zip(pair, ("real", "imag")):
+                    num[at] += getattr(s, lane)
+                    if by is not None:
+                        at_mirror, s_mirror = next(sums)
+                        num[at_mirror] += getattr(s_mirror, lane)
 
-        nodes = itertools.product(*active)
-        for pair in iter(lambda: list(itertools.islice(nodes, 2)), []):  # the last alone if odd
+        pending = units()
+        for pair in iter(lambda: list(itertools.islice(pending, 2)), []):  # the last alone if odd
             add(pair)
-        return [reduce(field, whole)[1] if once else num
+        return [reduce(field, [whole])[0][1] if once else num
                 for num, (reduce, once) in zip(own, reduces)]
 
     return [[(dh**dim * f.spacing**dim * num * renorm, lost, cells)
@@ -423,25 +514,36 @@ def _node_sums(fs, k: int, order: int, reduces):
 
 
 def _reduction(f: GridFunction, k: int, kind):
-    """(reduce, once, finish) of one field kind: ``reduce(v, box)`` sums
-    the values v of a box of the grid, 0 elsewhere, over each level-k
-    window or cube as ``_node_sums`` asks, ``once`` tells it the reduction
-    sums tiles and reads the whole grid only, and ``finish`` maps that
-    reduction's (sums, lost, cells) from ``_node_sums`` to (values, flagged)."""
+    """(reduce, once, finish) of one field kind: ``reduce(v, boxes)`` sums
+    the values v of a box of the grid, placed at each of ``boxes`` and 0
+    elsewhere, over each level-k window or cube as ``_node_sums`` asks,
+    ``once`` tells it the reduction sums tiles and reads the whole grid
+    only, and ``finish`` maps that reduction's (sums, lost, cells) from
+    ``_node_sums`` to (values, flagged)."""
     n, size = f.dim, f.resolution
     c = level_cell_count(f, k)  # a level-k cube spans c cells per axis
     if kind == "window":  # the window x + 2**-k (-1, 1)^n spans 2c cells per axis
-        def windows(v, box):  # the windows of centers within c cells of the box
-            grow = [(min(c, s.start), min(c, size - s.stop)) for s in box]
-            return (tuple(slice(s.start - lo, s.stop + hi) for s, (lo, hi) in zip(box, grow)),
-                    window_sums(v, c, grow))
+        def windows(v, boxes):
+            # per placement and axis, the range of v's own entries, -c..len + c,
+            # whose windows it takes: the centers of the grid within c cells
+            spans = [[(max(-c, -s.start), min(s.stop - s.start + c, size - s.start))
+                      for s in box] for box in boxes]
+            # one call grown to the widest of them, each grow at most c
+            grow = [(max(0, *(-lo for lo, _ in axis)), max(0, *(hi - m for _, hi in axis)))
+                    for axis, m in zip(zip(*spans), v.shape)]
+            sums, out = window_sums(v, c, grow), []
+            for box, span in zip(boxes, spans):
+                local = tuple(slice(lo, hi) for lo, hi in span)
+                out.append((_moved(local, [s.start for s in box]),
+                            sums[_moved(local, [lo for lo, _ in grow])]))
+            return out
         return windows, False, lambda sums, lost, cells: (
             2.0 ** (2 * k * n) * sums, lost | ~np.isclose(cells, (2 * c) ** n, rtol=1e-12))
     if kind not in ("cube", "expanded"):
         raise ValueError(f"unknown field kind {kind!r}")
     reach = 2 if kind == "expanded" else 0  # the expanded cube of cube j: cubes j - 2..j + 2
 
-    def cubes(v, box):
+    def cubes(v, boxes):  # v is the whole grid, the one placement
         # per axis, the tile sums of cubes j - reach..j + reach, clipped at the
         # domain, added as slices in index order so nothing cancels
         tiles = level_block_reduce(v, f, k)
@@ -450,7 +552,7 @@ def _reduction(f: GridFunction, k: int, kind):
             out, m = np.moveaxis(tiles, ax, 0), len(t)
             for d in range(-reach, reach + 1):
                 out[max(0, -d):m - max(0, d)] += t[max(0, d):m + min(0, d)]
-        return (slice(None),) * n, tiles
+        return [((slice(None),) * n, tiles)]
     span = 2 * reach + 1  # cubes per axis
     return cubes, True, lambda sums, lost, cells: (
         sums / (span * 2.0 ** (-k)) ** (2 * n), lost | (cells < (span * c) ** n))

@@ -115,12 +115,23 @@ def _dilate(values, step, out):
 
 
 def m_sigma(f: GridFunction, sigma) -> GridFunction:
-    """Power variant (M(|f|^sigma))**(1/sigma)."""
+    """Power variant (M(|f|^sigma))**(1/sigma). A power that leaves the
+    float range raises NonPositiveValue naming sigma."""
     if sigma <= 0:
         raise InvalidExponent("sigma must be positive")
-    mf = hl_maximal(f.with_samples(np.abs(f.samples) ** sigma)).samples
-    mf **= 1.0 / sigma  # the field is fresh: raised in place
-    return f.with_samples(mf)
+    with np.errstate(over="ignore"):  # a power that overflows raises in _powered
+        powered = _powered(np.abs(f.samples) ** sigma, f"|f| ** {sigma}")
+    mf = hl_maximal(f.with_samples(powered)).samples
+    with np.errstate(over="ignore"):
+        mf **= 1.0 / sigma  # the field is fresh: raised in place
+    return f.with_samples(_powered(mf, f"M(|f| ** {sigma}) ** (1 / {sigma})"))
+
+
+def _powered(values, what):
+    """``values``, a power named ``what``, once it is finite."""
+    if not np.isfinite(values).all():
+        raise NonPositiveValue(f"{what} leaves the float range")
+    return values
 
 
 def _ratio(lhs: MixedNorm, rhs: MixedNorm) -> float:

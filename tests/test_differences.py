@@ -32,6 +32,7 @@ from dilatest.dyadic import (
     GridFunction,
     level_block_reduce,
     level_cell_count,
+    support_box,
     window_sums,
 )
 from dilatest.errors import ConfigError, NonPositiveValue, OutOfDomain, ResolutionExceeded
@@ -300,12 +301,52 @@ def _tiles(f, k):
     return abs(nc - round(nc)) < 1e-9
 
 
+def _units(values, dim, order, spacing):
+    """The node units of the sweep over the tensor product of the node
+    values ``values`` of an axis, in the row-major order of their first
+    node: (h, -h) when M h is a whole number of cells on every axis and -h
+    is a node as well, else (h,); a node is a tuple of value indices."""
+    values = [float(x) for x in values]
+    twin = [values.index(-x) if -x in values and (order * x / spacing).is_integer() else None
+            for x in values]
+    units = []
+    for node in itertools.product(range(len(values)), repeat=dim):
+        mirror = tuple(twin[i] for i in node)
+        if None in mirror:
+            units.append((node,))
+        elif node < mirror:
+            units.append((node, mirror))
+    return units
+
+
+def _sweep_order(values, dim, order, spacing):
+    """Every node in the order the sweep adds it: unit by unit, each mirror
+    right after its node."""
+    return [node for unit in _units(values, dim, order, spacing) for node in unit]
+
+
+def _paired(coeffs, term):
+    """sum_j coeffs[j] * term(j) in the sweep's stencil order: for each
+    j < M/2 the products of j and M - j added, these pairs summed in turn
+    from 0.0, then the middle product of an even M."""
+    m = len(coeffs) - 1
+    acc = 0.0
+    for j in range(m // 2 + 1):
+        part = coeffs[j] * term(j)
+        if j < m - j:
+            part = part + coeffs[m - j] * term(m - j)
+        acc = acc + part
+    return acc
+
+
 def _reference_fields(f, k, orders):
     """(values, flags) of every field and order, from the gather the kernel replaced.
 
     Each node interpolates the whole point cloud with ``interp_masked`` once
-    per stencil multiple and sums reduce(|Delta_h^M f| * mask) and
-    reduce(mask) over the nodes; the cube tile sums and the expanded sums,
+    per stencil multiple, sums the stencil in the sweep's order and adds
+    reduce(|Delta_h^M f| * mask) and reduce(mask) to the sums in the
+    sweep's node order, each mirror -h evaluated from its own points; the
+    cube tile sums and the expanded sums,
     each expanded cube's 5^n neighbouring tile sums, reduce the node sums
     of |Delta_h^M f| * mask and of mask instead. Normalizations and flags
     follow the field definitions.
@@ -345,15 +386,19 @@ def _reference_fields(f, k, orders):
         fields["expanded"] = (expanded, (5 * a) ** (2 * n), lambda cells: cells < (5 * c) ** n,
                               True)
     nodes, w_h = _h_nodes(a, f.spacing, n)
+    axis_values = _h_axis(a, f.spacing)[0]
     pts = f.points()
     sums = {(name, m): [0.0, 0.0] for name in fields for m in orders}
-    for h in nodes:
-        shifted = [f.interp_masked(pts + mult * h) for mult in range(max(orders) + 1)]
-        for m in orders:
-            acc, valid = 0.0, np.ones(f.samples.shape, dtype=bool)
-            for coeff, mult in difference_coefficients(m):
-                acc = acc + coeff * shifted[mult][0]
-                valid &= shifted[mult][1]
+    shifted = {}  # per node, f at pts + mult * h for every mult
+    for m in orders:
+        coeffs = [coeff for coeff, _ in difference_coefficients(m)]
+        for node in _sweep_order(axis_values, n, m, f.spacing):
+            if node not in shifted:
+                h = axis_values[list(node)]
+                shifted[node] = [f.interp_masked(pts + mult * h) for mult in range(max(orders) + 1)]
+            terms = shifted[node]
+            acc = _paired(coeffs, lambda j: terms[m - j][0])
+            valid = np.logical_and.reduce([ok for _, ok in terms[:m + 1]])
             for name, (red, _, _, once) in fields.items():
                 red = (lambda v: v) if once else red
                 s = sums[name, m]
@@ -439,18 +484,19 @@ def _axis_stencil(f, shifts):
 
 def _whole(reduce, values):
     """A field kind's reduction of an array that covers the whole grid."""
-    return reduce(values, tuple(slice(0, n) for n in values.shape))[1]
+    return reduce(values, [tuple(slice(0, n) for n in values.shape)])[0][1]
 
 
 def _node_sums_per_node_stencils(fs, k, order, reduces):
     """The node loop as interpolating shifts, with neither half-cell slices
-    nor a stencil table nor a functions axis: one loop per function, every
-    node shifts the samples along one axis after another, asking
-    ``_axis_stencil`` for each recomputed axis, sums the terms from 0.0
-    with every coefficient multiplied, scales the mult = 0 term per node,
-    masks |Delta_h^M f| by the outer product of the per-axis in-domain
-    tests, and tile-sums the node sum of the masked fields. It holds on any
-    grid, on the half-cell lattice or off it."""
+    nor a stencil table nor a functions axis nor a field shared by a node
+    and its mirror: one loop per function, every node, in the sweep's
+    order, shifts the samples along one axis after another, asking
+    ``_axis_stencil`` for each axis, multiplies every term by its
+    coefficient, the mult = 0 term per node, sums them in the sweep's
+    stencil order, masks |Delta_h^M f| by the outer product of the
+    per-axis in-domain tests, and tile-sums the node sum of the masked
+    fields. It holds on any grid, on the half-cell lattice or off it."""
     return [_one_node_sums_per_node_stencils(f, k, order, reduces) for f in fs]
 
 
@@ -462,30 +508,19 @@ def _one_node_sums_per_node_stencils(f, k, order, reduces):
     still = f.samples
     for a in range(dim):
         still = _shift(still if a == 0 else _lead_next(still), i0[0], w[0])
-    moved = [[f.samples] * (len(mults) - 1)] + [None] * (dim - 1)
-    inside = [None] * dim
-    count = 0
+    count = sum(np.logical_and.reduce(_axis_stencil(f, np.multiply(mults[:-1], x))[2])
+                for x in axis_nodes)
     nums = [0.0] * len(reduces)
-    last = (None,) * dim
-    for node in itertools.product(range(len(axis_nodes)), repeat=dim):
-        first = next(a for a in range(dim) if node[a] != last[a])
-        last = node
-        for a in range(first, dim):
-            i0, w, ok = _axis_stencil(f, np.multiply(mults[:-1], axis_nodes[node[a]]))
-            inside[a] = np.logical_and.reduce(ok)
-            if a == 0:
-                count = count + inside[0]
+    for node in _sweep_order(axis_nodes, dim, order, f.spacing):
+        moved, inside = [f.samples] * (len(mults) - 1), []
+        for a, i in enumerate(node):
+            i0, w, ok = _axis_stencil(f, np.multiply(mults[:-1], axis_nodes[i]))
+            inside.append(np.logical_and.reduce(ok))
+            moved = [_shift(v, i0[j], w[j]) for j, v in enumerate(moved)]
             if a + 1 < dim:
-                moved[a + 1] = [
-                    _lead_next(_shift(v, i0[j], w[j])) for j, v in enumerate(moved[a])
-                ]
-                continue
-            acc = 0.0
-            for j, v in enumerate(moved[a]):
-                v = _shift(v, i0[j], w[j])
-                v *= coeffs[j]
-                acc = acc + v
-            acc = acc + still * coeffs[-1]
+                moved = [_lead_next(v) for v in moved]
+        terms = moved + [still]
+        acc = _paired(coeffs, lambda j: terms[j])
         g = np.abs(np.moveaxis(acc, 0, -1), order="C")
         g *= functools.reduce(np.logical_and.outer, inside)
         nums = [num + (g if once else _whole(reduce, g))
@@ -517,13 +552,20 @@ def test_node_loop_matches_per_node_stencils_on_the_ladder_grid(k, monkeypatch):
 
 
 def _tiles_of_box(reduce, f):
-    """The tile sums ``reduce`` of the whole grid, taken of one node's box
-    set into a grid of zeros, so that they can be summed node by node; the
-    grid takes the values' dtype, so a complex pair of fields keeps both."""
-    def tiles(values, box):
-        grid = np.zeros(f.samples.shape, dtype=values.dtype)
-        grid[box] = values
-        return (slice(None),) * f.dim, _whole(reduce, grid)
+    """The tile sums ``reduce`` of the whole grid, taken of one pair's box
+    set into a grid of zeros at each of its placements (what runs past the
+    grid left out, as it is 0 in the lane read there), so that they can be
+    summed node by node; the grid takes the values' dtype, so a complex
+    pair of fields keeps both."""
+    def tiles(values, boxes):
+        out = []
+        for box in boxes:
+            grid = np.zeros(f.samples.shape, dtype=values.dtype)
+            inside = tuple(slice(max(s.start, 0), min(s.stop, n)) for s, n in zip(box, grid.shape))
+            grid[inside] = values[tuple(slice(i.start - s.start, i.stop - s.start)
+                                        for i, s in zip(inside, box))]
+            out.append(((slice(None),) * f.dim, _whole(reduce, grid)))
+        return out
     return tiles
 
 
@@ -556,34 +598,37 @@ def _same_bytes(a, b):
 
 
 def _node_sums_dense(fs, k, order, reduces):
-    """The node loop before active boxes: every node evaluates |Delta_h^M f|
-    on all its kept centers, sets that into a field of the whole grid,
-    zeroes the rows outside the kept centers, and reduces the whole field;
-    the tile sums reduce the node sum of those fields."""
+    """The node loop before active boxes and mirror units: every node, in
+    the sweep's order, evaluates |Delta_h^M f| from its own stencil rows on
+    all its kept centers, summed in the sweep's stencil order, sets that
+    into a field of the whole grid, zeroes the rows outside the kept
+    centers, and reduces the whole field; the tile sums reduce the node sum
+    of those fields."""
     f = fs[0]
-    _, dh = _h_axis(2.0 ** (-k), f.spacing)
+    axis_values, dh = _h_axis(2.0 ** (-k), f.spacing)
     coeffs = [coeff for coeff, _ in difference_coefficients(order)]
     dim = f.dim
     table = differences._slice_rows(f.halfwidth, f.resolution, k, order)
     count = np.zeros(f.resolution)
-    for _, kept, _ in table:
-        count[kept] += 1
+    for row in table:
+        count[row[1]] += 1
+    nodes = _sweep_order(axis_values[:len(table)], dim, order, f.spacing)
     result = []
     for g in fs:
-        arrays, still = differences._half_cell_arrays(g.samples), g.samples * coeffs[-1]
+        arrays = differences._half_cell_arrays(g.samples)
         nums = [None] * len(reduces)
-        for node in itertools.product(range(len(table)), repeat=dim):
+        for node in nodes:
             rows = [table[i] for i in node]
             kept = tuple(row[1] for row in rows)
-            for j, coeff in enumerate(coeffs[:-1]):
+
+            def term(j):
+                if j == order:
+                    return g.samples[kept]
                 term = arrays[sum(row[0][j][0] << a for a, row in enumerate(rows))]
-                term = term[tuple(slice(s.start + row[0][j][1], s.stop + row[0][j][1])
+                return term[tuple(slice(s.start + row[0][j][1], s.stop + row[0][j][1])
                                   for s, row in zip(kept, rows))]
-                if j == 0:
-                    acc = term.copy()
-                else:
-                    acc += term * coeff
-            acc += still[kept]
+
+            acc = _paired(coeffs, term)
             view = np.empty(g.samples.shape)
             view[kept] = np.abs(acc)
             for a, s in enumerate(kept):
@@ -606,11 +651,128 @@ def _node_sums_dense(fs, k, order, reduces):
     return result
 
 
-def _dense_fields(fs, k, order, kinds):
-    """``delta_fields`` through ``_node_sums_dense``."""
+def _dense_fields(fs, k, order, kinds, node_sums=_node_sums_dense):
+    """``delta_fields`` through ``node_sums``, ``_node_sums_dense`` unless given."""
     parts = [differences._reduction(fs[0], k, kind) for kind in kinds]
-    sums = _node_sums_dense(fs, k, order, [(reduce, once) for reduce, once, _ in parts])
+    sums = node_sums(fs, k, order, [(reduce, once) for reduce, once, _ in parts])
     return [[finish(*s) for (_, _, finish), s in zip(parts, own)] for own in sums]
+
+
+# -- the sweep before mirror units, to bound how far they move the values
+
+
+def _box_field_parent(arrays, still, terms, box, coeffs, out=None):
+    """One node's field as before mirror units: its stencil terms summed
+    j = 0..M, the first one unscaled and ``still`` last."""
+    for j, coeff in enumerate(coeffs[:-1]):
+        term = arrays[sum(axis[j][0] << a for a, axis in enumerate(terms))]
+        term = term[tuple(axis[j][1] for axis in terms)]
+        if j == 0:
+            acc = term.copy()
+        else:
+            acc += term * coeff
+    acc += still[box]
+    return np.abs(acc, out=acc if out is None else out)
+
+
+def _node_sums_parent(fs, k, order, reduces):
+    """The sweep before mirror units: every active node evaluated on its
+    own (``_box_field_parent``), in row-major order, two nodes at a time as
+    the lanes of one complex field for the window sums."""
+    f = fs[0]
+    _, dh = _h_axis(2.0 ** (-k), f.spacing)
+    coeffs = [coeff for coeff, _ in difference_coefficients(order)]
+    dim = f.dim
+    table = differences._slice_rows(f.halfwidth, f.resolution, k, order)
+    count = np.zeros(f.resolution)
+    for row in table:
+        count[row[1]] += 1
+    out = []
+    for reduce, _ in reduces:
+        cells = _whole(reduce, np.ones(f.samples.shape))
+        valid = _whole(reduce, functools.reduce(np.multiply.outer, [count] * dim))
+        total = len(table) ** dim * cells
+        with np.errstate(invalid="ignore", divide="ignore"):
+            renorm = np.where(valid > 0, total / np.maximum(valid, 1e-300), 0.0)
+        out.append((renorm, valid < total - 1e-9, cells))
+
+    def sweep(g):
+        arrays, still = differences._half_cell_arrays(g.samples), g.samples * coeffs[-1]
+        active = []
+        for s0, s1 in support_box(g.samples):
+            active.append([])
+            for terms, kept, (below, above), _ in table:
+                lo, hi = max(kept.start, s0 - below), min(kept.stop, s1 + above)
+                if lo < hi:
+                    active[-1].append((slice(lo, hi), [(half, slice(lo + shift, hi + shift))
+                                                      for half, shift in terms]))
+        own = [np.zeros(cells.shape) for _, _, cells in out]
+        field = np.zeros(g.samples.shape) if any(once for _, once in reduces) else None
+        paired = not all(once for _, once in reduces)
+        nodes = itertools.product(*active)
+        for pair in iter(lambda: list(itertools.islice(nodes, 2)), []):
+            boxes = [tuple(s for s, _ in node) for node in pair]
+            dests = [None] * len(pair)
+            if paired:
+                union = tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                              for axis in zip(*boxes))
+                lanes = np.zeros(tuple(u.stop - u.start for u in union), dtype=complex)
+                dests = [lane[tuple(slice(s.start - u.start, s.stop - u.start)
+                                    for s, u in zip(box, union))]
+                         for lane, box in zip((lanes.real, lanes.imag), boxes)]
+            for node, box, dest in zip(pair, boxes, dests):
+                view = _box_field_parent(arrays, still, [terms for _, terms in node], box,
+                                         coeffs, dest)
+                if field is not None:
+                    field[box] += view
+            for (reduce, once), num in zip(reduces, own):
+                if not once:
+                    ((at, s),) = reduce(lanes, [union])
+                    num[at] += s.real
+                    num[at] += s.imag
+        return [_whole(reduce, field) if once else num for num, (reduce, once) in zip(own, reduces)]
+
+    return [[(dh**dim * f.spacing**dim * num * renorm, lost, cells)
+             for num, (renorm, lost, cells) in zip(sweep(g), out)] for g in fs]
+
+
+def _parent_cases():
+    """The 1-D Gaussian at L=8, N=4096, whose fine-level differences cancel
+    four digits and more; random samples at 1-D L=2, N=64; on the 2-D
+    ladder grid (L=4, N=128) the kernel grid's function; a 2-D mollified
+    step, kept on a box; and a 3-D random smooth function."""
+    return [pytest.param(f, id=name) for name, f in [
+        ("gaussian-1d-L8-N4096", grid(lambda x: np.exp(-(x**2)))),
+        ("random-1d-L2-N64",
+         GridFunction(1, 2.0, np.random.default_rng(35).standard_normal(64))),
+        ("ladder-2d-L4-N128", _kernel_grid(2, 4.0, 128)),
+        ("mollified_step-2d-L2-N32", fixtures.fixture("mollified_step", 2, 2.0, 32)),
+        ("random_smooth-3d-L1-N16", fixtures.random_smooth(3, 3, 1.0, 16)),
+    ]]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("f", _parent_cases())
+def test_mirror_units_move_the_parent_sweep_by_round_off_only(f, order):
+    # the units sum each stencil and the nodes in another order than the
+    # parent sweep, so every kind at every level moves by round-off: at most
+    # 1e-12 of the level's largest value, or, where the level's differences
+    # cancel to their own round-off, one ulp of the stencil's terms (up to
+    # 2^M max|f|) through a kind's normalization (at most 4^n). The floor
+    # decides at the one-cell level of M = 2, whose field is round-off and
+    # moves by all of it, and on the Gaussian's fine levels, which moved by
+    # up to 4.1e-12 of a level's largest value at the levels a norm reads
+    # (M = 4, k = 6) and 2.9e-11 at its one-cell level; every move stayed
+    # within 1/8 of the floor. Flags do not move
+    kinds = ("window", "cube", "expanded")
+    floor = np.finfo(float).eps * 2.0**order * np.max(np.abs(f.samples)) * 4.0**f.dim
+    for k in range(finest_level(f.halfwidth, f.resolution) + 1):
+        got = delta_fields([f], k, order, kinds)[0]
+        want = _dense_fields([f], k, order, kinds, _node_sums_parent)[0]
+        for kind, (values, flags), (parent, parent_flags) in zip(kinds, got, want):
+            assert _same_bytes(flags, parent_flags), (k, kind)
+            bound = max(1e-12 * np.max(np.abs(parent)), floor)
+            assert np.max(np.abs(values - parent)) <= bound, (k, kind)
 
 
 def _boxed(data, dim, n, shape):
@@ -679,28 +841,126 @@ def test_active_box_sweep_is_the_dense_sweep_byte_for_byte(geometry, order, shap
                          ids=["1d", "2d", "3d"])
 def test_an_odd_count_of_active_nodes_is_the_dense_sweep_byte_for_byte(
         name, geometry, order, monkeypatch):
-    # the sweep reduces the nodes in pairs, and an odd count leaves the last
-    # node alone, in a pair whose second lane is empty. On the grids the
-    # parser accepts every axis has an even count of node values and every
-    # node with kept centers reads the support, so the count is even: with
-    # the last node value left out of the stencil table, the sweep and the
-    # dense sweep both run an odd count at every level
+    # the sweep reduces the units in pairs, and an odd count leaves the last
+    # unit alone, in a pair whose second lane is empty. On the grids the
+    # parser accepts every axis has an even count of node values, each
+    # value's mirror among them, and every node with kept centers reads the
+    # support: with the last node value left out of the stencil table, the
+    # sweep and the dense sweep both run an odd count of nodes at every
+    # level, an odd count of units where each node is a unit of its own
+    # (odd M, one node per cell), and elsewhere nodes of the first value,
+    # whose mirror is gone, alone, next to mirrored units
     dim, halfwidth, n = geometry
     rows = differences._slice_rows
     monkeypatch.setattr(differences, "_slice_rows", lambda *args: rows(*args)[:-1])
-    nodes = []  # one entry per node evaluated
+    fields = []  # one entry per field evaluated
     box_field = differences._box_field
     monkeypatch.setattr(differences, "_box_field",
-                        lambda *args: nodes.append(1) or box_field(*args))
+                        lambda *args: fields.append(1) or box_field(*args))
     f = fixtures.fixture(name, dim, halfwidth, n)
     kinds = ("window", "cube", "expanded")
     for k in range(finest_level(halfwidth, n) + 1):
-        nodes.clear()
+        fields.clear()
         got = delta_fields([f], k, order, kinds)[0]
-        assert len(nodes) % 2 == 1, k
+        values = _h_axis(2.0**-k, f.spacing)[0][:-1]
+        units = _units(values, dim, order, f.spacing)
+        assert len(fields) == len(units), k
+        assert len(values) ** dim % 2 == 1
+        assert any(len(unit) == 1 for unit in units), k
         for kind, (values, flags), (want_values, want_flags) in zip(
                 kinds, got, _dense_fields([f], k, order, kinds)[0]):
             assert _same_bytes(values, want_values), (k, kind)
+            assert _same_bytes(flags, want_flags), (k, kind)
+
+
+def _terms_on(row, box):
+    """A stencil row's terms on ``box``, a slice of its kept centers on one
+    axis: (0 for the samples or 1 for the half cells, slice) per point."""
+    return [(half, slice(box.start + shift, box.stop + shift)) for half, shift in row[0]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    geometry=st.sampled_from(
+        [(1, 1.0, 128), (1, 8.0, 64), (2, 1.0, 16), (2, 2.0, 16), (3, 1.0, 8), (3, 2.0, 8)]
+    ),
+    order=st.integers(1, 4),
+    shape=st.sampled_from(["full", "any", "lower", "upper", "narrow", "zero", "bump",
+                           "mollified_step"]),
+    data=st.data(),
+)
+def test_a_mirror_node_reads_its_node_field_moved_by_m_h(geometry, order, shape, data):
+    # |Delta_(-h) f(x)| = |Delta_h f(x - M h)| byte for byte at every node
+    # whose M h is a whole number of cells: -h's kept centers are h's moved
+    # by M h, and both the kernel's field and the scalar difference give -h
+    # there the bytes of h, each from its own stencil points (1-D L=1,
+    # N=128 has levels of 32 nodes on 128 and 64 cells, where odd M mirrors
+    # too). A level of one node per cell with odd M, where x + M h is no
+    # center, has no mirror, so each node is a unit of its own and the
+    # window sums, two units a call, run once per pair of nodes, and a level
+    # with mirrors once per four. The sweep, which adds each node's field at
+    # its mirror's box too, is the dense sweep of every node on its own,
+    # byte for byte
+    dim, halfwidth, n = geometry
+    if shape in ("bump", "mollified_step"):
+        f = fixtures.fixture(shape, dim, halfwidth, n)
+    elif shape == "full":
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        f = GridFunction(dim, halfwidth, np.random.default_rng(seed).standard_normal((n,) * dim))
+    else:
+        f = GridFunction(dim, halfwidth, _boxed(data, dim, n, shape))
+    coeffs = [coeff for coeff, _ in difference_coefficients(order)]
+    arrays, still = differences._half_cell_arrays(f.samples), f.samples * coeffs[-1]
+    centers = f.points()
+    kinds = ("window", "cube", "expanded")
+    for k in range(finest_level(halfwidth, n) + 1):
+        table = _slice_rows(halfwidth, n, k, order)
+        values = _h_axis(2.0**-k, f.spacing)[0]
+        one_per_cell = len(values) == round(2.0 ** (1 - k) / f.spacing)
+        assert all(row[3] is None for row in table) == (order % 2 == 1 and one_per_cell), k
+        for node in itertools.product(range(len(values)), repeat=dim):
+            rows = [table[i] for i in node]
+            if rows[0][3] is None or any(row[1].start >= row[1].stop for row in rows):
+                continue
+            by = [row[0][0][1] for row in rows]  # the mult = M term reads the samples there
+            assert by == [order * values[i] / f.spacing for i in node]
+            box = tuple(row[1] for row in rows)
+            mirror = [table[row[3]] for row in rows]
+            moved = tuple(slice(s.start + d, s.stop + d) for s, d in zip(box, by))
+            assert tuple(row[1] for row in mirror) == moved
+            here = differences._box_field(arrays, still, [_terms_on(row, s)
+                                                          for row, s in zip(rows, box)],
+                                          box, coeffs)
+            there = differences._box_field(arrays, still, [_terms_on(row, s)
+                                                           for row, s in zip(mirror, moved)],
+                                           moved, coeffs)
+            assert _same_bytes(here, there), (k, node)
+            h = values[list(node)]
+            x = centers[box].reshape(-1) if dim == 1 else centers[box].reshape(-1, dim)
+            assert _same_bytes(np.abs(delta_m(f, order, -h, x + order * h)),
+                               np.abs(delta_m(f, order, h, x))), (k, node)
+        calls = {"fields": 0, "window_sums": 0}
+
+        def counted(name, call):
+            def run(*args):
+                calls[name] += 1
+                return call(*args)
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(differences, "_box_field", counted("fields", differences._box_field))
+            patch.setattr(differences, "window_sums", counted("window_sums", window_sums))
+            got = delta_fields([f], k, order, kinds)[0]
+        if shape == "full":  # every node with kept centers is active
+            kept = [i for i, row in enumerate(table) if row[1].start < row[1].stop]
+            units = _units(values[kept], dim, order, f.spacing)
+            assert calls["fields"] == len(units) == len(kept) ** dim // (1 if one_per_cell
+                                                                         and order % 2 else 2)
+            # two for the renormalization's cells and kept pairs
+            assert calls["window_sums"] == 2 + (len(units) + 1) // 2, k
+        for kind, (field, flags), (want, want_flags) in zip(
+                kinds, got, _dense_fields([f], k, order, kinds)[0]):
+            assert _same_bytes(field, want), (k, kind)
             assert _same_bytes(flags, want_flags), (k, kind)
 
 

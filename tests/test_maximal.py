@@ -1,7 +1,9 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +291,24 @@ def test_m_sigma():
     )
     i = int(np.argmin(np.abs(ind.axis_centers() - 2.0)))
     assert m_sigma(ind, 2.0).samples[i] == pytest.approx(math.sqrt(0.5), abs=5e-3)
+
+
+def test_a_power_that_overflows_raises_a_typed_error_naming_sigma(monkeypatch):
+    # 2-D N=16 samples of 1e200 at sigma = 2: |f| ** 2 leaves the float
+    # range, which once surfaced as a RuntimeWarning and an untyped ValueError
+    f = GridFunction(2, 2.0, np.full((16, 16), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveValue, match=re.escape("|f| ** 2.0 leaves")):
+            m_sigma(f, 2.0)
+        # the root of a maximal field past the float range, as one of 1e300 at sigma = 0.5
+        monkeypatch.setattr(maximal, "hl_maximal",
+                            lambda g: g.with_samples(np.full((16, 16), 1e300)))
+        with pytest.raises(NonPositiveValue, match=re.escape("** (1 / 0.5) leaves")):
+            m_sigma(GridFunction(2, 2.0, np.ones((16, 16))), 0.5)
+    monkeypatch.undo()
+    assert np.allclose(m_sigma(f.with_samples(f.samples * 1e-100), 2.0).samples, 1e100,
+                       rtol=1e-12)
 
 
 def test_fs_ratio_constant_family_is_one():
