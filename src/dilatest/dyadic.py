@@ -6,7 +6,8 @@ Geometry conventions used throughout the package:
   levels may be negative (coarse cubes),
 * a grid covers ``[-L, L]^n`` with ``N`` cells per axis (``N`` a power of two)
   and samples sit at cell centers ``-L + (j + 1/2) * dx``, so weight
-  singularities on dyadic hyperplanes are never sampled,
+  singularities on dyadic hyperplanes are never sampled; ``grid_axes``
+  gives them per axis, each axis's centers shaped to broadcast along it,
 * all integrals are midpoint sums over cells; boxes pick up the cells whose
   centers they contain, which is exact for boxes aligned with cell edges,
 * off-grid values follow one rule, nested per-axis linear steps (clamped),
@@ -144,6 +145,16 @@ def _check_grid(dim, halfwidth, shape):
 def _cell_centers(halfwidth, n):
     """The n cell centers of [-halfwidth, halfwidth] along one axis."""
     return -halfwidth + (np.arange(n) + 0.5) * (2.0 * halfwidth / n)
+
+
+def grid_axes(dim, halfwidth, n):
+    """The grid's cell centers as per-axis coordinates: axis a's n centers
+    shaped to broadcast along axis a of the (n,) * dim grid, so a function
+    that broadcasts them together samples the grid without its point cloud.
+    Raises ValueError unless the grid is of ``GridFunction``'s kind."""
+    _check_grid(dim, halfwidth, (n,) * dim)
+    centers = _cell_centers(float(halfwidth), n)
+    return [_along(centers, a, dim) for a in range(dim)]
 
 
 def _grid_points(dim, halfwidth, n):
@@ -515,11 +526,31 @@ def three_point_max(values, step, axis, out=None):
     Nested with steps 1, 1, 2, ..., 2^(j-2) it gives the max over the clipped
     window [i - 2^(j-1), i + 2^(j-1)]: every offset in it is a sum of
     same-sign steps, so each point on the way stays between i and the target.
+
+    Each shift is one ``np.maximum`` of two slices along ``axis``. Along the
+    last axis of a C-ordered array of two or more dims those slices are rows
+    of n - step entries, a ufunc loop per row, so a step of at most n/4 is
+    shifted on the flat arrays instead, one loop over every entry, and the
+    step entries at the edge of each row that it carried over from the
+    neighbouring row are put back. Every other entry meets the same operands
+    in the same order, so the result keeps the slices' bits, nan and inf
+    included. Axis 0 and 1-D arrays are contiguous slices already, a middle
+    axis's slices are runs of (n - step) * stride entries, and a wider step
+    would put back more than half the array, so these keep the slices.
     """
     if out is None:
         out = values.copy()
     else:
         np.maximum(out, values, out=out)
+    n = values.shape[axis]
+    if axis == values.ndim - 1 > 0 and 4 * step <= n and out.flags.c_contiguous:
+        flat, rows, shifted = out.reshape(-1), out.reshape(-1, n), values.reshape(-1)
+        for into, read, edge in ((slice(step, None), slice(None, -step), slice(None, step)),
+                                 (slice(None, -step), slice(step, None), slice(-step, None))):
+            kept = rows[:, edge].copy()
+            np.maximum(flat[into], shifted[read], out=flat[into])
+            rows[:, edge] = kept
+        return out
     ahead, behind = _at(axis, slice(step, None)), _at(axis, slice(None, -step))
     np.maximum(out[ahead], values[behind], out=out[ahead])
     np.maximum(out[behind], values[ahead], out=out[behind])

@@ -4,28 +4,54 @@ Every fixture decays well inside the default box, so dilation clipping and
 window clipping stay negligible. All fixtures carry closed-form evaluators,
 which keep resampling to another resolution exact; dilation interpolates the
 samples.
+
+The fixtures take points in the public layout (``point_layout``) and read
+them as per-axis coordinate arrays that broadcast together. ``fixture``,
+``random_smooth`` and ``random_indicator_family`` sample on each axis's N
+cell centers (``grid_axes``) instead of the grid's point cloud: a tensor
+factor costs O(N) per axis and a sum of squares is one broadcast add, and
+every sample has the bits of the evaluator at the same point, which each
+``GridFunction`` keeps for resampling.
 """
 
 import functools
 
 import numpy as np
 
-from .dyadic import GridFunction, point_layout
+from .dyadic import GridFunction, grid_axes, point_layout
 
 _SMOOTH_TERMS = 4  # Gaussians in one random_smooth mixture
 
-# fixtures take points in the public layout (``point_layout``), the helpers (..., dim)
+
+class _Axes(tuple):
+    """A grid's per-axis coordinate arrays (``grid_axes``), passed where a
+    fixture takes points so that it samples without the point cloud."""
 
 
-def _radius2(pts, center=0.0):
-    """|pts - center|^2, the squares added axis by axis in axis order."""
-    center = np.broadcast_to(center, pts.shape[-1:])
-    return functools.reduce(np.add, [np.square(pts[..., a] - c) for a, c in enumerate(center)])
+def _axes(pts, dim):
+    """The per-axis coordinate arrays of ``pts``, points in the public layout
+    or an ``_Axes``."""
+    if isinstance(pts, _Axes):
+        return pts
+    pts = point_layout(pts, dim)
+    return [pts[..., a] for a in range(dim)]
 
 
-def _axis_apply(fn1d, pts):
-    """The tensor product of fn1d over the axes, multiplied in axis order."""
-    return functools.reduce(np.multiply, [fn1d(pts[..., a]) for a in range(pts.shape[-1])])
+def _sampled(fn, dim, halfwidth, resolution) -> GridFunction:
+    """``fn`` on the grid's cell centers, taken per axis, with ``fn`` as the evaluator."""
+    return GridFunction(dim, halfwidth, fn(_Axes(grid_axes(dim, halfwidth, resolution))),
+                        evaluator=fn)
+
+
+def _radius2(xs, center=0.0):
+    """|x - center|^2 of per-axis coordinates, the squares added axis by axis in axis order."""
+    center = np.broadcast_to(center, (len(xs),))
+    return functools.reduce(np.add, [np.square(x - c) for x, c in zip(xs, center)])
+
+
+def _axis_apply(fn1d, xs):
+    """The tensor product of fn1d over per-axis coordinates, multiplied in axis order."""
+    return functools.reduce(np.multiply, [fn1d(x) for x in xs])
 
 
 def _smooth_edge(t):
@@ -40,7 +66,11 @@ def _smooth_edge(t):
 
 
 def gaussian(pts, dim=1, width=1.0, center=0.0):
-    return np.exp(-_radius2(point_layout(pts, dim), center) / width**2)
+    # a fresh array (0-d at a single point): negated, scaled and raised in place
+    out = np.asarray(_radius2(_axes(pts, dim), center))
+    np.negative(out, out=out)
+    out /= width**2
+    return np.exp(out, out=out)
 
 
 def bump(pts, dim=1, radius=3.0):
@@ -54,13 +84,13 @@ def bump(pts, dim=1, radius=3.0):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
         return out
 
-    return _axis_apply(one, point_layout(pts, dim))
+    return _axis_apply(one, _axes(pts, dim))
 
 
 def sine_packet(pts, dim=1, freq=4.0, width=2.0):
-    pts = point_layout(pts, dim)
-    env = np.exp(-_radius2(pts) / width**2)
-    return np.sin(freq * pts[..., 0]) * env
+    xs = _axes(pts, dim)
+    env = np.exp(-_radius2(xs) / width**2)
+    return np.sin(freq * xs[0]) * env
 
 
 def mollified_step(pts, dim=1, halfwidth=1.0, edge=0.5, center=0.0):
@@ -69,11 +99,15 @@ def mollified_step(pts, dim=1, halfwidth=1.0, edge=0.5, center=0.0):
     def one(x):
         return _smooth_edge((halfwidth - np.abs(x - center)) / edge + 0.5)
 
-    return _axis_apply(one, point_layout(pts, dim))
+    return _axis_apply(one, _axes(pts, dim))
+
+
+def _zero(pts, dim):
+    return np.zeros(np.broadcast_shapes(*(np.shape(x) for x in _axes(pts, dim))))
 
 
 _FIXTURES = {
-    "zero": lambda pts, dim: np.zeros(point_layout(pts, dim).shape[:-1]),
+    "zero": _zero,
     "gaussian": lambda pts, dim: gaussian(pts, dim),
     "gaussian_wide": lambda pts, dim: 0.75 * gaussian(pts, dim, width=1.6, center=0.5),
     "bump": lambda pts, dim: bump(pts, dim),
@@ -100,9 +134,7 @@ def fixture(name, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
         fn = _FIXTURES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; known: {fixture_names()}") from None
-    return GridFunction.from_callable(
-        lambda pts: fn(pts, dim), dim, halfwidth, resolution
-    )
+    return _sampled(lambda pts: fn(pts, dim), dim, halfwidth, resolution)
 
 
 def random_smooth(seed, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
@@ -115,10 +147,12 @@ def random_smooth(seed, dim=1, halfwidth=8.0, resolution=1024) -> GridFunction:
     def fn(pts):
         out = 0.0
         for a, c, w in zip(amps, centers, widths):
-            out = out + a * gaussian(pts, dim, width=w, center=c)
+            term = gaussian(pts, dim, width=w, center=c)
+            term *= a
+            out = np.add(out, term, out=term)  # out + a * g, written into g's array
         return out
 
-    return GridFunction.from_callable(fn, dim, halfwidth, resolution)
+    return _sampled(fn, dim, halfwidth, resolution)
 
 
 def random_indicator_family(seed, count, dim=1, halfwidth=8.0, resolution=1024):
@@ -132,9 +166,5 @@ def random_indicator_family(seed, count, dim=1, halfwidth=8.0, resolution=1024):
     for _ in range(count):
         c = rng.uniform(-halfwidth / 3, halfwidth / 3)
         hw = rng.uniform(0.4, 1.6)
-        yield GridFunction.from_callable(
-            lambda pts, c=c, hw=hw: mollified_step(pts, dim, halfwidth=hw, center=c),
-            dim,
-            halfwidth,
-            resolution,
-        )
+        yield _sampled(lambda pts, c=c, hw=hw: mollified_step(pts, dim, halfwidth=hw, center=c),
+                       dim, halfwidth, resolution)

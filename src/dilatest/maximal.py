@@ -12,7 +12,12 @@ along each other axis. The per-point maxima nest three-point maxima
 (``three_point_max``) from the widest radius down: with A_j the means at
 radius h_j = 2^(j-1), the field is |f| v D_1(A_1 v D_1(A_2 v D_2(A_3 v ...
 D_(h_(J-1))(A_J)))), each D applied along every axis, so every level costs
-O(N^n) and the whole field O(N^n log N) on N^n cells.
+O(N^n) and the whole field O(N^n log N) on N^n cells. Along the last axis of
+a field above 1-D, whose slices are short rows, a shift of up to a quarter
+of the axis is one maximum over the flat arrays with each row's edge
+entries put back (``three_point_max``), the slices' bits at a fraction of
+their per-row cost. The fields of the ``maximal`` command are sampled per
+axis (``fixtures``), without the grid's point cloud.
 
 The means are taken on active boxes. |f| is exactly 0 outside its support
 box (``support_box``), so A_j is exactly 0 outside the support grown by h_j

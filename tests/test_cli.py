@@ -47,7 +47,8 @@ def test_norm_command_zero_fixture(tmp_path, capsys):
 def test_norm_with_too_much_boundary_mass_is_inconclusive(tmp_path, monkeypatch, capsys):
     # the unreliable setup of tests/test_norms.py: x**2 on a tight box puts
     # over 20% of the difference mass in flagged windows
-    monkeypatch.setitem(fixtures._FIXTURES, "square", lambda pts, dim: pts**2)
+    monkeypatch.setitem(fixtures._FIXTURES, "square",
+                        lambda pts, dim: fixtures._axes(pts, dim)[0] ** 2)
     cfg = {
         "grid": {"L": 2.0, "N": 256, "dim": 1},
         "space": {"kind": "B", "p": 2.0, "q": 2.0, "M": 1, "alpha": [0.5, 0.5], "K_max": 1},

@@ -3,10 +3,13 @@
 ``_radius2`` adds the squares axis by axis and ``gaussian`` subtracts its
 center per axis, where the oracle sums over a trailing axis of a subtracted
 point array; ``_smooth_edge`` evaluates its exponentials only inside the band
-0 < t < 1, where the oracle clips t and evaluates them everywhere.
+0 < t < 1, where the oracle clips t and evaluates them everywhere. The
+fixtures sample on each axis's cell centers: their samples are the
+evaluator at the grid points bit for bit, and never go through the cloud.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ def test_radius2_and_gaussian_match_the_trailing_axis_sum(dim):
     rng = np.random.default_rng(dim)
     pts = rng.choice([-1.0, 1.0], size=(7, 9, dim)) * 10.0 ** rng.uniform(-4, 2, (7, 9, dim))
     pts[0, 0] = -0.0
-    assert _same_bits(_radius2(pts), _old_radius2(pts))
+    assert _same_bits(_radius2(list(np.moveaxis(pts, -1, 0))), _old_radius2(pts))
     for center in (0.0, -1.25, rng.normal(size=dim)):
         for width in (0.4, 1.0, 1.6):
             want = _old_gaussian(pts, width, center)
@@ -111,3 +114,47 @@ def test_random_indicator_family_is_lazy_and_draws_like_the_list_it_was(dim, n):
         assert _same_bits(f.resample(n // 2).samples,
                           fixtures.mollified_step(f.resample(n // 2).points(), dim, hw, 0.5, c))
     assert next(fam, None) is None
+
+
+def _every_sampled_function(dim, n):
+    """Every fixture, two random_smooth draws and a random_indicator_family."""
+    fs = [fixtures.fixture(name, dim, 3.0, n) for name in fixtures.fixture_names()]
+    fs += [fixtures.random_smooth(seed, dim, 3.0, n) for seed in (0, 1)]
+    return fs + list(fixtures.random_indicator_family(4, 3, dim, 3.0, n))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32), (3, 8)])
+def test_samples_taken_per_axis_are_the_evaluator_at_the_points_bit_for_bit(dim, n):
+    for f in _every_sampled_function(dim, n):
+        assert _same_bits(f.samples, np.asarray(f.evaluator(f.points()), dtype=float))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32), (3, 8)])
+def test_resample_goes_through_the_evaluator(dim, n):
+    for f in _every_sampled_function(dim, n):
+        for m in (n // 2, 2 * n):  # no block means on the way down, and refining needs it
+            g = f.resample(m)
+            assert g.evaluator is f.evaluator
+            assert _same_bits(g.samples, np.asarray(f.evaluator(g.points()), dtype=float))
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n: fixtures.random_smooth(3, 2, 4.0, n),
+    lambda n: next(fixtures.random_indicator_family(3, 1, 2, 4.0, n)),
+    lambda n: fixtures.fixture("sine_packet", 2, 4.0, n),
+], ids=["random_smooth", "random_indicator_family", "sine_packet"])
+def test_sampling_never_builds_the_point_cloud(sample):
+    # points() of a 2-D N=256 grid is an (N, N, 2) float array, 1 MiB; a path
+    # through it holds it next to the samples (N, N), 3 times the samples at
+    # least, while per-axis sampling holds the samples and one term of a sum
+    n = 256
+    cloud, samples = n * n * 2 * 8, n * n * 8
+    sample(8)  # first-call allocations outside the measurement
+    tracemalloc.start()
+    try:
+        f = sample(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.samples.shape == (n, n)
+    assert peak < cloud + samples // 2, peak

@@ -239,6 +239,30 @@ def test_maximal_matches_the_full_grid_means_bit_for_bit(case):
     assert np.array_equal(hl_maximal(f).samples, full_grid_maximal(f).samples)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_supported_samples().filter(lambda case: case[0] > 1), st.data())
+@example((2, np.arange(1.0, 257.0).reshape(16, 16)), None)
+@example((3, np.arange(1.0, 513.0).reshape(8, 8, 8) % 7.0), None)
+def test_maximal_field_commutes_with_transposes_and_reflections(case, data):
+    # the cube family is symmetric under every permutation and reflection of
+    # the axes, so the field of a moved f is the moved field, up to the order
+    # of the sums; the nested maxima shift rows of the last axis, where an
+    # entry carried over from the neighbouring row would break the symmetry
+    dim, samples = case
+    if data is None:  # the examples: reverse the axes and reflect the first
+        order, flips = tuple(reversed(range(dim))), (0,)
+    else:
+        order = tuple(data.draw(st.permutations(range(dim))))
+        flips = tuple(a for a in range(dim) if data.draw(st.booleans()))
+
+    def move(values):
+        return np.flip(np.transpose(values, order), flips)
+
+    want = move(hl_maximal(GridFunction(dim, 2.0, samples)).samples)
+    got = hl_maximal(GridFunction(dim, 2.0, move(samples))).samples
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_every_table_spans_at_most_the_support_grown_by_its_radius(monkeypatch):
     # a later edit must not fall back to full-grid means on compact supports
     made = []

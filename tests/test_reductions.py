@@ -106,27 +106,74 @@ def _step_lists(radius):
     return lists
 
 
+def _three_point_max_by_slices(values, step, axis, out=None):
+    """``three_point_max`` as two slices along ``axis`` on every axis and
+    shape: the reference that its flat shifts must match bit for bit."""
+    out = values.copy() if out is None else np.maximum(out, values, out=out)
+    ahead = (slice(None),) * axis + (slice(step, None),)
+    behind = (slice(None),) * axis + (slice(None, -step),)
+    np.maximum(out[ahead], values[behind], out=out[ahead])
+    np.maximum(out[behind], values[ahead], out=out[behind])
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
 def test_nested_three_point_max_matches_clipped_windows(n):
     rng = np.random.default_rng(n)
-    values = rng.normal(size=(n, n + 2))
-    for axis in (0, 1):
-        length = values.shape[axis]
-        for radius in range(length + 3):  # every window size, up to wider than the axis
-            for steps in _step_lists(radius):
-                got = functools.reduce(lambda v, step: three_point_max(v, step, axis), steps,
-                                       values)
-                for i in range(length):
-                    window = values.take(np.arange(max(i - radius, 0),
-                                                   min(i + radius + 1, length)), axis=axis)
-                    np.testing.assert_array_equal(got.take(i, axis=axis),
-                                                  window.max(axis=axis))
+    # the 3-D last axis is long enough for steps up to a quarter of it to take
+    # the flat shifts, and the middle axis keeps the slices
+    for values in (rng.normal(size=(n, n + 2)), rng.normal(size=(n, n + 1, 4 * n + 3))):
+        for axis in range(values.ndim):
+            length = values.shape[axis]
+            for radius in range(length + 3):  # every window size, up to wider than the axis
+                want = np.stack([values.take(np.arange(max(i - radius, 0),
+                                                       min(i + radius + 1, length)),
+                                             axis=axis).max(axis=axis)
+                                 for i in range(length)], axis=axis)
+                for steps in _step_lists(radius):
+                    got = functools.reduce(lambda v, step: three_point_max(v, step, axis),
+                                           steps, values)
+                    np.testing.assert_array_equal(got, want)
+                    if steps:  # the last step joined into an out
+                        out = rng.normal(size=values.shape)
+                        joined = np.maximum(out, want)
+                        inner = functools.reduce(
+                            lambda v, step: three_point_max(v, step, axis), steps[:-1], values)
+                        assert three_point_max(inner, steps[-1], axis, out) is out
+                        np.testing.assert_array_equal(out, joined)
+            for step in range(1, length + 3):  # single steps, up to wider than the axis
+                out = rng.normal(size=values.shape)
+                want = _three_point_max_by_slices(values, step, axis)
+                want_out = _three_point_max_by_slices(values, step, axis, out.copy())
+                assert three_point_max(values, step, axis).tobytes() == want.tobytes()
+                assert three_point_max(values, step, axis, out).tobytes() == want_out.tobytes()
     flat = rng.normal(size=n)
     for radius in range(n + 3):
         want = [flat[max(i - radius, 0): i + radius + 1].max() for i in range(n)]
         for steps in _step_lists(radius):
             got = functools.reduce(lambda v, step: three_point_max(v, step, 0), steps, flat)
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(7, 24), (5, 6, 20), (3, 4, 5, 16)])
+def test_three_point_max_keeps_the_bits_of_the_slices_on_nan_and_inf(shape):
+    # nan of either sign, +-inf and +-0 at random entries, also at row edges,
+    # where a flat shift reads the neighbouring row before its entries are put back
+    rng = np.random.default_rng(len(shape))
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+    values, joined = rng.normal(size=shape), rng.normal(size=shape)
+    for array in (values, joined):
+        flat = array.reshape(-1)
+        flat[rng.choice(flat.size, flat.size // 5, replace=False)] = rng.choice(specials,
+                                                                                flat.size // 5)
+    values[..., 0], values[..., -1] = np.nan, -np.inf
+    for axis in range(len(shape)):
+        for step in range(1, shape[axis] + 2):
+            for out in (None, joined):
+                got = three_point_max(values, step, axis, None if out is None else out.copy())
+                want = _three_point_max_by_slices(values, step, axis,
+                                                  None if out is None else out.copy())
+                assert got.tobytes() == want.tobytes(), (axis, step, out is None)
 
 
 def test_three_point_max_joins_into_out_and_leaves_values():
