@@ -26,12 +26,10 @@ Geometry conventions used throughout the package:
   of it (``table_windows``, read by ``window_sums`` and the maximal field),
   also the windows just beyond a box of a larger array that is 0 outside
   it, which ``window_sums`` returns grown by up to the radius.
-  Arbitrary ranges go through a ``RangeTable``, which knows its reduction
-  ("sum" reads the unpadded prefix table, "min" and "max" the array for
-  ``reduceat``): ``range_table`` builds it and ``table_reduce`` reads it, and
-  ``box_reduce`` takes the same ranges along every axis from a first-axis
-  table, for a list of range sets at once (the cube scans read such a table
-  once per batch of cube families, ``weights.family_cube_reduce``).
+  Runs of cells between edges go through an ``edge_table``, the unpadded
+  prefix table for sums or the array for the max and the min, as the
+  exponent r of a power mean says; ``edge_reduce`` reads several tilings of
+  an axis laid end to end at once (``weights.family_cube_reduce``).
   The window sums keep complex values complex (``_lanes``): two float
   arrays in the real and imaginary lanes, summed at once, each lane with
   the bits of its own float call, which the window difference field uses
@@ -372,7 +370,7 @@ def _lanes(values):
 def _tile_reduce(values, cells):
     """Sums over the aligned tiles of ``cells`` samples per axis, by reshape.
 
-    Kept apart from ``table_reduce`` on purpose, and read by the expanded
+    Kept apart from ``edge_reduce`` on purpose, and read by the expanded
     difference field for it: prefix-table differences round at the scale of
     the running total, not of the tile. The sums are taken of a C-ordered
     copy when ``values`` is not one, so their bits do not depend on its layout.
@@ -447,75 +445,29 @@ def table_windows(table, axis, pad, below, above, grow=(0, 0)):
             - table[_at(axis, slice(pad - below - before, pad - below + n + after))])
 
 
-@dataclass(frozen=True)
-class RangeTable:
-    """What range reductions of one array along ``axis`` by ``op`` read: built
-    once by ``range_table``, read by any number of ``table_reduce`` calls.
-
-    For "sum" ``data`` is the ``prefix_table``; for "min" and "max" it is the
-    array with one spare slice, which keeps every start, the axis length
-    included, a valid ``ufunc.reduceat`` index.
-    """
-
-    axis: int
-    op: str
-    data: np.ndarray
+def edge_table(values, axis, r):
+    """What ``edge_reduce`` reads along ``axis`` for exponent r: the sums'
+    ``prefix_table`` for finite r, and for the max (r = inf) and the min
+    (r = -inf) the array and a copy of its last slice, which makes the edge
+    n a ``reduceat`` start and leaves the max and min of the last run."""
+    if math.isinf(r):
+        return np.concatenate([values, values[_at(axis, slice(-1, None))]], axis)
+    return prefix_table(values, axis, 0)
 
 
-def range_table(values, axis=0, op="sum"):
-    """The table from which ``table_reduce`` reduces any ranges of ``values``
-    along ``axis`` by ``op``: "sum", "min" or "max"."""
-    v = np.asarray(values, dtype=float)
-    if op == "sum":
-        return RangeTable(axis, op, prefix_table(v, axis, 0))
-    if op not in ("min", "max"):
-        raise ValueError(f"unknown reduction {op!r}")
-    return RangeTable(axis, op, np.concatenate([v, v[_at(axis, slice(0, 1))]], axis))
-
-
-def table_reduce(table: RangeTable, lo, hi):
-    """Reduce over the index ranges [lo[i], hi[i]) along the table's axis by its op.
-
-    Entry i of the output axis holds the reduction over range i; ranges are
-    clipped to the array. Sums are differences of prefix-table entries, and
-    "min"/"max" use ``ufunc.reduceat``. Empty ranges give 0, +inf and -inf.
-    """
-    axis, data = table.axis, table.data
-    n = data.shape[axis] - 1
-    lo = np.minimum(np.maximum(lo, 0), n)
-    hi = np.minimum(np.maximum(hi, lo), n)
-    if table.op == "sum":
-        return data.take(hi, axis) - data.take(lo, axis)
-    ufunc, empty = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}[table.op]
-    # interleaved starts put range i at output 2i
-    starts = np.stack([lo, hi], axis=-1).ravel()
-    out = ufunc.reduceat(data, starts, axis=axis)[_at(axis, slice(0, None, 2))]
-    return np.where(_along(hi > lo, axis, data.ndim), out, empty)
-
-
-def box_reduce(table: RangeTable, ranges):
-    """Reduce by the table's op over the boxes of every range set (lo, hi) of
-    the list: [lo[i0], hi[i0]) x [lo[i1], hi[i1]) x ..., the same index ranges
-    along every axis, from the first-axis ``range_table`` of the values.
-
-    Returns one flat array holding each set's box grid in C order, set after
-    set. The first axis reads the table once for the sets' concatenated
-    ranges; each further axis tables the partial once, and each set reads its
-    own rows with its own ranges, so every lane is reduced as if alone.
-    """
-    out = table_reduce(table, np.concatenate([lo for lo, _ in ranges]),
-                       np.concatenate([hi for _, hi in ranges]))
-    for ax in range(1, out.ndim):
-        rows = range_table(out, 1, table.op)
-        del out  # tabled; the partial and the next one are never alive together
-        pieces, start = [], 0
-        for lo, hi in ranges:
-            stop = start + len(lo) ** ax
-            part = table_reduce(RangeTable(1, rows.op, rows.data[start:stop]), lo, hi)
-            pieces.append(part.reshape((-1,) + part.shape[2:]))
-            start = stop
-        out = np.concatenate(pieces)
-    return out
+def edge_reduce(table, edges, axis, r):
+    """Entry i: the sum (finite r), max (r = inf) or min (r = -inf) over the
+    cells [edges[i], edges[i + 1]) along ``axis``, edges in 0..n ending at n,
+    from their ``edge_table``, or from the array itself for the max and min,
+    as the last run reads to the table's end. A pair of edges that does not
+    rise, as where one tiling of the axis ends and the next begins, reads no
+    run, so tilings laid end to end are read at once."""
+    if math.isinf(r):
+        return (np.maximum if r > 0 else np.minimum).reduceat(table, edges[:-1], axis=axis)
+    out = table.take(edges, axis)
+    lower, upper = _at(axis, slice(0, -1)), _at(axis, slice(1, None))
+    # each difference in place of the entry below it, which is read before it is written
+    return np.subtract(out[upper], out[lower], out=out[lower])
 
 
 def three_point_max(values, step, axis, out=None):

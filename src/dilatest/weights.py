@@ -22,14 +22,11 @@ M_{Q,-inf} = min_Q w, all computed by ``cube_power_means``:
 * C2:   sup over k <= j of M_{Q,sigma2}(t_j) / M_{Q,p}(t_k) * 2**(alpha2 (k-j)).
 
 A scan builds the first-axis table of each weight array and exponent once
-(``power_table``): the sums of w**r, or at r = inf and r = -inf the max and
-the min of w, since a ``RangeTable`` carries its reduction. The scan order,
-levels coarse to fine and shifts in order, is cut into batches of families
-(``family_batches``), and one ``family_cube_reduce`` call reads a table for
-a whole batch; means, ratios and maxima run once per batch. Every number, and
-the first cube in scan order winning a tie, is that of a family-by-family
-scan. The tables are locals of the one call. The class check reads each
-distinct exponent once.
+(``power_table``) and reads it once per cube level, coarse to fine, as are
+means, ratios and maxima. Every number, and the first cube in scan order
+winning a tie, is that of a family-by-family scan. The tables are locals of
+the one call. The class check reads each distinct exponent once, and holds
+the p means of every weight level and the sigma means of one at a time.
 
 The class check keeps C1 and C2 as running sups per fine level j, over k <= j
 and every scanned cube; its depth trace reads the sup over j <= d. No argmax
@@ -41,7 +38,6 @@ command runs.
 """
 
 import dataclasses
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,13 +48,11 @@ import numpy as np
 from .dyadic import (
     DyadicCube,
     GridFunction,
-    RangeTable,
-    box_reduce,
     cube_box,
+    edge_reduce,
+    edge_table,
     level_block_reduce,
     point_layout,
-    range_table,
-    table_reduce,
 )
 from .errors import (
     ConfigError,
@@ -286,19 +280,45 @@ def sigma1_of(theta, p):
 
 class CubeFamily(NamedTuple):
     """The nonempty cubes of one shifted level-k tiling: along every axis, cube
-    ``indices[i]`` holds the cells [lo[i], hi[i]) (read-only arrays)."""
+    ``indices[i]`` holds the cells [edges[i], edges[i + 1]), viewed by ``lo``
+    and ``hi``; the edges rise strictly from 0 to N (read-only arrays)."""
 
     level: int
     shift: float
-    lo: np.ndarray
-    hi: np.ndarray
+    edges: np.ndarray
     indices: np.ndarray
+
+    @property
+    def lo(self):
+        return self.edges[:-1]
+
+    @property
+    def hi(self):
+        return self.edges[1:]
+
+
+class CubeLevel(NamedTuple):
+    """Families read at once (``family_cube_reduce``), O(N) in all: their
+    edges laid end to end, each family's slice of that read (the entry from a
+    last edge N to the next 0 is no cube's), and the cubes' cells per axis."""
+
+    families: tuple
+    edges: np.ndarray
+    rows: tuple
+    cells: np.ndarray
+
+    @classmethod
+    def of(cls, families):
+        starts = [sum(len(fam.edges) for fam in families[:i]) for i in range(len(families))]
+        return cls(tuple(families), np.concatenate([fam.edges for fam in families]),
+                   tuple(slice(a, a + len(fam.lo)) for a, fam in zip(starts, families)),
+                   np.concatenate([fam.hi - fam.lo for fam in families]))
 
 
 _FAMILIES = {}  # (halfwidth, resolution, level) -> that level's distinct families
 
 
-def cube_families(f: GridFunction, k):
+def cube_families(f: GridFunction, k) -> CubeLevel:
     """The distinct shifted level-k families of f's grid, one per shift of
     ``SHIFT_FRACTIONS`` whose cells differ from every earlier shift's.
 
@@ -306,7 +326,8 @@ def cube_families(f: GridFunction, k):
     are the same numbers; a scan that keeps only strict improvements loses
     nothing by skipping it. At the finest level all three shifts give the
     one-cell cubes, and one level up 1/3 and 2/3 coincide. Cube edges snap to
-    cells by ``GridFunction.index_range``; the list is built once per geometry.
+    cells by ``GridFunction.index_range``, on any grid, and neighbouring cubes
+    snap one edge, so a family's edges tile the axis. Built once per geometry.
     """
     key = f.halfwidth, f.resolution, k
     if key not in _FAMILIES:
@@ -320,85 +341,66 @@ def cube_families(f: GridFunction, k):
             edges = (ms + shift) * side
             lo, hi = f.index_range(edges[:-1], edges[1:])
             keep = hi > lo
-            fam = CubeFamily(k, shift, lo[keep], hi[keep], ms[:-1][keep])
-            if not any(np.array_equal(fam.lo, g.lo) and np.array_equal(fam.hi, g.hi)
-                       for g in families):
+            fam = CubeFamily(k, shift, np.append(lo[keep], hi[keep][-1]), ms[:-1][keep])
+            if not any(np.array_equal(fam.edges, g.edges) for g in families):
                 for a in fam[2:]:
                     a.flags.writeable = False
                 families.append(fam)
-        _FAMILIES[key] = tuple(families)
+        _FAMILIES[key] = CubeLevel.of(families)
     return _FAMILIES[key]
 
 
-# entries of a batch's first-axis partial, cubes x cells**(n - 1). Whole stages at once made
-# 2-D ap slower than one family per read. 2**16 made 2-D xclass faster but raised its traced
-# memory peak by 0.8 MB; at 2**15 each 2-D scan's peak is that of the one-family scan
-_BATCH_ENTRIES = 1 << 15
-
-
-def family_batches(f: GridFunction, levels):
-    """The cube families of f's grid at the levels, in scan order (levels as
-    given, shifts in ``SHIFT_FRACTIONS`` order), cut into lists for
-    ``family_cube_reduce``: a list closes before its first-axis partial would
-    pass ``_BATCH_ENTRIES``, and a family that passes it alone is a list."""
-    batch, size = [], 0
-    for fam in (fam for k in levels for fam in cube_families(f, k)):
-        entries = len(fam.lo) * f.resolution ** (f.dim - 1)
-        if batch and size + entries > _BATCH_ENTRIES:
-            yield batch
-            batch, size = [], 0
-        batch.append(fam)
-        size += entries
-    yield batch
-
-
-def family_cube_reduce(table: RangeTable, fams):
-    """Per-cube reduction, by the table's op, of the values tabled by
-    ``range_table`` over the cubes of every family of the list: one flat array
-    holding each family's cube grid in C order, family after family."""
-    return box_reduce(table, [(fam.lo, fam.hi) for fam in fams])
+def family_cube_reduce(table, level: CubeLevel, r):
+    """Per-cube ``dyadic.edge_reduce`` for exponent r of the values whose
+    first-axis ``edge_table`` is ``table``: each family's cube grid in C
+    order, family after family, flat. The first axis is one read; along each
+    further axis each family tables and reads its own rows."""
+    out = edge_reduce(table, level.edges, 0, r)
+    parts = [out[rows] for rows in level.rows]
+    del out  # the parts view it; each is dropped once tabled, and it goes with the last
+    for _ in range(1, table.ndim):
+        parts = [edge_reduce(edge_table(parts.pop(0), 1, r), fam.edges, 1, r)
+                 for fam in level.families]
+        parts = [part.reshape((-1,) + part.shape[2:]) for part in parts]
+    return np.concatenate(parts)
 
 
 def power_table(samples, r):
-    """The first-axis table of w**r that ``cube_power_means`` reads at exponent r.
-
-    r = 1 tables the samples themselves, and r = inf and r = -inf table them
-    for the max and the min. A scan builds one per weight array and exponent
-    and reads it for every batch of families.
-    """
+    """The first-axis ``edge_table`` of w**r that ``cube_power_means`` reads
+    at exponent r, for the max and the min of w at r = inf and r = -inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if math.isinf(r):
-            return range_table(samples, op="max" if r > 0 else "min")
-        return range_table(samples if r == 1.0 else samples**r)
+        return edge_table(samples if r == 1.0 or math.isinf(r) else samples**r, 0, r)
 
 
-def cube_power_means(table: RangeTable, fams, r):
+def cube_power_means(table, level: CubeLevel, r):
     """Power means M_{Q,r}(w) = (mean_Q w**r)**(1/r) over the cubes of every
-    family of the list, from ``power_table(w, r)``, laid out as
+    family of the level, from ``power_table(w, r)``, laid out as
     ``family_cube_reduce`` lays out its sums.
 
     Any r != 0 is allowed; r = inf and r = -inf give the max and the min of w
-    on the cube. Raises NonPositiveValue naming the level of the list's first
-    family when a power sum of w**r leaves the float range: the first-axis
-    prefix sums then leave it too, and every family's last cube reads their
+    on the cube. Raises NonPositiveValue naming the level when a power sum
+    of w**r leaves the float range, as every family's last cube reads the
     total. A sum that underflows to 0 at r < 0 gives the mean inf.
     """
     if r == 0 or math.isnan(r):
         raise InvalidExponent(f"a power mean needs r != 0, got {r!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = family_cube_reduce(table, fams)
-    if math.isinf(r):
-        return sums  # the max or the min
-    if not np.all(np.isfinite(sums)):
-        raise NonPositiveValue(
-            f"the cube sums of w**r at r = {r} overflow the float range at level {fams[0].level}"
-        )
-    counts = np.concatenate([
-        functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * table.data.ndim).ravel()
-        for fam in fams
-    ])
-    with np.errstate(divide="ignore"):  # an underflowed mean at r < 0 gives inf
-        return (sums / counts) ** (1.0 / r)
+    # sums beyond the float range raise below; an underflowed mean at r < 0 gives inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = family_cube_reduce(table, level, r)
+        if math.isinf(r):
+            return sums  # the max or the min
+        if not np.isfinite(sums).all():
+            raise NonPositiveValue(f"the cube sums of w**r at r = {r} overflow the float range "
+                                   f"at level {level.families[0].level}")
+        counts = level.cells  # each cube's cells along the first axis, family after family
+        for ax in range(1, table.ndim):  # times its cells along each further axis
+            at = [sum(len(fam.lo) ** ax for fam in level.families[:i])
+                  for i in range(len(level.families) + 1)]
+            counts = np.concatenate([np.multiply.outer(counts[a:b], fam.hi - fam.lo).ravel()
+                                     for a, b, fam in zip(at, at[1:], level.families)])
+        sums /= counts
+        sums **= 1.0 / r
+    return sums
 
 
 # -- Muckenhoupt constants -------------------------------------------------------
@@ -422,19 +424,20 @@ def _mean_ratio_scan(gamma: GridFunction, r, depth, factor) -> ApReport:
     for res in ap_stages(gamma.resolution, factor):
         g = gamma.resample(res)
         levels = scan_levels(g.halfwidth, g.resolution, depth)
-        # one table per exponent for the stage, read by every batch of families
+        # one table per exponent for the stage, read by every cube level
         tables = power_table(g.samples, 1.0), power_table(g.samples, r)
         best = -math.inf
-        for fams in family_batches(g, levels):
-            ratio = cube_power_means(tables[0], fams, 1.0) / cube_power_means(tables[1], fams, r)
+        for k in levels:
+            level = cube_families(g, k)
+            ratio = cube_power_means(tables[0], level, 1.0) / cube_power_means(tables[1], level, r)
             j = int(np.argmax(ratio))  # the first cube in scan order wins a tie
             if ratio[j] > best:
                 best = float(ratio[j])
-                arg = fams, j
+                arg = level, j
         trace.append((res, best))
     values = [v for _, v in trace]
-    fams, j = arg
-    for fam in fams:  # the family and the place in its cube grid of flat entry j
+    level, j = arg
+    for fam in level.families:  # the family and the place in its cube grid of flat entry j
         if j < len(fam.lo) ** gamma.dim:
             break
         j -= len(fam.lo) ** gamma.dim
@@ -457,7 +460,7 @@ def ap_constant(gamma: GridFunction, p, depth=6, trace_factor=8) -> ApReport:
     than the last and the finest the grid's own; stages below 32 cells are
     dropped (``plan.ap_stages``).
     A sample of g that is not finite and positive raises NonPositiveValue; for
-    such g no ratio is nan, so a batch's argmax is the family-by-family one.
+    such g no ratio is nan, so a level's argmax is the family-by-family one.
     """
     if not p >= 1.0:
         raise InvalidExponent(f"the cube condition needs p >= 1, got p = {p}")
@@ -517,13 +520,6 @@ def _level_factor(exponent):
     return 2.0**exponent
 
 
-def _family_maxima(values, bounds):
-    """Each family's maximum over a batch's flat values (family i at
-    ``bounds[i]:bounds[i + 1]``): nan for a family in which a cube's 0/0
-    means (both underflowed) give a nan ratio."""
-    return table_reduce(range_table(values, op="max"), bounds[:-1], bounds[1:])
-
-
 def xclass_check(t: WeightSequence, sp, depth=6):
     """Measure the two inter-level cube inequalities of the weight class.
 
@@ -546,35 +542,38 @@ def xclass_check(t: WeightSequence, sp, depth=6):
     j_max = depths[-1]
     alpha1, alpha2 = sp.alpha
 
-    exponents = sp.p, -sp.sigma1, sp.sigma2
-    distinct = dict.fromkeys(exponents)  # sigma2 = p reads the p means once
-    # one table per weight level and distinct exponent, read by every cube family
-    tables = {
-        (kw, r): power_table(t.level(kw).samples, r) for kw in range(j_max + 1) for r in distinct
-    }
-    c1 = [-math.inf] * (j_max + 1)
-    c2 = [-math.inf] * (j_max + 1)
+    # one table per weight level and distinct exponent (sigma2 = p reads the p
+    # means once), read by every cube level
+    tables = {(kw, r): power_table(t.level(kw).samples, r)
+              for kw in range(j_max + 1) for r in dict.fromkeys((sp.p, -sp.sigma1, sp.sigma2))}
+    # per fine level j, row k <= j of the C1 and of the C2 factors
+    f1 = [np.array([[_level_factor(-alpha1 * (k - j))] for k in range(j + 1)])
+          for j in range(j_max + 1)]
+    f2 = [np.array([[_level_factor(-alpha2 * (j - k))] for k in range(j + 1)])
+          for j in range(j_max + 1)]
+    c1, c2 = [-math.inf] * (j_max + 1), [-math.inf] * (j_max + 1)
     skipped = 0
-    for fams in family_batches(g, levels):
-        bounds = [0]  # family i holds entries bounds[i]:bounds[i + 1] of the flat means
-        for fam in fams:
-            bounds.append(bounds[-1] + len(fam.lo) ** g.dim)
-        means = {
-            r: [cube_power_means(tables[kw, r], fams, r) for kw in range(j_max + 1)]
-            for r in distinct
-        }
-        mp, ms1, ms2 = (means[r] for r in exponents)
-        nan = np.zeros(len(fams), dtype=bool)  # the batch's families with a nan maximum
+    for level in (cube_families(g, k) for k in levels):
+        sizes = [len(fam.lo) ** g.dim for fam in level.families]
+        bounds = np.array([sum(sizes[:i]) for i in range(len(sizes) + 1)])  # family i's means
+        mp = np.array([cube_power_means(tables[kw, sp.p], level, sp.p) for kw in range(j_max + 1)])
+        nan = np.zeros(len(sizes), dtype=bool)  # the level's families with a nan maximum
         for j in range(j_max + 1):
-            for k in range(j + 1):
+            ms1, ms2 = (mp[j] if r == sp.p else cube_power_means(tables[j, r], level, r)
+                        for r in (-sp.sigma1, sp.sigma2))
+            # row k <= j: C1's M_{Q,p}(t_k) / M_{Q,-s1}(t_j), C2's M_{Q,s2}(t_j) / M_{Q,p}(t_k)
+            for c, num, den, factors in ((c1, mp[: j + 1], ms1, f1[j]),
+                                         (c2, ms2, mp[: j + 1], f2[j])):
                 with np.errstate(invalid="ignore"):  # a 0/0 ratio is counted in nan
-                    v1 = mp[k] / ms1[j] * _level_factor(-alpha1 * (k - j))
-                    v2 = ms2[j] / mp[k] * _level_factor(-alpha2 * (j - k))
-                m1, m2 = _family_maxima(v1, bounds), _family_maxima(v2, bounds)
+                    ratios = num / den
+                    ratios *= factors
+                # each family's maximum per k, nan if a cube's 0/0 means give a nan ratio
+                maxima = edge_reduce(ratios, bounds, 1, math.inf)
+                del ratios  # one condition's ratios at a time
                 # a running max skips the nan maxima; fmax is nan only if all are
-                c1[j] = max(c1[j], float(np.fmax.reduce(m1)))
-                c2[j] = max(c2[j], float(np.fmax.reduce(m2)))
-                nan |= np.isnan(m1) | np.isnan(m2)
+                c[j] = max(c[j], float(np.fmax.reduce(maxima, axis=None)))
+                nan |= np.isnan(maxima).any(axis=0)
+            del ms1, ms2  # freed before the next weight level's means are read
         skipped += int(np.count_nonzero(nan))
 
     trace = [(d, max(c1[: d + 1]), max(c2[: d + 1])) for d in depths]

@@ -16,7 +16,7 @@ from dilatest.differences import (
     delta_window_field,
 )
 from dilatest.dilation import compute_H, dilate, sobolev_sup_ratio
-from dilatest.dyadic import GridFunction, range_table
+from dilatest.dyadic import GridFunction
 from dilatest.maximal import fs_inequality_ratio
 from dilatest.norms import SpaceParams, diff_norm
 from dilatest.weights import (
@@ -27,6 +27,7 @@ from dilatest.weights import (
     ap_constant,
     cube_families,
     family_cube_reduce,
+    power_table,
     weight_grid,
     xclass_check,
 )
@@ -44,14 +45,16 @@ def radial(p):
 
 def test_family_cube_reduce_partitions_mass():
     f = grid2(lambda p: np.exp(-radial(p) ** 2))
-    families = cube_families(f, 1)[:2]
-    assert [fam.shift for fam in families] == [0.0, 1.0 / 3.0]
-    for fam in families:
-        sums = family_cube_reduce(range_table(f.samples), [fam])
+    level = cube_families(f, 1)
+    assert [fam.shift for fam in level.families][:2] == [0.0, 1.0 / 3.0]
+    # one read of the level, family after family
+    sums = family_cube_reduce(power_table(f.samples, 1.0), level, 1.0)
+    for fam in level.families:
         counts = np.multiply.outer(fam.hi - fam.lo, fam.hi - fam.lo)
         assert counts.sum() == N * N
-        assert sums.sum() == pytest.approx(float(f.samples.sum()), rel=1e-12)
-        assert sums.shape == (counts.size,)
+        assert sums[: counts.size].sum() == pytest.approx(float(f.samples.sum()), rel=1e-12)
+        sums = sums[counts.size:]
+    assert sums.size == 0
 
 
 def test_ap_constant_2d_power_weight():

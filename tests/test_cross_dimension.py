@@ -36,7 +36,7 @@ import pytest
 from dilatest.differences import delta_cube_field, delta_expanded_field, delta_window_field
 from dilatest.dyadic import GridFunction
 from dilatest.maximal import hl_maximal
-from dilatest.weights import cube_families, cube_power_means, power_table
+from dilatest.weights import CubeLevel, cube_families, cube_power_means, power_table
 
 L, N, M = 4.0, 64, 2
 N3 = 32  # the 3-D grid
@@ -104,9 +104,10 @@ def test_3d_difference_fields_of_a_function_of_x1_match_the_1d_fields(field, fac
 def _check_cube_power_means(dim, n):
     w1, w = _pair(lambda x: np.abs(x - 0.3) ** 0.4 + 0.1, dim, n)
     for k, r in itertools.product(range(-2, 5), (1, -1, 2.5, inf, -inf)):
-        for fam in cube_families(w1, k):  # one geometry, so the same families in every dimension
-            m1 = cube_power_means(power_table(w1.samples, r), [fam], r)
-            m = cube_power_means(power_table(w.samples, r), [fam], r)
+        # one geometry, so the same families in every dimension
+        for level in map(CubeLevel.of, ([fam] for fam in cube_families(w1, k).families)):
+            m1 = cube_power_means(power_table(w1.samples, r), level, r)
+            m = cube_power_means(power_table(w.samples, r), level, r)
             # the cube grid, in C order, has x1 as its first axis
             assert m.shape == (len(m1) ** dim,)
             m = m.reshape((len(m1),) * dim)

@@ -11,6 +11,7 @@ from dilatest.norms import SpaceParams
 from dilatest.plan import scan_levels
 from dilatest.weights import (
     SHIFT_FRACTIONS,
+    CubeLevel,
     Power,
     ShiftedPower,
     WeightSequence,
@@ -43,9 +44,9 @@ def test_cube_power_means_match_the_scalar_oracle(dim, halfwidth, n):
     clipped = 0
     for k in scan_levels(w.halfwidth, w.resolution, 6):
         side = 2.0**-k
-        for fam in cube_families(w, k):
+        for fam in cube_families(w, k).families:
             for r in exponents:
-                means = cube_power_means(power_table(w.samples, r), [fam], r)
+                means = cube_power_means(power_table(w.samples, r), CubeLevel.of([fam]), r)
                 assert means.shape == (len(fam.indices) ** dim,)
                 means = means.reshape((len(fam.indices),) * dim)
                 for m in np.ndindex(means.shape):
@@ -64,7 +65,7 @@ def test_cube_power_means_reject_r_zero():
     w = GridFunction(1, 4.0, np.ones(32))
     for r in (0.0, math.nan):
         with pytest.raises(InvalidExponent):
-            cube_power_means(power_table(w.samples, 1.0), cube_families(w, 0)[:1], r)
+            cube_power_means(power_table(w.samples, 1.0), cube_families(w, 0), r)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +75,7 @@ def test_cube_power_means_reject_r_zero():
 def test_cube_power_means_raise_when_a_power_sum_leaves_the_float_range(value, r):
     w = GridFunction(1, 4.0, np.full(64, value))
     with pytest.raises(NonPositiveValue, match=f"r = {r} .* at level 0"):
-        cube_power_means(power_table(w.samples, r), cube_families(w, 0)[:1], r)
+        cube_power_means(power_table(w.samples, r), cube_families(w, 0), r)
 
 
 def test_ap_constant_names_r_and_the_first_level_whose_power_sum_overflows():
@@ -97,7 +98,7 @@ def test_ap_constant_rejects_a_weight_that_is_not_positive(value, p):
 def test_cube_power_means_of_an_underflowed_sum_are_inf():
     # at r < 0 a huge weight's w**r underflows to 0, and the mean is inf
     w = GridFunction(1, 4.0, np.full(64, 1e200))
-    means = cube_power_means(power_table(w.samples, -2.0), cube_families(w, 0)[:1], -2.0)
+    means = cube_power_means(power_table(w.samples, -2.0), cube_families(w, 0), -2.0)
     assert np.all(means == math.inf)
 
 

@@ -14,62 +14,59 @@ from hypothesis import strategies as st
 
 from dilatest.dyadic import (
     GridFunction,
+    edge_reduce,
+    edge_table,
     mixed_norm,
-    range_table,
-    table_reduce,
+    prefix_table,
     three_point_max,
     window_sums,
 )
 from dilatest.plan import scan_levels
-from dilatest.weights import cube_families, family_cube_reduce
+from dilatest.weights import cube_families, family_cube_reduce, power_table
 
-BRUTE = {
-    "sum": lambda block, axis: block.sum(axis=axis),
-    "min": lambda block, axis: block.min(axis=axis, initial=np.inf),
-    "max": lambda block, axis: block.max(axis=axis, initial=-np.inf),
-}
+# the exponent that picks each reduction of an edge read
+OPS = {"sum": 1.0, "min": -math.inf, "max": math.inf}
 
 
 @st.composite
-def reduce_cases(draw):
+def edge_cases(draw):
     dim = draw(st.sampled_from([1, 2]))
     shape = tuple(draw(st.integers(1, 9)) for _ in range(dim))
     axis = draw(st.integers(0, dim - 1))
     seed = draw(st.integers(0, 2**16))
+    # edges anywhere in 0..n and the last one n, so pairs rise, repeat or fall
+    # back as where one tiling of the axis ends and the next begins
     n = shape[axis]
-    # bounds reach past both ends of the axis, so ranges come out empty,
-    # reversed, partly clipped or fully outside
-    bounds = st.integers(-3, n + 3)
-    ranges = draw(st.lists(st.tuples(bounds, bounds), min_size=1, max_size=8))
-    op = draw(st.sampled_from(sorted(BRUTE)))
+    edges = draw(st.lists(st.integers(0, n), min_size=1, max_size=9)) + [n]
+    op = draw(st.sampled_from(sorted(OPS)))
     values = np.random.default_rng(seed).normal(size=shape)
-    return values, ranges, axis, op
+    return values, np.array(edges), axis, op
 
 
 @settings(max_examples=300, deadline=None)
-@given(reduce_cases())
-def test_table_reduce_matches_slicing(case):
-    values, ranges, axis, op = case
-    n = values.shape[axis]
-    lo = np.array([a for a, _ in ranges])
-    hi = np.array([b for _, b in ranges])
-    got = table_reduce(range_table(values, axis, op), lo, hi)
-    assert got.shape[axis] == len(ranges)
-    for i, (a, b) in enumerate(ranges):
-        a, b = min(max(a, 0), n), min(max(b, 0), n)
-        block = values.take(np.arange(a, max(a, b)), axis=axis)
-        want = BRUTE[op](block, axis)
-        np.testing.assert_allclose(got.take(i, axis=axis), want, rtol=1e-12, atol=1e-12)
+@given(edge_cases())
+def test_edge_reads_match_slicing(case):
+    values, edges, axis, op = case
+    r = OPS[op]
+    got = edge_reduce(edge_table(values, axis, r), edges, axis, r)
+    assert got.shape[axis] == len(edges) - 1
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        if b > a:  # a pair that does not rise reads no run
+            want = getattr(np, op)(values.take(np.arange(a, b), axis=axis), axis=axis)
+            np.testing.assert_allclose(got.take(i, axis=axis), want, rtol=1e-12, atol=1e-12)
 
 
 def _window_sums_by_ranges(values, r):
-    """Centered window sums as one concatenated lo/hi ``table_reduce`` per axis, then split."""
+    """Centered window sums as one concatenated lo/hi read of a ``prefix_table``
+    per axis, each range clipped to the array, then split."""
     out = np.asarray(values, dtype=float)
     for ax in range(out.ndim):
-        idx = np.arange(out.shape[ax])
-        lo = np.concatenate([idx - r, idx - r + 1])
-        hi = np.concatenate([idx + r + 1, idx + r])
-        closed, interior = np.split(table_reduce(range_table(out, ax), lo, hi), 2, axis=ax)
+        n = out.shape[ax]
+        idx = np.arange(n)
+        lo = np.clip(np.concatenate([idx - r, idx - r + 1]), 0, n)
+        hi = np.clip(np.concatenate([idx + r + 1, idx + r]), 0, n)
+        table = prefix_table(out, ax, 0)
+        closed, interior = np.split(table.take(hi, ax) - table.take(lo, ax), 2, axis=ax)
         out = 0.5 * (closed + interior)
     return out
 
@@ -192,24 +189,26 @@ def test_family_cube_reduce_matches_slicing(dim, halfwidth, n):
     values = np.random.default_rng(dim).random((n,) * dim) + 0.1
     f = GridFunction(dim, halfwidth, values)
     for k in scan_levels(f.halfwidth, f.resolution, 6):
-        for fam in cube_families(f, k):
-            shift = fam.shift
+        level = cube_families(f, k)
+        blocks = []
+        for fam in level.families:
             # the shifted tiling cut by cell centers, brute force
             side, dx = 2.0**-k, 2.0 * halfwidth / n
             centers = -halfwidth + (np.arange(n) + 0.5) * dx
-            cube_of = np.floor(centers / side - shift + 1e-9).astype(int)
+            cube_of = np.floor(centers / side - fam.shift + 1e-9).astype(int)
             cells = [(int(np.argmax(cube_of == m)), int(n - np.argmax(cube_of[::-1] == m)))
                      for m in np.unique(cube_of)]
-            blocks = [values[a:b] for a, b in cells]
+            fam_blocks = [values[a:b] for a, b in cells]
             if dim == 2:
-                blocks = [values[a:b, c:d] for a, b in cells for c, d in cells]
-            for op in ("sum", "min", "max"):
-                red = family_cube_reduce(range_table(values, 0, op), [fam])
-                want = [getattr(np, op)(b) for b in blocks]
-                np.testing.assert_allclose(red, want, rtol=1e-12)
-                counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * dim)
-                assert list(counts.ravel()) == [b.size for b in blocks]
-                assert red.shape == (len(fam.indices) ** dim,)
+                fam_blocks = [values[a:b, c:d] for a, b in cells for c, d in cells]
+            counts = functools.reduce(np.multiply.outer, [fam.hi - fam.lo] * dim)
+            assert list(counts.ravel()) == [b.size for b in fam_blocks]
+            blocks += fam_blocks
+        for op, r in OPS.items():
+            # the level's families in one read, each family's cube grid after the last's
+            red = family_cube_reduce(power_table(values, r), level, r)
+            np.testing.assert_allclose(red, [getattr(np, op)(b) for b in blocks], rtol=1e-12)
+            assert red.shape == (sum(len(fam.indices) ** dim for fam in level.families),)
 
 
 def test_mixed_norms_of_one_layer_are_its_lp_norm():

@@ -1,13 +1,15 @@
 """Cube scans that build each table once give the numbers of the per-family formula.
 
 The scans build one first-axis table per weight array and exponent and read
-it once per batch of families, skip a shift family that repeats an earlier
-one's cells, and ``hl_maximal`` reads one padded axis-0 table for every
-radius and nests three-point maxima from the widest radius down. The oracles
-here are the formulas before that: a fresh ``w**r`` and a fresh prefix table
-per family, all three shifts scanned, and one box reduction and one running
-maximum by window doubling per radius. Every sum adds the same numbers in the
-same order and every max selects one of them, so the comparisons are exact.
+it once per cube level, at the cell edges of the level's families laid end
+to end, skip a shift family that repeats an earlier one's cells, and
+``hl_maximal`` reads one padded axis-0 table for every radius and nests
+three-point maxima from the widest radius down. The oracles here are the
+formulas before that: a fresh ``w**r`` and a fresh prefix table per family
+on the cells of its own cube-by-cube snapping, all three shifts scanned,
+and one box reduction and one running maximum by window doubling per
+radius. Every sum adds the same numbers in the same order and every max
+selects one of them, so the comparisons are exact.
 """
 
 import functools
@@ -17,23 +19,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dilatest.dyadic import DyadicCube, GridFunction, box_reduce, range_table
+from dilatest.dyadic import DyadicCube, GridFunction
 from dilatest.maximal import hl_maximal
 from dilatest.norms import SpaceParams
 from dilatest.plan import scan_levels
 from dilatest.weights import (
-    _BATCH_ENTRIES,
     SHIFT_FRACTIONS,
     Constant,
-    CubeFamily,
+    CubeLevel,
     GeometricLevel,
     Power,
     WeightSequence,
     ap_constant,
     cube_families,
     cube_power_means,
-    family_batches,
     family_cube_reduce,
     power_table,
     weight_grid,
@@ -42,7 +44,7 @@ from dilatest.weights import (
 
 EXPONENTS = [1.0, -1.0, -3.0, 2.5, math.inf, -math.inf]
 GRIDS = [(1, 8.0, 1024), (2, 4.0, 64), (1, 4.0 / 3.0, 256), (2, 4.0 / 3.0, 32)]
-BATCH_GRIDS = GRIDS + [(2, 4.0, 256), (3, 4.0, 32), (3, 4.0 / 3.0, 16)]
+READ_GRIDS = GRIDS + [(2, 4.0, 256), (3, 4.0, 32), (3, 4.0 / 3.0, 16)]
 
 
 def _fresh_box_reduce(values, lo, hi, op):
@@ -71,19 +73,20 @@ def _fresh_box_reduce(values, lo, hi, op):
 
 
 def _family(w: GridFunction, k, shift):
-    """Every nonempty cube of the shifted level-k tiling, a repeat of an earlier
-    shift's cells or not, with its cells snapped by ``index_range``."""
+    """(lo, hi, indices) of every nonempty cube of the shifted level-k tiling, a
+    repeat of an earlier shift's cells or not, with its cells snapped by
+    ``index_range`` cube by cube."""
     side = 2.0**-k
     ms = np.arange(math.floor(-w.halfwidth / side - shift) - 1,
                    math.ceil(w.halfwidth / side - shift) + 1)
     lo, hi = w.index_range((ms + shift) * side, (ms + 1 + shift) * side)
     keep = hi > lo
-    return CubeFamily(k, shift, lo[keep], hi[keep], ms[keep])
+    return lo[keep], hi[keep], ms[keep]
 
 
 def _fresh_means(w: GridFunction, k, shift, r):
     """M_{Q,r}(w) over one shifted family from a fresh w**r, and the cube indices."""
-    _, _, lo, hi, ms = _family(w, k, shift)
+    lo, hi, ms = _family(w, k, shift)
     cubes = ms[np.indices((len(lo),) * w.dim).reshape(w.dim, -1).T]
     if math.isinf(r):
         return _fresh_box_reduce(w.samples, lo, hi, "max" if r > 0 else "min").ravel(), cubes
@@ -103,37 +106,47 @@ def test_shared_power_tables_give_the_fresh_per_family_means_bit_for_bit(dim, ha
     for r in EXPONENTS:
         table = power_table(w.samples, r)
         for k in scan_levels(w.halfwidth, w.resolution, 8):
-            for fam in cube_families(w, k):
-                means = cube_power_means(table, [fam], r)
+            for fam in cube_families(w, k).families:
+                means = cube_power_means(table, CubeLevel.of([fam]), r)
                 want, cubes = _fresh_means(w, k, fam.shift, r)
                 assert np.array_equal(means, want), (r, k, fam.shift)
                 grid = np.indices((len(fam.indices),) * w.dim).reshape(w.dim, -1).T
                 assert np.array_equal(fam.indices[grid], cubes)
 
 
-@pytest.mark.parametrize("dim, halfwidth, n", BATCH_GRIDS)
-def test_families_read_in_batches_give_the_one_family_reads_bit_for_bit(dim, halfwidth, n):
+@pytest.mark.parametrize("dim, halfwidth, n", READ_GRIDS)
+def test_level_reads_give_the_fresh_box_reductions_bit_for_bit(dim, halfwidth, n):
+    # one read per axis and level, from one table per exponent, against a fresh
+    # table per family on the cells of its own cube-by-cube snapping
     w = _weight(dim, halfwidth, n, seed=4)
-    levels = scan_levels(w.halfwidth, w.resolution, 8)
-    batches = list(family_batches(w, levels))
-    # the batches cut the scan order, levels coarse to fine and shifts in order
-    assert [fam for fams in batches for fam in fams] == [
-        fam for k in levels for fam in cube_families(w, k)]
-    for fams in batches:
-        partial = sum(len(fam.lo) for fam in fams) * n ** (dim - 1)
-        assert len(fams) == 1 or partial <= _BATCH_ENTRIES
-    if dim == 1:
-        assert len(batches) == 1
-    for fams in batches + [[fam for k in levels for fam in cube_families(w, k)]]:
-        for op in ("sum", "min", "max"):
-            got = family_cube_reduce(range_table(w.samples, 0, op), fams)
-            one = [family_cube_reduce(range_table(w.samples, 0, op), [fam]) for fam in fams]
-            assert np.array_equal(got, np.concatenate(one)), op
-        for r in EXPONENTS:
-            table = power_table(w.samples, r)
-            got = cube_power_means(table, fams, r)
-            assert np.array_equal(got, np.concatenate([cube_power_means(table, [fam], r)
-                                                       for fam in fams])), r
+    for r in EXPONENTS:
+        table = power_table(w.samples, r)
+        op, values = ("sum", w.samples**r) if math.isfinite(r) else (
+            "max" if r > 0 else "min", w.samples)
+        for k in scan_levels(w.halfwidth, w.resolution, 8):
+            level = cube_families(w, k)
+            want = [_fresh_box_reduce(values, *_family(w, k, fam.shift)[:2], op).ravel()
+                    for fam in level.families]
+            np.testing.assert_array_equal(family_cube_reduce(table, level, r),
+                                          np.concatenate(want), err_msg=f"r={r} k={k}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(j=st.integers(-3, 4), lattice=st.booleans(), log_n=st.integers(5, 12))
+def test_families_tile_their_axis(j, lattice, log_n):
+    halfwidth, n = (1.0 if lattice else 4.0 / 3.0) * 2.0**j, 2**log_n
+    w = GridFunction(1, halfwidth, np.ones(n))
+    for k in scan_levels(halfwidth, n, 64):  # every level the grid admits
+        level = cube_families(w, k)
+        np.testing.assert_array_equal(level.edges,
+                                      np.concatenate([fam.edges for fam in level.families]))
+        for fam in level.families:
+            edges = fam.edges
+            assert edges[0] == 0 and edges[-1] == n and np.all(np.diff(edges) > 0), (k, fam.shift)
+            assert len(fam.indices) == len(edges) - 1
+            for view, want in ((fam.lo, edges[:-1]), (fam.hi, edges[1:])):
+                assert np.shares_memory(view, edges)
+                np.testing.assert_array_equal(view, want)
 
 
 def _running_max(values, radius, axis):
@@ -167,19 +180,6 @@ def test_hl_maximal_equals_one_box_mean_per_radius_bit_for_bit(dim, halfwidth, n
             local = _running_max(local, half, ax)
         want = np.maximum(want, local)
     assert np.array_equal(hl_maximal(f).samples, want)
-
-
-def test_box_reduce_reads_a_first_axis_table_like_its_array():
-    values = np.random.default_rng(2).random((9, 9)) + 0.1
-    lo, hi = np.array([-2, 0, 3, 7]), np.array([1, 4, 3, 12])
-    for op in ("sum", "min", "max"):
-        table = range_table(values, 0, op)
-        assert table.op == op
-        want = _fresh_box_reduce(values, lo, hi, op).ravel()
-        assert np.array_equal(box_reduce(table, [(lo, hi)]), want), op
-    for op in ("mean", "median"):
-        with pytest.raises(ValueError):
-            range_table(values, 0, op)
 
 
 # -- the scans against brute force over all three shifts -------------------------------
@@ -227,7 +227,7 @@ SCANS = [(2, 4.0, 256), (1, 8.0, 512), (3, 4.0, 32)]
 
 
 def _skips_a_family(g: GridFunction, depth):
-    return any(len(cube_families(g, k)) < len(SHIFT_FRACTIONS)
+    return any(len(cube_families(g, k).families) < len(SHIFT_FRACTIONS)
                for k in scan_levels(g.halfwidth, g.resolution, depth))
 
 
@@ -248,7 +248,7 @@ def test_ap_constant_equals_the_scan_over_all_three_shifts(dim, halfwidth, n, p)
     # the constant weight ties every cube: the first cube of the first family
     # at the coarsest level is reported
     assert [value for _, value in rep.trace] == [1.0] * len(rep.trace)
-    first = cube_families(gamma, rep.levels_scanned[0])[0]
+    first = cube_families(gamma, rep.levels_scanned[0]).families[0]
     assert first.shift == rep.argmax_shift == 0.0
     assert rep.argmax_cube == DyadicCube(first.level, (int(first.indices[0]),) * dim)
 

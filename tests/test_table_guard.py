@@ -1,7 +1,7 @@
 """One table format: prefix sums and ``reduceat`` each have one call site in the package.
 
 ``dyadic.prefix_table`` is the only place that builds a prefix-sum table
-(``cumsum``, or ``accumulate`` under another name), and ``dyadic.table_reduce``
+(``cumsum``, or ``accumulate`` under another name), and ``dyadic.edge_reduce``
 the only place that calls ``ufunc.reduceat``. Every box, window and cube
 reduction reads one of the two, so a second copy of either would be a second
 table format with its own clipping and round-off.
@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dilatest"
 SITES = {
     "cumsum": ("dyadic.py", "prefix_table"),
     "accumulate": ("dyadic.py", "prefix_table"),
-    "reduceat": ("dyadic.py", "table_reduce"),
+    "reduceat": ("dyadic.py", "edge_reduce"),
 }
 
 

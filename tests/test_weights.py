@@ -19,6 +19,7 @@ from dilatest.weights import (
     SPEC_KINDS,
     AdmissibleSeq,
     Constant,
+    CubeLevel,
     GeometricLevel,
     Power,
     ProductWeight,
@@ -224,10 +225,10 @@ def test_a1_constant_is_the_mean_over_min_scan(dim, n):
     want = []
     for gr in (g.resample(res) for res in (n // 64, n // 8, n) if res >= 32):
         ratios = [
-            cube_power_means(power_table(gr.samples, 1.0), [fam], 1.0)
-            / cube_power_means(power_table(gr.samples, -math.inf), [fam], -math.inf)
+            cube_power_means(power_table(gr.samples, 1.0), level, 1.0)
+            / cube_power_means(power_table(gr.samples, -math.inf), level, -math.inf)
             for k in scan_levels(gr.halfwidth, gr.resolution, 4)
-            for fam in cube_families(gr, k)
+            for level in map(CubeLevel.of, ([fam] for fam in cube_families(gr, k).families))
         ]
         want.append((gr.resolution, max(float(np.max(r)) for r in ratios)))
     assert ap_constant(g, 1.0, depth=4).trace == want
