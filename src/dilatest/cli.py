@@ -191,6 +191,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
             f"theta = {_MAXIMAL_THETA}, which exceeds p = {space.p}; "
             "set space.theta in (1, p]"
         )
+    if command == "maximal" and not space.q > 1.0:
+        raise ConfigError(f"space.q = {space.q}: the maximal command needs q > 1")
 
     weights = top.read("weights", {"kind": "constant", "value": 1.0},
                        lambda v, w: spec_from_dict(v, dim, w))
@@ -222,6 +224,8 @@ def parse_config(data: dict, command: str) -> RunConfig:
     unread = top.unread()
     if unread:
         raise ConfigError("; ".join(f"{path}: unknown key" for path in unread))
+    if command == "maximal" and not 0.0 < cfg.sigma < 1.0:  # sigma < min(1, p, q) at p, q > 1
+        raise ConfigError(f"sigma = {cfg.sigma}: the maximal command needs 0 < sigma < 1")
     try:  # every level the command reads, from the plan's rules
         check_plan(command, halfwidth, resolution, space.k_max, cfg.depth, cfg.family_size)
     except LevelPlanError as exc:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntersection, OutOfDomain, ResolutionExceeded
+from .errors import EmptyIntersection, NonPositiveValue, OutOfDomain, ResolutionExceeded
 
 _TIE_EPS = 1e-9
 
@@ -136,8 +136,8 @@ def _check_grid(dim, halfwidth, shape):
         raise ValueError("samples must be square")
     if n < 2 or n & (n - 1):
         raise ValueError("per-axis resolution must be a power of two >= 2")
-    if halfwidth <= 0:
-        raise ValueError("halfwidth must be positive")
+    if not 0 < halfwidth < math.inf:  # nan fails too
+        raise ValueError("halfwidth must be positive and finite")
 
 
 def _cell_centers(halfwidth, n):
@@ -551,32 +551,48 @@ def window_sums(values, radius_cells: int, grow=None):
 # -- mixed norms over levels -----------------------------------------------------
 
 
+def power_root(sums, r, what):
+    """``sums ** (1 / r)``, the r-th root of power sums of ``what``, once every
+    sum is finite; one that left the float range (inf, or nan from inf * 0)
+    raises NonPositiveValue naming ``what``. Callers take the sums under
+    ``np.errstate``, so an overflow raises here and warns nowhere."""
+    if not np.isfinite(sums).all():
+        raise NonPositiveValue(f"{what}: a sum of powers leaves the float range")
+    return sums ** (1.0 / r)
+
+
 class MixedNorm:
     """The kind-"B" aggregate, l_q over levels of the L_p norm of each layer,
     or the kind-"F" one, the L_p norm of their pointwise l_q aggregate; a
-    caller that ``add``s each level as it comes need not hold them all."""
+    caller that ``add``s each level as it comes need not hold them all.
+    ``name`` goes into the NonPositiveValue of a sum that overflows."""
 
-    def __init__(self, kind, p, q, cellw=1.0, layers=()):
+    def __init__(self, kind, p, q, cellw=1.0, layers=(), name=None):
         self.kind, self.p, self.q, self.cellw = kind, p, q, cellw
+        self.what = f"{name or f'the {kind} mixed norm'} at p = {p}, q = {q}"
         self.terms, self.agg = [], None  # agg: F's pointwise sum of |layer|^q
         for v in layers:
             self.add(v)
 
     def add(self, layer):
-        if self.kind == "B":
-            self.terms.append(float(np.sum(np.abs(layer) ** self.p) * self.cellw) ** (1.0 / self.p))
-        elif self.agg is None:  # the first power is a fresh array: later ones add in place
-            self.agg = np.abs(layer) ** self.q
-        else:
-            self.agg += np.abs(layer) ** self.q
+        with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise
+            if self.kind == "B":
+                total = float(np.sum(np.abs(layer) ** self.p) * self.cellw)
+                self.terms.append(power_root(total, self.p, self.what))
+            elif self.agg is None:  # the first power is a fresh array: later ones add in place
+                self.agg = np.abs(layer) ** self.q
+            else:
+                self.agg += np.abs(layer) ** self.q
 
     def value(self):
         """(value, per-level L_p norms); F has no per-level terms and gives []."""
         p, q = self.p, self.q
-        if self.kind == "B":
-            return float(np.sum(np.asarray(self.terms) ** q)) ** (1.0 / q), self.terms
-        agg = 0.0 if self.agg is None else self.agg
-        return float(np.sum(agg ** (p / q)) * self.cellw) ** (1.0 / p), []
+        with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise
+            if self.kind == "B":
+                return power_root(float(np.sum(np.asarray(self.terms) ** q)), q,
+                                  self.what), self.terms
+            agg = 0.0 if self.agg is None else self.agg
+            return power_root(float(np.sum(agg ** (p / q)) * self.cellw), p, self.what), []
 
 
 def mixed_norm(kind, layers, p, q, cellw=1.0):

@@ -159,7 +159,7 @@ def fs_inequality_ratio(fs, p, q, sigma) -> float:
     if not 0.0 < sigma < min(1.0, p, q):
         raise InvalidExponent("need 0 < sigma < min(1, p, q)")
     cellw = f.spacing ** f.dim
-    lhs, rhs = MixedNorm("F", p, q, cellw), MixedNorm("F", p, q, cellw)
+    lhs, rhs = (MixedNorm("F", p, q, cellw, name="the Fefferman-Stein ratio") for _ in range(2))
     while f is not None:
         lhs.add(m_sigma(f, sigma).samples)
         rhs.add(f.samples)
@@ -187,7 +187,7 @@ def weighted_maximal_ratio(fs, t: WeightSequence, p, q, theta) -> float:
                 f"level-{k} weight failed the A_(p/theta) scan: trace {rep.trace}"
             )
     cellw = fs[0].spacing ** fs[0].dim
-    lhs, rhs = MixedNorm("F", p, q, cellw), MixedNorm("F", p, q, cellw)
+    lhs, rhs = (MixedNorm("F", p, q, cellw, name="the weighted maximal ratio") for _ in range(2))
     for k, f in enumerate(fs):  # level by level, one maximal field at a time
         w = t.level(k).samples
         lhs.add(w * hl_maximal(f).samples)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .differences import delta_cube_field, delta_expanded_field, delta_fields, delta_window_field
-from .dyadic import GridFunction, MixedNorm, level_block_reduce, level_cell_count, window_sums
+from .dyadic import (GridFunction, MixedNorm, level_block_reduce, level_cell_count,
+                     power_root, window_sums)
 from .errors import InvalidExponent, MissingLevels, ResolutionExceeded
 from .plan import WINDOW_CELLS, check_k_max, check_unit_window
 from .weights import WeightSequence, cube_weight_norms_level, sigma1_of
@@ -50,16 +51,17 @@ class SpaceParams:
             raise InvalidExponent("kind must be 'B' or 'F'")
         if not 1.0 <= self.p < math.inf or not 1.0 <= self.q < math.inf:
             raise InvalidExponent("p and q must lie in [1, inf)")
-        if self.M < 1 or self.M != int(self.M):
+        # each comparison is written so that nan fails it
+        if not 1 <= self.M < math.inf or self.M != int(self.M):
             raise InvalidExponent("difference order M must be a positive integer")
         if not 1.0 <= self.theta <= self.p:
             raise InvalidExponent("theta must lie in [1, p]")
         if self.sigma2 is None:
             self.sigma2 = self.p
-        if self.sigma2 < self.p:
+        if not self.sigma2 >= self.p:
             raise InvalidExponent("sigma2 must be at least p")
-        if self.k_max < 1:
-            raise InvalidExponent("k_max must be at least 1")
+        if not 1 <= self.k_max < math.inf:
+            raise InvalidExponent("k_max must be finite and at least 1")
         a1, a2 = self.alpha
         if not 0.0 < a1 <= a2 < self.M:
             warnings.warn(
@@ -92,8 +94,9 @@ def ltilde_norm(f: GridFunction, t0: GridFunction, p):
         )
     cellw = f.spacing**f.dim
     win = window_sums(np.abs(f.samples), r) * cellw
-    dens = t0.samples**p * win**p
-    return float(np.sum(dens) * cellw) ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises
+        dens = t0.samples**p * win**p
+        return power_root(float(np.sum(dens) * cellw), p, f"the zero-order term at p = {p}")
 
 
 class _Norm:
@@ -110,10 +113,12 @@ class _Norm:
         else:
             t0m = cube_weight_norms_level(t, 0, sp.p)
             l1m = level_block_reduce(np.abs(f.samples), f, 0) * cellw
-            self.zero = float(np.sum((t0m * l1m) ** sp.p)) ** (1.0 / sp.p)
+            with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows raises
+                self.zero = power_root(float(np.sum((t0m * l1m) ** sp.p)), sp.p,
+                                       f"the star zero-order term at p = {sp.p}")
             # B sums over cubes, each of measure one; F integrates over cells
             cellw = cellw if sp.kind == "F" else 1.0
-        self.agg = MixedNorm(sp.kind, sp.p, sp.q, cellw)
+        self.agg = MixedNorm(sp.kind, sp.p, sp.q, cellw, name=f"the {name} norm")
         self.flagged_mass = self.total_mass = 0.0
 
     def add(self, k, field):
@@ -126,7 +131,8 @@ class _Norm:
             layer = np.kron(terms, np.ones((level_cell_count(f, k),) * f.dim))
         else:
             terms = layer = cube_weight_norms_level(self.t, k, sp.p) * values
-        mass = terms**sp.p  # the boundary mass of the terms
+        with np.errstate(over="ignore"):  # a sum that overflows raises in agg.add
+            mass = terms**sp.p  # the boundary mass of the terms
         self.flagged_mass += float(np.sum(mass[flagged]))
         self.total_mass += float(np.sum(mass))
         self.agg.add(layer)

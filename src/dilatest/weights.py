@@ -53,6 +53,7 @@ from .dyadic import (
     edge_table,
     level_block_reduce,
     point_layout,
+    power_root,
 )
 from .errors import (
     ConfigError,
@@ -493,8 +494,9 @@ def cube_weight_norms_level(t: WeightSequence, k, p):
     """All t_{k,m} over the level-k cubes tiling the grid, in cube order from
     the lower domain corner."""
     g = t.level(k)
-    sums = level_block_reduce(g.samples**p, g, k) * g.spacing**g.dim
-    return sums ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise
+        sums = level_block_reduce(g.samples**p, g, k) * g.spacing**g.dim
+    return power_root(sums, p, f"the level-{k} cube weight norms at p = {p}")
 
 
 # -- the inter-level regularity class ----------------------------------------------

@@ -77,16 +77,6 @@ def test_dilate_command_json_and_exit(tmp_path):
     assert "wall_clock_s" not in report
 
 
-def test_dilate_threads_match_serial(tmp_path):
-    path = write_config(tmp_path, "c.json", BASE)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["dilate", "--config", path, "--out", str(a)]) == 0
-    assert main(["dilate", "--config", path, "--out", str(b), "--threads", "2"]) == 0
-    ra = json.loads(a.read_text())
-    rb = json.loads(b.read_text())
-    assert ra["results"]["rows"] == rb["results"]["rows"]
-
-
 def test_reports_are_byte_identical(tmp_path):
     cfg = dict(BASE, seed=3, families=3, family_size=4)
     cfg["grid"] = {"L": 8.0, "N": 512, "dim": 1}
@@ -290,8 +280,6 @@ def _set(cfg, path, value):
         ("maximal", "bounds.fs", -1, "bounds.fs"),
         ("maximal", "bounds.weighted", 0, "bounds.weighted"),
         ("maximal", "bounds.fs", "abc", "bounds.fs"),
-        # one ulp off a power of two: off the half-cell lattice the fields slice
-        ("norm", "grid.L", 4.000000000000001, "grid.L"),
     ],
 )
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, path, value, field):
@@ -707,22 +695,6 @@ def test_maximal_at_theta_equal_to_p_runs_the_a1_scan(tmp_path, capsys):
     assert report["results"]["theta"] == 2.0 and report["verdicts"]["overall"] == "PASS"
 
 
-def test_maximal_names_the_theta_it_would_substitute(tmp_path, capsys):
-    # space.theta unset leaves the maximal bound to use theta = 1.5, above p = 1.2;
-    # once "error: InvalidExponent: need 1 < theta <= p < inf", a theta never set
-    cfg = {
-        "grid": {"L": 8.0, "N": 256, "dim": 1},
-        "space": {"kind": "B", "p": 1.2, "q": 2.0, "M": 2, "alpha": [0.5, 0.5], "K_max": 2},
-        "weights": {"kind": "geometric", "s": 0.5, "base": {"kind": "power", "beta": 0.3}},
-        "families": 1,
-        "family_size": 2,
-    }
-    assert main(["maximal", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error: space.theta = 1.0" in err
-    assert "theta = 1.5" in err and "p = 1.2" in err
-
-
 def test_maximal_theta_above_p_exits_2_before_any_weight_level(tmp_path, capsys, monkeypatch):
     # the substituted theta = 1.5 exceeds p = 1.2: once found after the three
     # weight levels were built, now the parser rejects it beside the p > 1 rule
@@ -812,16 +784,6 @@ def test_a_subnormal_grid_l_exits_2_naming_it(tmp_path, capsys, command):
     cfg = {"command": command, "grid": {"L": 5e-324, "N": 256}}
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
     assert "config error: grid.L = 5e-324" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("halfwidth", [2.0**-1000, 0.25])
-def test_norm_below_the_unit_window_exits_2_naming_grid_l(tmp_path, capsys, halfwidth):
-    # at 2**-1000 numpy once refused the zero-order term's window array, and
-    # at 0.25 the level-0 cubes raised ResolutionExceeded
-    cfg = {"command": "norm", "grid": {"L": halfwidth, "N": 256}}
-    assert main(["norm", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
-    assert f"config error: grid.L = {halfwidth!r}: the norm command needs L >= 0.5" in (
-        capsys.readouterr().err)
 
 
 # -- grids whose coarsest cube level is finer than a scan's levels

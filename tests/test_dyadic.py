@@ -15,6 +15,7 @@ from dilatest.dyadic import (
     cube_box,
     cubes_covering,
     expanded_cube,
+    grid_axes,
     level_block_reduce,
     level_cell_count,
     prefix_table,
@@ -334,3 +335,13 @@ def test_resample_of_sampled_data_takes_block_means_bit_for_bit(dim, n, coarse):
     assert np.array_equal(g.samples, blocks.mean(axis=tuple(range(1, 2 * dim, 2))))
     with pytest.raises(ValueError):
         f.resample(2 * n)
+
+
+@pytest.mark.parametrize("halfwidth", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("build", [lambda hw: GridFunction(1, hw, np.zeros(8)),
+                                   lambda hw: grid_axes(1, hw, 8)],
+                         ids=["GridFunction", "grid_axes"])
+def test_a_halfwidth_that_is_not_a_positive_finite_number_is_a_value_error(build, halfwidth):
+    # nan and inf once passed, giving a spacing of nan or inf
+    with pytest.raises(ValueError, match="halfwidth must be positive and finite"):
+        build(halfwidth)

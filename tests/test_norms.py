@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from dilatest import differences, fixtures
 from dilatest.differences import delta_fields
 from dilatest.dyadic import GridFunction
-from dilatest.errors import LevelPlanError, MissingLevels, ResolutionExceeded
+from dilatest.errors import InvalidExponent, LevelPlanError, MissingLevels, ResolutionExceeded
 from dilatest.lp_fourier import fourier_norm
 from dilatest.norms import SpaceParams, diff_and_star_norms, diff_norm, ltilde_norm, star_norm
 from dilatest.weights import Constant, GeometricLevel, Power, WeightSequence
@@ -338,3 +340,21 @@ def test_difference_norms_scale_by_a_power_of_two(grid, kind, m, seed):
         for part in ("main", "zero_order"):
             assert yd[part] == pytest.approx(2.0**m * xd[part], rel=2.3e-16, abs=0.0)
         assert (yd["boundary_mass"], yd["reliable"]) == (xd["boundary_mass"], xd["reliable"])
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("sigma2", math.nan, "sigma2 must be at least p"),
+     ("k_max", math.nan, "k_max must be finite"), ("k_max", math.inf, "k_max must be finite")],
+)
+def test_a_nan_or_infinite_sigma2_or_k_max_is_an_invalid_exponent(field, value, error):
+    # nan passed the sigma2 >= p and k_max >= 1 rules, and so did k_max = inf
+    with pytest.raises(InvalidExponent, match=error):
+        SpaceParams("B", 2.0, 2.0, 2, (0.5, 0.5), **{field: value})
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf])
+def test_a_nan_or_infinite_m_is_an_invalid_exponent(M):
+    # once an untyped ValueError (int(nan)) or OverflowError (int(inf))
+    with pytest.raises(InvalidExponent, match="difference order M"):
+        SpaceParams("B", 2.0, 2.0, M, (0.5, 0.5))
